@@ -40,6 +40,11 @@ DD013     ``open()`` / ``os.replace()`` / ``os.rename()`` on artifact-
           lease}`` — direct file access bypasses integrity blocks,
           atomic promotion, quorum replication, and lease fencing; go
           through the :class:`~repro.service.store.ArtifactStore` API.
+DD014     A nested function in ``repro.dd`` / ``repro.core`` /
+          ``repro.circuits`` that refers to itself by name — the
+          function and its own closure cell form a reference cycle that
+          pins the closure (and any memo it holds) until the cyclic
+          collector runs, which the simulator pauses.
 ========  ============================================================
 
 Rules DD007 — DD012 are *dataflow-aware passes* — float determinism
@@ -92,7 +97,7 @@ class Violation:
     """One finding: a rule broken at a specific source location.
 
     Attributes:
-        rule: Rule code (``DD001`` … ``DD013``).
+        rule: Rule code (``DD001`` … ``DD014``).
         path: Repo-relative POSIX path of the offending file.
         line: 1-based source line.
         col: 0-based column offset.
@@ -245,6 +250,16 @@ RULES: dict[str, Rule] = {
             "replicas and the scrubber — use ArtifactStore methods "
             "(park_jobs, append_ownership, save_checkpoint, ...)",
         ),
+        Rule(
+            "DD014",
+            "no self-recursive nested functions in repro.dd / repro.core "
+            "/ repro.circuits",
+            "a nested function that names itself closes over its own "
+            "cell, a function <-> cell cycle that pins the closure's "
+            "memo and diagrams until the cyclic collector runs; the "
+            "simulator pauses that collector, so recurse through a "
+            "module-level helper that takes its state as arguments",
+        ),
     )
 }
 
@@ -299,6 +314,9 @@ _STORE_PATH_METHODS = frozenset(
 
 #: Packages whose public API must be fully annotated (DD004).
 _ANNOTATED_PACKAGES = ("repro.dd", "repro.core")
+
+#: Packages that run inside the simulator's collector pause (DD014).
+_ACYCLIC_PACKAGES = ("repro.dd", "repro.core", "repro.circuits")
 
 #: Attribute names that identify a hash-consed node mutation (DD003).
 _NODE_ATTRS = frozenset({"level", "edges"})
@@ -435,6 +453,10 @@ class _Checker(ast.NodeVisitor):
         self._wants_annotations = any(
             module == pkg or module.startswith(pkg + ".")
             for pkg in _ANNOTATED_PACKAGES
+        )
+        self._bans_recursive_closures = any(
+            module == pkg or module.startswith(pkg + ".")
+            for pkg in _ACYCLIC_PACKAGES
         )
         self._store_privileged = any(
             module == exempt or module.startswith(exempt + ".")
@@ -639,14 +661,42 @@ class _Checker(ast.NodeVisitor):
                 span=sig_span,
             )
 
+    # -- DD014: self-recursive closures -----------------------------------
+
+    def _check_recursive_closure(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        if not self._bans_recursive_closures or self._depth == 0:
+            return
+        for statement in node.body:
+            for sub in ast.walk(statement):
+                if (
+                    isinstance(sub, ast.Name)
+                    and sub.id == node.name
+                    and isinstance(sub.ctx, ast.Load)
+                ):
+                    self._report(
+                        "DD014",
+                        node,
+                        f"nested function {node.name!r} refers to itself: "
+                        "the function and its closure cell form a cycle "
+                        "only the (paused) cyclic collector frees; lift it "
+                        "to a module-level helper taking its state as "
+                        "arguments",
+                        span=(node.lineno, node.lineno),
+                    )
+                    return
+
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_signature(node)
+        self._check_recursive_closure(node)
         self._depth += 1
         self.generic_visit(node)
         self._depth -= 1
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_signature(node)
+        self._check_recursive_closure(node)
         self._depth += 1
         self.generic_visit(node)
         self._depth -= 1

@@ -74,6 +74,24 @@ def _kron_chain(
     return edge
 
 
+def _permutation_block(
+    package: Package, level: int, pairs: Sequence[tuple[int, int]]
+) -> MEdge:
+    """Diagram of the ``(row, col)`` ones below ``level``."""
+    if not pairs:
+        return zero_medge()
+    if level < 0:
+        return (complex(1.0), None)
+    groups: tuple[list, list, list, list] = ([], [], [], [])
+    for row, col in pairs:
+        selector = ((row >> level) & 1) * 2 + ((col >> level) & 1)
+        groups[selector].append((row, col))
+    children = tuple(
+        _permutation_block(package, level - 1, group) for group in groups
+    )
+    return package.make_medge(level, children)  # type: ignore[arg-type]
+
+
 def permutation_medge(
     package: Package, num_qubits: int, mapping: dict[int, int]
 ) -> MEdge:
@@ -96,21 +114,8 @@ def permutation_medge(
         raise ValueError(
             f"mapping must be a permutation of range({size})"
         )
-
-    def build(level: int, pairs: Sequence[tuple[int, int]]) -> MEdge:
-        if not pairs:
-            return zero_medge()
-        if level < 0:
-            return (complex(1.0), None)
-        groups: tuple[list, list, list, list] = ([], [], [], [])
-        for row, col in pairs:
-            selector = ((row >> level) & 1) * 2 + ((col >> level) & 1)
-            groups[selector].append((row, col))
-        children = tuple(build(level - 1, group) for group in groups)
-        return package.make_medge(level, children)  # type: ignore[arg-type]
-
     pairs = [(row, col) for col, row in mapping.items()]
-    return build(num_qubits - 1, pairs)
+    return _permutation_block(package, num_qubits - 1, pairs)
 
 
 def modular_multiplication_mapping(

@@ -107,26 +107,31 @@ def _evaluate_parameter(
         tree = ast.parse(expression.strip(), mode="eval")
     except SyntaxError as exc:
         raise QasmError(f"bad parameter expression {expression!r}") from exc
-    env = environment or {}
+    return _evaluate_node(tree, environment or {}, expression)
 
-    def walk(node: ast.AST) -> float:
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id == "pi":
-                return math.pi
-            if node.id in env:
-                return float(env[node.id])
-            raise QasmError(f"unknown name {node.id!r} in {expression!r}")
-        if isinstance(node, ast.BinOp) and type(node.op) in _SAFE_OPERATORS:
-            return _SAFE_OPERATORS[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _SAFE_OPERATORS:
-            return _SAFE_OPERATORS[type(node.op)](walk(node.operand))
-        raise QasmError(f"unsupported construct in {expression!r}")
 
-    return walk(tree)
+def _evaluate_node(node: ast.AST, env: dict, expression: str) -> float:
+    """Evaluate one node of a parsed parameter ``expression``."""
+    if isinstance(node, ast.Expression):
+        return _evaluate_node(node.body, env, expression)
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return math.pi
+        if node.id in env:
+            return float(env[node.id])
+        raise QasmError(f"unknown name {node.id!r} in {expression!r}")
+    if isinstance(node, ast.BinOp) and type(node.op) in _SAFE_OPERATORS:
+        return _SAFE_OPERATORS[type(node.op)](
+            _evaluate_node(node.left, env, expression),
+            _evaluate_node(node.right, env, expression),
+        )
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SAFE_OPERATORS:
+        return _SAFE_OPERATORS[type(node.op)](
+            _evaluate_node(node.operand, env, expression)
+        )
+    raise QasmError(f"unsupported construct in {expression!r}")
 
 
 def _emit_call(

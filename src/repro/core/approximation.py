@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dd.node import VEdge, VNode, zero_vedge
+from ..dd.package import Package
 from ..dd.vector import StateDD
 from .contributions import node_contributions
 
@@ -90,6 +91,34 @@ def select_nodes_for_removal(
     return removed, spent
 
 
+def _rebuild_without(
+    edge: VEdge,
+    level: int,
+    removed: set[VNode],
+    memo: dict[VNode, VEdge],
+    package: Package,
+) -> VEdge:
+    """Rebuild ``edge`` with every edge into ``removed`` zeroed."""
+    weight, node = edge
+    if weight == 0.0:
+        return zero_vedge()
+    if level < 0:
+        return edge
+    if node in removed:
+        return zero_vedge()
+    cached = memo.get(node)
+    if cached is None:
+        child0 = _rebuild_without(
+            node.edges[0], level - 1, removed, memo, package
+        )
+        child1 = _rebuild_without(
+            node.edges[1], level - 1, removed, memo, package
+        )
+        cached = package.make_vedge(level, child0, child1)
+        memo[node] = cached
+    return (cached[0] * weight, cached[1])
+
+
 def rebuild_without(
     state: StateDD, removed: set[VNode]
 ) -> StateDD:
@@ -102,26 +131,8 @@ def rebuild_without(
         ValueError: If the removal set erases the entire state.
     """
     package = state.package
-    memo: dict[VNode, VEdge] = {}
-
-    def rebuild(edge: VEdge, level: int) -> VEdge:
-        weight, node = edge
-        if weight == 0.0:
-            return zero_vedge()
-        if level < 0:
-            return edge
-        if node in removed:
-            return zero_vedge()
-        cached = memo.get(node)
-        if cached is None:
-            child0 = rebuild(node.edges[0], level - 1)
-            child1 = rebuild(node.edges[1], level - 1)
-            cached = package.make_vedge(level, child0, child1)
-            memo[node] = cached
-        return (cached[0] * weight, cached[1])
-
     top = state.num_qubits - 1
-    new_edge = rebuild(state.edge, top)
+    new_edge = _rebuild_without(state.edge, top, removed, {}, package)
     new_weight, new_node = new_edge
     magnitude = abs(new_weight)
     if magnitude == 0.0 or new_node is None:
@@ -330,6 +341,40 @@ def approximate_to_size(
     )
 
 
+def _quantize(weight: complex, precision: float) -> complex:
+    """Snap both parts of ``weight`` onto the grid of pitch ``precision``."""
+    return complex(
+        round(weight.real / precision) * precision,
+        round(weight.imag / precision) * precision,
+    )
+
+
+def _rebuild_quantized(
+    edge: VEdge,
+    level: int,
+    precision: float,
+    memo: dict[VNode, VEdge],
+    package: Package,
+) -> VEdge:
+    """Rebuild ``edge`` with every child weight snapped by :func:`_quantize`."""
+    weight, node = edge
+    if weight == 0.0 or level < 0:
+        return edge
+    cached = memo.get(node)
+    if cached is None:
+        child0 = _rebuild_quantized(
+            node.edges[0], level - 1, precision, memo, package
+        )
+        child1 = _rebuild_quantized(
+            node.edges[1], level - 1, precision, memo, package
+        )
+        child0 = (_quantize(child0[0], precision), child0[1])
+        child1 = (_quantize(child1[0], precision), child1[1])
+        cached = package.make_vedge(level, child0, child1)
+        memo[node] = cached
+    return (cached[0] * weight, cached[1])
+
+
 def round_edge_weights(
     state: StateDD, precision: float
 ) -> ApproximationResult:
@@ -352,29 +397,9 @@ def round_edge_weights(
         raise ValueError("precision must be in (0, 0.5]")
     package = state.package
     nodes_before = state.node_count()
-    memo: dict[VNode, VEdge] = {}
-
-    def quantize(weight: complex) -> complex:
-        return complex(
-            round(weight.real / precision) * precision,
-            round(weight.imag / precision) * precision,
-        )
-
-    def rebuild(edge: VEdge, level: int) -> VEdge:
-        weight, node = edge
-        if weight == 0.0 or level < 0:
-            return edge
-        cached = memo.get(node)
-        if cached is None:
-            child0 = rebuild(node.edges[0], level - 1)
-            child1 = rebuild(node.edges[1], level - 1)
-            child0 = (quantize(child0[0]), child0[1])
-            child1 = (quantize(child1[0]), child1[1])
-            cached = package.make_vedge(level, child0, child1)
-            memo[node] = cached
-        return (cached[0] * weight, cached[1])
-
-    rebuilt = rebuild(state.edge, state.num_qubits - 1)
+    rebuilt = _rebuild_quantized(
+        state.edge, state.num_qubits - 1, precision, {}, package
+    )
     weight, node = rebuilt
     if node is None or abs(weight) == 0.0:
         raise ValueError("precision too coarse: the state was erased")

@@ -43,6 +43,7 @@ from ..dd.package import Package, default_package
 from ..dd.vector import StateDD
 from .approximation import approximate_state
 from .fidelity import composed_fidelity
+from .simulator import _PausedGC
 
 
 @dataclass
@@ -124,44 +125,45 @@ def semiclassical_shor_run(
     round_fidelities: list[float] = []
     rounds = 0
     max_nodes = state.node_count()
-    started = time.perf_counter()
+    with _PausedGC():
+        started = time.perf_counter()
 
-    for step in range(total_bits):
-        exponent = total_bits - 1 - step
-        power = pow(base, 1 << exponent, modulus)
-        state = apply(hadamard, state)
-        state = apply(
-            Operation(
-                "cmodmul",
-                tuple(range(work_bits)),
-                (control,),
-                (power, modulus),
-            ),
-            state,
-        )
-        # Rotate away the binary-fraction tail of the measured bits.
-        if bits:
-            theta = -2.0 * math.pi * sum(
-                bit / (1 << (position + 2))
-                for position, bit in enumerate(reversed(bits))
+        for step in range(total_bits):
+            exponent = total_bits - 1 - step
+            power = pow(base, 1 << exponent, modulus)
+            state = apply(hadamard, state)
+            state = apply(
+                Operation(
+                    "cmodmul",
+                    tuple(range(work_bits)),
+                    (control,),
+                    (power, modulus),
+                ),
+                state,
             )
-            state = apply(Operation("p", (control,), (), (theta,)), state)
-        state = apply(hadamard, state)
-        max_nodes = max(max_nodes, state.node_count())
+            # Rotate away the binary-fraction tail of the measured bits.
+            if bits:
+                theta = -2.0 * math.pi * sum(
+                    bit / (1 << (position + 2))
+                    for position, bit in enumerate(reversed(bits))
+                )
+                state = apply(Operation("p", (control,), (), (theta,)), state)
+            state = apply(hadamard, state)
+            max_nodes = max(max_nodes, state.node_count())
 
-        outcome, state, _probability = measure_qubit(
-            state, control, generator
-        )
-        bits.append(outcome)
-        if outcome:
-            state = apply(reset_x, state)
+            outcome, state, _probability = measure_qubit(
+                state, control, generator
+            )
+            bits.append(outcome)
+            if outcome:
+                state = apply(reset_x, state)
 
-        if round_fidelity is not None:
-            result = approximate_state(state, round_fidelity)
-            if result.removed_nodes:
-                state = result.state
-                rounds += 1
-                round_fidelities.append(result.achieved_fidelity)
+            if round_fidelity is not None:
+                result = approximate_state(state, round_fidelity)
+                if result.removed_nodes:
+                    state = result.state
+                    rounds += 1
+                    round_fidelities.append(result.achieved_fidelity)
 
     measured = sum(bit << position for position, bit in enumerate(bits))
     return SemiclassicalRun(

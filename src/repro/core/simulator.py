@@ -14,6 +14,7 @@ the DD-growth ablation experiments.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections.abc import Callable, Sequence
@@ -64,6 +65,30 @@ def _current_rss_mb() -> float:
     except (OSError, IndexError, ValueError):
         return _peak_rss_mb()
     return resident_pages * os.sysconf("SC_PAGE_SIZE") / (1024.0 * 1024.0)
+
+
+class _PausedGC:
+    """Pause CPython's cyclic garbage collector for one simulation run.
+
+    Decision diagrams are acyclic (children are interned before their
+    parents and never mutated), so reference counting frees every dead
+    node on its own; the collector's repeated traversals of the run's
+    million-odd tracked nodes, edges and cache entries find nothing.
+    On exit, by exception too, the collector is re-enabled only if it
+    was enabled on entry: nested runs keep the outer pause, and runs
+    overlapping in threads can only end a pause early.  The deferred
+    young collection runs at the caller's next allocation.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 def _resolve_sanitizer(
@@ -388,6 +413,10 @@ class DDSimulator:
     ) -> SimulationOutcome:
         """Simulate ``circuit`` from a basis state or a prepared state.
 
+        CPython's cyclic garbage collector is paused while the gates run
+        (decision diagrams are acyclic, so reference counting frees dead
+        nodes) and restored to its entry state on exit.
+
         Args:
             circuit: The circuit to apply.
             strategy: Approximation policy (exact simulation if omitted).
@@ -401,8 +430,9 @@ class DDSimulator:
             max_seconds: Cooperative timeout — checked between operations;
                 raises :class:`SimulationTimeout` when exceeded.
             size_check_interval: Count diagram nodes only every k-th
-                operation (node counting costs a full sweep — ~25 % of an
-                exact Shor run at interval 1).  Strategies then see the
+                operation (node counting costs a full sweep — about 7 %
+                of the benchmark's fidelity-driven ``shor_69_2`` run at
+                interval 1).  Strategies then see the
                 most recent count, so memory-driven triggering becomes
                 slightly delayed; ``max_nodes`` may undershoot the true
                 peak between checks.  The final state is always counted.
@@ -544,183 +574,184 @@ class DDSimulator:
                 backend=stats.dd_backend,
             )
             obs.count(f"dd.backend.{stats.dd_backend or 'unknown'}")
-        started = time.perf_counter()
-        for op_index in range(start_op_index, len(circuit)):
-            operation = circuit[op_index]
-            if max_seconds is not None:
-                elapsed = time.perf_counter() - started
-                if elapsed > max_seconds:
-                    stats.runtime_seconds = elapsed
-                    stats.final_nodes = state.node_count()
-                    raise SimulationTimeout(
-                        stats,
-                        partial_state=state_to_dict(state),
-                        op_index=op_index,
+        with _PausedGC():
+            started = time.perf_counter()
+            for op_index in range(start_op_index, len(circuit)):
+                operation = circuit[op_index]
+                if max_seconds is not None:
+                    elapsed = time.perf_counter() - started
+                    if elapsed > max_seconds:
+                        stats.runtime_seconds = elapsed
+                        stats.final_nodes = state.node_count()
+                        raise SimulationTimeout(
+                            stats,
+                            partial_state=state_to_dict(state),
+                            op_index=op_index,
+                        )
+                if cancel is not None:
+                    cancel_reason = cancel.reason()
+                    if cancel_reason is not None:
+                        stats.runtime_seconds = time.perf_counter() - started
+                        stats.final_nodes = state.node_count()
+                        raise SimulationCancelled(
+                            stats,
+                            partial_state=state_to_dict(state),
+                            op_index=op_index,
+                            reason=cancel_reason,
+                        )
+                op_started = time.perf_counter() if obs is not None else 0.0
+                try:
+                    if injector is not None:
+                        injector.fire(
+                            "simulator.gate",
+                            op_index=op_index,
+                            gate=operation.gate,
+                            circuit=circuit.name,
+                        )
+                    medge = operation_to_medge(
+                        operation, circuit.num_qubits, self.package
                     )
-            if cancel is not None:
-                cancel_reason = cancel.reason()
-                if cancel_reason is not None:
-                    stats.runtime_seconds = time.perf_counter() - started
-                    stats.final_nodes = state.node_count()
-                    raise SimulationCancelled(
-                        stats,
-                        partial_state=state_to_dict(state),
-                        op_index=op_index,
-                        reason=cancel_reason,
+                    edge = self.package.multiply_mv(
+                        medge, state.edge, circuit.num_qubits - 1
                     )
-            op_started = time.perf_counter() if obs is not None else 0.0
-            try:
-                if injector is not None:
-                    injector.fire(
-                        "simulator.gate",
-                        op_index=op_index,
-                        gate=operation.gate,
-                        circuit=circuit.name,
+                except MemoryError:
+                    if not guard.enabled or rescues >= guard.max_rescues:
+                        raise
+                    # Graceful degradation: shrink the pre-operation state
+                    # with an emergency round, then retry the gate once.  A
+                    # second MemoryError propagates — degradation did not
+                    # relieve the pressure.
+                    state, node_count = self._emergency_round(
+                        state, op_index, stats, guard, policy, obs
                     )
-                medge = operation_to_medge(
-                    operation, circuit.num_qubits, self.package
-                )
-                edge = self.package.multiply_mv(
-                    medge, state.edge, circuit.num_qubits - 1
-                )
-            except MemoryError:
-                if not guard.enabled or rescues >= guard.max_rescues:
-                    raise
-                # Graceful degradation: shrink the pre-operation state
-                # with an emergency round, then retry the gate once.  A
-                # second MemoryError propagates — degradation did not
-                # relieve the pressure.
-                state, node_count = self._emergency_round(
-                    state, op_index, stats, guard, policy, obs
-                )
-                rescues += 1
-                rescue_floor = node_count
-                medge = operation_to_medge(
-                    operation, circuit.num_qubits, self.package
-                )
-                edge = self.package.multiply_mv(
-                    medge, state.edge, circuit.num_qubits - 1
-                )
-            state = StateDD(edge, circuit.num_qubits, self.package)
-            if sanitizer is not None:
-                sanitizer.check_after_operation(
-                    state, op_index, operation.gate
-                )
-            if (
-                op_index % size_check_interval == 0
-                or op_index == len(circuit) - 1
-            ):
-                node_count = state.node_count()
-            stats.max_nodes = max(stats.max_nodes, node_count)
-            if obs is not None:
-                op_seconds = time.perf_counter() - op_started
-                obs.observe(f"gate.{operation.gate}", op_seconds)
-                obs.observe("simulate.apply", op_seconds)
-                obs.event(
-                    "op",
-                    index=op_index,
-                    gate=operation.gate,
-                    seconds=op_seconds,
-                    nodes=node_count,
-                )
-
-            result = policy.after_operation(state, op_index, node_count)
-            if result is not None and result.removed_nodes > 0:
-                state = result.state
-                node_count = result.nodes_after
+                    rescues += 1
+                    rescue_floor = node_count
+                    medge = operation_to_medge(
+                        operation, circuit.num_qubits, self.package
+                    )
+                    edge = self.package.multiply_mv(
+                        medge, state.edge, circuit.num_qubits - 1
+                    )
+                state = StateDD(edge, circuit.num_qubits, self.package)
                 if sanitizer is not None:
-                    sanitizer.check_after_round(
-                        state, op_index, round_index=len(stats.rounds)
+                    sanitizer.check_after_operation(
+                        state, op_index, operation.gate
                     )
-                stats.rounds.append(
-                    RoundRecord(
-                        op_index=op_index,
-                        nodes_before=result.nodes_before,
-                        nodes_after=result.nodes_after,
-                        requested_fidelity=result.requested_fidelity,
-                        achieved_fidelity=result.achieved_fidelity,
-                        removed_contribution=result.removed_contribution,
-                        removed_nodes=result.removed_nodes,
-                    )
-                )
+                if (
+                    op_index % size_check_interval == 0
+                    or op_index == len(circuit) - 1
+                ):
+                    node_count = state.node_count()
+                stats.max_nodes = max(stats.max_nodes, node_count)
                 if obs is not None:
-                    spent = 1.0 - result.achieved_fidelity
-                    obs.count("approx.rounds")
-                    obs.count("approx.nodes_removed", result.removed_nodes)
-                    obs.count("approx.fidelity_spent", spent)
+                    op_seconds = time.perf_counter() - op_started
+                    obs.observe(f"gate.{operation.gate}", op_seconds)
+                    obs.observe("simulate.apply", op_seconds)
                     obs.event(
-                        "round",
-                        op_index=op_index,
-                        nodes_before=result.nodes_before,
-                        nodes_after=result.nodes_after,
-                        nodes_removed=result.removed_nodes,
-                        requested_fidelity=result.requested_fidelity,
-                        achieved_fidelity=result.achieved_fidelity,
-                        fidelity_spent=spent,
+                        "op",
+                        index=op_index,
+                        gate=operation.gate,
+                        seconds=op_seconds,
+                        nodes=node_count,
                     )
-            if (
-                guard.enabled
-                and rescues < guard.max_rescues
-                and node_count > rescue_floor
-                and (
-                    (
-                        guard.node_ceiling is not None
-                        and node_count > guard.node_ceiling
+
+                result = policy.after_operation(state, op_index, node_count)
+                if result is not None and result.removed_nodes > 0:
+                    state = result.state
+                    node_count = result.nodes_after
+                    if sanitizer is not None:
+                        sanitizer.check_after_round(
+                            state, op_index, round_index=len(stats.rounds)
+                        )
+                    stats.rounds.append(
+                        RoundRecord(
+                            op_index=op_index,
+                            nodes_before=result.nodes_before,
+                            nodes_after=result.nodes_after,
+                            requested_fidelity=result.requested_fidelity,
+                            achieved_fidelity=result.achieved_fidelity,
+                            removed_contribution=result.removed_contribution,
+                            removed_nodes=result.removed_nodes,
+                        )
                     )
-                    or (
-                        guard.rss_mb_ceiling is not None
-                        and _current_rss_mb() > guard.rss_mb_ceiling
+                    if obs is not None:
+                        spent = 1.0 - result.achieved_fidelity
+                        obs.count("approx.rounds")
+                        obs.count("approx.nodes_removed", result.removed_nodes)
+                        obs.count("approx.fidelity_spent", spent)
+                        obs.event(
+                            "round",
+                            op_index=op_index,
+                            nodes_before=result.nodes_before,
+                            nodes_after=result.nodes_after,
+                            nodes_removed=result.removed_nodes,
+                            requested_fidelity=result.requested_fidelity,
+                            achieved_fidelity=result.achieved_fidelity,
+                            fidelity_spent=spent,
+                        )
+                if (
+                    guard.enabled
+                    and rescues < guard.max_rescues
+                    and node_count > rescue_floor
+                    and (
+                        (
+                            guard.node_ceiling is not None
+                            and node_count > guard.node_ceiling
+                        )
+                        or (
+                            guard.rss_mb_ceiling is not None
+                            and _current_rss_mb() > guard.rss_mb_ceiling
+                        )
                     )
-                )
-            ):
-                # Proactive ceiling trip: degrade before allocation
-                # fails.  Fires only while the diagram keeps growing
-                # past the previous rescue's result, so an irreducible
-                # diagram does not trigger a round on every operation.
-                state, node_count = self._emergency_round(
-                    state, op_index, stats, guard, policy, obs
-                )
-                rescues += 1
-                rescue_floor = node_count
-            if stats.trajectory is not None:
-                stats.trajectory.append(node_count)
-            applied += 1
-            if (
-                checkpoint_interval is not None
-                and checkpoint_callback is not None
-                and applied % checkpoint_interval == 0
-                and op_index + 1 < len(circuit)
-            ):
-                stats.runtime_seconds = time.perf_counter() - started
-                checkpoint_callback(state, op_index + 1, stats)
-            if cancel is not None and op_index + 1 < len(circuit):
-                # Second poll per operation, *after* any approximation
-                # round spent its fidelity, so a cancellation landing
-                # mid-round still checkpoints a Lemma-1-consistent
-                # (state, rounds) pair with the round included.
-                cancel_reason = cancel.reason()
-                if cancel_reason is not None:
+                ):
+                    # Proactive ceiling trip: degrade before allocation
+                    # fails.  Fires only while the diagram keeps growing
+                    # past the previous rescue's result, so an irreducible
+                    # diagram does not trigger a round on every operation.
+                    state, node_count = self._emergency_round(
+                        state, op_index, stats, guard, policy, obs
+                    )
+                    rescues += 1
+                    rescue_floor = node_count
+                if stats.trajectory is not None:
+                    stats.trajectory.append(node_count)
+                applied += 1
+                if (
+                    checkpoint_interval is not None
+                    and checkpoint_callback is not None
+                    and applied % checkpoint_interval == 0
+                    and op_index + 1 < len(circuit)
+                ):
                     stats.runtime_seconds = time.perf_counter() - started
-                    stats.final_nodes = state.node_count()
-                    raise SimulationCancelled(
-                        stats,
-                        partial_state=state_to_dict(state),
-                        op_index=op_index + 1,
-                        reason=cancel_reason,
-                    )
-        stats.runtime_seconds = time.perf_counter() - started
-        stats.final_nodes = state.node_count()
-        if obs is not None:
-            obs.event(
-                "run_end",
-                circuit=circuit.name,
-                runtime_seconds=stats.runtime_seconds,
-                max_nodes=stats.max_nodes,
-                final_nodes=stats.final_nodes,
-                num_rounds=stats.num_rounds,
-                fidelity_estimate=stats.fidelity_estimate,
-            )
-        return SimulationOutcome(state=state, stats=stats)
+                    checkpoint_callback(state, op_index + 1, stats)
+                if cancel is not None and op_index + 1 < len(circuit):
+                    # Second poll per operation, *after* any approximation
+                    # round spent its fidelity, so a cancellation landing
+                    # mid-round still checkpoints a Lemma-1-consistent
+                    # (state, rounds) pair with the round included.
+                    cancel_reason = cancel.reason()
+                    if cancel_reason is not None:
+                        stats.runtime_seconds = time.perf_counter() - started
+                        stats.final_nodes = state.node_count()
+                        raise SimulationCancelled(
+                            stats,
+                            partial_state=state_to_dict(state),
+                            op_index=op_index + 1,
+                            reason=cancel_reason,
+                        )
+            stats.runtime_seconds = time.perf_counter() - started
+            stats.final_nodes = state.node_count()
+            if obs is not None:
+                obs.event(
+                    "run_end",
+                    circuit=circuit.name,
+                    runtime_seconds=stats.runtime_seconds,
+                    max_nodes=stats.max_nodes,
+                    final_nodes=stats.final_nodes,
+                    num_rounds=stats.num_rounds,
+                    fidelity_estimate=stats.fidelity_estimate,
+                )
+            return SimulationOutcome(state=state, stats=stats)
 
     def _emergency_round(
         self,
@@ -831,33 +862,34 @@ class DDSimulator:
         accumulated = OperatorDD.identity(circuit.num_qubits, self.package)
         stats.max_nodes = accumulated.node_count()
         sanitizer = _resolve_sanitizer(ddsan, self.package)
-        started = time.perf_counter()
-        for op_index, operation in enumerate(circuit):
-            if max_seconds is not None:
-                elapsed = time.perf_counter() - started
-                if elapsed > max_seconds:
-                    stats.runtime_seconds = elapsed
-                    stats.final_nodes = accumulated.node_count()
-                    raise SimulationTimeout(stats)
-            medge = operation_to_medge(
-                operation, circuit.num_qubits, self.package
+        with _PausedGC():
+            started = time.perf_counter()
+            for op_index, operation in enumerate(circuit):
+                if max_seconds is not None:
+                    elapsed = time.perf_counter() - started
+                    if elapsed > max_seconds:
+                        stats.runtime_seconds = elapsed
+                        stats.final_nodes = accumulated.node_count()
+                        raise SimulationTimeout(stats)
+                medge = operation_to_medge(
+                    operation, circuit.num_qubits, self.package
+                )
+                gate = OperatorDD(medge, circuit.num_qubits, self.package)
+                accumulated = gate.compose(accumulated)
+                if sanitizer is not None:
+                    sanitizer.check_operator(accumulated, op_index)
+                node_count = accumulated.node_count()
+                stats.max_nodes = max(stats.max_nodes, node_count)
+                if stats.trajectory is not None:
+                    stats.trajectory.append(node_count)
+            state = accumulated.apply(
+                StateDD.basis_state(
+                    circuit.num_qubits, initial_state, self.package
+                )
             )
-            gate = OperatorDD(medge, circuit.num_qubits, self.package)
-            accumulated = gate.compose(accumulated)
-            if sanitizer is not None:
-                sanitizer.check_operator(accumulated, op_index)
-            node_count = accumulated.node_count()
-            stats.max_nodes = max(stats.max_nodes, node_count)
-            if stats.trajectory is not None:
-                stats.trajectory.append(node_count)
-        state = accumulated.apply(
-            StateDD.basis_state(
-                circuit.num_qubits, initial_state, self.package
-            )
-        )
-        stats.runtime_seconds = time.perf_counter() - started
-        stats.final_nodes = state.node_count()
-        return SimulationOutcome(state=state, stats=stats)
+            stats.runtime_seconds = time.perf_counter() - started
+            stats.final_nodes = state.node_count()
+            return SimulationOutcome(state=state, stats=stats)
 
 
 def simulate(

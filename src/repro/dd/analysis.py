@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 
 from . import ctable
-from .node import VNode
+from .node import VEdge, VNode
 from .vector import StateDD
 
 
@@ -152,22 +152,44 @@ def dominant_outcomes(
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     results: list[tuple[int, float]] = []
-
-    def descend(edge, level: int, prefix: int, mass: float) -> None:
-        if len(results) >= limit * 4:
-            return
-        weight, node = edge
-        if ctable.is_zero(weight):
-            return
-        mass = mass * abs(weight) ** 2
-        if mass < threshold:
-            return
-        if level < 0:
-            results.append((prefix, mass))
-            return
-        descend(node.edges[0], level - 1, prefix, mass)
-        descend(node.edges[1], level - 1, prefix | (1 << level), mass)
-
-    descend(state.edge, state.num_qubits - 1, 0, 1.0)
+    _collect_outcomes(
+        state.edge, state.num_qubits - 1, 0, 1.0, threshold, limit * 4, results
+    )
     results.sort(key=lambda item: (-item[1], item[0]))
     return results[:limit]
+
+
+def _collect_outcomes(
+    edge: VEdge,
+    level: int,
+    prefix: int,
+    mass: float,
+    threshold: float,
+    cap: int,
+    results: list[tuple[int, float]],
+) -> None:
+    """Append ``(index, probability)`` for every path below ``edge`` whose
+    probability reaches ``threshold``, until ``results`` holds ``cap``."""
+    if len(results) >= cap:
+        return
+    weight, node = edge
+    if ctable.is_zero(weight):
+        return
+    mass = mass * abs(weight) ** 2
+    if mass < threshold:
+        return
+    if level < 0:
+        results.append((prefix, mass))
+        return
+    _collect_outcomes(
+        node.edges[0], level - 1, prefix, mass, threshold, cap, results
+    )
+    _collect_outcomes(
+        node.edges[1],
+        level - 1,
+        prefix | (1 << level),
+        mass,
+        threshold,
+        cap,
+        results,
+    )

@@ -22,6 +22,46 @@ from .package import Package, default_package
 from .vector import StateDD
 
 
+def _medge_from_matrix(
+    block: np.ndarray, level: int, package: Package
+) -> MEdge:
+    """Diagram of the square matrix ``block`` spanning levels ``<= level``."""
+    if level < 0:
+        value = complex(block[0, 0])
+        return (value, None) if not ctable.is_zero(value) else zero_medge()
+    half = block.shape[0] // 2
+    quadrants = (
+        _medge_from_matrix(block[:half, :half], level - 1, package),
+        _medge_from_matrix(block[:half, half:], level - 1, package),
+        _medge_from_matrix(block[half:, :half], level - 1, package),
+        _medge_from_matrix(block[half:, half:], level - 1, package),
+    )
+    return package.make_medge(level, quadrants)
+
+
+def _fill_matrix(
+    out: np.ndarray,
+    edge: MEdge,
+    level: int,
+    row: int,
+    col: int,
+    factor: complex,
+) -> None:
+    """Write the elements below ``edge`` into ``out`` from ``(row, col)``."""
+    weight, node = edge
+    if ctable.is_zero(weight):
+        return
+    value = factor * weight
+    if level < 0:
+        out[row, col] = value
+        return
+    half = 1 << level
+    _fill_matrix(out, node.edges[0], level - 1, row, col, value)
+    _fill_matrix(out, node.edges[1], level - 1, row, col + half, value)
+    _fill_matrix(out, node.edges[2], level - 1, row + half, col, value)
+    _fill_matrix(out, node.edges[3], level - 1, row + half, col + half, value)
+
+
 class OperatorDD:
     """An ``n``-qubit quantum operation stored as a matrix decision diagram.
 
@@ -65,21 +105,7 @@ class OperatorDD:
             raise ValueError("matrix dimension must be a power of two >= 2")
         num_qubits = size.bit_length() - 1
         pkg = package or default_package()
-
-        def build(block: np.ndarray, level: int) -> MEdge:
-            if level < 0:
-                value = complex(block[0, 0])
-                return (value, None) if not ctable.is_zero(value) else zero_medge()
-            half = block.shape[0] // 2
-            quadrants = (
-                build(block[:half, :half], level - 1),
-                build(block[:half, half:], level - 1),
-                build(block[half:, :half], level - 1),
-                build(block[half:, half:], level - 1),
-            )
-            return pkg.make_medge(level, quadrants)
-
-        edge = build(mat, num_qubits - 1)
+        edge = _medge_from_matrix(mat, num_qubits - 1, pkg)
         return cls(edge, num_qubits, pkg)
 
     # ------------------------------------------------------------------
@@ -90,24 +116,7 @@ class OperatorDD:
         """Materialize the dense matrix (``O(4**n)``; small ``n`` only)."""
         size = 1 << self.num_qubits
         out = np.zeros((size, size), dtype=complex)
-
-        def fill(
-            edge: MEdge, level: int, row: int, col: int, factor: complex
-        ) -> None:
-            weight, node = edge
-            if ctable.is_zero(weight):
-                return
-            value = factor * weight
-            if level < 0:
-                out[row, col] = value
-                return
-            half = 1 << level
-            fill(node.edges[0], level - 1, row, col, value)
-            fill(node.edges[1], level - 1, row, col + half, value)
-            fill(node.edges[2], level - 1, row + half, col, value)
-            fill(node.edges[3], level - 1, row + half, col + half, value)
-
-        fill(self.edge, self.num_qubits - 1, 0, 0, complex(1.0))
+        _fill_matrix(out, self.edge, self.num_qubits - 1, 0, 0, complex(1.0))
         return out
 
     def element(self, row: int, col: int) -> complex:

@@ -19,7 +19,42 @@ import numpy as np
 
 from . import ctable
 from .node import VEdge, VNode, zero_vedge
+from .package import Package
 from .vector import StateDD
+
+
+def _project(
+    edge: VEdge,
+    level: int,
+    qubit: int,
+    value: int,
+    memo: dict[VNode, VEdge],
+    package: Package,
+) -> VEdge:
+    """Rebuild ``edge`` keeping only the ``value`` branch on ``qubit``."""
+    weight, node = edge
+    if ctable.is_zero(weight):
+        return zero_vedge()
+    if level < qubit:
+        return edge
+    cached = memo.get(node)
+    if cached is None:
+        if level == qubit:
+            kept = node.edges[value]
+            if value == 0:
+                cached = package.make_vedge(level, kept, zero_vedge())
+            else:
+                cached = package.make_vedge(level, zero_vedge(), kept)
+        else:
+            child0 = _project(
+                node.edges[0], level - 1, qubit, value, memo, package
+            )
+            child1 = _project(
+                node.edges[1], level - 1, qubit, value, memo, package
+            )
+            cached = package.make_vedge(level, child0, child1)
+        memo[node] = cached
+    return (cached[0] * weight, cached[1])
 
 
 def project_qubit(
@@ -41,30 +76,9 @@ def project_qubit(
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
     package = state.package
-    memo: dict[VNode, VEdge] = {}
-
-    def rebuild(edge: VEdge, level: int) -> VEdge:
-        weight, node = edge
-        if ctable.is_zero(weight):
-            return zero_vedge()
-        if level < qubit:
-            return edge
-        cached = memo.get(node)
-        if cached is None:
-            if level == qubit:
-                kept = node.edges[value]
-                if value == 0:
-                    cached = package.make_vedge(level, kept, zero_vedge())
-                else:
-                    cached = package.make_vedge(level, zero_vedge(), kept)
-            else:
-                child0 = rebuild(node.edges[0], level - 1)
-                child1 = rebuild(node.edges[1], level - 1)
-                cached = package.make_vedge(level, child0, child1)
-            memo[node] = cached
-        return (cached[0] * weight, cached[1])
-
-    projected = rebuild(state.edge, state.num_qubits - 1)
+    projected = _project(
+        state.edge, state.num_qubits - 1, qubit, value, {}, package
+    )
     weight, node = projected
     probability = abs(weight) ** 2
     if probability <= 0.0 or node is None:

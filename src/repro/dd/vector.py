@@ -23,6 +23,35 @@ from .node import VEdge, VNode, zero_vedge
 from .package import Package, default_package
 
 
+def _vedge_from_amplitudes(
+    segment: np.ndarray, level: int, package: Package
+) -> VEdge:
+    """Diagram of the amplitude ``segment`` spanning levels ``<= level``."""
+    if level < 0:
+        value = complex(segment[0])
+        return (value, None) if not ctable.is_zero(value) else zero_vedge()
+    half = segment.size // 2
+    child0 = _vedge_from_amplitudes(segment[:half], level - 1, package)
+    child1 = _vedge_from_amplitudes(segment[half:], level - 1, package)
+    return package.make_vedge(level, child0, child1)
+
+
+def _fill_amplitudes(
+    out: np.ndarray, edge: VEdge, level: int, offset: int, factor: complex
+) -> None:
+    """Write the amplitudes below ``edge`` into ``out`` from ``offset``."""
+    weight, node = edge
+    if ctable.is_zero(weight):
+        return
+    value = factor * weight
+    if level < 0:
+        out[offset] = value
+        return
+    half = 1 << level
+    _fill_amplitudes(out, node.edges[0], level - 1, offset, value)
+    _fill_amplitudes(out, node.edges[1], level - 1, offset + half, value)
+
+
 class StateDD:
     """An ``n``-qubit quantum state stored as a vector decision diagram.
 
@@ -117,17 +146,7 @@ class StateDD:
                 "pass normalize=True to rescale"
             )
         pkg = package or default_package()
-
-        def build(segment: np.ndarray, level: int) -> VEdge:
-            if level < 0:
-                value = complex(segment[0])
-                return (value, None) if not ctable.is_zero(value) else zero_vedge()
-            half = segment.size // 2
-            child0 = build(segment[:half], level - 1)
-            child1 = build(segment[half:], level - 1)
-            return pkg.make_vedge(level, child0, child1)
-
-        edge = build(vec, num_qubits - 1)
+        edge = _vedge_from_amplitudes(vec, num_qubits - 1, pkg)
         return cls(edge, num_qubits, pkg)
 
     # ------------------------------------------------------------------
@@ -138,20 +157,7 @@ class StateDD:
         """Materialize the dense amplitude vector (``O(2**n)``; small ``n`` only)."""
         size = 1 << self.num_qubits
         out = np.zeros(size, dtype=complex)
-
-        def fill(edge: VEdge, level: int, offset: int, factor: complex) -> None:
-            weight, node = edge
-            if ctable.is_zero(weight):
-                return
-            value = factor * weight
-            if level < 0:
-                out[offset] = value
-                return
-            half = 1 << level
-            fill(node.edges[0], level - 1, offset, value)
-            fill(node.edges[1], level - 1, offset + half, value)
-
-        fill(self.edge, self.num_qubits - 1, 0, complex(1.0))
+        _fill_amplitudes(out, self.edge, self.num_qubits - 1, 0, complex(1.0))
         return out
 
     def amplitude(self, index: int) -> complex:

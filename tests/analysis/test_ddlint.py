@@ -19,7 +19,7 @@ def codes(source: str, path: str = "src/repro/core/example.py") -> list[str]:
 
 class TestRuleCatalog:
     def test_all_rules_documented(self):
-        assert set(RULES) == {f"DD{index:03d}" for index in range(1, 14)}
+        assert set(RULES) == {f"DD{index:03d}" for index in range(1, 15)}
         for rule in RULES.values():
             assert rule.summary
             assert rule.rationale
@@ -252,6 +252,71 @@ class TestDD013StoreFileAccess:
             'handle = open(os.path.join(store.root, "marker"))'
             "  # ddlint: ignore[DD013]\n"
         ) == []
+
+
+class TestDD014RecursiveClosures:
+    RECURSIVE = (
+        "def depth(node: object) -> int:\n"
+        "    def walk(current: object) -> int:\n"
+        "        if current is None:\n"
+        "            return 0\n"
+        "        return 1 + walk(current.next)\n"
+        "    return walk(node)\n"
+    )
+
+    def test_flags_self_recursive_closure(self):
+        assert "DD014" in codes(self.RECURSIVE)
+
+    def test_flags_engine_and_lowering_packages(self):
+        assert "DD014" in codes(self.RECURSIVE, "src/repro/dd/vector.py")
+        assert "DD014" in codes(
+            self.RECURSIVE, "src/repro/circuits/lowering.py"
+        )
+
+    def test_flags_self_reference_in_a_generator(self):
+        source = (
+            "def build(level: int) -> tuple:\n"
+            "    def block(depth: int) -> tuple:\n"
+            "        return tuple(block(depth - 1) for _ in range(depth))\n"
+            "    return block(level)\n"
+        )
+        assert "DD014" in codes(source)
+
+    def test_allows_module_level_recursion(self):
+        source = (
+            "def _walk(current: object) -> int:\n"
+            "    if current is None:\n"
+            "        return 0\n"
+            "    return 1 + _walk(current.next)\n"
+        )
+        assert codes(source) == []
+
+    def test_allows_recursive_method(self):
+        source = (
+            "class Chain:\n"
+            "    def depth(self, node: object) -> int:\n"
+            "        return 0 if node is None else 1 + self.depth(node)\n"
+        )
+        assert codes(source) == []
+
+    def test_allows_nested_non_recursive_helper(self):
+        source = (
+            "def scaled(values: list, factor: float) -> list:\n"
+            "    def scale(value: float) -> float:\n"
+            "        return value * factor\n"
+            "    return [scale(value) for value in values]\n"
+        )
+        assert codes(source) == []
+
+    def test_allows_packages_outside_the_simulator(self):
+        assert codes(self.RECURSIVE, "src/repro/analysis/dataflow.py") == []
+
+    def test_suppression(self):
+        source = self.RECURSIVE.replace(
+            "    def walk(current: object) -> int:\n",
+            "    def walk(current: object) -> int:  # ddlint: ignore[DD014]\n",
+        )
+        assert codes(source) == []
 
 
 class TestSuppression:

@@ -24,9 +24,9 @@ CORPUS = Path(__file__).resolve().parent / "corpus"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 DATAFLOW_RULES = ("DD007", "DD008", "DD009", "DD010", "DD011", "DD012")
-#: Rules with a seeded corpus fixture; DD013 is syntactic but rides the
-#: same positive/near-miss harness.
-CORPUS_RULES = DATAFLOW_RULES + ("DD013",)
+#: Rules with a seeded corpus fixture; DD013 and DD014 are syntactic but
+#: ride the same positive/near-miss harness.
+CORPUS_RULES = DATAFLOW_RULES + ("DD013", "DD014")
 
 
 def codes(source: str, path: str) -> list[str]:
