@@ -187,20 +187,24 @@ RULES: dict[str, Rule] = {
         Rule(
             "DD007",
             "no nondeterministic numpy ufuncs (np.abs/np.hypot/"
-            "np.divide) reachable from lane-op code in "
+            "np.divide) reachable from engine code in "
             "repro.dd.backends.*",
-            "the batched kernels' parity contract requires bit-for-bit "
-            "agreement with CPython scalar arithmetic; these ufuncs use "
-            "different algorithms in the last ulp — resolution-aware, "
-            "so aliased imports and helper indirection are caught",
+            "the arena must match the reference bit for bit, so it "
+            "reads its complex128 weight mirrors only through .tolist() "
+            "gathers and takes magnitudes on Python complexes; these "
+            "ufuncs use different algorithms in the last ulp — "
+            "resolution-aware, so aliased imports and helper "
+            "indirection are caught",
         ),
         Rule(
             "DD008",
-            "no native complex128 array multiply/divide in lane-op "
-            "code (decompose into float64 .real/.imag lanes)",
+            "no native complex128 array multiply/divide in engine "
+            "code (gather with .tolist() and compute on Python "
+            "complexes)",
             "numpy may FMA-contract complex products, diverging from "
             "CPython's complex arithmetic; the ulp contract "
-            "(docs/BACKENDS.md) requires the decomposed lane kernels",
+            "(docs/BACKENDS.md) keeps products of the arena's "
+            "complex128 weight mirrors on Python complexes",
         ),
         Rule(
             "DD009",

@@ -7,7 +7,7 @@ baseline-ratchet machinery of the single-module linter:
 
 * :mod:`repro.analysis.passes.determinism` — DD007/DD008: banned
   nondeterministic numpy ufuncs and native complex multiplies reaching
-  lane-op code in ``repro.dd.backends.*``.
+  engine code in ``repro.dd.backends.*``.
 * :mod:`repro.analysis.passes.concurrency` — DD009/DD010/DD011:
   blocking calls under the daemon state lock, fork/signal-handler
   discipline, and cross-process shared-state writes outside sanctioned

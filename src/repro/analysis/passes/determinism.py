@@ -1,13 +1,16 @@
 """Float-determinism passes: DD007 (banned ufuncs) and DD008 (complex ops).
 
-The batched kernels' parity contract (docs/BACKENDS.md, "The ulp
-contract") requires every lane operation to be bit-for-bit identical to
-the scalar CPython arithmetic it replaces.  ``np.abs``/``np.hypot`` use
-a different (and platform-varying) magnitude algorithm than CPython's
-``abs(complex)``, ``np.divide`` differs from CPython's complex division,
-and native ``complex128`` array multiplies may FMA-contract.  PR 7
-enforced this with a substring scan over one module's source; these
-passes replace that with real resolution: any spelling of a banned
+The arena engine must stay bit-for-bit identical to the reference
+engine (docs/BACKENDS.md, "The ulp contract").  It keeps complex128
+mirrors of its edge weights (``_v_weight``, ``_m_weight``) for
+whole-diagram sweeps, but reads them only through ``.tolist()``
+gathers: magnitudes and products are computed on Python complexes, so
+they round exactly like the reference's scalar arithmetic.  numpy would
+not: ``np.abs``/``np.hypot`` use a different (and platform-varying)
+magnitude algorithm than CPython's ``abs(complex)``, ``np.divide``
+differs from CPython's complex division, and native ``complex128``
+array multiplies may FMA-contract.  These passes keep that arithmetic
+out of engine code with real resolution: any spelling of a banned
 ufunc (aliased import, ``from numpy import hypot as h``, helper
 function indirection) is caught anywhere in code *reachable from*
 ``repro.dd.backends.*`` through the project call graph.
@@ -27,13 +30,13 @@ from ..ddlint import Violation
 
 __all__ = ["check_determinism"]
 
-#: The lane-op package every reachability search starts from.
-_LANE_PACKAGE = "repro.dd.backends"
+#: The engine package every reachability search starts from.
+_ENGINE_PACKAGE = "repro.dd.backends"
 
 #: numpy ufuncs whose results are not bit-identical to CPython floats.
 _BANNED_UFUNCS: dict[str, str] = {
     "numpy.abs": "abs(complex) in CPython uses a different magnitude "
-    "algorithm; decompose via _cmag2_lanes/math.hypot per element",
+    "algorithm; gather with .tolist() and call abs() per element",
     "numpy.absolute": "alias of numpy.abs; same divergence",
     "numpy.hypot": "numpy's hypot is not bit-identical to math.hypot "
     "across platforms",
@@ -58,7 +61,7 @@ def check_determinism(project: ProjectIndex) -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# DD007 — banned ufuncs reachable from lane-op code
+# DD007 — banned ufuncs reachable from engine code
 # ----------------------------------------------------------------------
 
 
@@ -74,11 +77,11 @@ def _check_banned_ufuncs(project: ProjectIndex) -> list[Violation]:
     findings: list[Violation] = []
     reported: set[tuple[str, int]] = set()
     entries = sorted(
-        project.scopes_in_package(_LANE_PACKAGE),
+        project.scopes_in_package(_ENGINE_PACKAGE),
         key=lambda scope: scope.qualname,
     )
     for entry in entries:
-        # Depth-first walk of the call graph rooted at the lane-op
+        # Depth-first walk of the call graph rooted at the engine
         # entry, carrying the call chain for the dataflow trace.
         stack: list[
             tuple[FunctionScope, tuple[tuple[FunctionScope, CallSite], ...]]
@@ -112,7 +115,7 @@ def _ufunc_violation(
 ) -> Violation:
     dotted = site.dotted or "<ufunc>"
     trace = [
-        f"{entry.path}:{_span(entry.node)[0]} lane-op entry "
+        f"{entry.path}:{_span(entry.node)[0]} engine entry "
         f"{entry.display_name} (module {entry.module})"
     ]
     for caller, hop in chain:
@@ -130,7 +133,7 @@ def _ufunc_violation(
         col=site.node.col_offset,
         message=(
             f"banned nondeterministic ufunc {dotted}() reachable from "
-            f"lane-op code ({entry.display_name}): "
+            f"engine code ({entry.display_name}): "
             f"{_BANNED_UFUNCS[dotted]}"
         ),
         trace=tuple(trace),
@@ -139,13 +142,13 @@ def _ufunc_violation(
 
 
 # ----------------------------------------------------------------------
-# DD008 — native complex multiplies/divides in lane-op modules
+# DD008 — native complex multiplies/divides in engine modules
 # ----------------------------------------------------------------------
 
 
 def _check_complex_ops(project: ProjectIndex) -> list[Violation]:
     findings: list[Violation] = []
-    for scope in project.scopes_in_package(_LANE_PACKAGE):
+    for scope in project.scopes_in_package(_ENGINE_PACKAGE):
         for node in iter_scope_nodes(scope):
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Mult, ast.Div)
@@ -182,9 +185,9 @@ def _complex_violation(
         line=node.lineno,
         col=node.col_offset,
         message=(
-            f"native complex128 array {symbol} in lane-op code; numpy "
+            f"native complex128 array {symbol} in engine code; numpy "
             "may FMA-contract and is not bit-equal to CPython — "
-            "decompose into float64 .real/.imag lanes (_cmul_lanes)"
+            "gather with .tolist() and compute on Python complexes"
         ),
         trace=(
             f"{scope.path}:{node.lineno} {scope.display_name}: "
@@ -214,9 +217,9 @@ def _complex_ufunc_call(
                 line=node.lineno,
                 col=func.col_offset,
                 message=(
-                    "numpy.multiply on a complex-dtype array in lane-op "
-                    "code; decompose into float64 lanes (_cmul_lanes) "
-                    "to keep the ulp contract"
+                    "numpy.multiply on a complex-dtype array in engine "
+                    "code; gather with .tolist() and multiply Python "
+                    "complexes to keep the ulp contract"
                 ),
                 trace=(
                     f"{scope.path}:{node.lineno} {scope.display_name}: "

@@ -28,7 +28,7 @@ Registration is deliberately cheap: interning a node only appends it to
 the node list.  The numpy mirror arrays are synced lazily —
 :meth:`ArenaBackend._sync_v_mirror` bulk-converts the unsynced tail of
 nodes right before a sweep, gather, or audit needs them — so the gate
-kernels never pay per-node numpy scalar writes.
+recursions never pay per-node numpy scalar writes.
 
 Edge *handles* are still real :class:`~repro.dd.node.VNode` /
 :class:`~repro.dd.node.MNode` objects, so every consumer that traverses
@@ -40,7 +40,7 @@ Numerical behavior is *bit-for-bit identical* to the reference backend:
 normalization uses the same float operations in the same order, the
 inlined bucketing computes the same integers as
 :func:`repro.dd.ctable.weight_key`, and cache keys bucket identically so
-hit/miss sequences coincide.  The kernels additionally inline the
+hit/miss sequences coincide.  The recursions additionally inline the
 *zero-operand* shortcuts of their callees (the exact comparisons the
 callee would perform first) — branches, not arithmetic, so no float
 result can change.  Vectorized *float* math is confined to places where
@@ -59,7 +59,7 @@ only *marks* a reclaim as pending — the recursion that triggered it
 still holds raw ids in its in-flight cache keys — and
 :meth:`ArenaBackend._reclaim` runs at the next safe point: entry to the
 public :meth:`ArenaBackend.multiply_mv` (the recursion itself calls
-``_multiply_mv_scalar``) and :meth:`ArenaBackend.clear_caches`.  It
+``_multiply_mv``) and :meth:`ArenaBackend.clear_caches`.  It
 keeps exactly the nodes the reference would still hold — those
 referenced from Python (caller states, cache values, ``gate_cache``, the
 identity cache) or named by a surviving compute-cache key — and
@@ -68,7 +68,6 @@ renumbers the survivors densely in their old order.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from math import sqrt
 from sys import getrefcount
@@ -96,29 +95,13 @@ _PAIR_BITS = 32
 _PAIR_SHIFT = 1 << _PAIR_BITS
 _PAIR_MASK = _PAIR_SHIFT - 1
 
-# Shared zero edges returned by the kernels' annihilation shortcuts.
+# Shared zero edges returned by the recursions' annihilation shortcuts.
 # Value-identical to fresh zero_vedge()/zero_medge() tuples (tuples are
 # immutable, so sharing one instance is observationally equivalent);
 # avoids a function call plus a tuple allocation on ~half of all
 # multiply_mv invocations.
 _ZERO_V: VEdge = zero_vedge()
 _ZERO_M: MEdge = zero_medge()
-
-#: Environment toggle for the level-synchronous batched kernels
-#: (docs/BACKENDS.md).  Any of "1"/"true"/"on" routes the default
-#: ``multiply_mv`` dispatch through them; the default is *off* because
-#: measurement shows the batch bookkeeping loses to the scalar kernels
-#: at every workload scale we bench (docs/BACKENDS.md records the
-#: numbers).  The batched path stays fully supported — it is always
-#: reachable through :meth:`ArenaBackend.multiply_mv_batched` and is
-#: pinned bit-for-bit against the scalar kernels by the kernel-parity
-#: CI job.
-BATCHED_ENV_VAR = "REPRO_DD_BATCHED"
-
-#: Gate applications below this root level run the scalar kernel: tiny
-#: diagrams cannot amortize the batch bookkeeping.
-_MIN_BATCH_LEVEL = 1
-
 
 def _release_unreferenced(
     nodes: list[Any],
@@ -237,23 +220,8 @@ class ArenaBackend(DDBackend):
 
     name = "arena"
 
-    def __init__(
-        self,
-        cache_limit: int = DEFAULT_CACHE_LIMIT,
-        batched: bool | None = None,
-    ) -> None:
+    def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
         super().__init__(cache_limit)
-        # Batched-kernel dispatch (repro.dd.backends.kernels): explicit
-        # argument wins, then REPRO_DD_BATCHED, default off.  Purely a
-        # performance switch — both paths are bit-identical and the
-        # differential/parity suites exercise both.
-        if batched is None:
-            batched = os.environ.get(BATCHED_ENV_VAR, "0").strip().lower() in (
-                "1",
-                "true",
-                "on",
-            )
-        self.batched = batched
         # Vector-node arena.  Registration appends the node (cheap); the
         # numpy mirrors below are bulk-synced from the nodes on demand.
         self._v_nodes: list[VNode] = []
@@ -545,72 +513,15 @@ class ArenaBackend(DDBackend):
     def multiply_mv(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
         """Apply a matrix edge to a state edge (matrix–vector product).
 
-        Dispatches to the level-synchronous batched kernel
-        (:mod:`repro.dd.backends.kernels`) when it is enabled and
-        applicable — both operand roots owned by this arena and the
-        diagram deep enough to amortize the batch plan — and to the
-        scalar recursion otherwise.  Both paths are bit-for-bit
-        identical (the batch verifies its own reorder safety and falls
-        back to a scalar replay when it cannot guarantee it).
-
         This entry is never reached from inside a recursion, which makes
         it the safe point for a reclaim left pending by a cache flush.
         """
         if self._reclaim_pending:
             self._reclaim()
-        if self.batched and level >= _MIN_BATCH_LEVEL:
-            wm, m = me
-            wv, v = ve
-            if wm == 0.0 or wv == 0.0:  # ddlint: ignore[DD002]
-                return _ZERO_V
-            m_nodes = self._m_nodes
-            v_nodes = self._v_nodes
-            mi = m.index  # type: ignore[union-attr]
-            vi = v.index  # type: ignore[union-attr]
-            if (
-                0 <= mi < len(m_nodes)
-                and m_nodes[mi] is m
-                and 0 <= vi < len(v_nodes)
-                and v_nodes[vi] is v
-            ):
-                from . import kernels
+        return self._multiply_mv(me, ve, level)
 
-                return kernels.batched_multiply_mv(self, me, ve, level)
-        return self._multiply_mv_scalar(me, ve, level)
-
-    def multiply_mv_batched(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Force the batched kernel regardless of the ``batched`` toggle.
-
-        Used by the kernel-parity harness to pin scalar-vs-batched
-        bit-equality on one arena instance; inapplicable inputs (zero
-        operands, terminal levels, foreign nodes) still route to the
-        scalar kernel, exactly like the dispatcher.  A safe point for a
-        pending reclaim, like :meth:`multiply_mv`.
-        """
-        if self._reclaim_pending:
-            self._reclaim()
-        wm, m = me
-        wv, v = ve
-        if wm == 0.0 or wv == 0.0:  # ddlint: ignore[DD002]
-            return _ZERO_V
-        if level >= _MIN_BATCH_LEVEL:
-            m_nodes = self._m_nodes
-            v_nodes = self._v_nodes
-            mi = m.index  # type: ignore[union-attr]
-            vi = v.index  # type: ignore[union-attr]
-            if (
-                0 <= mi < len(m_nodes)
-                and m_nodes[mi] is m
-                and 0 <= vi < len(v_nodes)
-                and v_nodes[vi] is v
-            ):
-                from . import kernels
-
-                return kernels.batched_multiply_mv(self, me, ve, level)
-        return self._multiply_mv_scalar(me, ve, level)
-
-    def _multiply_mv_scalar(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Scalar depth-first ``multiply_mv`` (the semantic ground truth).
+    def _multiply_mv(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
+        """Depth-first ``multiply_mv`` recursion.
 
         Zero-operand products and additions short-circuit at the call
         site (same comparisons the callees perform first; no float
@@ -637,7 +548,7 @@ class ArenaBackend(DDBackend):
         m00, m01, m10, m11 = m.edges  # type: ignore[union-attr]
         v0, v1 = v.edges  # type: ignore[union-attr]
         sub = level - 1
-        mv = self._multiply_mv_scalar
+        mv = self._multiply_mv
         v0w = v0[0]
         v1w = v1[0]
         p0 = _ZERO_V if m00[0] == 0.0 or v0w == 0.0 else mv(m00, v0, sub)

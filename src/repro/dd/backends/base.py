@@ -151,21 +151,6 @@ class DDBackend(ABC):
         bit-identical to fresh computation.
         """
 
-    def multiply_mv_batched(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Optional batched (level-synchronous) ``multiply_mv`` entry point.
-
-        Contract: **bit-for-bit identical** to :meth:`multiply_mv` —
-        same result edge, same cache/unique-table evolution as far as
-        any observable value is concerned.  Engines without a batched
-        implementation inherit this fallback, which simply delegates to
-        the scalar kernel, so facade callers can always target the
-        batched entry point.  Engines that do batch must verify that
-        their execution reorder cannot change a bit (the arena's
-        kernels journal, verify, and roll back to a scalar replay —
-        see ``repro.dd.backends.kernels``).
-        """
-        return self.multiply_mv(me, ve, level)
-
     @abstractmethod
     def multiply_mm(self, ae: MEdge, be: MEdge, level: int) -> MEdge:
         """Multiply two matrix edges: result applies ``be`` first."""

@@ -17,7 +17,6 @@ and keeps probabilities normalized over long gate sequences.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterable
 
 #: Default tolerance used to decide whether two edge weights are equal.
 #: The value mirrors the default of the JKQ/MQT decision-diagram package.
@@ -144,18 +143,6 @@ def snap_boxed(w: complex, tol: float) -> complex:
                 if abs(w - _T_NEG_I) <= tol:
                     return _T_NEG_I
     return w
-
-
-def snap_lane(weights: Iterable[complex], tol: float) -> list[complex]:
-    """Snap one batched lane of weights (see the kernels module).
-
-    Pure Python and duck-typed on purpose: the reference backend must
-    stay importable without numpy, so this accepts any iterable of
-    (Python) complex values — batched callers convert their lanes to
-    exact Python complexes first.  Element decisions are exactly
-    :func:`snap_boxed`, i.e. bit-identical to scalar :func:`snap`.
-    """
-    return [snap_boxed(w, tol) for w in weights]
 
 
 def phase_of(weight: complex) -> complex:

@@ -91,7 +91,6 @@ class Package:
     vadd: Callable[[VEdge, VEdge, int], VEdge]
     madd: Callable[[MEdge, MEdge, int], MEdge]
     multiply_mv: Callable[[MEdge, VEdge, int], VEdge]
-    multiply_mv_batched: Callable[[MEdge, VEdge, int], VEdge]
     multiply_mm: Callable[[MEdge, MEdge, int], MEdge]
     inner_product: Callable[[VEdge, VEdge, int], complex]
     fidelity: Callable[[VEdge, VEdge, int], float]
@@ -127,7 +126,6 @@ class Package:
         self.vadd = impl.vadd
         self.madd = impl.madd
         self.multiply_mv = impl.multiply_mv
-        self.multiply_mv_batched = impl.multiply_mv_batched
         self.multiply_mm = impl.multiply_mm
         self.inner_product = impl.inner_product
         self.fidelity = impl.fidelity

@@ -58,12 +58,23 @@ class TestCorpus:
 
 
 class TestDD007Resolution:
-    def test_local_alias_is_resolved(self):
+    @pytest.mark.parametrize("ufunc", ["abs", "absolute", "hypot", "divide"])
+    def test_local_alias_is_resolved(self, ufunc):
         source = (
             "import numpy as np\n"
-            "h = np.hypot\n"
+            f"h = np.{ufunc}\n"
             "def norm(x: list, y: list) -> object:\n"
             "    return h(x, y)\n"
+        )
+        assert "DD007" in codes(source, "src/repro/dd/backends/k.py")
+
+    def test_import_alias_is_resolved(self):
+        # No "np.<ufunc>" substring appears anywhere in this source; only
+        # import resolution can see that h is numpy's hypot.
+        source = (
+            "from numpy import hypot as h\n"
+            "def norm(xs: list, ys: list) -> object:\n"
+            "    return h(xs, ys)\n"
         )
         assert "DD007" in codes(source, "src/repro/dd/backends/k.py")
 
@@ -110,8 +121,8 @@ class TestDD007Resolution:
 
 class TestDD008Resolution:
     def test_real_imag_views_are_float_lanes(self):
-        # The exact kernels.py shape: complex128 arrays built for
-        # transport, but every arithmetic op runs on float64 views.
+        # Complex128 arrays may carry weights around, as the arena's
+        # mirrors do, so long as every arithmetic op runs on float64 views.
         source = (
             "import numpy as np\n"
             "def mul(a: list, b: list) -> object:\n"

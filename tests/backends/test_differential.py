@@ -29,24 +29,12 @@ from repro.circuits.randomcirc import random_circuit
 from repro.core import MemoryDrivenStrategy, NoApproximation, simulate
 from repro.core.approximation import approximate_state
 from repro.dd import ctable
-from repro.dd.backends import DEFAULT_CACHE_LIMIT
 from repro.dd.backends.arena import ArenaBackend
 from repro.dd.package import Package
 from repro.dd.vector import StateDD
 from repro.service.jobs import build_builtin_circuit
 
-# "arena-batched" routes multiply_mv through the level-synchronous
-# batched kernels; it must be indistinguishable from the scalar arena
-# (and hence from reference) on everything this harness observes.
-BACKENDS = ("reference", "arena", "arena-batched")
-
-
-def _make_package(spec: str, cache_limit: int = DEFAULT_CACHE_LIMIT) -> Package:
-    if spec == "arena-batched":
-        return Package(
-            backend=ArenaBackend(batched=True, cache_limit=cache_limit)
-        )
-    return Package(backend=spec, cache_limit=cache_limit)
+BACKENDS = ("reference", "arena")
 
 
 def _apply_circuit(circuit, package: Package) -> StateDD:
@@ -77,7 +65,7 @@ class TestGateParity:
         amplitudes = {}
         counts = {}
         for backend in BACKENDS:
-            state = _apply_circuit(circuit, _make_package(backend))
+            state = _apply_circuit(circuit, Package(backend=backend))
             amplitudes[backend] = state.to_amplitudes()
             counts[backend] = state.node_count()
         for backend in BACKENDS[1:]:
@@ -101,7 +89,7 @@ class TestGateParity:
         circuit = random_circuit(num_qubits, num_operations, seed=seed)
         contributions = {}
         for backend in BACKENDS:
-            package = _make_package(backend)
+            package = Package(backend=backend)
             state = _apply_circuit(circuit, package)
             contributions[backend] = package.norm_contributions(state.edge)
         reference = contributions["reference"]
@@ -130,7 +118,7 @@ class TestApproximationParity:
         circuit = random_circuit(num_qubits, num_operations, seed=seed)
         rounds: dict[str, list[tuple]] = {}
         for backend in BACKENDS:
-            package = _make_package(backend)
+            package = Package(backend=backend)
             state = StateDD.basis_state(circuit.num_qubits, 0, package)
             top = circuit.num_qubits - 1
             records = []
@@ -179,7 +167,7 @@ def test_builtin_workload_parity(workload, strategy_factory):
         outcomes[backend] = simulate(
             build_builtin_circuit(workload),
             strategy_factory(),
-            package=_make_package(backend),
+            package=Package(backend=backend),
         )
     reference = outcomes["reference"]
     for backend in BACKENDS[1:]:
@@ -211,7 +199,7 @@ def test_reclaim_parity_under_constant_flushing(workload, strategy_factory):
     outcomes = {}
     live = {}
     for backend in BACKENDS:
-        package = _make_package(backend, cache_limit=64)
+        package = Package(backend=backend, cache_limit=64)
         engine = package._backend
         audits: list[list[str]] = []
         if isinstance(engine, ArenaBackend):

@@ -18,7 +18,6 @@ from repro.dd.backends import (
     normalize_backend_name,
     set_backend_override,
 )
-from repro.dd.backends.arena import BATCHED_ENV_VAR
 from repro.dd.package import (
     Package,
     default_package,
@@ -98,14 +97,14 @@ class TestDefaultPackage:
 
 
 def _run_isolated(script: str) -> None:
-    """Run ``script`` in a fresh interpreter with no engine overrides."""
+    """Run ``script`` in a fresh interpreter with no ``REPRO_*`` settings."""
     src_root = os.path.dirname(
         os.path.dirname(os.path.abspath(repro.__file__))
     )
     env = {
         key: value
         for key, value in os.environ.items()
-        if key not in (ENV_VAR, BATCHED_ENV_VAR)
+        if not key.startswith("REPRO_")
     }
     env["PYTHONPATH"] = (
         src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -132,18 +131,6 @@ class TestLazyArenaImport:
             "assert backend.name == 'reference'\n"
             "assert 'repro.dd.backends.arena' not in sys.modules, (\n"
             "    'arena imported eagerly')\n"
-            "print('ok')\n"
-        )
-
-    def test_default_package_does_not_import_kernels(self):
-        # The batched kernels load only when batched dispatch is asked
-        # for, so building the default engine stays cheap.
-        _run_isolated(
-            "import sys\n"
-            "from repro.dd.package import Package\n"
-            "assert Package().backend_name == 'arena'\n"
-            "assert 'repro.dd.backends.kernels' not in sys.modules, (\n"
-            "    'kernels imported eagerly')\n"
             "print('ok')\n"
         )
 
