@@ -189,9 +189,9 @@ RULES: dict[str, Rule] = {
             "no nondeterministic numpy ufuncs (np.abs/np.hypot/"
             "np.divide) reachable from engine code in "
             "repro.dd.backends.*",
-            "the arena must match the reference bit for bit, so it "
-            "reads its complex128 weight mirrors only through .tolist() "
-            "gathers and takes magnitudes on Python complexes; these "
+            "the arena must match the reference bit for bit, so its "
+            "complex operations run only on Python complexes or, in "
+            "the C core, through CPython's own _Py_c_* helpers; these "
             "ufuncs use different algorithms in the last ulp — "
             "resolution-aware, so aliased imports and helper "
             "indirection are caught",
@@ -199,12 +199,11 @@ RULES: dict[str, Rule] = {
         Rule(
             "DD008",
             "no native complex128 array multiply/divide in engine "
-            "code (gather with .tolist() and compute on Python "
-            "complexes)",
+            "code (compute on Python complexes)",
             "numpy may FMA-contract complex products, diverging from "
             "CPython's complex arithmetic; the ulp contract "
-            "(docs/BACKENDS.md) keeps products of the arena's "
-            "complex128 weight mirrors on Python complexes",
+            "(docs/BACKENDS.md) allows complex operations only on "
+            "Python complexes or via CPython's _Py_c_* helpers",
         ),
         Rule(
             "DD009",

@@ -241,8 +241,8 @@ def audit_package(
     Delegates to the backend's
     :meth:`repro.dd.backends.DDBackend.integrity_problems` — each engine
     audits its own storage layout (the reference backend checks its weak
-    tables and object-keyed caches, the arena additionally verifies its
-    numpy mirror arrays against the node objects).  The common contract:
+    tables and object-keyed caches, the arena additionally verifies that
+    every node's id round-trips through its slot).  The common contract:
 
     Unique tables: every entry's key must equal the key recomputed from
     the node it maps to — a mismatch is a *stale entry*, the signature

@@ -1,12 +1,11 @@
 """Float-determinism passes: DD007 (banned ufuncs) and DD008 (complex ops).
 
 The arena engine must stay bit-for-bit identical to the reference
-engine (docs/BACKENDS.md, "The ulp contract").  It keeps complex128
-mirrors of its edge weights (``_v_weight``, ``_m_weight``) for
-whole-diagram sweeps, but reads them only through ``.tolist()``
-gathers: magnitudes and products are computed on Python complexes, so
-they round exactly like the reference's scalar arithmetic.  numpy would
-not: ``np.abs``/``np.hypot`` use a different (and platform-varying)
+engine (docs/BACKENDS.md, "The ulp contract").  Every complex operation
+it performs runs either on Python complexes or, in its C core, through
+CPython's own ``_Py_c_*`` helpers, so each result rounds exactly like
+the reference's scalar arithmetic.  numpy complex arithmetic would not:
+``np.abs``/``np.hypot`` use a different (and platform-varying)
 magnitude algorithm than CPython's ``abs(complex)``, ``np.divide``
 differs from CPython's complex division, and native ``complex128``
 array multiplies may FMA-contract.  These passes keep that arithmetic
@@ -36,7 +35,7 @@ _ENGINE_PACKAGE = "repro.dd.backends"
 #: numpy ufuncs whose results are not bit-identical to CPython floats.
 _BANNED_UFUNCS: dict[str, str] = {
     "numpy.abs": "abs(complex) in CPython uses a different magnitude "
-    "algorithm; gather with .tolist() and call abs() per element",
+    "algorithm; call abs() on Python complexes",
     "numpy.absolute": "alias of numpy.abs; same divergence",
     "numpy.hypot": "numpy's hypot is not bit-identical to math.hypot "
     "across platforms",
@@ -187,7 +186,7 @@ def _complex_violation(
         message=(
             f"native complex128 array {symbol} in engine code; numpy "
             "may FMA-contract and is not bit-equal to CPython — "
-            "gather with .tolist() and compute on Python complexes"
+            "compute on Python complexes"
         ),
         trace=(
             f"{scope.path}:{node.lineno} {scope.display_name}: "
@@ -218,8 +217,8 @@ def _complex_ufunc_call(
                 col=func.col_offset,
                 message=(
                     "numpy.multiply on a complex-dtype array in engine "
-                    "code; gather with .tolist() and multiply Python "
-                    "complexes to keep the ulp contract"
+                    "code; multiply Python complexes to keep the ulp "
+                    "contract"
                 ),
                 trace=(
                     f"{scope.path}:{node.lineno} {scope.display_name}: "

@@ -2,8 +2,9 @@
 
 Two backends are registered (see docs/BACKENDS.md):
 
-* ``arena`` — the production engine: integer-id arena storage with
-  numpy mirrors and vectorized sweeps (:mod:`repro.dd.backends.arena`);
+* ``arena`` — the production engine: integer-id arena storage whose
+  vector hot path is a C extension built on first use
+  (:mod:`repro.dd.backends.arena`, :mod:`repro.dd.backends.native`);
   imported lazily, on first construction.
 * ``reference`` — the original hash-consed object engine
   (:mod:`repro.dd.backends.reference`), kept as the differential oracle
@@ -15,7 +16,7 @@ Selection precedence, strongest first:
 2. The process-wide override set by :func:`set_backend_override`
    (the CLI ``--backend`` flag lands here; forked workers inherit it).
 3. The ``REPRO_DD_BACKEND`` environment variable.
-4. The default: ``arena``.
+4. The default: ``arena`` when its C core loads, else ``reference``.
 
 Backend identity is *observability metadata only*: it is recorded in
 result stats and obs counters but deliberately excluded from the
@@ -91,7 +92,9 @@ def default_backend_name(environ: dict[str, str] | None = None) -> str:
     """Resolve the backend used when construction passes none explicitly.
 
     Precedence: :func:`set_backend_override` > ``REPRO_DD_BACKEND`` >
-    ``"arena"``.
+    ``"arena"`` when its C core loads, ``"reference"`` otherwise.  The
+    first default resolution in a process therefore builds the core if
+    no cached build exists (see :mod:`repro.dd.backends.native`).
 
     Raises:
         ValueError: When the environment variable names an unknown
@@ -103,7 +106,9 @@ def default_backend_name(environ: dict[str, str] | None = None) -> str:
     from_env = env.get(ENV_VAR, "").strip()
     if from_env:
         return normalize_backend_name(from_env)
-    return "arena"
+    from .native import load
+
+    return "arena" if load()[0] is not None else "reference"
 
 
 def create_backend(
@@ -116,6 +121,8 @@ def create_backend(
 
     Raises:
         ValueError: For an unknown backend name.
+        repro.dd.backends.native.NativeCoreUnavailable: For ``arena``
+            when its C core cannot be built (a ``ValueError``).
     """
     canonical = (
         default_backend_name() if name is None else normalize_backend_name(name)

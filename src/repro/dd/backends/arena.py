@@ -1,53 +1,38 @@
-"""The arena backend: integer-id node storage with numpy mirrors.
+"""The arena backend: integer-id node storage with a native vector core.
 
 Same semantics as the reference backend, different storage.  Every node
 is assigned a dense integer id (``node.index``): its slot in the arena's
-node list (appended at interning, compacted by a reclaim) and its row in
-numpy mirrors of its level, child ids, and edge weights.  The hot data
-structures are rebuilt around those ids:
+node list (appended at interning, compacted by a reclaim).  The hot data
+structures are built around those ids:
 
 * **Unique tables** are plain dicts keyed on flat tuples
   ``(level, re_bucket, im_bucket, child, ...)`` — the children are the
   node objects themselves, hashed by identity, so a reclaim's
-  renumbering leaves the keys valid — with the weight
-  quantization of :func:`repro.dd.ctable.weight_key` inlined
-  (``round(component * inv_tolerance)``) — no nested tuples, no weak
-  references, no per-lookup Python-level ``WeakValueDictionary``
-  machinery.
+  renumbering leaves the keys valid — with the weight quantization of
+  :func:`repro.dd.ctable.weight_key` inlined
+  (``round(component * inv_tolerance)``): no nested tuples, no weak
+  references, no ``WeakValueDictionary`` machinery.
 * **Compute caches** are dicts keyed on small integer tuples (vadd/madd:
   ``(id1, id2, ratio_buckets)``) or single packed integers (mv/mm/inner:
   ``id_a * 2**32 + id_b``), wholesale-flushed exactly like the
   reference caches.
-* **Whole-diagram sweeps** run on the numpy mirrors:
-  reachability is a vectorized frontier walk over the child-id array
-  with an int64 visit-stamp array (no hashing, no Python recursion),
-  and the norm-contribution sweep fetches all edge weights in one
-  fancy-indexed gather from the weight mirror.
 
-Registration is deliberately cheap: interning a node only appends it to
-the node list.  The numpy mirror arrays are synced lazily —
-:meth:`ArenaBackend._sync_v_mirror` bulk-converts the unsynced tail of
-nodes right before a sweep, gather, or audit needs them — so the gate
-recursions never pay per-node numpy scalar writes.
+**The vector hot path is native.**  ``make_vedge``, ``vadd``, the
+``multiply_mv`` recursion and ``node_count`` run in the C extension
+``_arena_core.c`` (built on first use by :mod:`.native`).  It works on
+the structures above directly, with the same key and value objects, so
+the reclaim, the DDSan audit, serialization and every other Python
+consumer read them unchanged; the methods here are thin calls into it.
+Every complex operation in the core calls CPython's own complex
+arithmetic, so results are *bit-for-bit identical* to the reference
+backend and cache keys bucket identically, making hit/miss sequences
+coincide.  The matrix operations, the inner product and the whole-diagram
+sweeps other than ``node_count`` stay in Python.  See docs/BACKENDS.md.
 
-Edge *handles* are still real :class:`~repro.dd.node.VNode` /
+Edge *handles* are real :class:`~repro.dd.node.VNode` /
 :class:`~repro.dd.node.MNode` objects, so every consumer that traverses
 ``.edges`` / ``.level`` (simulator, strategies, serialization, DDSan)
-works unchanged — the arrays are a mirror, not a replacement, and the
-arena audits their consistency in :meth:`ArenaBackend.integrity_problems`.
-
-Numerical behavior is *bit-for-bit identical* to the reference backend:
-normalization uses the same float operations in the same order, the
-inlined bucketing computes the same integers as
-:func:`repro.dd.ctable.weight_key`, and cache keys bucket identically so
-hit/miss sequences coincide.  The recursions additionally inline the
-*zero-operand* shortcuts of their callees (the exact comparisons the
-callee would perform first) — branches, not arithmetic, so no float
-result can change.  Vectorized *float* math is confined to places where
-it provably cannot change a bit: ``np.abs`` on complex128 uses a
-different hypot than CPython's ``abs`` (1-ulp divergence on roughly a
-third of inputs), so magnitude math always happens on exact Python
-complexes gathered via ``.tolist()``.  See docs/BACKENDS.md.
+works unchanged.
 
 **Reclaim at cache flushes.**  ``_v_nodes`` / ``_m_nodes`` hold strong
 references, so between reclaims the arena keeps nodes the reference
@@ -58,50 +43,40 @@ because its compute caches pin every node they name.  A cache flush
 only *marks* a reclaim as pending — the recursion that triggered it
 still holds raw ids in its in-flight cache keys — and
 :meth:`ArenaBackend._reclaim` runs at the next safe point: entry to the
-public :meth:`ArenaBackend.multiply_mv` (the recursion itself calls
-``_multiply_mv``) and :meth:`ArenaBackend.clear_caches`.  It
-keeps exactly the nodes the reference would still hold — those
-referenced from Python (caller states, cache values, ``gate_cache``, the
-identity cache) or named by a surviving compute-cache key — and
-renumbers the survivors densely in their old order.
+public :meth:`ArenaBackend.multiply_mv` (the core's recursion never
+re-enters it) and :meth:`ArenaBackend.clear_caches`.  It keeps exactly
+the nodes the reference would still hold — those referenced from Python
+(caller states, cache values, ``gate_cache``, the identity cache) or
+named by a surviving compute-cache key — and renumbers the survivors
+densely in their old order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from math import sqrt
 from sys import getrefcount
 from typing import Any
 
-import numpy as np
-
 from .. import ctable
 from ..ctable import snap_boxed as _snap_boxed
-from ..node import MEdge, MNode, VEdge, VNode, zero_medge, zero_vedge
+from ..node import MEdge, MNode, VEdge, VNode, zero_medge
+from . import native
 from .base import DEFAULT_CACHE_LIMIT, DDBackend
 
-#: Initial numpy mirror capacity (rows); doubled on exhaustion.
-_INITIAL_CAPACITY = 1 << 10
-
-#: Rows converted per step of a mirror sync.  A full resync after a
-#: reclaim would otherwise build list and array temporaries the size of
-#: the whole arena at once.
-_SYNC_CHUNK = 1 << 16
+#: The C core (None when it could not be built; construction then raises).
+_core: Any = native.load()[0]
 
 #: Packing base for two-id cache keys.  Arena ids are dense counters and
-#: stay far below 2**32 (the arrays would not fit in memory otherwise),
-#: so ``a * _PAIR_SHIFT + b`` is collision-free.
+#: stay far below 2**32, so ``a * _PAIR_SHIFT + b`` is collision-free.
 _PAIR_BITS = 32
 _PAIR_SHIFT = 1 << _PAIR_BITS
 _PAIR_MASK = _PAIR_SHIFT - 1
 
-# Shared zero edges returned by the recursions' annihilation shortcuts.
-# Value-identical to fresh zero_vedge()/zero_medge() tuples (tuples are
-# immutable, so sharing one instance is observationally equivalent);
-# avoids a function call plus a tuple allocation on ~half of all
-# multiply_mv invocations.
-_ZERO_V: VEdge = zero_vedge()
+# Shared zero edge returned by the matrix recursions' annihilation
+# shortcuts.  Value-identical to a fresh zero_medge() tuple (tuples are
+# immutable, so sharing one instance is observationally equivalent).
 _ZERO_M: MEdge = zero_medge()
+
 
 def _release_unreferenced(
     nodes: list[Any],
@@ -221,23 +196,11 @@ class ArenaBackend(DDBackend):
     name = "arena"
 
     def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
+        native.require()
         super().__init__(cache_limit)
-        # Vector-node arena.  Registration appends the node (cheap); the
-        # numpy mirrors below are bulk-synced from the nodes on demand.
+        # Node arenas: slot ``i`` holds the node whose ``index`` is ``i``.
         self._v_nodes: list[VNode] = []
-        # Numpy mirrors of the nodes above, valid up to ``_v_synced``.
-        self._v_level = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
-        self._v_child = np.full((_INITIAL_CAPACITY, 2), -1, dtype=np.int64)
-        self._v_weight = np.zeros((_INITIAL_CAPACITY, 2), dtype=np.complex128)
-        self._v_stamp = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._v_synced = 0
-        self._visit = 0
-        # Matrix-node arena (4-wide), same layout.
         self._m_nodes: list[MNode] = []
-        self._m_level = np.zeros(_INITIAL_CAPACITY, dtype=np.int32)
-        self._m_child = np.full((_INITIAL_CAPACITY, 4), -1, dtype=np.int64)
-        self._m_weight = np.zeros((_INITIAL_CAPACITY, 4), dtype=np.complex128)
-        self._m_synced = 0
         # node_count memo keyed by root id.  Safe because diagrams are
         # immutable after interning and an id names one node until the
         # next reclaim, which renumbers and so clears the memo; the
@@ -268,128 +231,12 @@ class ArenaBackend(DDBackend):
         self.gate_cache: dict[Any, MEdge] = {}
 
     # ------------------------------------------------------------------
-    # Mirror sync (registration itself is inlined into make_vedge /
-    # make_medge — it is the hottest allocation site)
-    # ------------------------------------------------------------------
-
-    def _sync_v_mirror(self) -> None:
-        """Bulk-convert unsynced vector nodes into the numpy mirrors."""
-        count = len(self._v_nodes)
-        start = self._v_synced
-        if start == count:
-            return
-        capacity = self._v_level.shape[0]
-        if count > capacity:
-            while capacity < count:
-                capacity *= 2
-            level = np.zeros(capacity, dtype=np.int32)
-            level[:start] = self._v_level[:start]
-            self._v_level = level
-            child = np.full((capacity, 2), -1, dtype=np.int64)
-            child[:start] = self._v_child[:start]
-            self._v_child = child
-            weight = np.zeros((capacity, 2), dtype=np.complex128)
-            weight[:start] = self._v_weight[:start]
-            self._v_weight = weight
-            stamp = np.zeros(capacity, dtype=np.int64)
-            stamp[:start] = self._v_stamp[:start]
-            self._v_stamp = stamp
-        for lo in range(start, count, _SYNC_CHUNK):
-            hi = min(lo + _SYNC_CHUNK, count)
-            chunk = self._v_nodes[lo:hi]
-            self._v_level[lo:hi] = [node.level for node in chunk]
-            edges = [node.edges for node in chunk]
-            self._v_child[lo:hi] = [
-                (-1 if n0 is None else n0.index, -1 if n1 is None else n1.index)
-                for (_w0, n0), (_w1, n1) in edges
-            ]
-            self._v_weight[lo:hi] = [(w0, w1) for (w0, _n0), (w1, _n1) in edges]
-        self._v_synced = count
-
-    def _sync_m_mirror(self) -> None:
-        """Bulk-convert unsynced matrix nodes into the numpy mirrors."""
-        count = len(self._m_nodes)
-        start = self._m_synced
-        if start == count:
-            return
-        capacity = self._m_level.shape[0]
-        if count > capacity:
-            while capacity < count:
-                capacity *= 2
-            level = np.zeros(capacity, dtype=np.int32)
-            level[:start] = self._m_level[:start]
-            self._m_level = level
-            child = np.full((capacity, 4), -1, dtype=np.int64)
-            child[:start] = self._m_child[:start]
-            self._m_child = child
-            weight = np.zeros((capacity, 4), dtype=np.complex128)
-            weight[:start] = self._m_weight[:start]
-            self._m_weight = weight
-        for lo in range(start, count, _SYNC_CHUNK):
-            hi = min(lo + _SYNC_CHUNK, count)
-            chunk = self._m_nodes[lo:hi]
-            self._m_level[lo:hi] = [node.level for node in chunk]
-            edges = [node.edges for node in chunk]
-            self._m_child[lo:hi] = [
-                [-1 if n is None else n.index for _w, n in quad] for quad in edges
-            ]
-            self._m_weight[lo:hi] = [[w for w, _n in quad] for quad in edges]
-        self._m_synced = count
-
-    # ------------------------------------------------------------------
     # Node construction (normalizing, hash-consing)
     # ------------------------------------------------------------------
 
     def make_vedge(self, level: int, e0: VEdge, e1: VEdge) -> VEdge:
-        """Create a normalized, hash-consed vector edge above two children.
-
-        Float-operation order matches the reference backend exactly; the
-        interning key inlines :func:`repro.dd.ctable.weight_key` and the
-        snapping loop of :func:`repro.dd.ctable.snap` over flat locals.
-        """
-        tol = ctable._tolerance
-        w0, n0 = e0
-        w1, n1 = e1
-        a0 = abs(w0)
-        a1 = abs(w1)
-        if a0 <= tol:
-            if a1 <= tol:
-                return _ZERO_V
-            w0, n0, a0 = complex(0.0), None, 0.0
-        elif a1 <= tol:
-            w1, n1, a1 = complex(0.0), None, 0.0
-
-        norm = sqrt(a0 * a0 + a1 * a1)
-        if a0 > 0.0:
-            phase = w0 / a0
-        else:
-            phase = w1 / a1
-        top_weight = norm * phase
-        w0n = _snap_boxed(w0 / top_weight, tol)
-        w1n = _snap_boxed(w1 / top_weight, tol)
-
-        inv = ctable._inv_tolerance
-        key = (
-            level,
-            round(w0n.real * inv),
-            round(w0n.imag * inv),
-            n0,
-            round(w1n.real * inv),
-            round(w1n.imag * inv),
-            n1,
-        )
-        vtable = self._vtable
-        node = vtable.get(key)
-        if node is None:
-            # Registration inlined (this is the hottest allocation site):
-            # append the node; the numpy mirrors sync lazily.
-            node = VNode(level, ((w0n, n0), (w1n, n1)))
-            nodes = self._v_nodes
-            node.index = len(nodes)
-            nodes.append(node)
-            vtable[key] = node
-            self.stats["vnodes_created"] += 1
-        return (top_weight, node)
+        """Create a normalized, hash-consed vector edge above two children."""
+        return _core.make_vedge(self, level, e0, e1)
 
     def make_medge(
         self, level: int, edges: tuple[MEdge, MEdge, MEdge, MEdge]
@@ -442,73 +289,8 @@ class ArenaBackend(DDBackend):
     # ------------------------------------------------------------------
 
     def vadd(self, e1: VEdge, e2: VEdge, level: int) -> VEdge:
-        """Add two state edges rooted at the same level.
-
-        The recursion inlines the zero-operand shortcut of the callee
-        (the exact first comparisons a recursive call would perform), so
-        roughly half of the recursive calls are skipped outright without
-        changing any computed value.
-        """
-        w1, n1 = e1
-        w2, n2 = e2
-        if w1 == 0.0:
-            return e2
-        if w2 == 0.0:
-            return e1
-        if level < 0:
-            total = w1 + w2
-            tol = ctable._tolerance
-            if abs(total.real) <= tol and abs(total.imag) <= tol:
-                return _ZERO_V
-            return (total, None)
-        if n1 is n2:
-            total = w1 + w2
-            tol = ctable._tolerance
-            if abs(total.real) <= tol and abs(total.imag) <= tol:
-                return _ZERO_V
-            return (total, n1)
-
-        ratio = w2 / w1
-        inv = ctable._inv_tolerance
-        key = (
-            n1.index,  # type: ignore[union-attr]
-            n2.index,  # type: ignore[union-attr]
-            round(ratio.real * inv),
-            round(ratio.imag * inv),
-        )
-        cache = self._vadd_cache
-        cached = cache.get(key)
-        if cached is not None:
-            if self._counting:
-                self._cache_counts["vadd"][0] += 1
-            rw, rn = cached
-            return (rw * w1, rn)
-        if self._counting:
-            self._cache_counts["vadd"][1] += 1
-
-        (a0w, a0n), (a1w, a1n) = n1.edges  # type: ignore[union-attr]
-        (b0w, b0n), (b1w, b1n) = n2.edges  # type: ignore[union-attr]
-        sub = level - 1
-        rb0 = ratio * b0w
-        if a0w == 0.0:
-            child0 = (rb0, b0n)
-        elif rb0 == 0.0:
-            child0 = (a0w, a0n)
-        else:
-            child0 = self.vadd((a0w, a0n), (rb0, b0n), sub)
-        rb1 = ratio * b1w
-        if a1w == 0.0:
-            child1 = (rb1, b1n)
-        elif rb1 == 0.0:
-            child1 = (a1w, a1n)
-        else:
-            child1 = self.vadd((a1w, a1n), (rb1, b1n), sub)
-        result = self.make_vedge(level, child0, child1)
-        if len(cache) < self.cache_limit:
-            cache[key] = result
-        else:
-            self._checked_insert(cache, key, result, "vadd")
-        return (result[0] * w1, result[1])
+        """Add two state edges rooted at the same level."""
+        return _core.vadd(self, e1, e2, level)
 
     def multiply_mv(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
         """Apply a matrix edge to a state edge (matrix–vector product).
@@ -518,61 +300,7 @@ class ArenaBackend(DDBackend):
         """
         if self._reclaim_pending:
             self._reclaim()
-        return self._multiply_mv(me, ve, level)
-
-    def _multiply_mv(self, me: MEdge, ve: VEdge, level: int) -> VEdge:
-        """Depth-first ``multiply_mv`` recursion.
-
-        Zero-operand products and additions short-circuit at the call
-        site (same comparisons the callees perform first; no float
-        operation is added, removed, or reordered).
-        """
-        wm, m = me
-        wv, v = ve
-        if wm == 0.0 or wv == 0.0:
-            return _ZERO_V
-        if level < 0:
-            return (wm * wv, None)
-
-        key = m.index * _PAIR_SHIFT + v.index  # type: ignore[union-attr]
-        cache = self._mv_cache
-        cached = cache.get(key)
-        if cached is not None:
-            if self._counting:
-                self._cache_counts["mv"][0] += 1
-            rw, rn = cached
-            return (rw * wm * wv, rn)
-        if self._counting:
-            self._cache_counts["mv"][1] += 1
-
-        m00, m01, m10, m11 = m.edges  # type: ignore[union-attr]
-        v0, v1 = v.edges  # type: ignore[union-attr]
-        sub = level - 1
-        mv = self._multiply_mv
-        v0w = v0[0]
-        v1w = v1[0]
-        p0 = _ZERO_V if m00[0] == 0.0 or v0w == 0.0 else mv(m00, v0, sub)
-        p1 = _ZERO_V if m01[0] == 0.0 or v1w == 0.0 else mv(m01, v1, sub)
-        if p0[0] == 0.0:
-            child0 = p1
-        elif p1[0] == 0.0:
-            child0 = p0
-        else:
-            child0 = self.vadd(p0, p1, sub)
-        p0 = _ZERO_V if m10[0] == 0.0 or v0w == 0.0 else mv(m10, v0, sub)
-        p1 = _ZERO_V if m11[0] == 0.0 or v1w == 0.0 else mv(m11, v1, sub)
-        if p0[0] == 0.0:
-            child1 = p1
-        elif p1[0] == 0.0:
-            child1 = p0
-        else:
-            child1 = self.vadd(p0, p1, sub)
-        result = self.make_vedge(level, child0, child1)
-        if len(cache) < self.cache_limit:
-            cache[key] = result
-        else:
-            self._checked_insert(cache, key, result, "mv")
-        return (result[0] * wm * wv, result[1])
+        return _core.multiply_mv(self, me, ve, level)
 
     def _inner_nodes(
         self, n1: VNode | None, n2: VNode | None, level: int
@@ -748,8 +476,7 @@ class ArenaBackend(DDBackend):
 
         Survivors keep their relative order, so children still precede
         parents.  The node lists are compacted in place, the compute
-        caches are re-keyed, the numpy mirrors resync from scratch, and
-        the ``node_count`` memo is dropped.
+        caches are re-keyed, and the ``node_count`` memo is dropped.
         """
         self._reclaim_pending = False
         # Keep flags per id, seeded with the ids that surviving cache
@@ -769,8 +496,6 @@ class ArenaBackend(DDBackend):
 
         v_map = _compact(self._v_nodes, self._vtable, v_keep, self._vnode_table_key)
         m_map = _compact(self._m_nodes, self._mtable, m_keep, self._mnode_table_key)
-        self._v_synced = 0
-        self._m_synced = 0
         self._vcount_cache.clear()
 
         caches = self._compute_caches
@@ -783,7 +508,7 @@ class ArenaBackend(DDBackend):
         )
 
     # ------------------------------------------------------------------
-    # Whole-diagram sweeps (arena-accelerated)
+    # Whole-diagram sweeps
     # ------------------------------------------------------------------
 
     def _owns(self, node: VNode) -> bool:
@@ -793,63 +518,20 @@ class ArenaBackend(DDBackend):
         tests (and misuse) can graft hand-constructed nodes
         (``index == -1``) or nodes of another package; sweeps detect
         them and fall back to the generic ``id()``-based traversal,
-        which is storage-agnostic.  Ownership is closed under children
-        for *interned* nodes: ``make_vedge`` registers children before
-        parents and nodes are immutable after interning, so an owned
-        root implies an owned (and mirror-consistent) reachable set.
+        which is storage-agnostic.
         """
         index = node.index
         nodes = self._v_nodes
         return 0 <= index < len(nodes) and nodes[index] is node
 
     def node_count(self, edge: VEdge) -> int:
-        """Reachable-node count as a vectorized frontier walk.
+        """Reachable-node count, walked and memoized by the C core.
 
-        Runs on the child-id mirror: each iteration gathers the children
-        of the whole frontier in one fancy-indexed read, drops terminals,
-        dedups (`np.unique`), and filters already-visited ids through an
-        int64 stamp array.  Iteration count is bounded by the longest
-        root-to-terminal path (≤ qubit count), so Python-level overhead
-        is per *level*, not per node — this sweep runs after every gate
-        in the simulator loop and dominated shor-class profiles when it
-        was a per-node Python traversal.
+        The core returns None when the diagram holds a node that is not
+        a live slot of this arena; the generic traversal counts it then.
         """
-        _weight, root = edge
-        if root is None:
-            return 0
-        if not self._owns(root):
-            return super().node_count(edge)
-        root_index = root.index
-        cached = self._vcount_cache.get(root_index)
-        if cached is not None:
-            return cached
-        self._sync_v_mirror()
-        stamp = self._visit = self._visit + 1
-        stamps = self._v_stamp
-        child = self._v_child
-        frontier = np.array([root_index], dtype=np.int64)
-        stamps[frontier] = stamp
-        count = 0
-        while frontier.size:
-            count += int(frontier.size)
-            # Children of the whole frontier in one gather; sort-based
-            # dedup (np.unique's Python wrapper is slow on small
-            # arrays).  Terminals (-1) sort to the front and are cut
-            # off with a searchsorted.
-            kids = child[frontier].reshape(-1)
-            kids.sort()
-            kids = kids[kids.searchsorted(0) :]
-            if kids.size == 0:
-                break
-            keep = np.empty(kids.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(kids[1:], kids[:-1], out=keep[1:])
-            kids = kids[keep]
-            kids = kids[stamps[kids] != stamp]
-            stamps[kids] = stamp
-            frontier = kids
-        self._vcount_cache[root_index] = count
-        return count
+        count = _core.node_count(self, edge)
+        return super().node_count(edge) if count is None else count
 
     def vnodes(self, edge: VEdge) -> list[VNode]:
         """Reachable nodes in the interface-contract order.
@@ -884,49 +566,6 @@ class ArenaBackend(DDBackend):
         collected.sort(key=lambda n: -n.level)
         return collected
 
-    def norm_contributions(self, edge: VEdge) -> dict[VNode, float]:
-        """Norm-contribution sweep with vectorized magnitude gather.
-
-        The edge weights of every reachable node are fetched in one
-        fancy-indexed gather from the weight mirror; ``tolist`` converts
-        them back to exact Python complexes, and the magnitudes are then
-        squared with the *same* Python operations the reference uses.
-        (``np.abs`` on complex128 is deliberately avoided: its hypot
-        differs from CPython's by 1 ulp on ~a third of inputs, which
-        would break the bit-for-bit Lemma-1 parity the differential
-        tests pin.)  The accumulation replays the reference sweep in the
-        same order, preserving the insertion-order contract.
-        """
-        weight, root = edge
-        if root is None:
-            return {}
-        ordered = self.vnodes(edge)
-        if not all(self._owns(node) for node in ordered):
-            return super().norm_contributions(edge)
-        self._sync_v_mirror()
-        indices = np.fromiter(
-            (node.index for node in ordered),
-            dtype=np.int64,
-            count=len(ordered),
-        )
-        squared = [
-            (abs(w0) ** 2, abs(w1) ** 2)
-            for w0, w1 in self._v_weight[indices].tolist()
-        ]
-        contributions: dict[VNode, float] = {root: abs(weight) ** 2}
-        for row, node in enumerate(ordered):
-            incoming = contributions.get(node, 0.0)
-            if incoming == 0.0:
-                continue
-            magnitudes = squared[row]
-            for k, (edge_weight, child) in enumerate(node.edges):
-                if child is None or edge_weight == 0.0:
-                    continue
-                contributions[child] = (
-                    contributions.get(child, 0.0) + incoming * magnitudes[k]
-                )
-        return contributions
-
     # ------------------------------------------------------------------
     # Integrity auditing (DDSan)
     # ------------------------------------------------------------------
@@ -954,50 +593,20 @@ class ArenaBackend(DDBackend):
         return tuple(key)
 
     def integrity_problems(self, check_caches: bool = True) -> list[str]:
-        """Audit unique tables, compute caches, and the array mirrors.
+        """Audit the node arenas, unique tables, and compute caches.
 
         Beyond the reference checks (stale/duplicate table entries,
         non-canonical cached nodes), the arena verifies that every
-        node's mirror row — level, child ids, weights — matches the
-        node object, and that ``node.index`` round-trips through
-        ``_v_nodes`` / ``_m_nodes``.  Mirrors are synced first, so the
-        audit always sees the complete arena.
+        node's ``index`` round-trips through ``_v_nodes`` / ``_m_nodes``.
         """
         problems: list[str] = []
-        self._sync_v_mirror()
-        self._sync_m_mirror()
-
-        # Mirror consistency: the arrays must agree with the objects.
-        for kind, nodes, levels, children, weights in (
-            ("vector", self._v_nodes, self._v_level, self._v_child,
-             self._v_weight),
-            ("matrix", self._m_nodes, self._m_level, self._m_child,
-             self._m_weight),
-        ):
+        for kind, nodes in (("vector", self._v_nodes), ("matrix", self._m_nodes)):
             for index, node in enumerate(nodes):
                 if node.index != index:
                     problems.append(
                         f"{kind} arena slot {index} holds a node whose "
                         f"index is {node.index}"
                     )
-                    continue
-                if int(levels[index]) != node.level:
-                    problems.append(
-                        f"{kind} arena level mirror out of sync at slot "
-                        f"{index}: {int(levels[index])} != {node.level}"
-                    )
-                for k, (w, child) in enumerate(node.edges):
-                    child_id = -1 if child is None else child.index
-                    if int(children[index, k]) != child_id:
-                        problems.append(
-                            f"{kind} arena child mirror out of sync at "
-                            f"slot {index} edge {k}"
-                        )
-                    if complex(weights[index, k]) != w:
-                        problems.append(
-                            f"{kind} arena weight mirror out of sync at "
-                            f"slot {index} edge {k}"
-                        )
 
         # Unique tables: stale entries and hash-consing duplicates.
         for table_name, table, key_of in (

@@ -13,9 +13,9 @@ Two implementations ship with the repo (see docs/BACKENDS.md):
 
 * :class:`repro.dd.backends.reference.ReferenceBackend` — the original
   hash-consed object engine (weak-reference unique tables, tuple keys).
-* :class:`repro.dd.backends.arena.ArenaBackend` — nodes mirrored into
-  preallocated numpy arrays addressed by integer ids, with flat integer
-  table/cache keys and vectorized whole-diagram sweeps.
+* :class:`repro.dd.backends.arena.ArenaBackend` — nodes addressed by
+  dense integer ids, with flat table/cache keys and the vector hot path
+  in a C extension.
 
 The **semantic contract** between backends is strict: for the same
 sequence of calls both must produce states with equal amplitudes within
@@ -427,7 +427,7 @@ class DDBackend(ABC):
         no two entries may recompute to the same key (a hash-consing
         failure), and — when ``check_caches`` is set — cached result
         edges must reference canonical (interned) nodes.  Backends with
-        additional storage (the arena's mirror arrays) audit it here
-        too.  DDSan (:mod:`repro.analysis.ddsan`) calls this after every
+        additional storage (the arena's id-indexed node lists) audit it
+        here too.  DDSan (:mod:`repro.analysis.ddsan`) calls this after every
         instrumented operation.
         """

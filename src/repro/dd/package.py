@@ -13,8 +13,8 @@ docs/BACKENDS.md):
 
 * ``reference`` — hash-consed Python objects in weak unique tables
   (:mod:`repro.dd.backends.reference`), the semantic baseline;
-* ``arena`` — integer-id arena storage with numpy mirrors and
-  vectorized sweeps (:mod:`repro.dd.backends.arena`).
+* ``arena`` — integer-id arena storage with a native C vector core
+  (:mod:`repro.dd.backends.arena`).
 
 Canonicity guarantees — enforced identically by every backend:
 

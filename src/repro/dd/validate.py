@@ -144,14 +144,14 @@ def collect_violations(
 def collect_backend_violations(
     package: "Package", check_caches: bool = True
 ) -> list[str]:
-    """Audit a package's *storage* (unique tables, caches, arena mirrors).
+    """Audit a package's *storage* (unique tables, caches, arena slots).
 
     The storage-level companion of :func:`collect_violations`: where that
     function checks the invariants of one state diagram, this one checks
     the engine underneath — delegated to the backend's
     :meth:`repro.dd.backends.DDBackend.integrity_problems`, so each
-    engine audits its own layout (the arena additionally verifies its
-    numpy mirror arrays against the node objects).
+    engine audits its own layout (the arena additionally verifies that
+    every node's id round-trips through its slot).
 
     Args:
         package: The package whose backend storage to audit.

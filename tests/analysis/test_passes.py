@@ -121,8 +121,8 @@ class TestDD007Resolution:
 
 class TestDD008Resolution:
     def test_real_imag_views_are_float_lanes(self):
-        # Complex128 arrays may carry weights around, as the arena's
-        # mirrors do, so long as every arithmetic op runs on float64 views.
+        # Complex128 arrays may carry weights around, so long as every
+        # arithmetic op runs on float64 views.
         source = (
             "import numpy as np\n"
             "def mul(a: list, b: list) -> object:\n"

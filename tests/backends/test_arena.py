@@ -55,9 +55,9 @@ class TestArenaAudits:
 
 class TestArenaGrowth:
     def test_capacity_doubles_past_initial(self):
+        """Thousands of distinct leaves intern densely and audit clean."""
         backend = ArenaBackend()
         package = Package(backend=backend)
-        # Distinct leaf nodes: more than the initial slab can hold.
         total = 3000
         for index in range(total):
             angle = index / total
@@ -66,12 +66,13 @@ class TestArenaGrowth:
                 (complex(np.cos(angle), 0.0), None),
                 (complex(0.0, np.sin(angle) + 0.5), None),
             )
-        assert len(backend._v_nodes) >= total
-        # Every interned node still round-trips through its mirror row
-        # (the audit syncs the lazily-maintained numpy mirrors first).
+        assert len(backend._v_nodes) == total
+        assert backend.stats["vnodes_created"] == total
+        # Ids are dense and every slot round-trips to its node.
+        for index, node in enumerate(backend._v_nodes):
+            assert node.index == index
+            assert backend._v_nodes[node.index] is node
         assert package.integrity_problems() == []
-        assert backend._v_level.shape[0] >= total
-        assert backend._v_synced == len(backend._v_nodes)
 
 
 class TestGateCache:

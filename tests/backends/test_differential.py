@@ -243,3 +243,37 @@ def test_reclaim_parity_under_constant_flushing(workload, strategy_factory):
         assert nodes == ref_nodes
         assert np.array_equal(amplitudes, ref_amplitudes)
         assert live[backend] == live["reference"]
+
+
+#: The arena's (hits, misses, flushes) of the mv and vadd caches and its
+#: ``vnodes_created`` on SMOKE_WORKLOADS, by cache limit, as recorded from
+#: the pure-Python arena recursion the native core replaced.  The traced
+#: benchmark's ``dd.cache.*.hit_rate`` and ``dd.vnodes_created`` keep
+#: their meaning only while these hold.  (The reference is no yardstick
+#: here: its weak tables may free and re-intern nodes.)
+ARENA_COUNTERS = {
+    (None, "qsup_2x2_8_0"): ((61, 76, 0), (4, 18, 0), 73),
+    (None, "qsup_3x3_12_0"): ((1839, 7539, 0), (90, 4360, 0), 6788),
+    (None, "shor_15_2"): ((617, 886, 0), (42, 120, 0), 383),
+    (64, "qsup_2x2_8_0"): ((61, 76, 1), (4, 18, 0), 73),
+    (64, "qsup_3x3_12_0"): ((1214, 11581, 180), (81, 4761, 74), 7026),
+    (64, "shor_15_2"): ((597, 1339, 20), (42, 120, 1), 399),
+}
+
+
+@pytest.mark.parametrize("cache_limit", [None, 64])
+@pytest.mark.parametrize("workload, strategy_factory", SMOKE_WORKLOADS)
+def test_arena_counters_match_pinned_values(workload, strategy_factory, cache_limit):
+    package = (
+        Package(backend="arena")
+        if cache_limit is None
+        else Package(backend="arena", cache_limit=cache_limit)
+    )
+    package.enable_metrics()
+    simulate(build_builtin_circuit(workload), strategy_factory(), package=package)
+    caches = package.cache_stats()["caches"]
+    observed = tuple(
+        (caches[name]["hits"], caches[name]["misses"], caches[name]["flushes"])
+        for name in ("mv", "vadd")
+    ) + (package.stats["vnodes_created"],)
+    assert observed == ARENA_COUNTERS[cache_limit, workload]

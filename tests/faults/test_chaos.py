@@ -151,9 +151,11 @@ class TestCorruptedCheckpoint:
         fidelity matches an uninterrupted reference run."""
         # No periodic checkpoint interval: the timeout-rescue save is
         # the only save_checkpoint visit, so the one-shot damage rule
-        # hits the checkpoint the rerun will actually load.
+        # hits the checkpoint the rerun will actually load.  Without the
+        # periodic saves the whole run fits in 0.15 s, so the budget is
+        # cut to keep the first attempt a timeout.
         spec = JobSpec(
-            **{**self.TIMEOUT_SPEC, "checkpoint_interval": 0}
+            **{**self.TIMEOUT_SPEC, "checkpoint_interval": 0, "max_seconds": 0.03}
         )
         _arm(FaultRule(site="store.save_checkpoint", kind=damage, max_hits=1))
         first = execute_job(spec, store)
