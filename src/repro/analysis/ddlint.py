@@ -173,7 +173,7 @@ RULES: dict[str, Rule] = {
         Rule(
             "DD005",
             "no time.time() in engine code (use time.perf_counter())",
-            "durations feed repro.obs timers and the benchmark gate; "
+            "durations feed repro.obs timers and the perf/ benchmark; "
             "time.time() is neither monotonic nor high-resolution",
         ),
         Rule(

@@ -1,16 +1,6 @@
 """Benchmark harness regenerating Table I and the ablation experiments."""
 
-from .parallel import RunSpec, run_parallel
 from .reporting import comparison_rows, format_table, paper_comparison
-from .snapshot import (
-    DEFAULT_SMOKE_WORKLOADS,
-    DEFAULT_TOLERANCE,
-    compare_snapshots,
-    diff_snapshots,
-    load_snapshot,
-    run_snapshot,
-    write_snapshot,
-)
 from .runner import (
     ComparisonResult,
     RunRecord,
@@ -34,29 +24,20 @@ from .workloads import (
 __all__ = [
     "ComparisonResult",
     "DEFAULT_SHOR_SUITE",
-    "DEFAULT_SMOKE_WORKLOADS",
     "DEFAULT_SUPREMACY_SUITE",
-    "DEFAULT_TOLERANCE",
     "EXTENDED_SHOR_SUITE",
     "EXTENDED_SUPREMACY_SUITE",
     "PAPER_SHOR_ROWS",
     "PAPER_SUPREMACY_ROWS",
     "PaperRow",
     "RunRecord",
-    "RunSpec",
     "Workload",
-    "run_parallel",
-    "compare_snapshots",
     "compare_strategies",
     "comparison_rows",
-    "diff_snapshots",
     "factor_check",
     "format_table",
-    "load_snapshot",
     "paper_comparison",
-    "run_snapshot",
     "run_workload",
     "shor_workload",
     "supremacy_workload",
-    "write_snapshot",
 ]

@@ -12,9 +12,6 @@ Subcommands:
 * ``trace`` — record a JSONL trace of an instrumented run
   (``trace record``) or summarize an existing trace file
   (``trace summary``).
-* ``bench`` — produce a machine-readable benchmark snapshot
-  (``BENCH_*.json``) and optionally gate it against a committed
-  baseline (the CI ``bench-smoke`` job).
 * ``lint`` — run the domain-aware ddlint rules (DD001–DD005) over the
   source tree and enforce the ``analysis/baseline.json`` ratchet:
   grandfathered findings pass, new findings fail, fixed findings
@@ -48,8 +45,6 @@ Examples::
     repro-sim lint && repro-sim lint --list-rules
     repro-sim trace record builtin:qsup_2x2_8_0 -o trace.jsonl
     repro-sim trace summary trace.jsonl
-    repro-sim bench --out BENCH_smoke.json \
-        --baseline benchmarks/baselines/BENCH_smoke.json
     repro-sim analyze builtin:qsup_3x3_12_0 --marginal 0,1,2
     repro-sim shor 1157 --base 8 --semiclassical
     repro-sim equiv before.qasm after.qasm
@@ -1458,84 +1453,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _select_backend(args)
-    from .bench.snapshot import (
-        diff_snapshots,
-        load_snapshot,
-        run_snapshot,
-        write_snapshot,
-    )
-
-    # Default constructor arguments per strategy kind, mirroring the
-    # ``run`` subcommand's defaults (strategies have required arguments).
-    default_args = {
-        "memory": {"threshold": 4096, "round_fidelity": 0.975},
-        "fidelity": {"final_fidelity": 0.5, "round_fidelity": 0.975},
-        "adaptive": {"final_fidelity": 0.5, "round_fidelity": 0.975},
-        "size_cap": {"max_nodes": 4096},
-    }
-    entries = None
-    if args.workloads:
-        entries = []
-        for token in args.workloads:
-            name, _, strategy = token.partition(":")
-            strategy = strategy or "exact"
-            entries.append(
-                {
-                    "workload": name,
-                    "strategy": strategy,
-                    "strategy_args": default_args.get(strategy, {}),
-                }
-            )
-    try:
-        snapshot = run_snapshot(entries, workload_repeats=args.repeats)
-    except (TypeError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    for row in snapshot["workloads"]:
-        print(
-            f"{row['workload']:20s} {row['strategy']:28s} "
-            f"peak={row['peak_nodes']:>8d} "
-            f"t={row['wall_time_seconds']:.3f}s "
-            f"norm={row['normalized_time']:.2f}"
-        )
-    if args.out:
-        write_snapshot(snapshot, args.out)
-        print(f"wrote snapshot to {args.out}")
-    if args.baseline:
-        try:
-            baseline = load_snapshot(args.baseline)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot load baseline: {error}", file=sys.stderr)
-            return 2
-        delta = diff_snapshots(snapshot, baseline, tolerance=args.tolerance)
-        if args.delta_out:
-            # Same pretty-printed JSON convention as snapshots; the CI
-            # bench job uploads this so a red gate is diagnosable from
-            # the artifact alone.
-            write_snapshot(delta, args.delta_out)
-            print(f"wrote delta report to {args.delta_out}")
-        violations = delta["violations"]
-        if violations:
-            print(f"REGRESSION vs {args.baseline}:", file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return 1
-        print(
-            f"gate passed vs {args.baseline} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    elif args.delta_out:
-        print(
-            "error: --delta-out requires --baseline (the report is "
-            "computed against it)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -1742,51 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
         "machine-readable findings document (CI artifact)",
     )
     lint.set_defaults(handler=_cmd_lint)
-
-    bench = sub.add_parser(
-        "bench",
-        help="produce a BENCH_*.json snapshot and gate it vs a baseline",
-    )
-    bench.add_argument(
-        "--workload",
-        dest="workloads",
-        action="append",
-        default=None,
-        metavar="NAME[:STRATEGY]",
-        help="builtin workload to measure (repeatable; default: the "
-        "smoke suite)",
-    )
-    bench.add_argument(
-        "--out", default="", help="write the snapshot JSON to this path"
-    )
-    bench.add_argument(
-        "--baseline",
-        default="",
-        help="compare against this committed snapshot and exit 1 on "
-        "regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative regression tolerance (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--delta-out",
-        default="",
-        help="write the computed-vs-baseline delta report JSON to this "
-        "path (requires --baseline)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N repeats per workload; higher rejects more "
-        "scheduler noise, which is what lets the gate tolerance stay "
-        "tight (default: %(default)s)",
-    )
-    _backend_option(bench)
-    bench.set_defaults(handler=_cmd_bench)
 
     table1 = sub.add_parser(
         "table1",

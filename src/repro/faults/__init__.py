@@ -13,8 +13,8 @@ approximation) is exercisable on demand under a seeded, replayable
 * :mod:`repro.faults.injector` — :class:`FaultInjector` plus the
   process-wide arming API (:func:`arm`, :func:`disarm`,
   :func:`get_injector`, :func:`inject`).  Disarmed sites cost one
-  global read and a ``None`` check — the bench-smoke gate holds with
-  the framework merged.
+  global read and a ``None`` check; the CI ``bench`` job times them on
+  every change, since ``perf/`` runs with no plan armed.
 * :mod:`repro.faults.errors` — the :class:`TransientFault` /
   :class:`PermanentFault` taxonomy, integrity errors, and
   :func:`classify_exception`, which the job engine uses to retry only

@@ -19,8 +19,8 @@ instrumented code can call it unconditionally without measurable cost
 recorder is managed with :func:`get_recorder` / :func:`set_recorder` /
 :func:`recording`.
 
-See ``docs/OBSERVABILITY.md`` for the metric-name registry, the JSONL
-trace event schema, and how the CI benchmark gate consumes the numbers.
+See ``docs/OBSERVABILITY.md`` for the metric-name registry and the
+JSONL trace event schema.
 """
 
 from .recorder import (

@@ -106,8 +106,8 @@ def build_strategy(
 ) -> ApproximationStrategy:
     """Instantiate an approximation strategy from a picklable description.
 
-    This is the single strategy factory shared by the job engine, the CLI,
-    and the (deprecated) :class:`repro.bench.parallel.RunSpec`.
+    This is the single strategy factory shared by the job engine and the
+    CLI.
 
     Args:
         kind: One of :data:`STRATEGY_KINDS`.

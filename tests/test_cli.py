@@ -388,86 +388,3 @@ class TestTraceCommand:
         assert code == 1
         assert capsys.readouterr().err
 
-
-class TestBenchCommand:
-    def test_bench_writes_snapshot_and_self_gates(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_test.json"
-        code = main(
-            [
-                "bench",
-                "--workload",
-                "qsup_2x2_4_0",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert "wrote snapshot" in capsys.readouterr().out
-        snapshot = json.loads(out.read_text())
-        assert snapshot["format"] == "repro-bench-snapshot"
-
-        # Gating a snapshot against itself always passes.
-        code = main(
-            [
-                "bench",
-                "--workload",
-                "qsup_2x2_4_0",
-                "--baseline",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert "gate passed" in capsys.readouterr().out
-
-    def test_bench_flags_regression(self, tmp_path, capsys):
-        baseline = {
-            "format": "repro-bench-snapshot",
-            "version": 1,
-            "calibration_seconds": 1.0,
-            "workloads": [
-                {
-                    "workload": "qsup_2x2_4_0",
-                    "strategy": "exact",
-                    "peak_nodes": 1,
-                    "normalized_time": 1e-9,
-                }
-            ],
-        }
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(baseline))
-        code = main(
-            [
-                "bench",
-                "--workload",
-                "qsup_2x2_4_0",
-                "--baseline",
-                str(path),
-            ]
-        )
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_bench_missing_baseline_exits_2(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--workload",
-                "qsup_2x2_4_0",
-                "--baseline",
-                str(tmp_path / "no.json"),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err
-
-    def test_bench_fills_strategy_defaults(self, capsys):
-        # Non-exact strategies have required constructor arguments; the
-        # bench command must supply its documented defaults.
-        code = main(["bench", "--workload", "qsup_2x2_4_0:memory"])
-        assert code == 0
-        assert "memory" in capsys.readouterr().out
-
-    def test_bench_unknown_workload_exits_2(self, capsys):
-        code = main(["bench", "--workload", "definitely_not_a_workload"])
-        assert code == 2
-        assert "unknown" in capsys.readouterr().err
