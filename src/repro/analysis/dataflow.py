@@ -61,8 +61,8 @@ class Origin:
     * a *resource* kind inferred from a constructor call: ``lock``,
       ``condition``, ``event``, ``queue``, ``shared``, ``thread``,
       ``process`` (non-fork start method), ``process_fork``,
-      ``forkctx``, ``mpctx``, ``pool_fork``, ``pool``, ``socket``,
-      ``popen``, ``complex_array``, ``float_array``, ``array``.
+      ``forkctx``, ``mpctx``, ``socket``, ``popen``,
+      ``complex_array``, ``float_array``, ``array``.
     """
 
     kind: str
@@ -592,13 +592,6 @@ class ProjectIndex:
             return Origin(_RESOURCE_CTORS[dotted])
         if dotted in _NUMPY_ARRAY_CTORS:
             return self._classify_array_ctor(call, scope, depth)
-        if dotted.endswith("ProcessPoolExecutor"):
-            for keyword in call.keywords:
-                if keyword.arg == "mp_context":
-                    ctx = self.resolve_expr(keyword.value, scope, depth)
-                    if ctx is not None and ctx.kind == "forkctx":
-                        return Origin("pool_fork")
-            return Origin("pool")
         return None
 
     def _classify_array_ctor(

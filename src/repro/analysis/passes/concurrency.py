@@ -457,7 +457,7 @@ def _check_fork_order(project: ProjectIndex) -> list[Violation]:
         if not hazards:
             continue
         for site in scope.calls:
-            spawn = _fork_spawn(project, scope, site)
+            spawn = _fork_spawn(site)
             if spawn is None:
                 continue
             before = [h for h in hazards if h[0] < site.line]
@@ -491,16 +491,11 @@ def _check_fork_order(project: ProjectIndex) -> list[Violation]:
     return findings
 
 
-def _fork_spawn(
-    project: ProjectIndex, scope: FunctionScope, site: CallSite
-) -> str | None:
+def _fork_spawn(site: CallSite) -> str | None:
     if site.method == "<target>":
         return None
     if site.recv_kind == "process_fork" and site.method == "start":
         return "a fork-context Process is started"
-    origin = project.resolve_expr(site.node, scope)
-    if origin is not None and origin.kind == "pool_fork":
-        return "a fork-context ProcessPoolExecutor is created"
     return None
 
 

@@ -7,9 +7,10 @@ degrades availability:
 
 * :mod:`repro.serve.daemon` — :class:`SimDaemon`: admission, the
   control loop, deadlines, drain.
-* :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: forked
-  workers with heartbeats; dead or wedged workers are replaced and
-  their jobs requeued (checkpoint-resumed when possible).
+* :class:`WorkerSupervisor` (from :mod:`repro.service.supervisor`,
+  the worker pool ``repro-sim batch`` uses too): forked workers with
+  heartbeats; dead or wedged workers are replaced and their jobs
+  requeued (checkpoint-resumed when possible).
 * :mod:`repro.serve.queue` — :class:`AdmissionQueue`: bounded priority
   queue; a full queue sheds with an explicit rejection.
 * :mod:`repro.serve.breaker` — :class:`CircuitBreaker`: per-spec fast
@@ -34,6 +35,7 @@ See ``docs/SERVE.md`` for the serving model, deadline semantics, and
 the cluster topology.
 """
 
+from ..service.supervisor import WorkerEvent, WorkerSupervisor
 from .breaker import CircuitBreaker
 from .client import ServeClient, ServeError
 from .cluster import ServeCluster
@@ -43,7 +45,6 @@ from .membership import Membership, ShardInfo
 from .protocol import ProtocolError
 from .queue import AdmissionQueue, QueueItem
 from .router import ClusterJob, ClusterRouter
-from .supervisor import WorkerEvent, WorkerSupervisor
 
 __all__ = [
     "AdmissionQueue",

@@ -49,6 +49,7 @@ from ..service.engine import JobResult
 from ..service.jobs import JobSpec
 from ..service.replication import open_store
 from ..service.store import ArtifactStore
+from ..service.supervisor import WorkerSupervisor
 from .breaker import CircuitBreaker
 from .degrade import FidelityLadder
 from .protocol import (
@@ -59,7 +60,6 @@ from .protocol import (
     write_message,
 )
 from .queue import AdmissionQueue, QueueItem
-from .supervisor import WorkerSupervisor
 
 #: File (under ``<store>/serve/``) holding jobs that were still queued
 #: when a drain completed; the next daemon start re-admits them.

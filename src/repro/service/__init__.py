@@ -17,6 +17,9 @@ treats the *result* of that computation as a durable, reusable artifact:
 * :mod:`repro.service.engine` — :class:`JobEngine`, a cache-first
   multiprocessing executor with per-job cooperative timeouts, bounded
   retry with backoff, and checkpoint/resume.
+* :mod:`repro.service.supervisor` — :class:`WorkerSupervisor`, the
+  worker pool under ``JobEngine`` batches and the serve daemon:
+  forked workers with heartbeats, replaced when they die or wedge.
 * :mod:`repro.service.replication` — :class:`ReplicatedStore`, the
   same store API over N replica roots with write-quorum puts,
   read-any-verify-repair gets, and an anti-entropy scrubber;

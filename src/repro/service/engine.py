@@ -15,11 +15,13 @@ Execution path for one :class:`~repro.service.jobs.JobSpec`:
    ``journal.jsonl`` and delete the checkpoint; on timeout persist the
    final checkpoint so the next attempt resumes instead of restarting.
 
-:class:`JobEngine` fans specs out over a process pool
-(``concurrent.futures.ProcessPoolExecutor``), retries jobs whose worker
-died (pool breakage, OOM-kill) with exponential backoff, deduplicates
-identical specs within a batch, and shuts the pool down cleanly on
-cancellation (Ctrl-C).
+:class:`JobEngine` deduplicates identical specs within a batch and fans
+them out over the supervised worker pool
+(:class:`~repro.service.supervisor.WorkerSupervisor`, the pool the serve
+daemon runs on).  A job whose worker died or wedged is requeued alone,
+after a jittered backoff; the other in-flight jobs keep running.  A
+drain or Ctrl-C cancels in-flight jobs cooperatively, so they
+checkpoint at the next gate and a rerun resumes them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from multiprocessing import get_context
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from ..core.simulator import (
     SimulationCancelled,
     SimulationTimeout,
 )
-from ..dd.package import Package, reset_default_package
+from ..dd.package import Package
 from ..dd.serialize import state_from_dict, state_to_dict
 from ..faults.errors import (
     TRANSIENT,
@@ -215,6 +216,17 @@ def _error_result(
         error=f"{type(error).__name__}: {error}",
         error_kind=kind,
     )
+
+
+def _record_retry(spec: JobSpec, attempt: int, error: str) -> None:
+    """Count and trace one retry of ``spec``."""
+    obs = get_recorder()
+    if obs.enabled:
+        obs.count("jobs.retried")
+        obs.event(
+            "job", phase="retried", job=spec.content_hash()[:12],
+            name=spec.display_name, attempt=attempt, error=error,
+        )
 
 
 def _quarantine_checkpoint(
@@ -502,40 +514,15 @@ def execute_job(
     )
 
 
-def _pool_worker(payload) -> JobResult:
-    """Top-level (picklable) worker: rebuild the spec/store and execute."""
-    # A forked worker inherits the parent's process-global default
-    # package (and its interned nodes); start from a fresh one.  The
-    # backend *override* is also inherited, which is intended — it keeps
-    # the CLI --backend choice in force inside workers.
-    reset_default_package()
-    spec_dict, store_root, use_cache = payload
-    return execute_job(
-        JobSpec.from_dict(spec_dict),
-        # open_store, not ArtifactStore: a replicated root reopened as
-        # a plain store would write artifacts beside the replicas.
-        open_store(store_root),
-        use_cache=use_cache,
-    )
-
-
-@dataclass
-class _Pending:
-    """Book-keeping for one in-flight job of a batch."""
-
-    index: int
-    spec: JobSpec
-    attempts: int = 0
-    future: object | None = field(default=None, repr=False)
-
-
 class JobEngine:
     """Persistent job executor over an artifact store.
 
     Args:
         store: An :class:`ArtifactStore` or a store root path.
-        workers: Process-pool size; ``<= 1`` executes serially in-process
-            (deterministic, debugger-friendly).
+        workers: Worker processes
+            (:class:`~repro.service.supervisor.WorkerSupervisor`);
+            ``<= 1`` executes serially in-process (deterministic,
+            debugger-friendly).
         max_retries: Extra attempts per job when its *worker* dies or
             its failure classifies as transient
             (:func:`repro.faults.errors.classify_exception` — I/O
@@ -545,11 +532,9 @@ class JobEngine:
         retry_backoff: Base sleep before a retry.  Backoff uses
             *decorrelated jitter* (sleep drawn uniformly from
             ``[base, 3 * previous]``, capped at an exponential
-            envelope) so a restarted pool's retries do not
-            thunder-herd the artifact store in lockstep.
+            envelope) so jobs that failed together do not retry
+            against the artifact store in lockstep.
         use_cache: Serve stored results without re-simulating.
-        jitter: Disable to fall back to deterministic exponential
-            backoff (useful for exact-timing tests).
         jitter_seed: Seed for the jitter RNG — chaos tests pin it so
             retry schedules are reproducible across runs.
     """
@@ -561,7 +546,6 @@ class JobEngine:
         max_retries: int = 2,
         retry_backoff: float = 0.25,
         use_cache: bool = True,
-        jitter: bool = True,
         jitter_seed: int | None = None,
     ):
         if workers < 0:
@@ -575,7 +559,6 @@ class JobEngine:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.use_cache = use_cache
-        self.jitter = jitter
         self._jitter_rng = random.Random(jitter_seed)
         self._prev_backoff = retry_backoff
         self._drain = threading.Event()
@@ -587,9 +570,9 @@ class JobEngine:
         """Ask the engine to stop admitting work and wind down.
 
         Safe to call from a signal handler or another thread.  Jobs not
-        yet started come back as ``status="drained"``; in-flight serial
-        jobs see the drain through their cancellation token and
-        checkpoint at the next gate boundary.
+        yet started come back as ``status="drained"``; in-flight jobs
+        (serial or on workers) see the drain through their cancellation
+        token and checkpoint at the next gate boundary.
         """
         self._drain.set()
 
@@ -607,8 +590,6 @@ class JobEngine:
         bounded by the deterministic exponential envelope, so worst-case
         growth matches the un-jittered schedule."""
         cap = self.retry_backoff * (2 ** (attempts - 1))
-        if not self.jitter:
-            return cap
         upper = max(self.retry_backoff, self._prev_backoff * 3.0)
         sleep = self._jitter_rng.uniform(self.retry_backoff, upper)
         sleep = min(sleep, cap * 2.0)
@@ -639,16 +620,7 @@ class JobEngine:
             result.attempts = attempts
             if not self._should_retry(result, attempts):
                 return result
-            obs = get_recorder()
-            if obs.enabled:
-                obs.count("jobs.retried")
-                obs.event(
-                    "job", phase="retried",
-                    job=result.job_hash[:12],
-                    name=spec.display_name,
-                    attempt=attempts,
-                    error=result.error,
-                )
+            _record_retry(spec, attempts, result.error)
             time.sleep(self._backoff_seconds(attempts))
 
     def _should_retry(self, result: JobResult, attempts: int) -> bool:
@@ -674,7 +646,6 @@ class JobEngine:
             return []
         # Deduplicate within the batch so concurrent workers never race
         # to compute the same artifact.
-        unique_keys: list[tuple] = []
         key_to_position: dict[tuple, int] = {}
         positions: list[int] = []
         unique_specs: list[JobSpec] = []
@@ -682,7 +653,6 @@ class JobEngine:
             key = (spec.content_hash(), spec.shots, spec.seed)
             if key not in key_to_position:
                 key_to_position[key] = len(unique_specs)
-                unique_keys.append(key)
                 unique_specs.append(spec)
             positions.append(key_to_position[key])
         obs = get_recorder()
@@ -712,171 +682,87 @@ class JobEngine:
         specs: Sequence[JobSpec],
         progress: Callable[[JobResult], None] | None,
     ) -> list[JobResult]:
-        """Fan jobs out over a process pool with bounded retry."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import ProcessPoolExecutor
+        """Run jobs on supervised worker processes, retrying each alone."""
+        # Imported here: supervisor.py imports this module at load time.
+        from .supervisor import WorkerSupervisor
 
         results: list[JobResult | None] = [None] * len(specs)
-        pending = [
-            _Pending(index=index, spec=spec)
-            for index, spec in enumerate(specs)
-        ]
-        pool_size = min(self.workers, len(specs))
+        attempts = [0] * len(specs)
+        # Index of each job waiting for a worker -> earliest dispatch.
+        queued = dict.fromkeys(range(len(specs)), 0.0)
+        supervisor = WorkerSupervisor(
+            self.store.root,
+            workers=min(self.workers, len(specs)),
+            use_cache=self.use_cache,
+        )
 
-        def submit_one(executor, job: _Pending) -> None:
-            job.attempts += 1
-            job.future = executor.submit(
-                _pool_worker,
-                (
-                    job.spec.to_dict(),
-                    self.store.root,
-                    self.use_cache,
-                ),
+        def finish(index: int, result: JobResult) -> None:
+            result.attempts = attempts[index]
+            results[index] = result
+            if progress is not None:
+                progress(result)
+
+        def not_run(index: int, status: str, error: str = "") -> JobResult:
+            spec = specs[index]
+            return JobResult(
+                spec=spec,
+                job_hash=spec.content_hash(),
+                status=status,
+                error=error,
             )
 
-        def submit_all(executor) -> None:
-            # Guard on results: after a pool rebuild, finished jobs
-            # also have no future and must not be resubmitted.
-            for job in pending:
-                if job.future is None and results[job.index] is None:
-                    submit_one(executor, job)
-
-        executor = ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=get_context("fork")
-        )
-        drain_handled = False
         try:
-            submit_all(executor)
-            while any(job.future is not None for job in pending):
-                if self.draining and not drain_handled:
-                    # Graceful drain: cancel whatever has not started
-                    # yet (reported as "drained"), let running futures
-                    # finish.  Fresh pool workers never see the drain
-                    # event (separate processes), so in-flight jobs run
-                    # to their own completion or timeout.
-                    drain_handled = True
-                    for job in pending:
-                        if job.future is not None and job.future.cancel():
-                            job.future = None
-                            result = JobResult(
-                                spec=job.spec,
-                                job_hash=job.spec.content_hash(),
-                                status="drained",
-                                attempts=job.attempts,
-                            )
-                            results[job.index] = result
-                            if progress is not None:
-                                progress(result)
-                    if not any(j.future is not None for j in pending):
-                        break
-                futures = {
-                    job.future: job
-                    for job in pending
-                    if job.future is not None
-                }
-                done, _running = wait(
-                    futures, return_when=FIRST_COMPLETED, timeout=0.2
-                )
-                if not done:
-                    continue
-                broken = False
-                for future in done:
-                    job = futures[future]
-                    job.future = None
-                    try:
-                        result = future.result()
-                    except Exception as error:  # worker death / pool break
-                        if job.attempts > self.max_retries:
-                            result = JobResult(
-                                spec=job.spec,
-                                job_hash=job.spec.content_hash(),
-                                status="error",
-                                error=(
-                                    f"worker failed after "
-                                    f"{job.attempts} attempts: "
-                                    f"{type(error).__name__}: {error}"
-                                ),
-                                attempts=job.attempts,
-                            )
-                        else:
-                            broken = True
-                            continue  # retry below on a fresh pool
-                    else:
-                        result.attempts = job.attempts
-                        if (
-                            result.status == "error"
-                            and result.error_kind == TRANSIENT
-                            and job.attempts <= self.max_retries
-                            and not self.draining
-                        ):
-                            # Transient in-worker failure (I/O hiccup,
-                            # memory pressure): the pool is healthy, so
-                            # resubmit on it directly.
-                            obs = get_recorder()
-                            if obs.enabled:
-                                obs.count("jobs.retried")
-                                obs.event(
-                                    "job", phase="retried",
-                                    job=job.spec.content_hash()[:12],
-                                    name=job.spec.display_name,
-                                    attempt=job.attempts,
-                                    error=result.error,
-                                )
-                            submit_one(executor, job)
+            supervisor.start()
+            while any(result is None for result in results):
+                if self.draining:
+                    for index in list(queued):
+                        del queued[index]
+                        finish(index, not_run(index, "drained"))
+                    # Every pass: a worker clears its cancel event when
+                    # it takes a task, so a single call could be lost.
+                    supervisor.cancel_all()
+                now = time.monotonic()
+                for index, ready_at in list(queued.items()):
+                    if ready_at <= now and supervisor.submit(
+                        str(index), specs[index], None
+                    ):
+                        del queued[index]
+                        attempts[index] += 1
+                for event in supervisor.poll(timeout=0.1) + supervisor.check():
+                    if event.kind == "started" or event.job_id is None:
+                        continue
+                    index = int(event.job_id)
+                    if results[index] is not None or index in queued:
+                        continue  # stale message from a replaced worker
+                    result = event.result
+                    if result is None:  # the worker failed, died or wedged
+                        error = event.error or f"worker {event.kind}"
+                        if attempts[index] > self.max_retries:
+                            finish(index, not_run(index, "error", (
+                                f"worker failed after {attempts[index]} "
+                                f"attempts: {error}"
+                            )))
                             continue
-                    results[job.index] = result
-                    if progress is not None:
-                        progress(result)
-                if broken and self.draining:
-                    # Draining and the pool just broke: do not rebuild.
-                    # Unfinished jobs are reported as drained — any
-                    # checkpoint they wrote resumes on the next run.
-                    for job in pending:
-                        if results[job.index] is None:
-                            job.future = None
-                            result = JobResult(
-                                spec=job.spec,
-                                job_hash=job.spec.content_hash(),
-                                status="drained",
-                                attempts=job.attempts,
-                            )
-                            results[job.index] = result
-                            if progress is not None:
-                                progress(result)
-                    break
-                if broken:
-                    # The pool may be poisoned (a dead worker breaks every
-                    # in-flight future); rebuild it and resubmit survivors.
-                    retrying = [
-                        job for job in pending if results[job.index] is None
-                    ]
-                    obs = get_recorder()
-                    if obs.enabled:
-                        obs.count("jobs.retried", len(retrying))
-                        for job in retrying:
-                            obs.event(
-                                "job", phase="retried",
-                                job=job.spec.content_hash()[:12],
-                                name=job.spec.display_name,
-                                attempt=job.attempts,
-                            )
-                    for job in retrying:
-                        job.future = None
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    time.sleep(
-                        self._backoff_seconds(
-                            max(1, min(j.attempts for j in retrying))
-                        )
-                    )
-                    executor = ProcessPoolExecutor(
-                        max_workers=pool_size,
-                        mp_context=get_context("fork"),
-                    )
-                    submit_all(executor)
+                        # Requeue only this job; a checkpoint makes the
+                        # retry resume.
+                        delay = self._backoff_seconds(attempts[index])
+                    elif (
+                        self._should_retry(result, attempts[index])
+                        and not self.draining
+                    ):
+                        # Transient in-worker failure (I/O hiccup,
+                        # memory pressure): the worker is healthy, so
+                        # resubmit at once.
+                        error, delay = result.error, 0.0
+                    else:
+                        finish(index, result)
+                        continue
+                    _record_retry(specs[index], attempts[index], error)
+                    queued[index] = time.monotonic() + delay
         except (KeyboardInterrupt, SystemExit):
-            # Graceful cancellation: stop handing out work, reap workers.
-            executor.shutdown(wait=False, cancel_futures=True)
+            # In-flight jobs checkpoint while stop() waits for them.
+            supervisor.cancel_all()
             raise
         finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return [result for result in results if result is not None]
+            supervisor.stop()
+        return results

@@ -1,15 +1,20 @@
 """Supervised worker pool: forked workers, heartbeats, kill/respawn.
 
-The daemon must survive its own workers dying (OOM-killed, fault-plan
-``kill`` rules, hard-deadline SIGKILLs) and wedging (stuck in a
-non-Python blocking call).  ``concurrent.futures`` hides too much for
-that — a broken pool poisons every in-flight future — so the
-supervisor manages ``multiprocessing`` processes directly:
+The one worker pool of the repo: :class:`~repro.service.engine.JobEngine`
+runs parallel batches on it and the serve daemon its requests.  Both
+must survive their workers dying (OOM-killed, fault-plan ``kill``
+rules, hard-deadline SIGKILLs) and wedging (stuck in a non-Python
+blocking call).  An executor-style pool hides too much for that — a
+broken pool poisons every in-flight future — so the supervisor manages
+``multiprocessing`` processes directly:
 
-* one task queue *per worker*, so the daemon always knows exactly which
+* one task queue *per worker*, so the parent always knows exactly which
   job a dead worker was holding (a shared task queue loses that);
-* a shared result queue carrying ``("started" | "done" | "failed", ...)``
-  messages;
+* one result pipe *per worker* carrying ``("started" | "done" |
+  "failed", ...)`` messages.  A shared queue would not do: its writers
+  share one lock, and a worker killed while its feeder thread held it
+  would block every other worker's results.  A worker killed mid-send
+  only tears its own pipe, which is closed with its handle;
 * a per-worker heartbeat (a shared double the worker's beat thread
   stamps with ``time.monotonic()``, which is system-wide on Linux and
   therefore comparable across processes) — a busy worker whose beat
@@ -20,7 +25,7 @@ supervisor manages ``multiprocessing`` processes directly:
   cancellations reach the gate loop cooperatively.
 
 Workers are **forked**, so an armed :mod:`repro.faults` plan in the
-daemon process is inherited — chaos plans with ``state_dir`` visit
+parent process is inherited — chaos plans with ``state_dir`` visit
 counters fire deterministically across worker generations.
 """
 
@@ -31,12 +36,13 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 
 from ..core.simulator import CancellationToken
 from ..dd.package import reset_default_package
-from ..service.engine import JobResult, execute_job
-from ..service.jobs import JobSpec
-from ..service.replication import open_store
+from .engine import JobResult, execute_job
+from .jobs import JobSpec
+from .replication import open_store
 
 #: Seconds between worker heartbeat stamps.
 HEARTBEAT_INTERVAL = 0.2
@@ -45,7 +51,7 @@ HEARTBEAT_INTERVAL = 0.2
 def _worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    results,
     heartbeat,
     cancel_event,
     store_root: str,
@@ -79,7 +85,7 @@ def _worker_main(
             # abort this one; the parent only sets the event while this
             # worker's current job should stop.
             cancel_event.clear()
-            result_queue.put(("started", worker_id, job_id))
+            results.send(("started", worker_id, job_id))
             try:
                 spec = JobSpec.from_dict(spec_dict)
                 cancel = CancellationToken(
@@ -95,7 +101,7 @@ def _worker_main(
                     fence=fence,
                 )
             except BaseException as error:  # noqa: BLE001 - reported
-                result_queue.put(
+                results.send(
                     (
                         "failed",
                         worker_id,
@@ -104,7 +110,7 @@ def _worker_main(
                     )
                 )
             else:
-                result_queue.put(("done", worker_id, job_id, result))
+                results.send(("done", worker_id, job_id, result))
     finally:
         stop_beat.set()
 
@@ -129,9 +135,10 @@ class WorkerEvent:
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    def __init__(self, worker_id: int, ctx, result_queue, args) -> None:
+    def __init__(self, worker_id: int, ctx, args) -> None:
         self.worker_id = worker_id
         self.task_queue = ctx.Queue(1)
+        self.results, self._results_writer = ctx.Pipe(duplex=False)
         self.heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         self.cancel_event = ctx.Event()
         self.job_id: str | None = None
@@ -141,7 +148,7 @@ class _WorkerHandle:
             args=(
                 worker_id,
                 self.task_queue,
-                result_queue,
+                self._results_writer,
                 self.heartbeat,
                 self.cancel_event,
                 store_root,
@@ -149,6 +156,12 @@ class _WorkerHandle:
             ),
             daemon=True,
         )
+
+    def start(self) -> None:
+        self.process.start()
+        # With the parent's copy of the write end closed, a worker
+        # killed mid-send leaves EOF on its pipe rather than a hang.
+        self._results_writer.close()
 
     @property
     def busy(self) -> bool:
@@ -192,7 +205,6 @@ class WorkerSupervisor:
         self.heartbeat_timeout = heartbeat_timeout
         self.clock = clock
         self._ctx = get_context("fork")
-        self._result_queue = self._ctx.Queue()
         self._handles: dict[int, _WorkerHandle] = {}
         self._next_id = 0
         self.restarts = 0
@@ -210,12 +222,11 @@ class WorkerSupervisor:
         handle = _WorkerHandle(
             self._next_id,
             self._ctx,
-            self._result_queue,
             (self.store_root, self.use_cache),
         )
         self._next_id += 1
         self._handles[handle.worker_id] = handle
-        handle.process.start()
+        handle.start()
         return handle
 
     def stop(self, timeout: float = 2.0) -> None:
@@ -232,6 +243,7 @@ class WorkerSupervisor:
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(1.0)
+            handle.results.close()
         self._handles.clear()
 
     # ------------------------------------------------------------------
@@ -282,16 +294,25 @@ class WorkerSupervisor:
     # Monitoring
     # ------------------------------------------------------------------
 
-    def poll(self) -> list[WorkerEvent]:
-        """Drain completed-work messages (non-blocking)."""
+    def poll(self, timeout: float = 0.0) -> list[WorkerEvent]:
+        """Drain completed-work messages, waiting up to ``timeout``
+        seconds for the first one (0: non-blocking)."""
+        events: list[WorkerEvent] = []
+        pipes = [handle.results for handle in self._handles.values()]
+        for pipe in wait(pipes, timeout):
+            events.extend(self._read(pipe))
+        return events
+
+    def _read(self, pipe) -> list[WorkerEvent]:
+        """Turn every message waiting on one worker's pipe into events."""
         events: list[WorkerEvent] = []
         while True:
             try:
-                message = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            except (EOFError, OSError):  # pragma: no cover - torn pipe
-                break
+                if not pipe.poll():
+                    break
+                message = pipe.recv()
+            except (EOFError, OSError):
+                break  # the worker died, maybe mid-send; check() sees it
             kind, worker_id, job_id = message[0], message[1], message[2]
             handle = self._handles.get(worker_id)
             if kind == "started":
@@ -364,7 +385,7 @@ class WorkerSupervisor:
 
     def _replace(self, worker_id: int) -> None:
         """Drop a dead handle and spawn its successor."""
-        del self._handles[worker_id]
+        self._handles.pop(worker_id).results.close()
         self.restarts += 1
         self._spawn()
 

@@ -88,7 +88,7 @@ class TestTransientRetry:
 
 class TestKilledWorker:
     def test_pool_batch_survives_a_killed_worker(self, store, chaos_root):
-        """SIGKILL one worker mid-batch; the engine rebuilds the pool
+        """SIGKILL one worker mid-batch; the engine replaces the worker
         and every job still completes with verified artifacts.
 
         The kill rule carries a ``state_dir`` so its visit counter
@@ -108,6 +108,30 @@ class TestKilledWorker:
             document = store.load_result(result.job_hash)  # verifies CRC
             assert document["stats"]["fidelity_estimate"] == 1.0
             assert store.load_state(result.job_hash) is not None
+
+    def test_killed_worker_costs_only_its_own_job(self, store, chaos_root):
+        """Killing one worker requeues only the job it held: a
+        multi-second job running beside it finishes on its first
+        attempt instead of being re-run from the start."""
+        victim = _spec()
+        bystander = _spec(
+            circuit="builtin:shor_35_2",
+            strategy="memory",
+            strategy_args=(("round_fidelity", 0.8), ("threshold", 32000)),
+        )
+        _arm(
+            FaultRule(
+                site="engine.job",
+                kind="kill",
+                max_hits=1,
+                match={"name": victim.display_name},
+            ),
+            state_dir=str(chaos_root / "counters"),
+        )
+        results = _engine(store, workers=2).run_batch([bystander, victim])
+        assert [r.status for r in results] == ["completed", "completed"]
+        assert results[0].attempts == 1
+        assert results[1].attempts == 2
 
     def test_killed_worker_exhausts_retries_into_error(self, store, chaos_root):
         """A worker that dies on every attempt becomes an error result

@@ -12,6 +12,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -26,6 +28,19 @@ SPECS = [
     # it (they drain after the first job).
     dict(circuit="builtin:shor_33_5"),
     dict(circuit="builtin:shor_21_2"),
+]
+
+#: Two checkpointing jobs of a few seconds each, one approximation
+#: round apiece: both are still in flight one second into a
+#: ``workers=2`` batch.
+LONG_SPECS = [
+    dict(
+        circuit=f"builtin:{name}",
+        strategy="memory",
+        strategy_args={"round_fidelity": 0.8, "threshold": 32000},
+        checkpoint_interval=10,
+    )
+    for name in ("shor_33_5", "shor_35_2")
 ]
 
 
@@ -74,6 +89,37 @@ class TestEngineDrain:
             r.status in ("completed", "drained") for r in results
         )
         assert engine.draining
+
+    def test_pool_drain_checkpoints_in_flight_jobs(self, store, tmp_path):
+        specs = [JobSpec.from_dict(doc) for doc in LONG_SPECS]
+        engine = JobEngine(store, workers=2)
+        timer = threading.Timer(1.0, engine.request_drain)
+        started = time.monotonic()
+        timer.start()
+        try:
+            results = engine.run_batch(specs)
+        finally:
+            timer.cancel()
+        # Workers stop at their next gate instead of finishing the run.
+        assert time.monotonic() - started < 4.0
+        assert [r.status for r in results] == ["drained", "drained"]
+        for result in results:
+            assert store.load_checkpoint(result.job_hash) is not None
+
+        resumed = JobEngine(store, workers=2).run_batch(specs)
+        reference = JobEngine(
+            ArtifactStore(str(tmp_path / "reference")), workers=2
+        ).run_batch(specs)
+        for rerun, uninterrupted in zip(resumed, reference, strict=True):
+            assert rerun.status == "completed"
+            assert rerun.resumed_at and rerun.resumed_at > 0
+            assert (
+                rerun.stats["num_rounds"]
+                == uninterrupted.stats["num_rounds"]
+            )
+            assert rerun.fidelity_estimate == pytest.approx(
+                uninterrupted.fidelity_estimate, abs=1e-12
+            )
 
     def test_drained_jobs_complete_on_rerun(self, store):
         engine = JobEngine(store)
@@ -126,6 +172,44 @@ class TestBatchCliDrain:
         assert "drain requested" in output
         assert "drained" in output
         # The summary accounts for every accepted job.
+        summary = next(
+            line for line in output.splitlines()
+            if line.startswith("batch:")
+        )
+        assert f"/{len(SPECS)} completed" in summary
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGTERM"), reason="POSIX signals required"
+    )
+    def test_sigterm_drains_a_worker_pool_batch(self, tmp_path):
+        """The same drain through ``--workers 2``: the job in flight on
+        a worker checkpoints and reports drained."""
+        batch_file = tmp_path / "batch.json"
+        batch_file.write_text(json.dumps({"jobs": SPECS}))
+        repo = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.join(repo, "src"),
+            PYTHONUNBUFFERED="1",
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "batch", str(batch_file),
+                "--store", str(tmp_path / "store"), "--workers", "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        first_line = process.stdout.readline()
+        assert "shor_15_2" in first_line, first_line
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=120)
+        assert process.returncode == 5, output
+        assert "shor_33_5: DRAINED at op" in output
         summary = next(
             line for line in output.splitlines()
             if line.startswith("batch:")

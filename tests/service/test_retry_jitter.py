@@ -13,14 +13,6 @@ def _engine(tmp_path, **kwargs) -> JobEngine:
 
 
 class TestJitterBackoff:
-    def test_disabled_jitter_is_exact_exponential(self, tmp_path):
-        engine = _engine(tmp_path, jitter=False)
-        assert [engine._backoff_seconds(n) for n in (1, 2, 3)] == [
-            0.25,
-            0.5,
-            1.0,
-        ]
-
     def test_sleeps_stay_within_the_envelope(self, tmp_path):
         engine = _engine(tmp_path, jitter_seed=42)
         for attempt in range(1, 8):
