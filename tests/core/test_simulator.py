@@ -210,6 +210,89 @@ class TestApproximateSimulation:
         assert "max_dd" in summary
 
 
+class TestRoundLedger:
+    """Strategy rounds and watchdog rounds land in one ledger: records,
+    counters, events and the Lemma-1 product agree."""
+
+    def _run(self):
+        from repro.core import MemoryWatchdog
+        from repro.obs import Recorder, recording
+
+        recorder = Recorder(enabled=True)
+        with recording(recorder):
+            outcome = simulate(
+                supremacy_circuit(3, 3, 8, seed=0),
+                MemoryDrivenStrategy(threshold=16, round_fidelity=0.97),
+                package=Package(),
+                recorder=recorder,
+                watchdog=MemoryWatchdog(
+                    node_ceiling=80, emergency_fidelity=0.8
+                ),
+            )
+        return outcome.stats, recorder
+
+    def test_both_paths_ran(self):
+        stats, _ = self._run()
+        kinds = {record.emergency for record in stats.rounds}
+        assert kinds == {False, True}
+
+    def test_counters_are_sums_over_records(self):
+        stats, recorder = self._run()
+        counters = recorder.counters
+        assert counters["approx.rounds"] == len(stats.rounds)
+        assert counters["approx.nodes_removed"] == sum(
+            record.removed_nodes for record in stats.rounds
+        )
+        spent = 0.0
+        for record in stats.rounds:
+            spent += 1.0 - record.achieved_fidelity
+        assert counters["approx.fidelity_spent"] == spent
+        assert counters["watchdog.emergency_rounds"] == sum(
+            1 for event in recorder.events
+            if event["event"] == "emergency_round"
+        )
+
+    def test_events_match_records(self):
+        stats, recorder = self._run()
+        expected = []
+        for record in stats.rounds:
+            fields = {
+                "op_index": record.op_index,
+                "nodes_before": record.nodes_before,
+                "nodes_after": record.nodes_after,
+                "nodes_removed": record.removed_nodes,
+                "requested_fidelity": record.requested_fidelity,
+                "achieved_fidelity": record.achieved_fidelity,
+            }
+            if record.emergency:
+                expected.append(("emergency_round", fields))
+            else:
+                fields["fidelity_spent"] = 1.0 - record.achieved_fidelity
+                expected.append(("round", fields))
+        keys = {"seq", "ts", "event"}
+        emitted = [
+            (
+                event["event"],
+                {k: v for k, v in event.items() if k not in keys},
+            )
+            for event in recorder.events
+            if event["event"] == "round"
+            # A watchdog round that removed nothing emits its event but
+            # leaves no record.
+            or (event["event"] == "emergency_round"
+                and event["nodes_removed"] > 0)
+        ]
+        assert emitted == expected
+
+    def test_lemma1_product_is_the_estimate(self):
+        stats, _ = self._run()
+        product = 1.0
+        for record in stats.rounds:
+            product *= record.achieved_fidelity
+        assert stats.fidelity_estimate == product
+        assert 0.0 < product < 1.0
+
+
 class TestSizeCheckInterval:
     def test_results_identical(self):
         from repro.circuits.shor import shor_circuit
