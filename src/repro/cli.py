@@ -77,8 +77,6 @@ from .circuits.qasm import parse_qasm
 from .circuits.shor import shor_circuit, shor_layout
 from .core import (
     FidelityDrivenStrategy,
-    MemoryDrivenStrategy,
-    NoApproximation,
     SimulationTimeout,
     simulate,
 )
@@ -98,6 +96,7 @@ from .service import (
     JobSpec,
     ReplicatedStore,
     build_builtin_circuit,
+    build_strategy,
     load_job_specs,
     open_store,
 )
@@ -131,18 +130,21 @@ def _package_version() -> str:
         return __version__
 
 
-def _build_strategy(args: argparse.Namespace):
-    if args.strategy == "exact":
-        return NoApproximation()
+def _strategy_from_options(args: argparse.Namespace):
+    """The strategy named by ``--strategy`` and its option flags."""
+    options: dict = {}
     if args.strategy == "memory":
-        return MemoryDrivenStrategy(
-            threshold=args.threshold, round_fidelity=args.round_fidelity
-        )
-    return FidelityDrivenStrategy(
-        final_fidelity=args.final_fidelity,
-        round_fidelity=args.round_fidelity,
-        placement=args.placement,
-    )
+        options = {
+            "threshold": args.threshold,
+            "round_fidelity": args.round_fidelity,
+        }
+    elif args.strategy == "fidelity":
+        options = {
+            "final_fidelity": args.final_fidelity,
+            "round_fidelity": args.round_fidelity,
+            "placement": args.placement,
+        }
+    return build_strategy(args.strategy, options)
 
 
 def _load_circuit(source: str):
@@ -252,7 +254,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if exit_code:
         return exit_code
     circuit = _load_circuit(args.circuit)
-    strategy = _build_strategy(args)
+    strategy = _strategy_from_options(args)
     ddsan = True if args.ddsan else None  # None defers to REPRO_DDSAN
     try:
         watchdog = _build_watchdog(args)
@@ -374,7 +376,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .dd.stats import state_stats
 
     circuit = _load_circuit(args.circuit)
-    strategy = _build_strategy(args)
+    strategy = _strategy_from_options(args)
     outcome = simulate(circuit, strategy)
     state = outcome.state
     print(outcome.stats.summary())
@@ -1284,7 +1286,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "record":
         circuit = _load_circuit(args.circuit)
-        strategy = _build_strategy(args)
+        strategy = _strategy_from_options(args)
         try:
             outcome, recorder, _package = _instrumented_simulate(
                 circuit, strategy, max_seconds=args.timeout or None

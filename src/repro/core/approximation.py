@@ -57,6 +57,58 @@ class ApproximationResult:
         return 1.0 - self.nodes_after / self.nodes_before
 
 
+def _removal_candidates(
+    state: StateDD,
+) -> list[tuple[float, int, VNode]]:
+    """Every node but the root as ``(contribution, index, node)``, ascending.
+
+    Indices are unique, so the tuples never compare their nodes and the
+    order is the contribution order with ties broken by sweep position.
+    """
+    contributions = node_contributions(state)
+    _weight, root = state.edge
+    return sorted(
+        (value, index, node)
+        for index, (node, value) in enumerate(contributions.items())
+        if node is not root
+    )
+
+
+def _round_result(
+    state: StateDD,
+    approximated: StateDD,
+    requested_fidelity: float,
+    removed_contribution: float,
+    removed_nodes: int,
+    nodes_before: int,
+) -> ApproximationResult:
+    """Measure ``approximated`` against ``state`` and fill the record.
+
+    When nothing was removed (``approximated is state``) the input comes
+    back unchanged with fidelity 1 and no inner product is taken.
+    """
+    if approximated is state:
+        return ApproximationResult(
+            state=state,
+            requested_fidelity=requested_fidelity,
+            achieved_fidelity=1.0,
+            removed_contribution=0.0,
+            nodes_before=nodes_before,
+            nodes_after=nodes_before,
+            removed_nodes=0,
+        )
+    achieved = state.fidelity(approximated)
+    return ApproximationResult(
+        state=approximated,
+        requested_fidelity=requested_fidelity,
+        achieved_fidelity=achieved,
+        removed_contribution=removed_contribution,
+        nodes_before=nodes_before,
+        nodes_after=approximated.node_count(),
+        removed_nodes=removed_nodes,
+    )
+
+
 def select_nodes_for_removal(
     state: StateDD, round_fidelity: float
 ) -> tuple[set[VNode], float]:
@@ -68,20 +120,12 @@ def select_nodes_for_removal(
     if not 0.0 < round_fidelity <= 1.0:
         raise ValueError("round_fidelity must be in (0, 1]")
     budget = 1.0 - round_fidelity
-    contributions = node_contributions(state)
-    _weight, root = state.edge
-    # Indices are unique, so the tuples never compare their nodes.
-    candidates = sorted(
-        (value, index, node)
-        for index, (node, value) in enumerate(contributions.items())
-        if node is not root
-    )
     removed: set[VNode] = set()
     spent = 0.0
     # Tiny slack keeps exact-boundary removals (e.g. budget 0.2 against a
     # contribution of 0.2) from being rejected by floating-point rounding.
     slack = 1e-12
-    for value, _index, node in candidates:
+    for value, _index, node in _removal_candidates(state):
         if spent + value > budget + slack:
             break
         removed.add(node)
@@ -113,19 +157,17 @@ def rebuild_without(
 
 
 def approximate_state(
-    state: StateDD,
-    round_fidelity: float,
-    measure_fidelity: bool = True,
+    state: StateDD, round_fidelity: float
 ) -> ApproximationResult:
     """Perform one approximation round targeting ``round_fidelity``.
+
+    The achieved fidelity is always measured with one DD inner product,
+    so it is the exact factor Lemma 1 multiplies.
 
     Args:
         state: The state to approximate (must be unit norm).
         round_fidelity: Per-round fidelity lower bound (the paper's
             :math:`f_{\\text{round}}`).
-        measure_fidelity: Also compute the exact achieved fidelity via a
-            DD inner product (small extra cost; disable for raw speed —
-            the guaranteed bound is then reported instead).
 
     Returns:
         An :class:`ApproximationResult`; when nothing can be removed the
@@ -133,29 +175,10 @@ def approximate_state(
     """
     nodes_before = state.node_count()
     removed, spent = select_nodes_for_removal(state, round_fidelity)
-    if not removed:
-        return ApproximationResult(
-            state=state,
-            requested_fidelity=round_fidelity,
-            achieved_fidelity=1.0,
-            removed_contribution=0.0,
-            nodes_before=nodes_before,
-            nodes_after=nodes_before,
-            removed_nodes=0,
-        )
-    approximated = rebuild_without(state, removed)
-    if measure_fidelity:
-        achieved = state.fidelity(approximated)
-    else:
-        achieved = 1.0 - spent
-    return ApproximationResult(
-        state=approximated,
-        requested_fidelity=round_fidelity,
-        achieved_fidelity=achieved,
-        removed_contribution=spent,
-        nodes_before=nodes_before,
-        nodes_after=approximated.node_count(),
-        removed_nodes=len(removed),
+    approximated = rebuild_without(state, removed) if removed else state
+    return _round_result(
+        state, approximated, round_fidelity, spent, len(removed),
+        nodes_before,
     )
 
 
@@ -179,32 +202,18 @@ def approximate_below_contribution(
     nodes_before = state.node_count()
     contributions = node_contributions(state)
     _weight, root = state.edge
-    removed = {
-        node
-        for node, value in contributions.items()
-        if node is not root and value <= epsilon
-    }
-    spent = sum(contributions[node] for node in removed)
+    removed: set[VNode] = set()
+    spent = 0.0
+    # Summed in sweep order, so the total does not depend on set order.
+    for node, value in contributions.items():
+        if node is not root and value <= epsilon:
+            removed.add(node)
+            spent += value
     if not removed or spent >= 1.0:
-        return ApproximationResult(
-            state=state,
-            requested_fidelity=1.0,
-            achieved_fidelity=1.0,
-            removed_contribution=0.0,
-            nodes_before=nodes_before,
-            nodes_after=nodes_before,
-            removed_nodes=0,
-        )
-    approximated = rebuild_without(state, removed)
-    achieved = state.fidelity(approximated)
-    return ApproximationResult(
-        state=approximated,
-        requested_fidelity=max(0.0, 1.0 - spent),
-        achieved_fidelity=achieved,
-        removed_contribution=spent,
-        nodes_before=nodes_before,
-        nodes_after=approximated.node_count(),
-        removed_nodes=len(removed),
+        return _round_result(state, state, 1.0, 0.0, 0, nodes_before)
+    return _round_result(
+        state, rebuild_without(state, removed), max(0.0, 1.0 - spent),
+        spent, len(removed), nodes_before,
     )
 
 
@@ -245,14 +254,7 @@ def approximate_to_size(
         count = current.node_count()
         if count <= max_nodes:
             break
-        contributions = node_contributions(current)
-        _weight, root = current.edge
-        candidates = sorted(
-            (value, index, node)
-            for index, (node, value) in enumerate(contributions.items())
-            if node is not root
-        )
-        overshoot = count - max_nodes
+        candidates = _removal_candidates(current)
         # Cap the removable mass: removing a full level's worth (sum 1)
         # would erase the state outright.
         mass_cap = 0.99
@@ -260,51 +262,36 @@ def approximate_to_size(
             mass_cap = min(
                 mass_cap, 1.0 - fidelity_floor / cumulative_fidelity
             )
-        removed = set()
+        # The removal set is the prefix candidates[:taken].
+        taken = 0
         spent = 0.0
-        for value, _index, node in candidates[:overshoot]:
+        for value, _index, _node in candidates[: count - max_nodes]:
             if spent + value > mass_cap:
                 break
-            removed.add(node)
+            taken += 1
             spent += value
-        if not removed:
-            break
         shrunk = None
-        while removed:
+        while taken:
             try:
-                shrunk = rebuild_without(current, removed)
+                shrunk = rebuild_without(
+                    current, {node for _v, _i, node in candidates[:taken]}
+                )
                 break
             except ValueError:
-                # Pathological overlap emptied the state; halve the set
-                # (drop the largest contributors first) and retry.
-                survivors = sorted(
-                    removed,
-                    key=lambda n: next(
-                        v for v, _i, node in candidates if node is n
-                    ),
-                )[: len(removed) // 2]
-                removed = set(survivors)
+                # Pathological overlap emptied the state; keep the
+                # smaller-contribution half of the prefix and retry.
+                taken //= 2
         if shrunk is None:
             break
-        spent = sum(
-            value for value, _i, node in candidates if node in removed
-        )
-        round_fidelity = current.fidelity(shrunk)
-        cumulative_fidelity *= round_fidelity
-        total_removed += len(removed)
-        total_spent += spent
+        cumulative_fidelity *= current.fidelity(shrunk)
+        total_removed += taken
+        total_spent += sum(value for value, _i, _n in candidates[:taken])
         current = shrunk
         if fidelity_floor > 0.0 and cumulative_fidelity <= fidelity_floor:
             break
-    achieved = state.fidelity(current) if current is not state else 1.0
-    return ApproximationResult(
-        state=current,
-        requested_fidelity=fidelity_floor,
-        achieved_fidelity=achieved,
-        removed_contribution=total_spent,
-        nodes_before=nodes_before,
-        nodes_after=current.node_count(),
-        removed_nodes=total_removed,
+    return _round_result(
+        state, current, fidelity_floor, total_spent, total_removed,
+        nodes_before,
     )
 
 

@@ -32,7 +32,7 @@ from ..dd.vector import StateDD
 from ..faults.errors import MemoryBudgetExceeded
 from ..faults.injector import get_injector
 from ..obs import Recorder, get_recorder
-from .approximation import approximate_state
+from .approximation import ApproximationResult, approximate_state
 from .fidelity import composed_fidelity
 from .strategies import ApproximationStrategy, NoApproximation
 
@@ -237,7 +237,7 @@ class RoundRecord:
         nodes_before: Diagram size entering the round.
         nodes_after: Diagram size leaving the round.
         requested_fidelity: The round's target :math:`f_{round}`.
-        achieved_fidelity: Measured (or bounded) fidelity of the round.
+        achieved_fidelity: Measured fidelity of the round.
         removed_contribution: Contribution mass of the removed nodes.
         removed_nodes: Number of removed nodes.
     """
@@ -280,7 +280,7 @@ class MemoryWatchdog:
     Attributes:
         enabled: Master switch; disabled means MemoryError propagates.
         node_ceiling: Proactive ceiling on the state diagram's node
-            count (checked at size-check points); None disables.
+            count (checked after every operation); None disables.
         rss_mb_ceiling: Proactive ceiling on the process's current RSS
             in MiB; None disables.  The trip clears once RSS falls back
             under the ceiling; while it stays over, further rescues fire
@@ -289,8 +289,10 @@ class MemoryWatchdog:
         fidelity_floor: Lower bound on the end-to-end fidelity estimate;
             a rescue that would (conservatively) cross it raises
             :class:`MemoryBudgetExceeded` instead of degrading.
-        max_rescues: Hard cap on emergency rounds per run; exhausted
-            rescues re-raise the original pressure signal.
+
+    A run gets at most :data:`MAX_RESCUES` emergency rounds; once they
+    are spent, pressure propagates (a ``MemoryError`` re-raises, a
+    ceiling trip is ignored).
     """
 
     enabled: bool = True
@@ -298,15 +300,12 @@ class MemoryWatchdog:
     rss_mb_ceiling: float | None = None
     emergency_fidelity: float = 0.9
     fidelity_floor: float = 0.05
-    max_rescues: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.emergency_fidelity <= 1.0:
             raise ValueError("emergency_fidelity must be in (0, 1]")
         if not 0.0 <= self.fidelity_floor < 1.0:
             raise ValueError("fidelity_floor must be in [0, 1)")
-        if self.max_rescues < 1:
-            raise ValueError("max_rescues must be positive")
         if self.node_ceiling is not None and self.node_ceiling < 2:
             raise ValueError("node_ceiling must be at least 2")
 
@@ -382,6 +381,70 @@ class SimulationOutcome:
     stats: SimulationStats
 
 
+#: Emergency rounds one run may take before memory pressure propagates.
+MAX_RESCUES = 8
+
+
+def _record_round(
+    stats: SimulationStats,
+    op_index: int,
+    result: ApproximationResult,
+    obs: Recorder | None,
+    *,
+    emergency: bool,
+) -> None:
+    """Enter one approximation round into the run's ledger.
+
+    The round becomes a :class:`RoundRecord` (a factor of the Lemma-1
+    product) and, when recording, bumps the ``approx.rounds``,
+    ``approx.nodes_removed`` and ``approx.fidelity_spent`` counters.
+    Strategy rounds and watchdog rounds both come through here.
+    """
+    stats.rounds.append(
+        RoundRecord(
+            op_index=op_index,
+            nodes_before=result.nodes_before,
+            nodes_after=result.nodes_after,
+            requested_fidelity=result.requested_fidelity,
+            achieved_fidelity=result.achieved_fidelity,
+            removed_contribution=result.removed_contribution,
+            removed_nodes=result.removed_nodes,
+            emergency=emergency,
+        )
+    )
+    if obs is not None:
+        obs.count("approx.rounds")
+        obs.count("approx.nodes_removed", result.removed_nodes)
+        obs.count("approx.fidelity_spent", 1.0 - result.achieved_fidelity)
+
+
+def _stop(
+    stats: SimulationStats,
+    state: StateDD,
+    op_index: int,
+    started: float,
+    reason: str | None = None,
+) -> SimulationTimeout:
+    """Stamp a stopping run's statistics and build its exception.
+
+    ``op_index`` is the first operation not applied and ``started`` the
+    run's ``time.perf_counter()`` start.  Without a
+    ``reason`` the run timed out (:class:`SimulationTimeout`); with one
+    a :class:`CancellationToken` fired (:class:`SimulationCancelled`).
+    Either way the exception carries the serialized state to resume from.
+    """
+    stats.runtime_seconds = time.perf_counter() - started
+    stats.final_nodes = state.node_count()
+    partial_state = state_to_dict(state)
+    if reason is None:
+        return SimulationTimeout(
+            stats, partial_state=partial_state, op_index=op_index
+        )
+    return SimulationCancelled(
+        stats, partial_state=partial_state, op_index=op_index, reason=reason
+    )
+
+
 class DDSimulator:
     """Decision-diagram circuit simulator with pluggable approximation.
 
@@ -399,7 +462,6 @@ class DDSimulator:
         initial_state: "int | StateDD" = 0,
         record_trajectory: bool = False,
         max_seconds: float | None = None,
-        size_check_interval: int = 1,
         start_op_index: int = 0,
         prior_rounds: Sequence[RoundRecord] | None = None,
         checkpoint_interval: int | None = None,
@@ -425,17 +487,10 @@ class DDSimulator:
                 — enabling staged pipelines that switch strategies
                 between algorithm phases.
             record_trajectory: Keep the per-operation diagram sizes
-                (costs one size sweep per gate, which the simulator does
-                anyway to maintain ``max_nodes``).
+                (the simulator counts the diagram after every gate
+                anyway, to maintain ``max_nodes``).
             max_seconds: Cooperative timeout — checked between operations;
                 raises :class:`SimulationTimeout` when exceeded.
-            size_check_interval: Count diagram nodes only every k-th
-                operation (node counting costs a full sweep — about 7 %
-                of the benchmark's fidelity-driven ``shor_69_2`` run at
-                interval 1).  Strategies then see the
-                most recent count, so memory-driven triggering becomes
-                slightly delayed; ``max_nodes`` may undershoot the true
-                peak between checks.  The final state is always counted.
             start_op_index: Resume support — skip operations before this
                 index.  ``initial_state`` must then be the state *after*
                 operations ``[0, start_op_index)`` (typically rehydrated
@@ -459,10 +514,7 @@ class DDSimulator:
                 ``op``/``round`` trace events, approximation counters).
                 Defaults to the process-wide active recorder, which is a
                 no-op unless :func:`repro.obs.recording` (or
-                ``set_recorder``) activated one.  The ``nodes`` field of
-                ``op`` events reports the most recent size check, so with
-                ``size_check_interval > 1`` it can lag by up to
-                ``interval - 1`` operations.
+                ``set_recorder``) activated one.
             ddsan: Run under the DDSan invariant sanitizer
                 (:mod:`repro.analysis.ddsan`): re-verify state-diagram
                 invariants plus unique-table and compute-cache integrity
@@ -507,12 +559,9 @@ class DDSimulator:
             MemoryError: When pressure persists after a rescue (or the
                 watchdog is disabled / its rescue budget is spent).
             ValueError: When a prepared initial state mismatches the
-                circuit width or the simulator's package,
-                ``size_check_interval < 1``, or ``start_op_index`` is out
-                of range.
+                circuit width or the simulator's package, or
+                ``start_op_index`` is out of range.
         """
-        if size_check_interval < 1:
-            raise ValueError("size_check_interval must be >= 1")
         if not 0 <= start_op_index <= len(circuit):
             raise ValueError(
                 f"start_op_index {start_op_index} out of range for "
@@ -578,26 +627,16 @@ class DDSimulator:
             started = time.perf_counter()
             for op_index in range(start_op_index, len(circuit)):
                 operation = circuit[op_index]
-                if max_seconds is not None:
-                    elapsed = time.perf_counter() - started
-                    if elapsed > max_seconds:
-                        stats.runtime_seconds = elapsed
-                        stats.final_nodes = state.node_count()
-                        raise SimulationTimeout(
-                            stats,
-                            partial_state=state_to_dict(state),
-                            op_index=op_index,
-                        )
+                if (
+                    max_seconds is not None
+                    and time.perf_counter() - started > max_seconds
+                ):
+                    raise _stop(stats, state, op_index, started)
                 if cancel is not None:
                     cancel_reason = cancel.reason()
                     if cancel_reason is not None:
-                        stats.runtime_seconds = time.perf_counter() - started
-                        stats.final_nodes = state.node_count()
-                        raise SimulationCancelled(
-                            stats,
-                            partial_state=state_to_dict(state),
-                            op_index=op_index,
-                            reason=cancel_reason,
+                        raise _stop(
+                            stats, state, op_index, started, cancel_reason
                         )
                 op_started = time.perf_counter() if obs is not None else 0.0
                 try:
@@ -615,7 +654,7 @@ class DDSimulator:
                         medge, state.edge, circuit.num_qubits - 1
                     )
                 except MemoryError:
-                    if not guard.enabled or rescues >= guard.max_rescues:
+                    if not guard.enabled or rescues >= MAX_RESCUES:
                         raise
                     # Graceful degradation: shrink the pre-operation state
                     # with an emergency round, then retry the gate once.  A
@@ -637,11 +676,7 @@ class DDSimulator:
                     sanitizer.check_after_operation(
                         state, op_index, operation.gate
                     )
-                if (
-                    op_index % size_check_interval == 0
-                    or op_index == len(circuit) - 1
-                ):
-                    node_count = state.node_count()
+                node_count = state.node_count()
                 stats.max_nodes = max(stats.max_nodes, node_count)
                 if obs is not None:
                     op_seconds = time.perf_counter() - op_started
@@ -663,22 +698,10 @@ class DDSimulator:
                         sanitizer.check_after_round(
                             state, op_index, round_index=len(stats.rounds)
                         )
-                    stats.rounds.append(
-                        RoundRecord(
-                            op_index=op_index,
-                            nodes_before=result.nodes_before,
-                            nodes_after=result.nodes_after,
-                            requested_fidelity=result.requested_fidelity,
-                            achieved_fidelity=result.achieved_fidelity,
-                            removed_contribution=result.removed_contribution,
-                            removed_nodes=result.removed_nodes,
-                        )
+                    _record_round(
+                        stats, op_index, result, obs, emergency=False
                     )
                     if obs is not None:
-                        spent = 1.0 - result.achieved_fidelity
-                        obs.count("approx.rounds")
-                        obs.count("approx.nodes_removed", result.removed_nodes)
-                        obs.count("approx.fidelity_spent", spent)
                         obs.event(
                             "round",
                             op_index=op_index,
@@ -687,11 +710,11 @@ class DDSimulator:
                             nodes_removed=result.removed_nodes,
                             requested_fidelity=result.requested_fidelity,
                             achieved_fidelity=result.achieved_fidelity,
-                            fidelity_spent=spent,
+                            fidelity_spent=1.0 - result.achieved_fidelity,
                         )
                 if (
                     guard.enabled
-                    and rescues < guard.max_rescues
+                    and rescues < MAX_RESCUES
                     and node_count > rescue_floor
                     and (
                         (
@@ -731,13 +754,8 @@ class DDSimulator:
                     # (state, rounds) pair with the round included.
                     cancel_reason = cancel.reason()
                     if cancel_reason is not None:
-                        stats.runtime_seconds = time.perf_counter() - started
-                        stats.final_nodes = state.node_count()
-                        raise SimulationCancelled(
-                            stats,
-                            partial_state=state_to_dict(state),
-                            op_index=op_index + 1,
-                            reason=cancel_reason,
+                        raise _stop(
+                            stats, state, op_index + 1, started, cancel_reason
                         )
             stats.runtime_seconds = time.perf_counter() - started
             stats.final_nodes = state.node_count()
@@ -783,9 +801,7 @@ class DDSimulator:
                 "refusing to degrade further (raise the floor's budget, "
                 "relax the ceiling, or grant more memory)"
             )
-        result = approximate_state(
-            state, watchdog.emergency_fidelity, measure_fidelity=True
-        )
+        result = approximate_state(state, watchdog.emergency_fidelity)
         if obs is not None:
             obs.count("watchdog.emergency_rounds")
             obs.event(
@@ -801,25 +817,8 @@ class DDSimulator:
             # Nothing removable at this fidelity: the state is unchanged
             # and no fidelity was spent, so there is nothing to record.
             return state, result.nodes_after
-        stats.rounds.append(
-            RoundRecord(
-                op_index=op_index,
-                nodes_before=result.nodes_before,
-                nodes_after=result.nodes_after,
-                requested_fidelity=result.requested_fidelity,
-                achieved_fidelity=result.achieved_fidelity,
-                removed_contribution=result.removed_contribution,
-                removed_nodes=result.removed_nodes,
-                emergency=True,
-            )
-        )
+        _record_round(stats, op_index, result, obs, emergency=True)
         policy.note_external_round(op_index, result.achieved_fidelity)
-        if obs is not None:
-            obs.count("approx.rounds")
-            obs.count("approx.nodes_removed", result.removed_nodes)
-            obs.count(
-                "approx.fidelity_spent", 1.0 - result.achieved_fidelity
-            )
         return result.state, result.nodes_after
 
     def run_exact(
@@ -899,7 +898,6 @@ def simulate(
     initial_state: "int | StateDD" = 0,
     record_trajectory: bool = False,
     max_seconds: float | None = None,
-    size_check_interval: int = 1,
     recorder: Recorder | None = None,
     ddsan: bool | None = None,
     watchdog: MemoryWatchdog | None = None,
@@ -913,7 +911,6 @@ def simulate(
         initial_state=initial_state,
         record_trajectory=record_trajectory,
         max_seconds=max_seconds,
-        size_check_interval=size_check_interval,
         recorder=recorder,
         ddsan=ddsan,
         watchdog=watchdog,

@@ -123,8 +123,6 @@ class MemoryDrivenStrategy(ApproximationStrategy):
         threshold: Initial node-count threshold.
         round_fidelity: Per-round fidelity target :math:`f_{round}`.
         growth: Threshold multiplier applied after each round (default 2.0).
-        measure_fidelity: Whether each round measures its exact achieved
-            fidelity (see :func:`repro.core.approximation.approximate_state`).
     """
 
     def __init__(
@@ -132,7 +130,6 @@ class MemoryDrivenStrategy(ApproximationStrategy):
         threshold: int,
         round_fidelity: float,
         growth: float = 2.0,
-        measure_fidelity: bool = True,
     ):
         if threshold < 1:
             raise ValueError("threshold must be positive")
@@ -143,7 +140,6 @@ class MemoryDrivenStrategy(ApproximationStrategy):
         self.initial_threshold = threshold
         self.round_fidelity = round_fidelity
         self.growth = growth
-        self.measure_fidelity = measure_fidelity
         self.threshold = float(threshold)
 
     def plan(self, circuit: Circuit) -> None:
@@ -170,9 +166,7 @@ class MemoryDrivenStrategy(ApproximationStrategy):
         """Approximate and grow the threshold when the size bound trips."""
         if node_count <= self.threshold:
             return None
-        result = approximate_state(
-            state, self.round_fidelity, self.measure_fidelity
-        )
+        result = approximate_state(state, self.round_fidelity)
         self.threshold *= self.growth
         recorder = get_recorder()
         if recorder.enabled:
@@ -217,7 +211,6 @@ class FidelityDrivenStrategy(ApproximationStrategy):
             approximate.
         placement: ``"blocks"``, ``"even"``, or ``"block:<name>"`` — used
             when ``positions`` is not given.
-        measure_fidelity: Whether rounds measure exact achieved fidelity.
     """
 
     def __init__(
@@ -226,7 +219,6 @@ class FidelityDrivenStrategy(ApproximationStrategy):
         round_fidelity: float,
         positions: Sequence[int] | None = None,
         placement: str = "blocks",
-        measure_fidelity: bool = True,
     ):
         if placement not in ("blocks", "even") and not placement.startswith(
             "block:"
@@ -241,7 +233,6 @@ class FidelityDrivenStrategy(ApproximationStrategy):
             list(positions) if positions is not None else None
         )
         self.placement = placement
-        self.measure_fidelity = measure_fidelity
         self.planned_positions: list[int] = []
         self._pending: list[int] = []
 
@@ -330,9 +321,7 @@ class FidelityDrivenStrategy(ApproximationStrategy):
         if not self._pending or op_index < self._pending[0]:
             return None
         self._pending.pop(0)
-        return approximate_state(
-            state, self.round_fidelity, self.measure_fidelity
-        )
+        return approximate_state(state, self.round_fidelity)
 
     def describe(self) -> str:
         """e.g. ``fidelity(f_final=0.5, f_round=0.9, rounds<=6)``."""
@@ -357,7 +346,6 @@ class AdaptiveStrategy(ApproximationStrategy):
         final_fidelity: Required end-to-end fidelity.
         round_fidelity: Per-round fidelity target.
         growth_trigger: Size multiple that triggers a round (> 1).
-        measure_fidelity: Whether rounds measure exact achieved fidelity.
     """
 
     def __init__(
@@ -365,7 +353,6 @@ class AdaptiveStrategy(ApproximationStrategy):
         final_fidelity: float,
         round_fidelity: float,
         growth_trigger: float = 2.0,
-        measure_fidelity: bool = True,
     ):
         if growth_trigger <= 1.0:
             raise ValueError("growth_trigger must exceed 1")
@@ -373,7 +360,6 @@ class AdaptiveStrategy(ApproximationStrategy):
         self.round_fidelity = round_fidelity
         self.budgeted_rounds = max_rounds(final_fidelity, round_fidelity)
         self.growth_trigger = growth_trigger
-        self.measure_fidelity = measure_fidelity
         self.rounds_used = 0
         self._baseline: int | None = None
 
@@ -407,9 +393,7 @@ class AdaptiveStrategy(ApproximationStrategy):
             return None
         if node_count < self._baseline * self.growth_trigger:
             return None
-        result = approximate_state(
-            state, self.round_fidelity, self.measure_fidelity
-        )
+        result = approximate_state(state, self.round_fidelity)
         if result.removed_nodes:
             self.rounds_used += 1
             self._baseline = max(result.nodes_after, state.num_qubits)

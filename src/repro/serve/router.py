@@ -19,7 +19,8 @@ front door it adds the cluster concerns:
   cheap *and* exact: a re-admitted job resumes from its Lemma-1
   checkpoint (same fidelity ledger, same final fidelity as an
   uninterrupted run), and a job whose shard died *after* completing is
-  a cache hit on the new shard — never recomputed, never lost.
+  re-admitted when a client waits on it, a cache hit on the new shard —
+  never lost.
 * **Exactly one owner** — a cluster job is owned by one shard at a
   time.  Failover reassigns ownership before re-submitting; work
   stealing finalizes the job as ``stolen`` on the hot shard inside the
@@ -728,11 +729,28 @@ class ClusterRouter:
                     return error_response(f"unknown job {cluster_id!r}")
                 owner, shard_job_id = job.shard_id, job.shard_job_id
                 status = job.status
+                owner_down = (
+                    bool(owner)
+                    and self.membership.get(owner).state == "down"
+                )
+                reopen = status == "completed" and owner_down
+                if reopen:
+                    # The dead owner held the job's only document, but
+                    # its result is in the shared store.
+                    job.status = "readmitting"
+            if reopen:
+                # Re-admitted, the job is a cache hit on a survivor.  The
+                # survivor applies its own degradation tier to the
+                # original spec: at the dead owner's tier it finds the
+                # result under that tier's hash, at another it recomputes.
+                self._readmit(job)
+                continue
             if status in CLUSTER_FINAL and (
-                status == "error" or not owner
+                status == "error" or not owner or owner_down
             ):
-                # Router-finalized (readmission exhausted, parked):
-                # there is no shard document to fetch.
+                # Router-finalized (readmission exhausted, parked), or an
+                # interrupted job whose owner is gone: there is no shard
+                # document to fetch.
                 return ok_response(job=job.describe())
             remaining = deadline - self.clock()
             if remaining <= 0:

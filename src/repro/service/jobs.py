@@ -60,6 +60,15 @@ class JobSpecError(PermanentFault, ValueError):
         self.path = path
 
 
+#: Constructor of each strategy kind that takes arguments.
+_STRATEGY_CLASSES: dict[str, type[ApproximationStrategy]] = {
+    "memory": MemoryDrivenStrategy,
+    "fidelity": FidelityDrivenStrategy,
+    "adaptive": AdaptiveStrategy,
+    "size_cap": SizeCapStrategy,
+}
+
+
 def _read_text(path: str, what: str) -> str:
     """Read a referenced file, wrapping failures as :class:`JobSpecError`."""
     try:
@@ -115,7 +124,9 @@ def build_strategy(
             parameters (``threshold``, ``max_nodes``) are coerced.
 
     Raises:
-        ValueError: For an unknown kind or invalid arguments.
+        ValueError: For an unknown kind or invalid arguments.  An
+            argument the constructor does not take (or a missing one)
+            raises :class:`JobSpecError` naming the kind and the argument.
     """
     kwargs: Dict = dict(args or {})
     for key in _INT_ARGS & kwargs.keys():
@@ -124,15 +135,15 @@ def build_strategy(
         if kwargs:
             raise ValueError("exact strategy takes no arguments")
         return NoApproximation()
-    if kind == "memory":
-        return MemoryDrivenStrategy(**kwargs)
-    if kind == "fidelity":
-        return FidelityDrivenStrategy(**kwargs)
-    if kind == "adaptive":
-        return AdaptiveStrategy(**kwargs)
-    if kind == "size_cap":
-        return SizeCapStrategy(**kwargs)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    constructor = _STRATEGY_CLASSES.get(kind)
+    if constructor is None:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    try:
+        return constructor(**kwargs)
+    except TypeError as error:
+        raise JobSpecError(
+            f"invalid arguments for strategy {kind!r}: {error}"
+        ) from error
 
 
 @dataclass(frozen=True)

@@ -143,15 +143,6 @@ class TestApproximateState:
             >= 1.0 - result.removed_contribution - 1e-9
         )
 
-    def test_no_measure_reports_bound(self, rng):
-        vector = random_state_vector(5, rng)
-        state = StateDD.from_amplitudes(vector, Package())
-        result = approximate_state(state, 0.8, measure_fidelity=False)
-        if result.removed_nodes:
-            assert result.achieved_fidelity == pytest.approx(
-                1.0 - result.removed_contribution
-            )
-
     def test_noop_round(self):
         state = StateDD.basis_state(4, 3)
         result = approximate_state(state, 0.9)

@@ -54,6 +54,20 @@ class TestBelowContribution:
             >= 1.0 - result.removed_contribution - 1e-9
         )
 
+    def test_removed_contribution_summed_in_sweep_order(self, rng):
+        """The total must not depend on how a set of nodes iterates."""
+        vector = random_state_vector(8, rng)
+        state = StateDD.from_amplitudes(vector, Package())
+        epsilon = 0.002
+        _w, root = state.edge
+        expected = 0.0
+        for node, value in node_contributions(state).items():
+            if node is not root and value <= epsilon:
+                expected += value
+        result = approximate_below_contribution(state, epsilon)
+        assert result.removed_nodes > 1
+        assert result.removed_contribution == expected
+
     def test_invalid_epsilon(self):
         state = StateDD.plus_state(3)
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestEntryStateRestored:
 
     def test_after_an_argument_error(self, entry_state):
         with pytest.raises(ValueError):
-            simulate(ghz_circuit(4), size_check_interval=0)
+            DDSimulator().run(ghz_circuit(4), start_op_index=5)
         assert gc.isenabled() is entry_state
 
     def test_after_a_hook_error(self, entry_state):

@@ -293,52 +293,6 @@ class TestRoundLedger:
         assert 0.0 < product < 1.0
 
 
-class TestSizeCheckInterval:
-    def test_results_identical(self):
-        from repro.circuits.shor import shor_circuit
-
-        package = Package()
-        circuit = shor_circuit(21, 2)
-        dense = simulate(circuit, package=package)
-        sparse_checked = simulate(
-            circuit, package=package, size_check_interval=10
-        )
-        assert dense.state.fidelity(sparse_checked.state) == pytest.approx(
-            1.0
-        )
-
-    def test_max_nodes_may_undershoot_but_not_overshoot(self):
-        from repro.circuits.shor import shor_circuit
-
-        package = Package()
-        circuit = shor_circuit(21, 2)
-        exact = simulate(circuit, package=package)
-        sampled = simulate(
-            circuit, package=package, size_check_interval=7
-        )
-        assert sampled.stats.max_nodes <= exact.stats.max_nodes
-
-    def test_interval_speeds_up_exact_run(self):
-        from repro.circuits.shor import shor_circuit
-
-        package = Package()
-        circuit = shor_circuit(33, 5)
-        package.clear_caches()
-        per_gate = simulate(circuit, package=package)
-        package.clear_caches()
-        sampled = simulate(
-            circuit, package=package, size_check_interval=20
-        )
-        assert (
-            sampled.stats.runtime_seconds
-            < per_gate.stats.runtime_seconds * 1.05
-        )
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            simulate(ghz_circuit(2), package=Package(), size_check_interval=0)
-
-
 class TestTimeout:
     def test_timeout_raises_with_partial_stats(self):
         circuit = supremacy_circuit(3, 4, 14, seed=0)

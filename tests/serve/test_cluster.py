@@ -434,6 +434,58 @@ class TestFailover:
         assert job.status == "error"
         assert "abandoned after 1 re-admissions" in job.error
 
+    def _finish_then_kill_owner(self, router, shards, status):
+        (cluster_id,) = self._place_on(router, shards, "s0", 1)
+        for job in shards["s0"].jobs.values():
+            job["status"] = status
+        router._tick()  # the router mirrors the final status
+        assert router._jobs[cluster_id].status == status
+        shards["s0"].down = True
+        router._tick()  # s0 down; a final job is not failed over
+        assert router.membership.get("s0").state == "down"
+        return cluster_id
+
+    def test_wait_reaches_a_completed_job_whose_owner_died(
+        self, fake_cluster
+    ):
+        router, shards = fake_cluster(["s0", "s1"], fail_threshold=1)
+        cluster_id = self._finish_then_kill_owner(router, shards, "completed")
+        # The survivor finds the result in the shared store: its copy
+        # completes on admission, as a cache hit does.
+        survivor = shards["s1"]
+        handle = survivor.handle
+
+        def cache_hit(message: dict) -> dict:
+            response = handle(message)
+            if message["op"] == "submit":
+                survivor.jobs[response["job_id"]]["status"] = "completed"
+            return response
+
+        survivor.handle = cache_hit
+        response = router.handle_request(
+            {"op": "wait", "job_id": cluster_id, "timeout": 2.0}
+        )
+        assert response["ok"], response
+        job = response["job"]
+        assert job["status"] == "completed"
+        assert job["shard"] == "s1"
+        assert job["readmissions"] == 1
+        assert job["history"][-1] == "readmitted to s1"
+        assert router._jobs[cluster_id].status == "completed"
+
+    def test_wait_on_an_interrupted_job_whose_owner_died(
+        self, fake_cluster
+    ):
+        router, shards = fake_cluster(["s0", "s1"], fail_threshold=1)
+        cluster_id = self._finish_then_kill_owner(router, shards, "deadline")
+        response = router.handle_request(
+            {"op": "wait", "job_id": cluster_id, "timeout": 2.0}
+        )
+        assert response["ok"], response
+        assert response["job"]["status"] == "deadline"
+        assert response["job"]["readmissions"] == 0
+        assert not shards["s1"].submissions
+
     def test_no_routable_shard_keeps_the_job_orphaned(self, fake_cluster):
         router, shards = fake_cluster(["s0", "s1"], fail_threshold=1)
         (cluster_id,) = self._place_on(router, shards, "s0", 1)

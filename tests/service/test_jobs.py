@@ -63,6 +63,34 @@ class TestBuildStrategy:
         with pytest.raises(ValueError):
             build_strategy("exact", {"threshold": 4})
 
+    def test_unknown_argument_is_a_spec_error(self):
+        with pytest.raises(JobSpecError, match="'memory'.*'bogus'"):
+            build_strategy(
+                "memory",
+                {"threshold": 8, "round_fidelity": 0.9, "bogus": 1},
+            )
+
+    def test_missing_argument_is_a_spec_error(self):
+        with pytest.raises(JobSpecError, match="'fidelity'.*round_fidelity"):
+            build_strategy("fidelity", {"final_fidelity": 0.5})
+
+    @pytest.mark.parametrize("kind", ["memory", "fidelity", "adaptive"])
+    def test_spec_carrying_measure_fidelity_is_rejected(self, kind):
+        args = (
+            (("threshold", 8.0), ("round_fidelity", 0.9))
+            if kind == "memory"
+            else FIDELITY_ARGS
+        )
+        spec = JobSpec(
+            "builtin:shor_15_2",
+            kind,
+            args + (("measure_fidelity", 0.0),),
+        )
+        with pytest.raises(
+            JobSpecError, match=f"'{kind}'.*'measure_fidelity'"
+        ):
+            spec.build_strategy()
+
 
 class TestContentHash:
     def test_stable_across_argument_order(self):
