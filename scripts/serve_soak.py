@@ -15,7 +15,9 @@ asserts the ISSUE-5 serving invariants:
 * **Supervision** — the killed worker is replaced (``worker_restarts``)
   and its job completes on a requeued attempt.
 * **Bounded admission latency** — p99 time-to-admission-decision stays
-  under ``--p99-admission-seconds`` even while saturated.
+  under ``--p99-admission-seconds`` even while saturated.  Beside it the
+  soak reports (without gating on it) the submit-to-final latency of
+  completed jobs, p50 and p95, measured by one waiter per accepted job.
 * **Clean drain** — SIGTERM ends the daemon with exit code 5
   (``EXIT_DRAINED``) and a final ``--metrics`` snapshot on disk.
 
@@ -33,6 +35,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 from repro.faults import FaultPlan, FaultRule
@@ -112,6 +115,32 @@ def _start_daemon(args, workdir: str, log_path: str) -> tuple:
             time.sleep(0.05)
 
 
+def _percentile(ordered: list[float], fraction: float) -> float:
+    return ordered[int(fraction * (len(ordered) - 1))]
+
+
+class _Waiter(threading.Thread):
+    """Waits for one accepted job from the moment it was submitted, so
+    its final state is seen when it happens rather than when a
+    sequential sweep gets to it."""
+
+    def __init__(self, client: ServeClient, job_id: str, submitted: float):
+        super().__init__(daemon=True)
+        self.client = client
+        self.job_id = job_id
+        self.submitted = submitted
+        self.job: dict | None = None
+        self.error: Exception | None = None
+        self.latency = 0.0
+
+    def run(self) -> None:
+        try:
+            self.job = self.client.wait(self.job_id, timeout=300.0)["job"]
+        except (ServeError, OSError) as error:
+            self.error = error
+        self.latency = time.perf_counter() - self.submitted
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=50)
@@ -141,7 +170,15 @@ def main() -> int:
               f"queue_capacity={args.queue_capacity}")
 
         accepted: dict[str, dict] = {}
+        waiters: dict[str, _Waiter] = {}
         admission_latencies: list[float] = []
+
+        def accept(response: dict, submitted: float) -> None:
+            job_id = response["job_id"]
+            accepted[job_id] = response
+            waiters[job_id] = _Waiter(client, job_id, submitted)
+            waiters[job_id].start()
+
         shed_total = 0
         backlog: list[tuple[int, float]] = []
 
@@ -170,7 +207,7 @@ def main() -> int:
                 admission_latencies.append(
                     time.perf_counter() - submit_started
                 )
-                accepted[response["job_id"]] = response
+                accept(response, submit_started)
 
         # Retry shed submissions until admitted (bounded patience):
         # shedding is explicit back-pressure, not job loss.
@@ -178,6 +215,7 @@ def main() -> int:
         while backlog and time.monotonic() < retry_deadline:
             index, retry_after = backlog.pop(0)
             time.sleep(min(retry_after, 1.0))
+            submit_started = time.perf_counter()
             try:
                 response = client.submit(_spec(index), priority=index % 3)
             except ServeError as error:
@@ -188,7 +226,7 @@ def main() -> int:
                     continue
                 backlog.append((index, error.retry_after or 0.1))
             else:
-                accepted[response["job_id"]] = response
+                accept(response, submit_started)
 
         check(shed_total >= 1, f"saturation shed observed ({shed_total})")
         check(not backlog, "every shed submission eventually admitted")
@@ -198,12 +236,16 @@ def main() -> int:
 
         lost: list[str] = []
         statuses: dict[str, int] = {}
+        completed_latencies: list[float] = []
         for job_id in sorted(accepted):
-            try:
-                job = client.wait(job_id, timeout=300.0)["job"]
-            except (ServeError, OSError) as error:
-                lost.append(f"{job_id}: {error}")
+            waiter = waiters[job_id]
+            waiter.join()
+            job = waiter.job
+            if job is None:
+                lost.append(f"{job_id}: {waiter.error}")
                 continue
+            if job["status"] == "completed":
+                completed_latencies.append(waiter.latency)
             statuses[job["status"]] = statuses.get(job["status"], 0) + 1
             if job["status"] not in ACCEPTABLE_FINAL:
                 lost.append(f"{job_id}: {job['status']} ({job['error']})")
@@ -219,14 +261,20 @@ def main() -> int:
         )
 
         admission_latencies.sort()
-        p99 = admission_latencies[
-            int(0.99 * (len(admission_latencies) - 1))
-        ]
+        p99 = _percentile(admission_latencies, 0.99)
         check(
             p99 <= args.p99_admission_seconds,
             f"p99 admission latency {p99 * 1000:.1f}ms <= "
             f"{args.p99_admission_seconds * 1000:.0f}ms",
         )
+        if completed_latencies:
+            completed_latencies.sort()
+            print(
+                "  -- submit->final latency of "
+                f"{len(completed_latencies)} completed jobs: "
+                f"p50 {_percentile(completed_latencies, 0.5) * 1000:.0f}ms, "
+                f"p95 {_percentile(completed_latencies, 0.95) * 1000:.0f}ms"
+            )
 
         process.send_signal(signal.SIGTERM)
         returncode = process.wait(timeout=60)

@@ -14,7 +14,14 @@ artifacts and checkpoints):
 * **The tick** (one control-loop thread): pump worker results, replace
   dead/wedged workers and requeue-or-fail their lost jobs, hard-kill
   jobs past their hard deadline, dispatch queued jobs to idle workers,
-  and advance a drain to completion.
+  and advance a drain to completion.  Between ticks the loop blocks,
+  outside the state lock, in :meth:`WorkerSupervisor.poll`: it wakes
+  when a worker reports (or exits), when an admission or a drain
+  request calls :meth:`WorkerSupervisor.wake`, or after
+  ``tick_interval`` — the bound on the timed work (heartbeat and
+  wedge checks, hard deadlines, drain progress).  Dispatch and result
+  pickup therefore happen when their event does, not on the next
+  timer.
 * **Deadlines** are per-attempt: at dispatch the soft deadline is
   handed to the worker as a :class:`~repro.core.simulator.CancellationToken`
   (the gate loop checkpoints and answers ``status="deadline"`` with the
@@ -41,6 +48,7 @@ import socketserver
 import sys
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..faults.errors import PERMANENT
@@ -49,7 +57,7 @@ from ..service.engine import JobResult
 from ..service.jobs import JobSpec
 from ..service.replication import open_store
 from ..service.store import ArtifactStore
-from ..service.supervisor import WorkerSupervisor
+from ..service.supervisor import WorkerEvent, WorkerSupervisor
 from .breaker import CircuitBreaker
 from .degrade import FidelityLadder
 from .protocol import (
@@ -219,7 +227,10 @@ class SimDaemon:
         socket_path: Unix socket to listen on (preferred).
         host / port: TCP fallback when ``socket_path`` is None
             (``port=0`` picks a free port; see :attr:`address`).
-        tick_interval: Control-loop period in seconds.
+        tick_interval: Longest the control loop waits for an event
+            (seconds).  Admissions, worker messages and drain requests
+            wake it at once; the interval bounds only the timed work:
+            heartbeat and wedge checks, hard deadlines, drain progress.
         log: Writable text stream for daemon log lines (stderr default).
     """
 
@@ -318,20 +329,27 @@ class SimDaemon:
         """Run the control loop until drained (or :meth:`stop`)."""
         self.start()
         try:
+            self._tick()
             while not self._stopped.is_set():
-                self._tick()
-                time.sleep(self.tick_interval)
+                # The wait runs outside the state lock, so admissions
+                # proceed meanwhile.  Besides waiting it only clears
+                # finished assignments on worker handles; workers are
+                # replaced under the lock, where handler threads read
+                # the pool.
+                self._tick(self.supervisor.poll(self.tick_interval))
         finally:
             self.shutdown()
 
     def stop(self) -> None:
         """Stop immediately (tests); prefer :meth:`request_drain`."""
         self._stopped.set()
+        self.supervisor.wake()
 
     def request_drain(self) -> None:
         """Begin a graceful drain (signal-handler safe)."""
         if not self._drain.is_set():
             self._drain.set()
+        self.supervisor.wake()
 
     @property
     def draining(self) -> bool:
@@ -560,6 +578,7 @@ class SimDaemon:
                 self.queue.offer(
                     QueueItem(job_id=record.job_id, priority=priority)
                 )
+                self.supervisor.wake()
                 if obs.enabled:
                     obs.count("serve.submitted")
                     obs.count(f"serve.tier.{record.tier}")
@@ -720,13 +739,16 @@ class SimDaemon:
     # Control loop
     # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        """One supervision pass; all state mutation happens here or in
-        the handler threads, both under the state lock.  Blocking work
-        (drained-queue persistence) is collected under the lock and
-        performed after release (DD009 discipline)."""
+    def _tick(self, events: Sequence[WorkerEvent] = ()) -> None:
+        """One supervision pass over ``events`` (already pumped by the
+        loop's wait) and whatever else the workers have reported.
+
+        All state mutation happens here or in the handler threads, both
+        under the state lock.  Blocking work (drained-queue persistence)
+        is collected under the lock and performed after release (DD009
+        discipline)."""
         with self._lock:
-            self._pump_results()
+            self._apply_events([*events, *self.supervisor.poll()])
             self._check_workers()
             self._enforce_hard_deadlines()
             self._dispatch()
@@ -734,8 +756,8 @@ class SimDaemon:
         if to_persist:
             self._persist_drained_queue(to_persist)
 
-    def _pump_results(self) -> None:
-        for event in self.supervisor.poll():
+    def _apply_events(self, events: list[WorkerEvent]) -> None:
+        for event in events:
             record = self._jobs.get(event.job_id or "")
             if event.kind == "started":
                 if record is not None and record.status == "dispatched":
@@ -766,9 +788,8 @@ class SimDaemon:
     def _enforce_hard_deadlines(self) -> None:
         now = self.clock()
         obs = get_recorder()
-        for record in list(self._jobs.values()):
-            if record.status not in ("running", "dispatched"):
-                continue
+        for job_id in list(self.supervisor.busy_jobs):
+            record = self._jobs[job_id]
             if record.hard_deadline is None or now < record.hard_deadline:
                 continue
             killed = self.supervisor.kill_job(record.job_id)

@@ -22,7 +22,17 @@ broken pool poisons every in-flight future — so the supervisor manages
   replaced;
 * a per-worker cancel event, wired into the job's
   :class:`repro.core.simulator.CancellationToken` so drains and soft
-  cancellations reach the gate loop cooperatively.
+  cancellations reach the gate loop cooperatively;
+* a wake pipe: :meth:`WorkerSupervisor.poll` waits on it beside the
+  result pipes, so a control loop blocked in ``poll`` returns at once
+  when another thread (or a signal handler) calls
+  :meth:`WorkerSupervisor.wake` — new work to dispatch, a drain.
+
+A worker that exits closes its end of the result pipe, which then reads
+as EOF and stays readable.  ``poll`` marks such a worker hung up and
+the :meth:`WorkerSupervisor.check` that follows it reaps and replaces
+the worker, so a dead worker's pipe never keeps a waiting loop
+spinning.
 
 Workers are **forked**, so an armed :mod:`repro.faults` plan in the
 parent process is inherited — chaos plans with ``state_dir`` visit
@@ -35,6 +45,7 @@ import os
 import queue as queue_module
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait
@@ -153,6 +164,8 @@ class _WorkerHandle:
         self.heartbeat = ctx.Value("d", time.monotonic(), lock=False)
         self.cancel_event = ctx.Event()
         self.job_id: str | None = None
+        #: The result pipe read EOF: the worker closed it by exiting.
+        self.hung_up = False
         store_root, use_cache = args
         self.process = ctx.Process(
             target=_worker_main,
@@ -199,6 +212,8 @@ class WorkerSupervisor:
         clock: Monotonic time source (injectable for tests).
 
     Not thread-safe; drive it from one control loop (the daemon tick).
+    The one exception is :meth:`wake`, which any thread or signal
+    handler may call.
     """
 
     def __init__(
@@ -220,6 +235,12 @@ class WorkerSupervisor:
         self._handles: dict[int, _WorkerHandle] = {}
         self._next_id = 0
         self.restarts = 0
+        self._wake_reader, self._wake_writer = os.pipe()
+        for descriptor in (self._wake_reader, self._wake_writer):
+            os.set_blocking(descriptor, False)
+            # Closed with the supervisor, not in stop(): a late wake()
+            # must never write to a recycled descriptor.
+            weakref.finalize(self, os.close, descriptor)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -306,27 +327,45 @@ class WorkerSupervisor:
     # Monitoring
     # ------------------------------------------------------------------
 
+    def wake(self) -> None:
+        """Make a waiting (or the next) :meth:`poll` return at once.
+
+        Thread- and async-signal-safe: one non-blocking ``os.write``.
+        A full pipe already holds a pending wake, so it is not retried.
+        """
+        try:
+            os.write(self._wake_writer, b"\0")
+        except OSError:
+            pass
+
     def poll(self, timeout: float = 0.0) -> list[WorkerEvent]:
         """Drain completed-work messages, waiting up to ``timeout``
-        seconds for the first one (0: non-blocking)."""
+        seconds for the first one or a :meth:`wake` (0: non-blocking)."""
         events: list[WorkerEvent] = []
-        pipes = [handle.results for handle in self._handles.values()]
-        for pipe in wait(pipes, timeout):
-            events.extend(self._read(pipe))
+        handles = {
+            handle.results: handle for handle in self._handles.values()
+        }
+        for ready in wait([*handles, self._wake_reader], timeout):
+            if ready == self._wake_reader:
+                os.read(self._wake_reader, 1 << 16)  # every pending wake
+            else:
+                events.extend(self._read(handles[ready]))
         return events
 
-    def _read(self, pipe) -> list[WorkerEvent]:
+    def _read(self, handle: _WorkerHandle) -> list[WorkerEvent]:
         """Turn every message waiting on one worker's pipe into events."""
         events: list[WorkerEvent] = []
+        pipe = handle.results
         while True:
             try:
                 if not pipe.poll():
                     break
                 message = pipe.recv()
             except (EOFError, OSError):
-                break  # the worker died, maybe mid-send; check() sees it
+                # The worker exited, maybe mid-send; check() reaps it.
+                handle.hung_up = True
+                break
             kind, worker_id, job_id = message[0], message[1], message[2]
-            handle = self._handles.get(worker_id)
             if kind == "started":
                 events.append(
                     WorkerEvent(
@@ -334,7 +373,7 @@ class WorkerSupervisor:
                     )
                 )
                 continue
-            if handle is not None and handle.job_id == job_id:
+            if handle.job_id == job_id:
                 handle.job_id = None
             if kind == "done":
                 events.append(
@@ -370,7 +409,12 @@ class WorkerSupervisor:
         now = self.clock()
         for worker_id in list(self._handles):
             handle = self._handles[worker_id]
-            if not handle.alive():
+            if handle.hung_up:
+                # Closing its pipe was the worker's exit; it may not be
+                # reapable yet.
+                handle.process.kill()
+                handle.process.join(1.0)
+            if handle.hung_up or not handle.alive():
                 events.append(
                     WorkerEvent(
                         kind="died",

@@ -39,10 +39,10 @@ def run_daemon(store: ArtifactStore, **kwargs):
     limit.
     """
     socket_dir = tempfile.mkdtemp(prefix="serve-test-")
+    kwargs.setdefault("tick_interval", 0.02)
     daemon = SimDaemon(
         store,
         socket_path=os.path.join(socket_dir, "serve.sock"),
-        tick_interval=0.02,
         log=io.StringIO(),
         **kwargs,
     )
