@@ -20,10 +20,12 @@ replication invariants from docs/SERVICE.md:
   factor: zero lost objects, every result byte-identical on every
   replica, read-only mode off.
 * **Resumed fidelity is bit-equal** — a checkpoint-resumed run on the
-  scrubbed store, with one replica's checkpoint copy bitrotted,
-  reports a fidelity estimate bit-equal to an uninterrupted reference
-  resume (Lemma 1 replays the same ledger; replication adds zero
-  float drift).
+  scrubbed store, with one bit of replica 0's recorded
+  ``next_op_index`` flipped so that the damaged copy reads as the
+  newest, reports a fidelity estimate bit-equal to an uninterrupted
+  reference resume: the checksum rejects the copy before it can be
+  picked or replicated (Lemma 1 replays the same ledger; replication
+  adds zero float drift).
 * **Stale-epoch fencing** — after a forced lease takeover, a write
   carrying the fenced ex-owner's epoch is rejected at the store layer
   (``StaleLeaseError``), and the new owner's token is accepted.
@@ -48,6 +50,7 @@ import time
 from repro.faults import FaultPlan, FaultRule, arm, disarm
 from repro.faults.errors import StaleLeaseError
 from repro.serve import ServeClient, ServeCluster, ServeError
+from repro.service.checkpoint import Checkpoint
 from repro.service.engine import execute_job
 from repro.service.jobs import JobSpec
 from repro.service.lease import LeaseManager
@@ -122,14 +125,30 @@ def _replica_plan(workdir: str) -> FaultPlan:
     )
 
 
-def _flip_byte(path: str, offset: int) -> None:
-    size = os.path.getsize(path)
-    position = offset % size
+def _raise_op_index(path: str) -> None:
+    """Flip one bit of the checkpoint's ``next_op_index`` so it reads higher.
+
+    Sets a clear low bit of the lowest digit that stays a digit (e.g.
+    56 -> 57); only an index made of 7s and 9s falls back to clearing
+    the last digit's low bit, which lowers it.
+    """
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    field = b'"next_op_index":'
+    start = data.index(field) + len(field)
+    end = start
+    while chr(data[end]).isdigit():
+        end += 1
+    raising = [
+        (position, bit)
+        for position in range(end - 1, start - 1, -1)
+        for bit in (1, 2, 4)
+        if not data[position] & bit and data[position] | bit <= ord("9")
+    ]
+    position, bit = raising[0] if raising else (end - 1, 1)
+    data[position] ^= bit
     with open(path, "r+b") as handle:
-        handle.seek(position)
-        byte = handle.read(1)
-        handle.seek(position)
-        handle.write(bytes([byte[0] ^ 0xFF]))
+        handle.write(data)
 
 
 def _tail(path: str, lines: int = 30) -> None:
@@ -408,8 +427,9 @@ def main() -> int:
             print(f"       parity: {line}")
 
         # Resume round trip: time out a job on the replicated store,
-        # bitrot one replica's checkpoint copy, resume — the fidelity
-        # estimate must be bit-equal to an undamaged reference resume.
+        # flip one bit of replica 0's op index so its copy reads as the
+        # newest, resume — the fidelity estimate must be bit-equal to
+        # an undamaged reference resume.
         rt_spec = JobSpec(
             circuit="builtin:shor_21_2",
             strategy="fidelity",
@@ -417,7 +437,7 @@ def main() -> int:
                 ("final_fidelity", 0.5),
                 ("round_fidelity", 0.9),
             ),
-            max_seconds=0.15,
+            max_seconds=0.05,
             checkpoint_interval=20,
         )
         first = execute_job(rt_spec, store)
@@ -437,7 +457,7 @@ def main() -> int:
             first.job_hash,
             CHECKPOINT_FILE,
         )
-        _flip_byte(victim, offset=33)
+        _raise_op_index(victim)
         resumed = execute_job(
             rt_spec.with_overrides(max_seconds=None), store
         )
@@ -448,7 +468,7 @@ def main() -> int:
             == reference.stats["fidelity_estimate"]
             and resumed.stats["num_rounds"]
             == reference.stats["num_rounds"],
-            f"resumed fidelity bit-equal despite checkpoint bitrot "
+            f"resumed fidelity bit-equal despite a one-bit op index flip "
             f"({resumed.stats.get('fidelity_estimate')!r} == "
             f"{reference.stats.get('fidelity_estimate')!r})",
         )
@@ -467,7 +487,7 @@ def main() -> int:
             f"forced takeover bumped the lease epoch "
             f"({old_lease.epoch} -> {new_lease.epoch})",
         )
-        probe = {"probe": True, "owner": "s0"}
+        probe = Checkpoint(fence_hash, 0, {}, [], 0, 0.0)
         try:
             store.save_checkpoint(fence_hash, probe, fence=old_lease.fence)
         except StaleLeaseError as error:

@@ -86,6 +86,8 @@ class FaultInjector:
 
         With a ``state_dir`` the count is a file that grows one byte per
         visit, so forked/restarted workers share one monotonic stream.
+        The visit number is the file offset right after this process's
+        own ``O_APPEND`` write, so concurrent visitors never share one.
         """
         if self.plan.state_dir is None:
             self._visits[rule_index] += 1
@@ -97,9 +99,9 @@ class FaultInjector:
         )
         try:
             os.write(descriptor, b".")
+            return os.lseek(descriptor, 0, os.SEEK_CUR)
         finally:
             os.close(descriptor)
-        return os.stat(path).st_size
 
     # ------------------------------------------------------------------
     # Firing

@@ -22,6 +22,15 @@ process, so a later round whose greedy selection sits exactly on the
 budget boundary can admit a marginally different node set — the realized
 fidelity may then differ at that round's boundary while still obeying
 the same ``f >= f_round`` bound.
+
+**Stored form.**  The artifact store is the only caller of
+:func:`encode_checkpoint` and :func:`decode_checkpoint`: it takes and
+returns :class:`Checkpoint` objects, never documents.  The encoding is
+one sorted compact JSON dump with a SHA-256 over those bytes, and every
+read verifies it — a document that is unreadable, mistyped, missing its
+checksum, failing it, or recorded for another job raises
+:class:`~repro.faults.errors.CheckpointIntegrityError`, so a damaged
+copy can never be resumed from or replicated.
 """
 
 from __future__ import annotations
@@ -46,12 +55,15 @@ CHECKPOINT_VERSION = 1
 #: Document key carrying the SHA-256 over the rest of the document.
 CHECKSUM_KEY = "checksum"
 
-
-def _document_checksum(document: dict) -> str:
-    """SHA-256 over the canonical JSON form, excluding the checksum key."""
-    payload = {k: v for k, v in document.items() if k != CHECKSUM_KEY}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode()).hexdigest()
+#: Payload fields and the JSON types a valid document gives them.
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "job_hash": str,
+    "next_op_index": int,
+    "state": dict,
+    "rounds": list,
+    "max_nodes": int,
+    "elapsed_seconds": (int, float),
+}
 
 
 def rounds_to_dicts(rounds: Sequence[RoundRecord]) -> list[dict]:
@@ -97,59 +109,83 @@ class Checkpoint:
     max_nodes: int
     elapsed_seconds: float
 
-    def to_dict(self) -> dict:
-        """JSON-compatible representation, with an embedded checksum.
-
-        The ``checksum`` key holds a SHA-256 over the canonical JSON of
-        every other key; :meth:`from_dict` verifies it, so a truncated
-        or bit-flipped checkpoint is detected before it can resume a
-        job from corrupted state.
-        """
-        document = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "job_hash": self.job_hash,
-            "next_op_index": self.next_op_index,
-            "state": self.state,
-            "rounds": self.rounds,
-            "max_nodes": self.max_nodes,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        document[CHECKSUM_KEY] = _document_checksum(document)
-        return document
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Checkpoint":
-        """Rebuild a checkpoint; raises ValueError on format mismatch.
-
-        Raises:
-            CheckpointIntegrityError: When the document carries a
-                checksum that does not match its content.
-        """
-        if data.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {CHECKPOINT_FORMAT} document")
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {data.get('version')!r}"
-            )
-        recorded = data.get(CHECKSUM_KEY)
-        if recorded is not None and recorded != _document_checksum(data):
-            raise CheckpointIntegrityError(
-                "checkpoint fails its embedded SHA-256 check "
-                f"(job {str(data.get('job_hash'))[:12]})"
-            )
-        return cls(
-            job_hash=data["job_hash"],
-            next_op_index=int(data["next_op_index"]),
-            state=data["state"],
-            rounds=list(data["rounds"]),
-            max_nodes=int(data["max_nodes"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-        )
-
     def round_records(self) -> list[RoundRecord]:
         """The completed rounds as live :class:`RoundRecord` objects."""
         return rounds_from_dicts(self.rounds)
+
+
+def encode_checkpoint(checkpoint: Checkpoint) -> str:
+    """The stored form of ``checkpoint``: one dump, checksum spliced in.
+
+    The payload is dumped once as sorted compact JSON, the SHA-256 is
+    taken over those bytes, and ``{"checksum":"<hex>",`` replaces the
+    opening brace.  ``checksum`` sorts before every payload key, so the
+    text is also the sorted compact JSON of the whole document.
+    """
+    canonical = json.dumps(
+        {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            **vars(checkpoint),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = sha256(canonical.encode()).hexdigest()
+    return f'{{"{CHECKSUM_KEY}":"{digest}",{canonical[1:]}'
+
+
+def decode_checkpoint(raw: bytes, job_hash: str, path: str) -> Checkpoint:
+    """Verify the stored bytes of ``job_hash``'s checkpoint and rebuild it.
+
+    The checksum is the SHA-256 of the sorted compact JSON of every
+    other key, so documents of any ``repro-checkpoint`` v1 writer
+    verify, whatever their key order or whitespace.
+
+    Raises:
+        CheckpointIntegrityError: When the bytes are not JSON, the
+            format or version is wrong, the checksum is missing or does
+            not match, a field is missing or mistyped, or the document
+            was recorded for another job (a *stale* checkpoint).
+    """
+
+    def rejected(problem: str) -> CheckpointIntegrityError:
+        return CheckpointIntegrityError(
+            f"checkpoint for {job_hash[:12]} {problem}", path=path
+        )
+
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise rejected(f"is unreadable: {error}") from error
+    if (
+        not isinstance(document, dict)
+        or document.get("format") != CHECKPOINT_FORMAT
+    ):
+        raise rejected(f"is not a {CHECKPOINT_FORMAT} document")
+    if document.get("version") != CHECKPOINT_VERSION:
+        raise rejected(f"has unsupported version {document.get('version')!r}")
+    recorded = document.pop(CHECKSUM_KEY, None)
+    if recorded is None:
+        raise rejected("carries no checksum")
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    if recorded != sha256(canonical.encode()).hexdigest():
+        raise rejected("fails its embedded SHA-256 check")
+    for name, kind in _FIELD_TYPES.items():
+        if not isinstance(document.get(name), kind):
+            raise rejected(f"has a missing or mistyped {name!r}")
+    if document["job_hash"] != job_hash:
+        raise rejected(
+            f"is stale: recorded for job {document['job_hash'][:12]}"
+        )
+    return Checkpoint(
+        job_hash=job_hash,
+        next_op_index=document["next_op_index"],
+        state=document["state"],
+        rounds=document["rounds"],
+        max_nodes=document["max_nodes"],
+        elapsed_seconds=float(document["elapsed_seconds"]),
+    )
 
 
 def checkpoint_from_timeout(
@@ -224,6 +260,6 @@ class CheckpointWriter:
             elapsed_seconds=self.prior_elapsed + stats.runtime_seconds,
         )
         self.store.save_checkpoint(
-            self.job_hash, checkpoint.to_dict(), fence=self.fence
+            self.job_hash, checkpoint, fence=self.fence
         )
         self.writes += 1

@@ -53,7 +53,6 @@ from ..faults.errors import (
 from ..faults.injector import inject
 from ..obs import get_recorder
 from .checkpoint import (
-    Checkpoint,
     CheckpointWriter,
     checkpoint_from_timeout,
     rounds_to_dicts,
@@ -229,57 +228,6 @@ def _record_retry(spec: JobSpec, attempt: int, error: str) -> None:
         )
 
 
-def _quarantine_checkpoint(
-    store: ArtifactStore, job_hash: str, reason: str, obs
-) -> None:
-    """Move a bad checkpoint aside and record the event."""
-    store.quarantine_checkpoint(job_hash, reason)
-    if obs.enabled:
-        obs.count("jobs.checkpoint_quarantined")
-        obs.event(
-            "job", phase="checkpoint_quarantined", job=job_hash[:12],
-            error=reason,
-        )
-
-
-def _validated_checkpoint(
-    store: ArtifactStore, job_hash: str, document: dict, obs
-) -> Checkpoint | None:
-    """Parse and validate a checkpoint document, or quarantine it.
-
-    Returns None (fresh start) when the document is malformed, fails
-    its checksum, or is *stale* — recorded for a different job hash
-    than the spec resolves to (e.g. a hand-edited spec reusing an old
-    store key).  Resuming from a stale snapshot would splice another
-    job's state into this one, so it is quarantined instead.
-    """
-    try:
-        checkpoint = Checkpoint.from_dict(document)
-    except (
-        CheckpointIntegrityError,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as error:
-        _quarantine_checkpoint(
-            store, job_hash, f"{type(error).__name__}: {error}", obs
-        )
-        return None
-    if checkpoint.job_hash != job_hash:
-        _quarantine_checkpoint(
-            store,
-            job_hash,
-            (
-                "stale checkpoint: recorded for job "
-                f"{checkpoint.job_hash[:12]} but the spec hashes to "
-                f"{job_hash[:12]}"
-            ),
-            obs,
-        )
-        return None
-    return checkpoint
-
-
 def execute_job(
     spec: JobSpec,
     store: ArtifactStore,
@@ -369,10 +317,16 @@ def execute_job(
                 )
 
     try:
-        checkpoint_doc = store.load_checkpoint(job_hash)
+        checkpoint = store.load_checkpoint(job_hash)
     except CheckpointIntegrityError as error:
-        checkpoint_doc = None
-        _quarantine_checkpoint(store, job_hash, str(error), obs)
+        checkpoint = None
+        store.quarantine_checkpoint(job_hash, str(error))
+        if obs.enabled:
+            obs.count("jobs.checkpoint_quarantined")
+            obs.event(
+                "job", phase="checkpoint_quarantined", job=job_hash[:12],
+                error=str(error),
+            )
     package = Package()
     try:
         circuit = spec.build_circuit()
@@ -383,12 +337,6 @@ def execute_job(
         prior_elapsed = 0.0
         prior_max_nodes = 0
         initial_state: "int | object" = 0
-        if checkpoint_doc is not None:
-            checkpoint = _validated_checkpoint(
-                store, job_hash, checkpoint_doc, obs
-            )
-        else:
-            checkpoint = None
         if checkpoint is not None:
             start_op_index = checkpoint.next_op_index
             prior_rounds = checkpoint.round_records()
@@ -435,9 +383,7 @@ def execute_job(
                 job_hash, timeout, prior_elapsed, prior_max_nodes
             )
             if rescue is not None:
-                store.save_checkpoint(
-                    job_hash, rescue.to_dict(), fence=fence
-                )
+                store.save_checkpoint(job_hash, rescue, fence=fence)
             partial = _stats_doc(
                 timeout.stats,
                 prior_elapsed + timeout.stats.runtime_seconds,

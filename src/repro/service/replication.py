@@ -28,6 +28,11 @@ documents, so their reads consult *all* replicas and pick the newest
 (highest ``next_op_index`` / highest epoch) rather than the first —
 a stale checkpoint replayed after failover would corrupt the Lemma-1
 fidelity ledger, and a stale lease epoch would un-fence a dead owner.
+Every checkpoint copy is verified by its replica's
+:meth:`ArtifactStore.load_checkpoint` before it is compared, so the
+pick, the read-repair and the scrub only ever see verified copies: a
+bit flip that raises one copy's op index makes that copy corrupt, not
+newest.  Lease copies are not verified yet (a lease has no checksum).
 
 **Anti-entropy.**  :meth:`scrub` walks every artifact on every replica,
 verifies the integrity blocks, quarantines bitrot/torn copies, and
@@ -51,6 +56,7 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterator
+from operator import attrgetter
 
 from ..faults.errors import (
     ArtifactIntegrityError,
@@ -60,6 +66,7 @@ from ..faults.errors import (
 )
 from ..faults.injector import inject
 from ..obs import get_recorder
+from .checkpoint import Checkpoint, encode_checkpoint
 from .store import (
     CHECKPOINT_FILE,
     JOURNAL_FILE,
@@ -96,17 +103,8 @@ def open_store(root: str) -> ArtifactStore:
     return ArtifactStore(absolute)
 
 
-def _checkpoint_key(document: dict) -> tuple[int, float]:
-    """Freshness ordering for checkpoint documents (newest = max)."""
-    try:
-        op_index = int(document.get("next_op_index", -1))
-    except (TypeError, ValueError):
-        op_index = -1
-    try:
-        elapsed = float(document.get("elapsed_seconds", 0.0))
-    except (TypeError, ValueError):
-        elapsed = 0.0
-    return (op_index, elapsed)
+#: Freshness order of verified checkpoint copies (newest = max).
+_freshness = attrgetter("next_op_index", "elapsed_seconds")
 
 
 class ReplicatedStore(ArtifactStore):
@@ -584,15 +582,19 @@ class ReplicatedStore(ArtifactStore):
     # ------------------------------------------------------------------
 
     def save_checkpoint(
-        self, job_hash: str, document: dict, fence: dict | None = None
+        self,
+        job_hash: str,
+        checkpoint: Checkpoint,
+        fence: dict | None = None,
     ) -> str:
-        # Fence once at this layer against the max-epoch lease view;
-        # per-replica saves skip their own (replica-local) check.
+        # Fence once at this layer against the max-epoch lease view and
+        # encode once; every replica writes the same bytes.
         self._check_fence(job_hash, fence)
+        text = encode_checkpoint(checkpoint)
         self._quorum_write(
             "save_checkpoint",
             job_hash,
-            lambda replica: replica.save_checkpoint(job_hash, document),
+            lambda replica: replica._write_checkpoint(job_hash, text),
             written_path=lambda replica: os.path.join(
                 replica.checkpoint_dir(job_hash), CHECKPOINT_FILE
             ),
@@ -604,19 +606,19 @@ class ReplicatedStore(ArtifactStore):
             self.checkpoint_dir(job_hash), CHECKPOINT_FILE
         )
 
-    def load_checkpoint(self, job_hash: str) -> dict | None:
-        """Newest valid checkpoint across replicas (repairing laggards).
+    def load_checkpoint(self, job_hash: str) -> Checkpoint | None:
+        """Newest verified checkpoint across replicas (repairing the rest).
 
         Read-any is *wrong* here: a replica that missed the last
         quorum write holds an older-but-valid checkpoint, and resuming
         from it would replay work and corrupt the Lemma-1 fidelity
         ledger.  So every replica is consulted and the freshest
-        document (highest ``next_op_index``) wins; stale, missing, and
-        corrupt copies are repaired to match.
+        verified copy (highest ``next_op_index``) wins; stale, missing,
+        and corrupt copies are repaired to match.  Each replica read
+        verifies its copy, so a damaged one never takes part in the
+        choice.
         """
-        best: dict | None = None
-        best_key: tuple[int, float] | None = None
-        per_replica: list[tuple[int, dict | None]] = []
+        copies: list[tuple[int, Checkpoint | None]] = []
         corrupt: list[int] = []
         corrupt_error: CheckpointIntegrityError | None = None
         for index, replica in enumerate(self.replicas):
@@ -626,34 +628,29 @@ class ReplicatedStore(ArtifactStore):
             try:
                 self._fire(index, "load_checkpoint", job_hash, path)
             except StaleReplicaFault:
-                per_replica.append((index, None))
+                copies.append((index, None))
                 continue
             except (OSError, ConnectionError, MemoryError):
                 self._mark(index, HEALTH_DEGRADED)
-                per_replica.append((index, None))
+                copies.append((index, None))
                 continue
             try:
-                document = replica.load_checkpoint(job_hash)
+                copies.append((index, replica.load_checkpoint(job_hash)))
             except CheckpointIntegrityError as error:
                 corrupt_error = error
                 corrupt.append(index)
                 self._mark(index, HEALTH_DEGRADED)
-                per_replica.append((index, None))
-                continue
-            per_replica.append((index, document))
-            if document is None:
-                continue
-            key = _checkpoint_key(document)
-            if best_key is None or key > best_key:
-                best, best_key = document, key
-        if best is None:
+                copies.append((index, None))
+        verified = [copy for _index, copy in copies if copy is not None]
+        if not verified:
             if corrupt_error is not None:
                 # Every surviving copy is damaged: surface it so the
                 # caller quarantines and restarts from scratch.
                 raise corrupt_error
             return None
-        for index, document in per_replica:
-            if document is not None and _checkpoint_key(document) == best_key:
+        best = max(verified, key=_freshness)
+        for index, copy in copies:
+            if copy is not None and _freshness(copy) == _freshness(best):
                 continue
             replica = self.replicas[index]
             try:
@@ -983,22 +980,16 @@ class ReplicatedStore(ArtifactStore):
                     for replica in self.replicas:
                         replica.clear_checkpoint(job_hash)
                 continue
-            best: dict | None = None
-            best_key: tuple[int, float] | None = None
-            copies: list[tuple[int, dict | None, bool]] = []
+            copies: list[tuple[int, Checkpoint | None, bool]] = []
             for index, replica in enumerate(self.replicas):
                 try:
-                    document = replica.load_checkpoint(job_hash)
-                    corrupt = False
+                    copies.append(
+                        (index, replica.load_checkpoint(job_hash), False)
+                    )
                 except CheckpointIntegrityError:
-                    document, corrupt = None, True
-                copies.append((index, document, corrupt))
-                if document is None:
-                    continue
-                key = _checkpoint_key(document)
-                if best_key is None or key > best_key:
-                    best, best_key = document, key
-            if best is None:
+                    copies.append((index, None, True))
+            verified = [copy for _i, copy, _c in copies if copy is not None]
+            if not verified:
                 report["lost"] += 1
                 report["problems"].append(
                     {
@@ -1007,7 +998,7 @@ class ReplicatedStore(ArtifactStore):
                     }
                 )
                 if repair:
-                    for index, _doc, corrupt in copies:
+                    for index, _copy, corrupt in copies:
                         if corrupt:
                             self.replicas[
                                 index
@@ -1017,12 +1008,9 @@ class ReplicatedStore(ArtifactStore):
                             )
                             report["quarantined"] += 1
                 continue
-            for index, document, corrupt in copies:
-                fresh = (
-                    document is not None
-                    and _checkpoint_key(document) == best_key
-                )
-                if fresh:
+            best = max(verified, key=_freshness)
+            for index, copy, corrupt in copies:
+                if copy is not None and _freshness(copy) == _freshness(best):
                     continue
                 report["problems"].append(
                     {

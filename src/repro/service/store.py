@@ -28,6 +28,14 @@ forensics) and recomputing.  Truncated journals are repaired in place
 by dropping the torn tail line — the only damage an interrupted append
 can cause.
 
+The store owns the checkpoint document: :meth:`save_checkpoint` takes a
+:class:`~repro.service.checkpoint.Checkpoint` and encodes it once (one
+JSON dump, SHA-256 embedded), and :meth:`load_checkpoint` verifies the
+bytes on every read, returning a ``Checkpoint`` or raising
+:class:`~repro.faults.errors.CheckpointIntegrityError` — for a torn or
+corrupt file, a wrong format, a missing or failing checksum, and a
+checkpoint recorded for another job alike.
+
 **Multi-reader/multi-writer safety.**  One store may back several
 daemon shards at once (the serve cluster shares a store so results and
 checkpoints are location-independent — any shard can resume any job).
@@ -63,6 +71,7 @@ from ..faults.errors import (
 )
 from ..faults.injector import inject
 from ..obs import get_recorder
+from .checkpoint import Checkpoint, decode_checkpoint, encode_checkpoint
 
 RESULT_FILE = "result.json"
 STATE_FILE = "state.json"
@@ -416,7 +425,10 @@ class ArtifactStore:
     # ------------------------------------------------------------------
 
     def save_checkpoint(
-        self, job_hash: str, document: dict, fence: dict | None = None
+        self,
+        job_hash: str,
+        checkpoint: Checkpoint,
+        fence: dict | None = None,
     ) -> str:
         """Atomically persist the latest checkpoint of a job.
 
@@ -429,21 +441,27 @@ class ArtifactStore:
                 checkpoint, no matter what the router believes.
         """
         self._check_fence(job_hash, fence)
+        return self._write_checkpoint(job_hash, encode_checkpoint(checkpoint))
+
+    def _write_checkpoint(self, job_hash: str, text: str) -> str:
+        """Atomically replace the checkpoint file with encoded ``text``."""
         directory = self.checkpoint_dir(job_hash)
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, CHECKPOINT_FILE)
-        _atomic_write(path, json.dumps(document))
+        _atomic_write(path, text)
         # Post-write window: corrupt/truncate rules damage the file
         # here, exercising the verify-on-load + quarantine path.
         inject("store.save_checkpoint", job_hash=job_hash, path=path)
         return path
 
-    def load_checkpoint(self, job_hash: str) -> dict | None:
-        """Load the latest checkpoint, or None when there is none.
+    def load_checkpoint(self, job_hash: str) -> Checkpoint | None:
+        """Load and verify the latest checkpoint, or None when there is none.
 
         Raises:
             CheckpointIntegrityError: When the checkpoint file exists
-                but is unreadable or unparsable (truncated, corrupted).
+                but does not verify — unreadable, truncated, corrupted,
+                missing its checksum, or recorded for another job
+                (:func:`~repro.service.checkpoint.decode_checkpoint`).
                 Callers should quarantine it and start fresh.
         """
         path = os.path.join(self.checkpoint_dir(job_hash), CHECKPOINT_FILE)
@@ -451,18 +469,19 @@ class ArtifactStore:
             return None
         inject("store.load_checkpoint", job_hash=job_hash, path=path)
         try:
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             # Vanished between the existence check and the open: a peer
             # shard completed the job and cleared its checkpoint.  Not
             # corruption — there is simply no checkpoint any more.
             return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        except OSError as error:
             raise CheckpointIntegrityError(
                 f"checkpoint for {job_hash[:12]} is unreadable: {error}",
                 path=path,
             ) from error
+        return decode_checkpoint(raw, job_hash, path)
 
     def clear_checkpoint(
         self, job_hash: str, fence: dict | None = None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -214,6 +216,67 @@ class TestCrossProcessCounters:
         second = FaultInjector(plan)  # a "restarted worker"
         second.fire("engine.job")
         assert second.fired == []
+
+
+def _visit_concurrently(plan: FaultPlan, start, visits: int, out) -> None:
+    """Worker: visit the rule ``visits`` times, report the visit numbers."""
+    injector = FaultInjector(plan)
+    start.wait()
+    for _ in range(visits):
+        injector.fire("store.save_checkpoint", path="/nonexistent/latest.json")
+    out.put([record.visit for record in injector.fired])
+
+
+class TestConcurrentVisitors:
+    def test_concurrent_processes_get_distinct_visit_numbers(self, tmp_path):
+        """Visitors in several processes at once each get their own
+        visit number: together they count exactly 1..N."""
+        plan = _plan(
+            FaultRule(
+                site="store.save_checkpoint", kind="corrupt", max_hits=None
+            ),
+            state_dir=str(tmp_path / "counters"),
+        )
+        context = multiprocessing.get_context("spawn")
+        processes, visits = 3, 50
+        start = context.Barrier(processes)
+        out = context.Queue()
+        workers = [
+            context.Process(
+                target=_visit_concurrently, args=(plan, start, visits, out)
+            )
+            for _ in range(processes)
+        ]
+        for worker in workers:
+            worker.start()
+        seen = [out.get(timeout=60) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        assert sorted(sum(seen, [])) == list(range(1, processes * visits + 1))
+
+    def test_an_append_racing_ours_does_not_shift_our_visit(
+        self, tmp_path, monkeypatch
+    ):
+        """The interleaving the processes above can hit, forced: another
+        visitor appends right after our write.  Our visit stays 1."""
+        counters = tmp_path / "counters"
+        plan = _plan(
+            FaultRule(site="store.save_checkpoint", kind="corrupt"),
+            state_dir=str(counters),
+        )
+        injector = FaultInjector(plan)
+        real_write = os.write
+
+        def write_then_race(descriptor: int, data: bytes) -> int:
+            written = real_write(descriptor, data)
+            with open(counters / "rule-0.visits", "ab") as other:
+                other.write(b".")
+            return written
+
+        monkeypatch.setattr(os, "write", write_then_race)
+        injector.fire("store.save_checkpoint", path="/nonexistent/latest.json")
+        assert [record.visit for record in injector.fired] == [1]
 
 
 class TestArming:

@@ -13,12 +13,31 @@ from repro.faults.errors import (
 )
 from repro.faults.injector import arm
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.service.checkpoint import Checkpoint
+from repro.service.checkpoint import Checkpoint, encode_checkpoint
 from repro.service.engine import execute_job
 from repro.service.jobs import JobSpec
 from repro.service.store import JOURNAL_FILE, RESULT_FILE, STATE_FILE
+from tests.helpers import make_checkpoint
 
 HASH_A = "a" * 64
+
+#: A ``repro-checkpoint`` v1 file exactly as the earlier writer stored it.
+V1_DOCUMENT = (
+    '{"format": "repro-checkpoint", "version": 1, "job_hash": '
+    '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", '
+    '"next_op_index": 56, "state": {"format": "repro-dd-state", '
+    '"version": 1, "num_qubits": 2, "root": {"weight": '
+    '[0.9999999999999999, 0.0], "node": 2}, "nodes": [{"level": 0, '
+    '"edges": [[[0.0, 0.0], -1], [[1.0, 0.0], -1]]}, {"level": 0, '
+    '"edges": [[[1.0, 0.0], -1], [[0.0, 0.0], -1]]}, {"level": 1, '
+    '"edges": [[[0.7071067811865476, 0.0], 1], [[0.7071067811865476, '
+    '0.0], 0]]}]}, "rounds": [{"op_index": 20, "nodes_before": 9, '
+    '"nodes_after": 5, "requested_fidelity": 0.9, "achieved_fidelity": '
+    '0.9375, "removed_contribution": 0.0625, "removed_nodes": 4, '
+    '"emergency": false}], "max_nodes": 9, "elapsed_seconds": 0.25, '
+    '"checksum": '
+    '"df78c93d7d86fd33c795880ff0b62142f39f6a460823a13674f891d82253507d"}'
+)
 
 
 def _spec(**kwargs) -> JobSpec:
@@ -161,25 +180,64 @@ class TestCheckpointIntegrity:
             elapsed_seconds=0.5,
         )
 
-    def test_checksum_round_trips(self):
+    @staticmethod
+    def _path(store) -> str:
+        return os.path.join(store.checkpoint_dir(HASH_A), "latest.json")
+
+    def _rewrite(self, store, edit) -> None:
+        """Apply ``edit`` to the stored document and write it back."""
+        with open(self._path(store), encoding="utf-8") as handle:
+            document = json.load(handle)
+        edit(document)
+        with open(self._path(store), "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+    def test_checksum_round_trips(self, store):
         checkpoint = self._checkpoint()
-        document = checkpoint.to_dict()
-        assert "checksum" in document
-        assert Checkpoint.from_dict(document) == checkpoint
+        store.save_checkpoint(HASH_A, checkpoint)
+        with open(self._path(store), encoding="utf-8") as handle:
+            assert "checksum" in json.load(handle)
+        assert store.load_checkpoint(HASH_A) == checkpoint
 
-    def test_tampered_field_fails_the_checksum(self):
-        document = self._checkpoint().to_dict()
-        document["next_op_index"] = 9
+    def test_tampered_field_fails_the_checksum(self, store):
+        store.save_checkpoint(HASH_A, self._checkpoint())
+        self._rewrite(
+            store, lambda document: document.update(next_op_index=9)
+        )
         with pytest.raises(CheckpointIntegrityError, match="SHA-256"):
-            Checkpoint.from_dict(document)
+            store.load_checkpoint(HASH_A)
 
-    def test_legacy_document_without_checksum_still_loads(self):
-        document = self._checkpoint().to_dict()
-        del document["checksum"]
-        assert Checkpoint.from_dict(document) == self._checkpoint()
+    def test_document_without_checksum_is_rejected(self, store):
+        # A one-bit flip in the key name would otherwise switch the
+        # check off; every writer records the checksum.
+        store.save_checkpoint(HASH_A, self._checkpoint())
+        self._rewrite(store, lambda document: document.pop("checksum"))
+        with pytest.raises(CheckpointIntegrityError, match="no checksum"):
+            store.load_checkpoint(HASH_A)
+
+    def test_v1_document_of_the_earlier_writer_still_loads(self, store):
+        # Verbatim output of the earlier writer, which dumped the
+        # document twice: sorted and compact for the checksum, then in
+        # insertion order with default separators for the file.
+        os.makedirs(store.checkpoint_dir(HASH_A))
+        with open(self._path(store), "w", encoding="utf-8") as handle:
+            handle.write(V1_DOCUMENT)
+        checkpoint = store.load_checkpoint(HASH_A)
+        assert checkpoint is not None
+        assert checkpoint.next_op_index == 56
+        assert checkpoint.max_nodes == 9
+        assert checkpoint.elapsed_seconds == 0.25
+        assert checkpoint.state["num_qubits"] == 2
+        assert [row["achieved_fidelity"] for row in checkpoint.rounds] == [
+            0.9375
+        ]
+        # Re-encoding yields the canonical form of the same document.
+        assert json.loads(encode_checkpoint(checkpoint)) == json.loads(
+            V1_DOCUMENT
+        )
 
     def test_truncated_checkpoint_file_raises(self, store):
-        store.save_checkpoint(HASH_A, self._checkpoint().to_dict())
+        store.save_checkpoint(HASH_A, self._checkpoint())
         path = os.path.join(store.checkpoint_dir(HASH_A), "latest.json")
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
@@ -189,7 +247,7 @@ class TestCheckpointIntegrity:
 
 class TestQuarantine:
     def test_quarantine_moves_checkpoint_aside_with_reason(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
         target = store.quarantine_checkpoint(HASH_A, "checksum mismatch")
         assert target is not None
         assert store.load_checkpoint(HASH_A) is None
@@ -206,12 +264,12 @@ class TestQuarantine:
 
     def test_repeated_quarantines_get_distinct_slots(self, store):
         for _ in range(3):
-            store.save_checkpoint(HASH_A, {"next_op_index": 3})
+            store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
             assert store.quarantine_checkpoint(HASH_A, "bad") is not None
         assert len(list(store.iter_quarantined())) == 3
 
     def test_gc_can_purge_quarantine(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
         store.quarantine_checkpoint(HASH_A, "bad")
         removed = store.gc(remove_quarantine=True)
         assert removed["quarantined"] == 1

@@ -2,9 +2,9 @@
 
 The replicated store's checkpoint read is read-ALL-pick-newest; this
 suite drives the property the design exists for — whatever single
-replica loses its checkpoint copy to bitrot or truncation,
-``load_checkpoint`` returns a document bit-equal to the undamaged
-store's, and resuming from it spends exactly the fidelity budget of
+replica loses its checkpoint copy to bitrot, a single flipped bit or
+truncation, ``load_checkpoint`` returns a checkpoint equal to the
+undamaged store's, and resuming from it spends exactly the fidelity budget of
 the uninterrupted (damage-free) reference resume.  Bit-equal, not
 approximately: the Lemma-1 ledger replays the same rounds in the same
 order, so replication must contribute zero float drift.
@@ -12,7 +12,6 @@ order, so replication must contribute zero float drift.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -20,7 +19,7 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.fidelity import composed_fidelity  # noqa: E402
@@ -69,13 +68,13 @@ def template(tmp_path_factory):
     assert first.status == "timeout", "spec must time out to checkpoint"
     for replica in store.replicas:
         assert replica.load_checkpoint(first.job_hash) is not None
-    document = store.load_checkpoint(first.job_hash)
+    checkpoint = store.load_checkpoint(first.job_hash)
     # The undamaged resume: what every damaged resume must reproduce.
     scratch, root = _resume(store.root)
     reference = _finish_uninterrupted(ReplicatedStore(root))
     shutil.rmtree(scratch, ignore_errors=True)
     assert reference.status == "completed"
-    return store.root, first.job_hash, document, reference.stats
+    return store.root, first.job_hash, checkpoint, reference.stats
 
 
 @settings(
@@ -85,13 +84,17 @@ def template(tmp_path_factory):
 )
 @given(
     replica=st.integers(min_value=0, max_value=2),
-    damage=st.sampled_from(["bitrot", "truncate"]),
+    damage=st.sampled_from(["bitrot", "bitflip", "truncate"]),
     offset=st.integers(min_value=0, max_value=4096),
+    bit=st.integers(min_value=0, max_value=7),
 )
+# One bit of a digit near the head of replica 0's copy: the JSON stays
+# valid, so only the checksum can tell the copy from a healthy one.
+@example(replica=0, damage="bitflip", offset=100, bit=0)
 def test_single_replica_checkpoint_damage_round_trip(
-    template, replica, damage, offset
+    template, replica, damage, offset, bit
 ):
-    template_root, job_hash, reference_doc, reference_stats = template
+    template_root, job_hash, reference, reference_stats = template
     scratch, root = _resume(template_root)
     try:
         victim = os.path.join(
@@ -103,29 +106,28 @@ def test_single_replica_checkpoint_damage_round_trip(
         )
         size = os.path.getsize(victim)
         assert size > 0
-        if damage == "bitrot":
+        if damage in ("bitrot", "bitflip"):
+            mask = 0xFF if damage == "bitrot" else 1 << bit
             position = offset % size
             with open(victim, "r+b") as handle:
                 handle.seek(position)
                 byte = handle.read(1)
                 handle.seek(position)
-                handle.write(bytes([byte[0] ^ 0xFF]))
+                handle.write(bytes([byte[0] ^ mask]))
         else:
             with open(victim, "r+b") as handle:
                 handle.truncate(offset % size)
 
         store = ReplicatedStore(root)
         # load_checkpoint ignores the damaged copy and returns a
-        # document bit-equal to the undamaged store's ...
-        document = store.load_checkpoint(job_hash)
-        assert json.dumps(document, sort_keys=True) == json.dumps(
-            reference_doc, sort_keys=True
-        )
+        # checkpoint equal to the undamaged store's ...
+        checkpoint = store.load_checkpoint(job_hash)
+        assert checkpoint == reference
         # ... whose recorded fidelity ledger composes identically ...
         assert composed_fidelity(
-            [row["achieved_fidelity"] for row in document["rounds"]]
+            [row["achieved_fidelity"] for row in checkpoint.rounds]
         ) == composed_fidelity(
-            [row["achieved_fidelity"] for row in reference_doc["rounds"]]
+            [row["achieved_fidelity"] for row in reference.rounds]
         )
         # ... and the resumed run spends exactly the reference budget.
         result = _finish_uninterrupted(store)

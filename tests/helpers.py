@@ -8,6 +8,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.lowering import circuit_operators
 from repro.dd.package import Package
 from repro.dd.vector import StateDD
+from repro.service.checkpoint import Checkpoint
 
 
 def run_circuit_dd(circuit: Circuit, package: Package | None = None) -> StateDD:
@@ -39,3 +40,11 @@ def random_sparse_state_vector(
         mask, rng.normal(size=size) + 1j * rng.normal(size=size), 0.0
     )
     return vector / np.linalg.norm(vector)
+
+
+def make_checkpoint(job_hash: str, next_op_index: int) -> Checkpoint:
+    """A small valid checkpoint (empty state, no rounds) for store tests."""
+    return Checkpoint(
+        job_hash, next_op_index, state={}, rounds=[], max_nodes=0,
+        elapsed_seconds=0.0,
+    )

@@ -871,7 +871,7 @@ class TestEndToEndCluster:
             # None`` -- a checkpoint taken before op 0 resumes
             # indistinguishably from a fresh run.
             assert resumed["result"]["resumed_at"] == (
-                checkpoint.get("next_op_index") or None
+                checkpoint.next_op_index or None
             )
             assert (
                 resumed["result"]["stats"]["fidelity_estimate"] == 1.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.circuits.qft import qft_circuit
@@ -13,14 +16,17 @@ from repro.core.simulator import (
 )
 from repro.dd.package import Package
 from repro.dd.serialize import state_from_dict
+from repro.faults.errors import CheckpointIntegrityError
 from repro.service.checkpoint import (
     Checkpoint,
     CheckpointWriter,
     checkpoint_from_timeout,
+    encode_checkpoint,
     rounds_from_dicts,
     rounds_to_dicts,
 )
-from repro.service.store import ArtifactStore
+from repro.service.store import CHECKPOINT_FILE, ArtifactStore
+from tests.helpers import make_checkpoint
 
 JOB_HASH = "ff" + "0" * 62
 
@@ -43,8 +49,19 @@ class TestRoundsSerialization:
         assert rounds_from_dicts(rounds_to_dicts(records)) == records
 
 
+def _plant(store: ArtifactStore, job_hash: str, text: str) -> None:
+    """Write ``text`` as ``job_hash``'s checkpoint file, bypassing encode."""
+    directory = store.checkpoint_dir(job_hash)
+    os.makedirs(directory, exist_ok=True)
+    with open(
+        os.path.join(directory, CHECKPOINT_FILE), "w", encoding="utf-8"
+    ) as handle:
+        handle.write(text)
+
+
 class TestCheckpointDocument:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
         checkpoint = Checkpoint(
             job_hash=JOB_HASH,
             next_op_index=7,
@@ -53,21 +70,49 @@ class TestCheckpointDocument:
             max_nodes=123,
             elapsed_seconds=1.5,
         )
-        clone = Checkpoint.from_dict(checkpoint.to_dict())
+        store.save_checkpoint(JOB_HASH, checkpoint)
+        clone = store.load_checkpoint(JOB_HASH)
         assert clone == checkpoint
         assert clone.round_records() == [_round()]
 
-    def test_rejects_wrong_format(self):
-        with pytest.raises(ValueError):
-            Checkpoint.from_dict({"format": "something-else"})
+    def test_encoding_is_one_sorted_compact_dump(self):
+        checkpoint = Checkpoint(JOB_HASH, 7, {"b": 1, "a": [0.5]}, [], 3, 1.5)
+        text = encode_checkpoint(checkpoint)
+        document = json.loads(text)
+        assert text == json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        )
+        assert text.startswith('{"checksum":"')
 
-    def test_rejects_wrong_version(self):
-        document = Checkpoint(
-            JOB_HASH, 0, {}, [], 0, 0.0
-        ).to_dict()
+    def test_rejects_wrong_format(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        _plant(store, JOB_HASH, json.dumps({"format": "something-else"}))
+        with pytest.raises(CheckpointIntegrityError, match="not a"):
+            store.load_checkpoint(JOB_HASH)
+
+    def test_rejects_wrong_version(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        document = json.loads(
+            encode_checkpoint(make_checkpoint(JOB_HASH, 0))
+        )
         document["version"] = 99
-        with pytest.raises(ValueError):
-            Checkpoint.from_dict(document)
+        _plant(store, JOB_HASH, json.dumps(document))
+        with pytest.raises(CheckpointIntegrityError, match="version 99"):
+            store.load_checkpoint(JOB_HASH)
+
+    def test_rejects_a_mistyped_field_under_a_valid_checksum(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        mistyped = Checkpoint(JOB_HASH, "7", {}, [], 0, 0.0)  # type: ignore[arg-type]
+        store.save_checkpoint(JOB_HASH, mistyped)
+        with pytest.raises(CheckpointIntegrityError, match="next_op_index"):
+            store.load_checkpoint(JOB_HASH)
+
+    def test_rejects_a_checkpoint_recorded_for_another_job(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        other = "ee" + "1" * 62
+        store.save_checkpoint(JOB_HASH, make_checkpoint(other, 3))
+        with pytest.raises(CheckpointIntegrityError, match="stale"):
+            store.load_checkpoint(JOB_HASH)
 
 
 class TestCheckpointFromTimeout:
@@ -109,8 +154,7 @@ class TestCheckpointWriter:
             checkpoint_callback=writer,
         )
         assert writer.writes == (len(circuit) - 1) // 2
-        document = store.load_checkpoint(JOB_HASH)
-        checkpoint = Checkpoint.from_dict(document)
+        checkpoint = store.load_checkpoint(JOB_HASH)
         assert 0 < checkpoint.next_op_index < len(circuit)
         assert checkpoint.elapsed_seconds >= 1.0
         # Replaying the remaining operations reproduces the final state.

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.service.engine import JobEngine, JobResult, execute_job
 from repro.service.jobs import JobSpec
-from repro.service.store import ArtifactStore
+from repro.service.store import CHECKPOINT_FILE, ArtifactStore
 
 FIDELITY_SHOR = (
     ("final_fidelity", 0.5),
@@ -137,7 +140,7 @@ class TestStaleCheckpoint:
             max_nodes=5,
             elapsed_seconds=1.0,
         )
-        store.save_checkpoint(job_hash, stale.to_dict())
+        store.save_checkpoint(job_hash, stale)
 
         result = execute_job(spec, store)
         assert result.status == "completed"
@@ -153,9 +156,12 @@ class TestStaleCheckpoint:
         self, store
     ):
         spec = _spec()
-        store.save_checkpoint(
-            spec.content_hash(), {"format": "repro-checkpoint", "version": 1}
-        )
+        directory = store.checkpoint_dir(spec.content_hash())
+        os.makedirs(directory)
+        with open(
+            os.path.join(directory, CHECKPOINT_FILE), "w", encoding="utf-8"
+        ) as handle:
+            json.dump({"format": "repro-checkpoint", "version": 1}, handle)
         result = execute_job(spec, store)
         assert result.status == "completed"
         assert result.resumed_at is None

@@ -7,6 +7,7 @@ import pytest
 from repro.faults.errors import StaleLeaseError
 from repro.service.lease import DEFAULT_LEASE_TTL, Lease, LeaseHeld, LeaseManager
 from repro.service.store import ArtifactStore
+from tests.helpers import make_checkpoint
 
 HASH_A = "a" * 64
 
@@ -108,7 +109,7 @@ class TestFencing:
         other.acquire(HASH_A, force=True)
         with pytest.raises(StaleLeaseError):
             store.save_checkpoint(
-                HASH_A, {"next_op_index": 1}, fence=old.fence
+                HASH_A, make_checkpoint(HASH_A, 1), fence=old.fence
             )
         assert store.load_checkpoint(HASH_A) is None
 
@@ -117,40 +118,42 @@ class TestFencing:
         with pytest.raises(StaleLeaseError):
             store.save_checkpoint(
                 HASH_A,
-                {"next_op_index": 1},
+                make_checkpoint(HASH_A, 1),
                 fence={"owner": "impostor", "epoch": 1},
             )
 
     def test_current_fence_is_accepted(self, store, leases):
         lease = leases.acquire(HASH_A)
         store.save_checkpoint(
-            HASH_A, {"next_op_index": 2}, fence=lease.fence
+            HASH_A, make_checkpoint(HASH_A, 2), fence=lease.fence
         )
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 2}
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 2)
 
     def test_unfenced_write_passes(self, store, leases):
         # Plain (non-serve) engines write without a token; fencing only
         # constrains writers that claim an epoch.
         leases.acquire(HASH_A)
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 3}
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 3)
 
     def test_unleased_job_accepts_any_fence(self, store):
         store.save_checkpoint(
-            HASH_A, {"next_op_index": 1}, fence={"owner": "s0", "epoch": 5}
+            HASH_A,
+            make_checkpoint(HASH_A, 1),
+            fence={"owner": "s0", "epoch": 5},
         )
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 1}
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 1)
 
     def test_clear_checkpoint_is_fenced_too(self, store, leases):
         lease = leases.acquire(HASH_A)
         store.save_checkpoint(
-            HASH_A, {"next_op_index": 2}, fence=lease.fence
+            HASH_A, make_checkpoint(HASH_A, 2), fence=lease.fence
         )
         other = LeaseManager(store, owner="s1", ttl_seconds=30.0)
         other.acquire(HASH_A, force=True)
         with pytest.raises(StaleLeaseError):
             store.clear_checkpoint(HASH_A, fence=lease.fence)
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 2}
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 2)
 
 
 class TestDefaults:

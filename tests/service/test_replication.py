@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.faults.injector import arm
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.service.replication import ReplicatedStore, open_store
 from repro.service.store import ArtifactStore
+from tests.helpers import make_checkpoint
 
 HASH_A = "a" * 64
 HASH_B = "b" * 64
@@ -38,6 +40,11 @@ def _flip_byte(path: str, offset: int = 16) -> None:
         byte = handle.read(1)
         handle.seek(offset)
         handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _replica_down(replica: int) -> FaultRule:
@@ -188,29 +195,67 @@ class TestCheckpoints:
         # Replica 1 missed the last quorum write and holds op 3; the
         # others hold op 7.  Read-any would happily return op 3 and
         # corrupt the fidelity ledger on resume.
-        store.replicas[0].save_checkpoint(HASH_A, {"next_op_index": 7})
-        store.replicas[1].save_checkpoint(HASH_A, {"next_op_index": 3})
-        store.replicas[2].save_checkpoint(HASH_A, {"next_op_index": 7})
+        store.replicas[0].save_checkpoint(HASH_A, make_checkpoint(HASH_A, 7))
+        store.replicas[1].save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
+        store.replicas[2].save_checkpoint(HASH_A, make_checkpoint(HASH_A, 7))
         document = store.load_checkpoint(HASH_A)
-        assert document == {"next_op_index": 7}
+        assert document == make_checkpoint(HASH_A, 7)
         assert store.replicas[1].load_checkpoint(HASH_A) == document
 
     def test_corrupt_copy_is_quarantined_and_replaced(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 5})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 5))
         path = os.path.join(
             store.replicas[2].checkpoint_dir(HASH_A), "latest.json"
         )
         _flip_byte(path)
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 5}
-        assert store.replicas[2].load_checkpoint(HASH_A) == {
-            "next_op_index": 5
-        }
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 5)
+        assert store.replicas[2].load_checkpoint(HASH_A) == make_checkpoint(
+            HASH_A, 5
+        )
+
+    def test_one_bit_raising_the_op_index_does_not_spread(self, store):
+        # One flipped bit makes replica 0's op 56 read as 76.  Every
+        # copy is verified before it is compared, so that copy is
+        # corrupt, not newest: the healthy op wins and the healthy
+        # copies keep their bytes.
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 56))
+        paths = [
+            os.path.join(replica.checkpoint_dir(HASH_A), "latest.json")
+            for replica in store.replicas
+        ]
+        healthy = [_read_bytes(path) for path in paths[1:]]
+        field = b'"next_op_index":'
+        with open(paths[0], "r+b") as handle:
+            data = handle.read()
+            position = data.index(field + b"56") + len(field)
+            handle.seek(position)
+            handle.write(bytes([data[position] ^ 0x02]))  # '5' -> '7'
+        report = store.scrub(repair=False)
+        assert [
+            (problem["kind"], problem["replica"])
+            for problem in report["problems"]
+        ] == [("checkpoint_corrupt", 0)]
+        assert store.load_checkpoint(HASH_A).next_op_index == 56
+        assert [_read_bytes(path) for path in paths[1:]] == healthy
+        assert _read_bytes(paths[0]) == healthy[0]  # read-repaired
+
+    @pytest.mark.parametrize("replicated", [False, True])
+    def test_a_checkpoint_write_dumps_json_once(self, tmp_path, replicated):
+        root = str(tmp_path / "one")
+        target = (
+            ReplicatedStore.create(root, replicas=3)
+            if replicated
+            else ArtifactStore(root)
+        )
+        with mock.patch("json.dumps", wraps=json.dumps) as dumps:
+            target.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 4))
+        assert dumps.call_count == 1
 
     def test_missing_everywhere_is_none(self, store):
         assert store.load_checkpoint(HASH_A) is None
 
     def test_clear_checkpoint_clears_all_replicas(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 5})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 5))
         store.clear_checkpoint(HASH_A)
         for replica in store.replicas:
             assert replica.load_checkpoint(HASH_A) is None

@@ -15,6 +15,7 @@ from repro.dd.package import Package
 from repro.dd.serialize import state_to_dict
 from repro.dd.vector import StateDD
 from repro.service.store import ArtifactStore
+from tests.helpers import make_checkpoint
 
 HASH_A = "aa" + "0" * 62
 HASH_B = "ab" + "1" * 62
@@ -99,24 +100,24 @@ class TestResolvePrefix:
 class TestCheckpoints:
     def test_round_trip_and_clear(self, store):
         assert store.load_checkpoint(HASH_A) is None
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 3}
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 3)
         assert list(store.iter_checkpoints()) == [HASH_A]
         store.clear_checkpoint(HASH_A)
         assert store.load_checkpoint(HASH_A) is None
         assert list(store.iter_checkpoints()) == []
 
     def test_save_overwrites_atomically(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
-        store.save_checkpoint(HASH_A, {"next_op_index": 9})
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 9}
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 9))
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 9)
 
 
 class TestGc:
     def test_removes_shadowed_checkpoints(self, store):
         store.put_result(HASH_A, {"stats": {}})
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
-        store.save_checkpoint(HASH_B, {"next_op_index": 5})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
+        store.save_checkpoint(HASH_B, make_checkpoint(HASH_B, 5))
         removed = store.gc()
         assert removed == {
             "checkpoints": 1,
@@ -178,7 +179,7 @@ class TestGcStaging:
         assert os.path.exists(staging)
 
     def test_old_checkpoint_tmp_file_is_reaped(self, store):
-        store.save_checkpoint(HASH_A, {"next_op_index": 1})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 1))
         leak = os.path.join(
             store.checkpoint_dir(HASH_A), ".tmp-abandoned"
         )
@@ -188,7 +189,7 @@ class TestGcStaging:
         removed = store.gc(staging_older_than_seconds=3600.0)
         assert removed["staging"] == 1
         assert not os.path.exists(leak)
-        assert store.load_checkpoint(HASH_A) == {"next_op_index": 1}
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 1)
 
     def test_concurrent_in_flight_put_is_not_reaped(self, store):
         # A put paused between staging and promote (the crash window
@@ -231,7 +232,7 @@ class TestQuarantineReport:
     """`jobs ls` must report half-written quarantine entries, not crash."""
 
     def _quarantine_one(self, store) -> str:
-        store.save_checkpoint(HASH_A, {"next_op_index": 3})
+        store.save_checkpoint(HASH_A, make_checkpoint(HASH_A, 3))
         store.quarantine_checkpoint(HASH_A, "checksum mismatch")
         return next(iter(store.iter_quarantined()))
 
@@ -282,7 +283,7 @@ class TestQuarantineReport:
 
     def test_report_covers_every_entry(self, store):
         self._quarantine_one(store)
-        store.save_checkpoint(HASH_B, {"next_op_index": 5})
+        store.save_checkpoint(HASH_B, make_checkpoint(HASH_B, 5))
         store.quarantine_checkpoint(HASH_B, "torn file")
         report = store.quarantine_report()
         assert len(report) == 2
