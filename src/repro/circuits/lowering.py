@@ -62,15 +62,13 @@ def _kron_chain(
                 level, (edge, zero_medge(), zero_medge(), edge)
             )
             continue
-        children = []
-        for row in (0, 1):
-            for col in (0, 1):
-                entry = complex(factor[row, col])
-                if entry == 0.0 or edge[0] == 0.0:
-                    children.append(zero_medge())
-                else:
-                    children.append((entry * edge[0], edge[1]))
-        edge = package.make_medge(level, tuple(children))  # type: ignore[arg-type]
+        weight, node = edge
+        # Row-major, as the quadrants of a matrix node.
+        children = tuple(
+            zero_medge() if entry == 0.0 or weight == 0.0 else (entry * weight, node)
+            for entry in factor.ravel().tolist()
+        )
+        edge = package.make_medge(level, children)  # type: ignore[arg-type]
     return edge
 
 
@@ -141,14 +139,20 @@ def modular_multiplication_mapping(
 def _controlled_medge(
     package: Package,
     num_qubits: int,
-    active_bottom: MEdge,
-    bottom_levels: int,
+    factors: dict[int, np.ndarray],
     controls: Sequence[int],
+    bottom: MEdge = (complex(1.0), None),
+    bottom_levels: int = 0,
 ) -> MEdge:
-    """Assemble ``A + (I - P)`` around a pre-built bottom block."""
+    """Assemble ``A + (I - P)`` from the active factors and a bottom block.
+
+    ``A`` places ``factors`` and a :math:`|1\\rangle\\langle 1|` at each
+    control above ``bottom``; ``P`` is the same chain with identity in
+    place of ``factors`` and ``bottom``.
+    """
     control_factors = {level: _PROJ_ONE for level in controls}
     active = _kron_chain(
-        package, num_qubits, control_factors, active_bottom, bottom_levels
+        package, num_qubits, {**factors, **control_factors}, bottom, bottom_levels
     )
     if not controls:
         return active
@@ -162,9 +166,7 @@ def _controlled_medge(
     )
     identity_total = package.identity(num_qubits)
     top = num_qubits - 1
-    result = package.madd(
-        active, (-projector[0], projector[1]), top
-    )
+    result = package.madd(active, (-projector[0], projector[1]), top)
     return package.madd(result, identity_total, top)
 
 
@@ -181,17 +183,7 @@ def single_qubit_medge(
     if target in controls:
         raise ValueError("target cannot also be a control")
     factors = {target: np.asarray(matrix, dtype=complex)}
-    factors.update({level: _PROJ_ONE for level in controls})
-    active = _kron_chain(package, num_qubits, factors)
-    if not controls:
-        return active
-    projector = _kron_chain(
-        package, num_qubits, {level: _PROJ_ONE for level in controls}
-    )
-    identity_total = package.identity(num_qubits)
-    top = num_qubits - 1
-    result = package.madd(active, (-projector[0], projector[1]), top)
-    return package.madd(result, identity_total, top)
+    return _controlled_medge(package, num_qubits, factors, controls)
 
 
 def operation_to_medge(
@@ -244,7 +236,7 @@ def _build_operation_medge(
         mapping = modular_multiplication_mapping(multiplier, modulus, work_bits)
         perm = permutation_medge(package, work_bits, mapping)
         return _controlled_medge(
-            package, num_qubits, perm, work_bits, operation.controls
+            package, num_qubits, {}, operation.controls, perm, work_bits
         )
     matrix = gate_matrix(operation.gate, operation.params)
     return single_qubit_medge(

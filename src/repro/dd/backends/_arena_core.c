@@ -2,10 +2,12 @@
  *
  * Implements make_vedge, vadd, the multiply_mv recursion, the inner
  * product, the rebuild of an approximation round and the whole-diagram
- * sweeps (node_count, vnodes, norm_contributions) directly on the
- * arena's own Python structures: the unique table `_vtable`, the node
- * list `_v_nodes`, the compute caches `_vadd_cache`, `_mv_cache` and
- * `_inner_cache`, the `_vcount_cache` memo, `stats` and `_cache_counts`.
+ * sweeps (node_count, vnodes, norm_contributions), and on the matrix
+ * side make_medge, madd and the multiply_mm recursion, directly on the
+ * arena's own Python structures: the unique tables `_vtable` and
+ * `_mtable`, the node lists `_v_nodes` and `_m_nodes`, the compute
+ * caches `_vadd_cache`, `_mv_cache`, `_inner_cache`, `_madd_cache` and
+ * `_mm_cache`, the `_vcount_cache` memo, `stats` and `_cache_counts`.
  * Keys and values are the same Python objects the pure-Python engine
  * stored, so reclaim, the DDSan audit and serialization read them
  * unchanged.  Built on first use by repro.dd.backends.native.
@@ -28,8 +30,8 @@
  * fast-math (the loader's flags).
  *
  * Lifetime rule: within one top-level call every arena node is held by
- * `_v_nodes` (reclaim only runs at the Python safe point before
- * multiply_mv), so the recursion passes nodes as borrowed pointers.
+ * `_v_nodes` or `_m_nodes` (reclaim only runs at the Python safe point
+ * before multiply_mv), so the recursion passes nodes as borrowed pointers.
  * Nodes that come out of a cache or the unique table without being
  * arena slots are pinned for the call, because a cache flush could
  * otherwise free them mid-recursion.
@@ -59,37 +61,50 @@ typedef struct {
  * slot (hand-built, or another package's). */
 enum { REC_TERMINAL = -1, REC_FOREIGN = -2 };
 
-/* State of one top-level call. */
+/* State of one top-level call.  ctx_open fills only the structures its
+ * USE_* flags name; the rest stay NULL. */
 typedef struct {
     PyObject *self;
     PyObject *vtable;
     PyObject *nodes;
     PyObject *record;
+    PyObject *mtable;
+    PyObject *m_nodes;
     PyObject *vadd_cache;
     PyObject *mv_cache;
     PyObject *inner_cache;
+    PyObject *madd_cache;
+    PyObject *mm_cache;
     PyObject *pinned;
     Py_ssize_t cache_limit;
     int counting;
     double tol;
     double inv;
     Py_ssize_t created;
+    Py_ssize_t m_created;
     Py_ssize_t vadd_counts[2]; /* hits, misses */
     Py_ssize_t mv_counts[2];
     Py_ssize_t inner_counts[2];
+    Py_ssize_t madd_counts[2];
+    Py_ssize_t mm_counts[2];
 } Ctx;
+
+/* What a top-level call works on: the vector or matrix node structures,
+ * and their compute caches. */
+enum { USE_VNODES = 1, USE_VCACHES = 2, USE_MNODES = 4, USE_MCACHES = 8 };
 
 static PyTypeObject *vnode_type;
 static PyTypeObject *mnode_type;
 static Py_ssize_t v_level_off, v_edges_off, v_index_off;
-static Py_ssize_t m_edges_off, m_index_off;
+static Py_ssize_t m_level_off, m_edges_off, m_index_off;
 static PyObject *ctable;
 static PyObject *zero_edge;
 static PyObject *targets[5];
 static PyObject *s_tolerance, *s_inv_tolerance, *s_vtable, *s_v_nodes,
     *s_v_record, *s_vadd_cache, *s_mv_cache, *s_inner_cache, *s_cache_limit,
     *s_counting, *s_stats, *s_cache_counts, *s_vcount_cache, *s_checked_insert,
-    *s_vadd, *s_mv, *s_inner, *s_vnodes_created;
+    *s_vadd, *s_mv, *s_inner, *s_vnodes_created, *s_mtable, *s_m_nodes, *s_madd_cache,
+    *s_mm_cache, *s_madd, *s_mm, *s_mnodes_created;
 
 static const Edge ZERO = {{0.0, 0.0}, NULL};
 
@@ -254,12 +269,13 @@ node_index(PyObject *node, Py_ssize_t offset)
     return index;
 }
 
-/* True when `node` is the live slot `index` of `nodes`; -1 on error. */
+/* True when `node` is the live slot `index` of `nodes` (a VNode in
+ * `_v_nodes`, an MNode in `_m_nodes`); -1 on error. */
 static int
 owned(PyObject *nodes, PyObject *node)
 {
     Py_ssize_t index;
-    PyObject *obj = node_index(node, v_index_off);
+    PyObject *obj = node_index(node, Py_IS_TYPE(node, mnode_type) ? m_index_off : v_index_off);
     if (obj == NULL) {
         return -1;
     }
@@ -295,7 +311,7 @@ pair_key(PyObject *a, Py_ssize_t a_off, PyObject *b, Py_ssize_t b_off)
     return PyLong_FromLongLong(ai * (1LL << 32) + bi);
 }
 
-/* Hold a node read from a cache or the unique table for the rest of the
+/* Hold a node read from a cache or a unique table for the rest of the
  * call unless an arena slot already holds it. */
 static int
 pin(Ctx *c, PyObject *node)
@@ -304,7 +320,7 @@ pin(Ctx *c, PyObject *node)
     if (node == NULL) {
         return 0;
     }
-    is_owned = owned(c->nodes, node);
+    is_owned = owned(Py_IS_TYPE(node, mnode_type) ? c->m_nodes : c->nodes, node);
     if (is_owned != 0) {
         return is_owned < 0 ? -1 : 0;
     }
@@ -869,6 +885,368 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* make_medge                                                          */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+new_mnode(PyObject *level, const Edge *edges, const int *snapped)
+{
+    PyObject *node, *tuple, *edge;
+    int k;
+    if ((tuple = PyTuple_New(4)) == NULL) {
+        return NULL;
+    }
+    for (k = 0; k < 4; k++) {
+        if ((edge = pack(edges[k].w, snapped[k], edges[k].n)) == NULL) {
+            Py_DECREF(tuple);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tuple, k, edge);
+    }
+    /* The slots MNode.__init__ plus interning fill; no __init__ call.
+     * The caller sets the index. */
+    if ((node = mnode_type->tp_alloc(mnode_type, 0)) == NULL) {
+        Py_DECREF(tuple);
+        return NULL;
+    }
+    Py_INCREF(level);
+    SLOT(node, m_level_off) = level;
+    SLOT(node, m_edges_off) = tuple;
+    return node;
+}
+
+/* Intern `node` as the next `_m_nodes` slot under `key`. */
+static int
+intern_mnode(Ctx *c, PyObject *node, PyObject *key)
+{
+    PyObject *index = PyLong_FromSsize_t(PyList_GET_SIZE(c->m_nodes));
+    if (index == NULL) {
+        return -1;
+    }
+    SLOT(node, m_index_off) = index;
+    if (PyList_Append(c->m_nodes, node) < 0 || PyDict_SetItem(c->mtable, key, node) < 0) {
+        return -1;
+    }
+    c->m_created++;
+    if ((PyList_GET_SIZE(c->m_nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
+        return -1;
+    }
+    return 0;
+}
+
+/* The arena's make_medge: clamp, divide by the pivot (the largest
+ * magnitude, ties within tolerance to the lowest index), snap, intern. */
+static int
+make_medge(Ctx *c, long level, const Edge *edges, Edge *out)
+{
+    double tol = c->tol, inv = c->inv, mag, max_mag = 0.0;
+    Edge cleaned[4];
+    int snapped[4], k, max_idx = -1, rc = -1;
+    PyObject *level_obj = NULL, *key = NULL, *node;
+
+    for (k = 0; k < 4; k++) {
+        if (c_abs(edges[k].w, &mag) < 0) {
+            return -1;
+        }
+        if (mag <= tol) {
+            cleaned[k] = ZERO;
+        }
+        else {
+            cleaned[k] = edges[k];
+            if (mag > max_mag + tol) {
+                max_mag = mag;
+                max_idx = k;
+            }
+            else if (max_idx < 0) {
+                max_mag = mag;
+                max_idx = k;
+            }
+        }
+    }
+    if (max_idx < 0) {
+        *out = ZERO;
+        return 0;
+    }
+    for (k = 0; k < 4; k++) {
+        snapped[k] = SNAP_NONE;
+        if (IS_ZERO(cleaned[k].w)) {
+            continue;
+        }
+        if (c_quot(cleaned[k].w, edges[max_idx].w, &cleaned[k].w) < 0 ||
+            snap(cleaned[k].w, tol, &snapped[k]) < 0) {
+            return -1;
+        }
+        if (snapped[k] != SNAP_NONE) {
+            cleaned[k].w = target_values[snapped[k]];
+        }
+    }
+
+    if ((level_obj = PyLong_FromLong(level)) == NULL || (key = PyTuple_New(13)) == NULL) {
+        goto done;
+    }
+    Py_INCREF(level_obj);
+    PyTuple_SET_ITEM(key, 0, level_obj);
+    for (k = 0; k < 4; k++) {
+        PyObject *child = cleaned[k].n == NULL ? Py_None : cleaned[k].n;
+        PyObject *re = bucket(cleaned[k].w.real * inv), *im = bucket(cleaned[k].w.imag * inv);
+        PyTuple_SET_ITEM(key, 3 * k + 1, re);
+        PyTuple_SET_ITEM(key, 3 * k + 2, im);
+        Py_INCREF(child);
+        PyTuple_SET_ITEM(key, 3 * k + 3, child);
+        if (re == NULL || im == NULL) {
+            goto done;
+        }
+    }
+
+    node = PyDict_GetItemWithError(c->mtable, key);
+    if (node != NULL) {
+        if (!Py_IS_TYPE(node, mnode_type)) {
+            PyErr_Format(PyExc_TypeError, "unique table holds a %.100s",
+                         Py_TYPE(node)->tp_name);
+            goto done;
+        }
+        if (pin(c, node) < 0) {
+            goto done;
+        }
+    }
+    else {
+        if (PyErr_Occurred() || (node = new_mnode(level_obj, cleaned, snapped)) == NULL) {
+            goto done;
+        }
+        if (intern_mnode(c, node, key) < 0) {
+            Py_DECREF(node);
+            goto done;
+        }
+        /* `_m_nodes` holds it now. */
+        Py_DECREF(node);
+    }
+    out->w = edges[max_idx].w;
+    out->n = node;
+    rc = 0;
+done:
+    Py_XDECREF(level_obj);
+    Py_XDECREF(key);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* madd                                                                */
+/* ------------------------------------------------------------------ */
+
+static int madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out);
+
+static int
+madd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, PyObject *key,
+          Edge *out)
+{
+    Edge a[4], b[4], child[4], result;
+    Py_complex rb;
+    int k;
+    if (read_node_edges(e1.n, m_edges_off, 4, mnode_type, a) < 0 ||
+        read_node_edges(e2.n, m_edges_off, 4, mnode_type, b) < 0) {
+        return -1;
+    }
+    for (k = 0; k < 4; k++) {
+        rb = _Py_c_prod(ratio, b[k].w);
+        if (IS_ZERO(a[k].w)) {
+            child[k].w = rb;
+            child[k].n = b[k].n;
+        }
+        else if (IS_ZERO(rb)) {
+            child[k] = a[k];
+        }
+        else {
+            Edge scaled = {rb, b[k].n};
+            if (madd(c, a[k], scaled, level - 1, &child[k]) < 0) {
+                return -1;
+            }
+        }
+    }
+    if (make_medge(c, level, child, &result) < 0 ||
+        cache_insert(c, c->madd_cache, key, result, s_madd) < 0) {
+        return -1;
+    }
+    out->w = _Py_c_prod(result.w, e1.w);
+    out->n = result.n;
+    return 0;
+}
+
+/* vadd's recursion on four quadrants, memoized in `_madd_cache`. */
+static int
+madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
+{
+    Py_complex ratio;
+    PyObject *i1, *i2, *key, *cached;
+    int rc = -1;
+
+    if (IS_ZERO(e1.w)) {
+        *out = e2;
+        return 0;
+    }
+    if (IS_ZERO(e2.w)) {
+        *out = e1;
+        return 0;
+    }
+    if (level < 0 || e1.n == e2.n) {
+        Py_complex total = _Py_c_sum(e1.w, e2.w);
+        if (fabs(total.real) <= c->tol && fabs(total.imag) <= c->tol) {
+            *out = ZERO;
+        }
+        else {
+            out->w = total;
+            out->n = level < 0 ? NULL : e1.n;
+        }
+        return 0;
+    }
+    if (e1.n == NULL || e2.n == NULL) {
+        PyErr_SetString(PyExc_TypeError, "madd reached a terminal above level 0");
+        return -1;
+    }
+    if (c_quot(e2.w, e1.w, &ratio) < 0 || (i1 = node_index(e1.n, m_index_off)) == NULL ||
+        (i2 = node_index(e2.n, m_index_off)) == NULL || (key = PyTuple_New(4)) == NULL) {
+        return -1;
+    }
+    Py_INCREF(i1);
+    PyTuple_SET_ITEM(key, 0, i1);
+    Py_INCREF(i2);
+    PyTuple_SET_ITEM(key, 1, i2);
+    PyTuple_SET_ITEM(key, 2, bucket(ratio.real * c->inv));
+    PyTuple_SET_ITEM(key, 3, bucket(ratio.imag * c->inv));
+    if (PyTuple_GET_ITEM(key, 2) == NULL || PyTuple_GET_ITEM(key, 3) == NULL) {
+        goto done;
+    }
+    cached = PyDict_GetItemWithError(c->madd_cache, key);
+    if (cached != NULL) {
+        Edge hit;
+        c->madd_counts[0]++;
+        if (read_edge(cached, mnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
+            goto done;
+        }
+        out->w = _Py_c_prod(hit.w, e1.w);
+        out->n = hit.n;
+        rc = 0;
+        goto done;
+    }
+    if (PyErr_Occurred()) {
+        goto done;
+    }
+    c->madd_counts[1]++;
+    if (Py_EnterRecursiveCall(" in madd")) {
+        goto done;
+    }
+    rc = madd_miss(c, e1, e2, ratio, level, key, out);
+    Py_LeaveRecursiveCall();
+done:
+    Py_DECREF(key);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* multiply_mm                                                         */
+/* ------------------------------------------------------------------ */
+
+static int mm(Ctx *c, Edge a, Edge b, long level, Edge *out);
+
+/* Quadrant (row, col) of the product: a[row][0] b[0][col] + a[row][1] b[1][col]. */
+static int
+mm_quadrant(Ctx *c, const Edge *a, const Edge *b, int row, int col, long sub, Edge *out)
+{
+    Edge p[2];
+    int k;
+    for (k = 0; k < 2; k++) {
+        const Edge *x = &a[row * 2 + k], *y = &b[k * 2 + col];
+        if (IS_ZERO(x->w) || IS_ZERO(y->w)) {
+            p[k] = ZERO;
+        }
+        else if (mm(c, *x, *y, sub, &p[k]) < 0) {
+            return -1;
+        }
+    }
+    if (IS_ZERO(p[0].w)) {
+        *out = p[1];
+    }
+    else if (IS_ZERO(p[1].w)) {
+        *out = p[0];
+    }
+    else if (madd(c, p[0], p[1], sub, out) < 0) {
+        return -1;
+    }
+    return 0;
+}
+
+static int
+mm_miss(Ctx *c, Edge ae, Edge be, long level, PyObject *key, Edge *out)
+{
+    Edge a[4], b[4], child[4], result;
+    int k;
+    if (read_node_edges(ae.n, m_edges_off, 4, mnode_type, a) < 0 ||
+        read_node_edges(be.n, m_edges_off, 4, mnode_type, b) < 0) {
+        return -1;
+    }
+    for (k = 0; k < 4; k++) {
+        if (mm_quadrant(c, a, b, k >> 1, k & 1, level - 1, &child[k]) < 0) {
+            return -1;
+        }
+    }
+    if (make_medge(c, level, child, &result) < 0 ||
+        cache_insert(c, c->mm_cache, key, result, s_mm) < 0) {
+        return -1;
+    }
+    out->w = _Py_c_prod(_Py_c_prod(result.w, ae.w), be.w);
+    out->n = result.n;
+    return 0;
+}
+
+/* The product applying `b` first and `a` second, memoized in `_mm_cache`. */
+static int
+mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
+{
+    PyObject *key, *cached;
+    int rc = -1;
+
+    if (IS_ZERO(a.w) || IS_ZERO(b.w)) {
+        *out = ZERO;
+        return 0;
+    }
+    if (level < 0) {
+        out->w = _Py_c_prod(a.w, b.w);
+        out->n = NULL;
+        return 0;
+    }
+    if (a.n == NULL || b.n == NULL) {
+        PyErr_SetString(PyExc_TypeError, "multiply_mm reached a terminal above level 0");
+        return -1;
+    }
+    if ((key = pair_key(a.n, m_index_off, b.n, m_index_off)) == NULL) {
+        return -1;
+    }
+    cached = PyDict_GetItemWithError(c->mm_cache, key);
+    if (cached != NULL) {
+        Edge hit;
+        c->mm_counts[0]++;
+        if (read_edge(cached, mnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
+            goto done;
+        }
+        out->w = _Py_c_prod(_Py_c_prod(hit.w, a.w), b.w);
+        out->n = hit.n;
+        rc = 0;
+        goto done;
+    }
+    if (PyErr_Occurred()) {
+        goto done;
+    }
+    c->mm_counts[1]++;
+    if (Py_EnterRecursiveCall(" in multiply_mm")) {
+        goto done;
+    }
+    rc = mm_miss(c, a, b, level, key, out);
+    Py_LeaveRecursiveCall();
+done:
+    Py_DECREF(key);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
 /* Call set-up and tear-down                                           */
 /* ------------------------------------------------------------------ */
 
@@ -896,8 +1274,9 @@ float_attr(PyObject *obj, PyObject *name, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* Open a top-level call on the structures `use` (USE_* flags) names. */
 static int
-ctx_open(Ctx *c, PyObject *self, int arithmetic)
+ctx_open(Ctx *c, PyObject *self, int use)
 {
     PyObject *value;
     memset(c, 0, sizeof(*c));
@@ -905,19 +1284,35 @@ ctx_open(Ctx *c, PyObject *self, int arithmetic)
     /* The tolerance is read on every top-level call: set_tolerance may
      * have changed it since the last one. */
     if (float_attr(ctable, s_tolerance, &c->tol) < 0 ||
-        float_attr(ctable, s_inv_tolerance, &c->inv) < 0 ||
-        (c->vtable = typed_attr(self, s_vtable, &PyDict_Type)) == NULL ||
-        (c->nodes = typed_attr(self, s_v_nodes, &PyList_Type)) == NULL ||
-        (c->record = typed_attr(self, s_v_record, &PyByteArray_Type)) == NULL) {
+        float_attr(ctable, s_inv_tolerance, &c->inv) < 0) {
         return -1;
     }
-    if (!arithmetic) {
+    if ((use & USE_VNODES) &&
+        ((c->vtable = typed_attr(self, s_vtable, &PyDict_Type)) == NULL ||
+         (c->nodes = typed_attr(self, s_v_nodes, &PyList_Type)) == NULL ||
+         (c->record = typed_attr(self, s_v_record, &PyByteArray_Type)) == NULL)) {
+        return -1;
+    }
+    if ((use & USE_MNODES) &&
+        ((c->mtable = typed_attr(self, s_mtable, &PyDict_Type)) == NULL ||
+         (c->m_nodes = typed_attr(self, s_m_nodes, &PyList_Type)) == NULL)) {
+        return -1;
+    }
+    if ((use & USE_VCACHES) &&
+        ((c->vadd_cache = typed_attr(self, s_vadd_cache, &PyDict_Type)) == NULL ||
+         (c->mv_cache = typed_attr(self, s_mv_cache, &PyDict_Type)) == NULL ||
+         (c->inner_cache = typed_attr(self, s_inner_cache, &PyDict_Type)) == NULL)) {
+        return -1;
+    }
+    if ((use & USE_MCACHES) &&
+        ((c->madd_cache = typed_attr(self, s_madd_cache, &PyDict_Type)) == NULL ||
+         (c->mm_cache = typed_attr(self, s_mm_cache, &PyDict_Type)) == NULL)) {
+        return -1;
+    }
+    if (!(use & (USE_VCACHES | USE_MCACHES))) {
         return 0;
     }
-    if ((c->vadd_cache = typed_attr(self, s_vadd_cache, &PyDict_Type)) == NULL ||
-        (c->mv_cache = typed_attr(self, s_mv_cache, &PyDict_Type)) == NULL ||
-        (c->inner_cache = typed_attr(self, s_inner_cache, &PyDict_Type)) == NULL ||
-        (value = PyObject_GetAttr(self, s_cache_limit)) == NULL) {
+    if ((value = PyObject_GetAttr(self, s_cache_limit)) == NULL) {
         return -1;
     }
     c->cache_limit = PyNumber_AsSsize_t(value, PyExc_OverflowError);
@@ -983,12 +1378,30 @@ add_hits_misses(PyObject *counts, PyObject *name, const Py_ssize_t *tally)
     return rc;
 }
 
-/* Publish vnodes_created and the hit/miss tallies -- also when the call
- * failed, keeping its exception -- and release the call's references. */
+/* stats[name] += amount. */
+static int
+add_stat(PyObject *self, PyObject *name, Py_ssize_t amount)
+{
+    PyObject *stats;
+    int rc;
+    if (amount == 0) {
+        return 0;
+    }
+    if ((stats = PyObject_GetAttr(self, s_stats)) == NULL) {
+        return -1;
+    }
+    rc = add_count(stats, name, amount);
+    Py_DECREF(stats);
+    return rc;
+}
+
+/* Publish the node creation counts and the hit/miss tallies -- also when
+ * the call failed, keeping its exception -- and release the call's
+ * references. */
 static int
 ctx_close(Ctx *c, int failed)
 {
-    PyObject *error = NULL, *stats, *counts;
+    PyObject *error = NULL, *counts;
     int rc = 0;
 #if PY_VERSION_HEX >= 0x030C0000
     if (failed) {
@@ -1000,18 +1413,17 @@ ctx_close(Ctx *c, int failed)
         PyErr_Fetch(&error, &error_value, &error_tb);
     }
 #endif
-    if (c->created) {
-        if ((stats = PyObject_GetAttr(c->self, s_stats)) == NULL ||
-            add_count(stats, s_vnodes_created, c->created) < 0) {
-            rc = -1;
-        }
-        Py_XDECREF(stats);
+    if (add_stat(c->self, s_vnodes_created, c->created) < 0 ||
+        add_stat(c->self, s_mnodes_created, c->m_created) < 0) {
+        rc = -1;
     }
     if (rc == 0 && c->counting) {
         if ((counts = PyObject_GetAttr(c->self, s_cache_counts)) == NULL ||
             add_hits_misses(counts, s_vadd, c->vadd_counts) < 0 ||
             add_hits_misses(counts, s_mv, c->mv_counts) < 0 ||
-            add_hits_misses(counts, s_inner, c->inner_counts) < 0) {
+            add_hits_misses(counts, s_inner, c->inner_counts) < 0 ||
+            add_hits_misses(counts, s_madd, c->madd_counts) < 0 ||
+            add_hits_misses(counts, s_mm, c->mm_counts) < 0) {
             rc = -1;
         }
         Py_XDECREF(counts);
@@ -1019,9 +1431,13 @@ ctx_close(Ctx *c, int failed)
     Py_CLEAR(c->vtable);
     Py_CLEAR(c->nodes);
     Py_CLEAR(c->record);
+    Py_CLEAR(c->mtable);
+    Py_CLEAR(c->m_nodes);
     Py_CLEAR(c->vadd_cache);
     Py_CLEAR(c->mv_cache);
     Py_CLEAR(c->inner_cache);
+    Py_CLEAR(c->madd_cache);
+    Py_CLEAR(c->mm_cache);
     Py_CLEAR(c->pinned);
     if (failed) {
         if (rc < 0) {
@@ -1082,7 +1498,7 @@ py_make_vedge(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_edge(args[2], vnode_type, &e0) < 0 || read_edge(args[3], vnode_type, &e1) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], 0) < 0) {
+    if (ctx_open(&c, args[0], USE_VNODES) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1108,7 +1524,7 @@ py_vadd(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(other);
         return other;
     }
-    if (ctx_open(&c, args[0], 1) < 0) {
+    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1129,11 +1545,88 @@ py_multiply_mv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_level(args[3], &level) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], 1) < 0) {
+    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
     status = mv(&c, me, ve, level, &result);
+    return finish(&c, status, result);
+}
+
+static PyObject *
+py_make_medge(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    Edge edges[4], result = ZERO;
+    PyObject *quadrants;
+    long level;
+    int k, status;
+    (void)module;
+    if (check_args("make_medge", nargs, 3) < 0 || read_level(args[1], &level) < 0) {
+        return NULL;
+    }
+    quadrants = args[2];
+    if (!PyTuple_Check(quadrants) || PyTuple_GET_SIZE(quadrants) != 4) {
+        PyErr_Format(PyExc_TypeError, "make_medge needs a tuple of 4 edges, not %.100s",
+                     Py_TYPE(quadrants)->tp_name);
+        return NULL;
+    }
+    for (k = 0; k < 4; k++) {
+        if (read_edge(PyTuple_GET_ITEM(quadrants, k), mnode_type, &edges[k]) < 0) {
+            return NULL;
+        }
+    }
+    if (ctx_open(&c, args[0], USE_MNODES) < 0) {
+        ctx_close(&c, 1);
+        return NULL;
+    }
+    status = make_medge(&c, level, edges, &result);
+    return finish(&c, status, result);
+}
+
+static PyObject *
+py_madd(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    Edge e1, e2, result = ZERO;
+    long level;
+    int status;
+    (void)module;
+    if (check_args("madd", nargs, 4) < 0 || read_edge(args[1], mnode_type, &e1) < 0 ||
+        read_edge(args[2], mnode_type, &e2) < 0 || read_level(args[3], &level) < 0) {
+        return NULL;
+    }
+    /* The Python engine hands back the other operand itself. */
+    if (IS_ZERO(e1.w) || IS_ZERO(e2.w)) {
+        PyObject *other = IS_ZERO(e1.w) ? args[2] : args[1];
+        Py_INCREF(other);
+        return other;
+    }
+    if (ctx_open(&c, args[0], USE_MNODES | USE_MCACHES) < 0) {
+        ctx_close(&c, 1);
+        return NULL;
+    }
+    status = madd(&c, e1, e2, level, &result);
+    return finish(&c, status, result);
+}
+
+static PyObject *
+py_multiply_mm(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    Edge ae, be, result = ZERO;
+    long level;
+    int status;
+    (void)module;
+    if (check_args("multiply_mm", nargs, 4) < 0 || read_edge(args[1], mnode_type, &ae) < 0 ||
+        read_edge(args[2], mnode_type, &be) < 0 || read_level(args[3], &level) < 0) {
+        return NULL;
+    }
+    if (ctx_open(&c, args[0], USE_MNODES | USE_MCACHES) < 0) {
+        ctx_close(&c, 1);
+        return NULL;
+    }
+    status = mm(&c, ae, be, level, &result);
     return finish(&c, status, result);
 }
 
@@ -1747,7 +2240,7 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     if (status > 0) {
-        if ((status = ctx_open(&c, args[0], 0)) == 0) {
+        if ((status = ctx_open(&c, args[0], USE_VNODES)) == 0) {
             r.record = c.record;
             status = rebuild(&c, &r, edge, w.root, level, &result);
         }
@@ -1797,7 +2290,7 @@ py_inner_nodes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_node_arg(args[2], &n2) < 0 || read_level(args[3], &level) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], 1) < 0) {
+    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1881,6 +2374,12 @@ static PyMethodDef core_methods[] = {
      "vadd(backend, e1, e2, level) -> edge"},
     {"multiply_mv", (PyCFunction)(void (*)(void))py_multiply_mv, METH_FASTCALL,
      "multiply_mv(backend, me, ve, level) -> edge"},
+    {"make_medge", (PyCFunction)(void (*)(void))py_make_medge, METH_FASTCALL,
+     "make_medge(backend, level, edges) -> edge"},
+    {"madd", (PyCFunction)(void (*)(void))py_madd, METH_FASTCALL,
+     "madd(backend, e1, e2, level) -> edge"},
+    {"multiply_mm", (PyCFunction)(void (*)(void))py_multiply_mm, METH_FASTCALL,
+     "multiply_mm(backend, ae, be, level) -> edge"},
     {"node_count", (PyCFunction)(void (*)(void))py_node_count, METH_FASTCALL,
      "node_count(backend, edge) -> int, or None for a foreign diagram"},
     {"vnodes", (PyCFunction)(void (*)(void))py_vnodes, METH_FASTCALL,
@@ -1964,6 +2463,13 @@ init_globals(void)
         {&s_mv, "mv"},
         {&s_inner, "inner"},
         {&s_vnodes_created, "vnodes_created"},
+        {&s_mtable, "_mtable"},
+        {&s_m_nodes, "_m_nodes"},
+        {&s_madd_cache, "_madd_cache"},
+        {&s_mm_cache, "_mm_cache"},
+        {&s_madd, "madd"},
+        {&s_mm, "mm"},
+        {&s_mnodes_created, "mnodes_created"},
     };
     for (k = 0; k < (int)(sizeof(names) / sizeof(names[0])); k++) {
         if ((*names[k].slot = PyUnicode_InternFromString(names[k].text)) == NULL) {
@@ -1985,6 +2491,7 @@ init_globals(void)
                  slot_offset(vnode_type, "level", &v_level_off) < 0 ||
                  slot_offset(vnode_type, "edges", &v_edges_off) < 0 ||
                  slot_offset(vnode_type, "index", &v_index_off) < 0 ||
+                 slot_offset(mnode_type, "level", &m_level_off) < 0 ||
                  slot_offset(mnode_type, "edges", &m_edges_off) < 0 ||
                  slot_offset(mnode_type, "index", &m_index_off) < 0
              ? -1

@@ -1,4 +1,4 @@
-"""The arena backend: integer-id node storage with a native vector core.
+"""The arena backend: integer-id node storage with a native core.
 
 Same semantics as the reference backend, different storage.  Every node
 is assigned a dense integer id (``node.index``): its slot in the arena's
@@ -17,18 +17,19 @@ structures are built around those ids:
   ``id_a * 2**32 + id_b``), wholesale-flushed exactly like the
   reference caches.
 
-**The vector path is native.**  ``make_vedge``, ``vadd``, the
+**The arithmetic is native.**  ``make_vedge``, ``vadd``, the
 ``multiply_mv`` recursion, the inner product, the approximation round's
-``rebuild_without`` and the sweeps ``node_count``, ``vnodes`` and
-``norm_contributions`` run in the C extension ``_arena_core.c`` (built on
-first use by :mod:`.native`).  It works on the structures above directly,
-with the same key and value objects, so the reclaim, the DDSan audit,
-serialization and every other Python consumer read them unchanged; the
-methods here are thin calls into it.  Every complex operation in the core
-calls CPython's own complex arithmetic, so results are *bit-for-bit
-identical* to the reference backend and cache keys bucket identically,
-making hit/miss sequences coincide.  The matrix operations and the
-reclaim stay in Python.  See docs/BACKENDS.md.
+``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
+``norm_contributions``, and on the matrix side ``make_medge``, ``madd``
+and the ``multiply_mm`` recursion run in the C extension
+``_arena_core.c`` (built on first use by :mod:`.native`).  It works on
+the structures above directly, with the same key and value objects, so
+the reclaim, the DDSan audit, serialization and every other Python
+consumer read them unchanged; the methods here are thin calls into it.
+Every complex operation in the core calls CPython's own complex
+arithmetic, so results are *bit-for-bit identical* to the reference
+backend and cache keys bucket identically, making hit/miss sequences
+coincide.  The reclaim stays in Python.  See docs/BACKENDS.md.
 
 **The record.**  ``_v_record`` is a bytearray with one 12-byte entry per
 ``_v_nodes`` slot: the node's level and its two children's ids as
@@ -69,8 +70,7 @@ from sys import getrefcount
 from typing import Any
 
 from .. import ctable
-from ..ctable import snap_boxed as _snap_boxed
-from ..node import MEdge, MNode, VEdge, VNode, zero_medge
+from ..node import MEdge, MNode, VEdge, VNode
 from . import native
 from .base import DEFAULT_CACHE_LIMIT, DDBackend
 
@@ -82,11 +82,6 @@ _core: Any = native.load()[0]
 _PAIR_BITS = 32
 _PAIR_SHIFT = 1 << _PAIR_BITS
 _PAIR_MASK = _PAIR_SHIFT - 1
-
-# Shared zero edge returned by the matrix recursions' annihilation
-# shortcuts.  Value-identical to a fresh zero_medge() tuple (tuples are
-# immutable, so sharing one instance is observationally equivalent).
-_ZERO_M: MEdge = zero_medge()
 
 
 def _release_unreferenced(
@@ -256,47 +251,7 @@ class ArenaBackend(DDBackend):
         self, level: int, edges: tuple[MEdge, MEdge, MEdge, MEdge]
     ) -> MEdge:
         """Create a normalized, hash-consed matrix edge above four children."""
-        tol = ctable._tolerance
-        cleaned = []
-        max_mag = 0.0
-        max_idx = -1
-        for idx, (w, n) in enumerate(edges):
-            mag = abs(w)
-            if mag <= tol:
-                cleaned.append((complex(0.0), None))
-            else:
-                cleaned.append((w, n))
-                if mag > max_mag + tol:
-                    max_mag = mag
-                    max_idx = idx
-                elif max_idx < 0:
-                    max_mag = mag
-                    max_idx = idx
-        if max_idx < 0:
-            return _ZERO_M
-
-        divisor = cleaned[max_idx][0]
-        normalized = []
-        inv = ctable._inv_tolerance
-        key_parts: list[Any] = [level]
-        for w, n in cleaned:
-            if w != 0.0:
-                w = _snap_boxed(w / divisor, tol)
-            normalized.append((w, n))
-            key_parts.append(round(w.real * inv))
-            key_parts.append(round(w.imag * inv))
-            key_parts.append(n)
-        key = tuple(key_parts)
-        mtable = self._mtable
-        node = mtable.get(key)
-        if node is None:
-            node = MNode(level, tuple(normalized))  # type: ignore[arg-type]
-            nodes = self._m_nodes
-            node.index = len(nodes)
-            nodes.append(node)
-            mtable[key] = node
-            self.stats["mnodes_created"] += 1
-        return (divisor, node)
+        return _core.make_medge(self, level, edges)
 
     # ------------------------------------------------------------------
     # Vector arithmetic
@@ -327,118 +282,11 @@ class ArenaBackend(DDBackend):
 
     def madd(self, e1: MEdge, e2: MEdge, level: int) -> MEdge:
         """Add two matrix edges rooted at the same level."""
-        w1, n1 = e1
-        w2, n2 = e2
-        if w1 == 0.0:
-            return e2
-        if w2 == 0.0:
-            return e1
-        if level < 0:
-            total = w1 + w2
-            tol = ctable._tolerance
-            if abs(total.real) <= tol and abs(total.imag) <= tol:
-                return _ZERO_M
-            return (total, None)
-        if n1 is n2:
-            total = w1 + w2
-            tol = ctable._tolerance
-            if abs(total.real) <= tol and abs(total.imag) <= tol:
-                return _ZERO_M
-            return (total, n1)
-
-        ratio = w2 / w1
-        inv = ctable._inv_tolerance
-        key = (
-            n1.index,  # type: ignore[union-attr]
-            n2.index,  # type: ignore[union-attr]
-            round(ratio.real * inv),
-            round(ratio.imag * inv),
-        )
-        cache = self._madd_cache
-        cached = cache.get(key)
-        if cached is not None:
-            if self._counting:
-                self._cache_counts["madd"][0] += 1
-            rw, rn = cached
-            return (rw * w1, rn)
-        if self._counting:
-            self._cache_counts["madd"][1] += 1
-
-        edges1 = n1.edges  # type: ignore[union-attr]
-        edges2 = n2.edges  # type: ignore[union-attr]
-        sub = level - 1
-        children = []
-        for k in range(4):
-            e1k = edges1[k]
-            w2k, n2k = edges2[k]
-            rk = ratio * w2k
-            if e1k[0] == 0.0:
-                children.append((rk, n2k))
-            elif rk == 0.0:
-                children.append(e1k)
-            else:
-                children.append(self.madd(e1k, (rk, n2k), sub))
-        result = self.make_medge(level, tuple(children))  # type: ignore[arg-type]
-        if len(cache) < self.cache_limit:
-            cache[key] = result
-        else:
-            self._checked_insert(cache, key, result, "madd")
-        return (result[0] * w1, result[1])
+        return _core.madd(self, e1, e2, level)
 
     def multiply_mm(self, ae: MEdge, be: MEdge, level: int) -> MEdge:
         """Multiply two matrix edges: result applies ``be`` first, ``ae`` second."""
-        wa, a = ae
-        wb, b = be
-        if wa == 0.0 or wb == 0.0:
-            return _ZERO_M
-        if level < 0:
-            return (wa * wb, None)
-
-        key = a.index * _PAIR_SHIFT + b.index  # type: ignore[union-attr]
-        cache = self._mm_cache
-        cached = cache.get(key)
-        if cached is not None:
-            if self._counting:
-                self._cache_counts["mm"][0] += 1
-            rw, rn = cached
-            return (rw * wa * wb, rn)
-        if self._counting:
-            self._cache_counts["mm"][1] += 1
-
-        aedges = a.edges  # type: ignore[union-attr]
-        bedges = b.edges  # type: ignore[union-attr]
-        sub = level - 1
-        mm = self.multiply_mm
-        children = []
-        for row in (0, 1):
-            a0 = aedges[row * 2]
-            a1 = aedges[row * 2 + 1]
-            for col in (0, 1):
-                b0 = bedges[col]
-                b1 = bedges[2 + col]
-                first = (
-                    _ZERO_M
-                    if a0[0] == 0.0 or b0[0] == 0.0
-                    else mm(a0, b0, sub)
-                )
-                second = (
-                    _ZERO_M
-                    if a1[0] == 0.0 or b1[0] == 0.0
-                    else mm(a1, b1, sub)
-                )
-                if first[0] == 0.0:
-                    acc = second
-                elif second[0] == 0.0:
-                    acc = first
-                else:
-                    acc = self.madd(first, second, sub)
-                children.append(acc)
-        result = self.make_medge(level, tuple(children))  # type: ignore[arg-type]
-        if len(cache) < self.cache_limit:
-            cache[key] = result
-        else:
-            self._checked_insert(cache, key, result, "mm")
-        return (result[0] * wa * wb, result[1])
+        return _core.multiply_mm(self, ae, be, level)
 
     # ------------------------------------------------------------------
     # Reclaim (see the module docstring for the safe-point rule)

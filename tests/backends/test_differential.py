@@ -24,12 +24,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.lowering import operation_to_medge
+from repro.circuits.gates import GATE_REGISTRY, gate_matrix
+from repro.circuits.lowering import operation_to_medge, single_qubit_medge
 from repro.circuits.randomcirc import random_circuit
-from repro.core import MemoryDrivenStrategy, NoApproximation, simulate
+from repro.core import DDSimulator, MemoryDrivenStrategy, NoApproximation, simulate
 from repro.core.approximation import approximate_state, select_nodes_for_removal
 from repro.dd import ctable
 from repro.dd.backends.arena import ArenaBackend
+from repro.dd.node import MEdge, VEdge
 from repro.dd.package import Package
 from repro.dd.vector import StateDD
 from repro.service.jobs import build_builtin_circuit
@@ -257,21 +259,231 @@ def test_reclaim_parity_under_constant_flushing(workload, strategy_factory):
         assert live[backend] == live["reference"]
 
 
-#: The arena's (hits, misses, flushes) of the mv, vadd and inner caches and
-#: its ``vnodes_created`` on SMOKE_WORKLOADS, by cache limit.  The mv and
-#: vadd columns were recorded from the pure-Python arena recursion the
-#: native core replaced, the inner column from the pure-Python inner
-#: product.  The traced benchmark's ``dd.cache.*.hit_rate`` and
+def _assert_same_diagram(left: MEdge | VEdge, right: MEdge | VEdge) -> None:
+    """Node-for-node identical diagrams: the same shared structure, levels
+    and edge order, and every weight equal with ``==`` (no tolerance)."""
+    forward: dict[int, object] = {}
+    backward: dict[int, object] = {}
+    stack = [(left, right)]
+    while stack:
+        (w_left, n_left), (w_right, n_right) = stack.pop()
+        assert w_left == w_right
+        if n_left is None or n_right is None:
+            assert n_left is n_right
+            continue
+        if id(n_left) in forward or id(n_right) in backward:
+            assert forward.get(id(n_left)) is n_right
+            assert backward.get(id(n_right)) is n_left
+            continue
+        forward[id(n_left)] = n_right
+        backward[id(n_right)] = n_left
+        assert n_left.level == n_right.level
+        assert len(n_left.edges) == len(n_right.edges)
+        stack.extend(zip(n_left.edges, n_right.edges, strict=True))
+
+
+@st.composite
+def _controlled_gates(draw, num_qubits=None):
+    """A single-qubit gate with up to three controls on either side."""
+    if num_qubits is None:
+        num_qubits = draw(st.integers(min_value=1, max_value=6))
+    target = draw(st.integers(min_value=0, max_value=num_qubits - 1))
+    others = [q for q in range(num_qubits) if q != target]
+    controls = draw(
+        st.lists(st.sampled_from(others), unique=True, max_size=3)
+        if others
+        else st.just([])
+    )
+    name = draw(st.sampled_from(sorted(GATE_REGISTRY)))
+    angle = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
+    params = tuple(draw(angle) for _ in range(GATE_REGISTRY[name].num_params))
+    return num_qubits, target, tuple(controls), name, params
+
+
+class TestMatrixParity:
+    """Both engines lower, add and multiply matrices to node-for-node
+    identical diagrams."""
+
+    @pytest.mark.parametrize(
+        "workload", [name for name, _ in SMOKE_WORKLOADS] + ["shor_21_2"]
+    )
+    def test_workload_operations_lower_identically(self, workload):
+        circuit = build_builtin_circuit(workload)
+        packages = [Package(backend=backend) for backend in BACKENDS]
+        for operation in circuit:
+            reference, arena = (
+                operation_to_medge(operation, circuit.num_qubits, package)
+                for package in packages
+            )
+            _assert_same_diagram(reference, arena)
+
+    def test_workloads_cover_the_matrix_recursions(self):
+        """shor_21_2 brings cmodmul (madd), swap (multiply_mm) and
+        controlled phases."""
+        kinds = {
+            (operation.gate, bool(operation.controls))
+            for operation in build_builtin_circuit("shor_21_2")
+        }
+        assert {("cmodmul", True), ("swap", False), ("p", True)} <= kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(gate=_controlled_gates())
+    @example(gate=(3, 2, (0,), "h", ()))
+    @example(gate=(4, 1, (0, 3), "u", (0.3, -1.2, 2.5)))
+    def test_controlled_single_qubit_gates_lower_identically(self, gate):
+        num_qubits, target, controls, name, params = gate
+        matrix = gate_matrix(name, params)
+        reference, arena = (
+            single_qubit_medge(
+                Package(backend=backend), num_qubits, target, matrix, controls
+            )
+            for backend in BACKENDS
+        )
+        _assert_same_diagram(reference, arena)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gates=st.integers(min_value=2, max_value=4).flatmap(
+            lambda num_qubits: st.lists(
+                _controlled_gates(num_qubits), min_size=1, max_size=8
+            )
+        )
+    )
+    # Reached by mm-cache hits whose weights are not exact: (rw * wa) * wb
+    # and rw * (wa * wb) differ in the last bits here.
+    @example(
+        gates=[
+            (2, 1, (), "u", (-2.1, 1.3, -0.4)),
+            (2, 0, (), "u", (-2.1, 1.9, 1.7)),
+            (2, 1, (0,), "u", (-2.5, -0.3, 1.8)),
+        ]
+    )
+    def test_gate_products_match(self, gates):
+        """multiply_mm accumulates arbitrary gates to identical diagrams."""
+        num_qubits = gates[0][0]
+        packages = [Package(backend=backend) for backend in BACKENDS]
+        products = [package.identity(num_qubits) for package in packages]
+        for _, target, controls, name, params in gates:
+            matrix = gate_matrix(name, params)
+            products = [
+                package.multiply_mm(
+                    single_qubit_medge(package, num_qubits, target, matrix, controls),
+                    product,
+                    num_qubits - 1,
+                )
+                for package, product in zip(packages, products, strict=True)
+            ]
+            _assert_same_diagram(*products)
+
+    def test_run_matrix_matrix_matches(self):
+        circuit = random_circuit(4, 20, seed=5)
+        outcomes = [
+            DDSimulator(Package(backend=backend)).run_matrix_matrix(
+                circuit, record_trajectory=True
+            )
+            for backend in BACKENDS
+        ]
+        reference, arena = outcomes
+        assert arena.stats.trajectory == reference.stats.trajectory
+        assert arena.stats.final_nodes == reference.stats.final_nodes
+        _assert_same_diagram(reference.state.edge, arena.state.edge)
+
+    def test_flushes_mid_recursion_keep_diagrams_and_arena_sound(self):
+        """At a 64-entry cache limit the madd and mm caches flush inside
+        the recursions of cmodmul and swap lowerings; the diagrams stay
+        node-for-node identical and every reclaim leaves the arena
+        audit-clean."""
+        circuit = build_builtin_circuit("shor_15_2")
+        num_qubits = circuit.num_qubits
+        packages = [Package(backend=backend, cache_limit=64) for backend in BACKENDS]
+        engine = packages[1]._backend
+        assert isinstance(engine, ArenaBackend)
+        audits: list[list[str]] = []
+        reclaim = engine._reclaim
+
+        def audited_reclaim():
+            reclaim()
+            audits.append(engine.integrity_problems())
+
+        engine._reclaim = audited_reclaim
+        # A flush followed by more inserts before the top-level call
+        # returns happened inside the recursion, not at its last insert.
+        flushes: list[str] = []
+        checked_insert = engine._checked_insert
+
+        def recording_insert(cache, key, value, name):
+            if len(cache) >= engine.cache_limit:
+                flushes.append(name)
+            checked_insert(cache, key, value, name)
+
+        engine._checked_insert = recording_insert
+        mid_recursion: set[str] = set()
+        for entry, name in (("madd", "madd"), ("multiply_mm", "mm")):
+
+            def watched(*args, call=getattr(packages[1], entry), name=name):
+                seen = len(flushes)
+                result = call(*args)
+                if name in flushes[seen:] and len(engine._compute_caches[name]) > 1:
+                    mid_recursion.add(name)
+                return result
+
+            setattr(packages[1], entry, watched)
+        states = [StateDD.basis_state(num_qubits, 0, package) for package in packages]
+        for operation in circuit:
+            gates = [
+                operation_to_medge(operation, num_qubits, package)
+                for package in packages
+            ]
+            _assert_same_diagram(*gates)
+            states = [
+                StateDD(
+                    package.multiply_mv(gate, state.edge, num_qubits - 1),
+                    num_qubits,
+                    package,
+                )
+                for package, gate, state in zip(packages, gates, states, strict=True)
+            ]
+            _assert_same_diagram(states[0].edge, states[1].edge)
+        packages[1].clear_caches()
+        assert mid_recursion == {"madd", "mm"}
+        assert audits, "the arena never reclaimed"
+        assert all(found == [] for found in audits)
+
+
+#: The arena's (hits, misses, flushes) of the mv, vadd, inner, madd and mm
+#: caches and its ``vnodes_created`` and ``mnodes_created`` on
+#: SMOKE_WORKLOADS, by cache limit.  The mv and vadd columns were recorded
+#: from the pure-Python arena recursion the native core replaced, the
+#: inner column from the pure-Python inner product, and the madd, mm and
+#: ``mnodes_created`` columns from the pure-Python ``make_medge``, ``madd``
+#: and ``multiply_mm`` of the arena before the matrix side moved into the
+#: core.  The traced benchmark's ``dd.cache.*.hit_rate`` and
 #: ``dd.vnodes_created`` keep their meaning only while these hold.  (The
 #: reference is no yardstick here: its weak tables may free and re-intern
 #: nodes.)
 ARENA_COUNTERS = {
-    (None, "qsup_2x2_8_0"): ((61, 76, 0), (4, 18, 0), (0, 0, 0), 73),
-    (None, "qsup_3x3_12_0"): ((1839, 7539, 0), (90, 4360, 0), (87, 751, 0), 6788),
-    (None, "shor_15_2"): ((617, 886, 0), (42, 120, 0), (0, 0, 0), 383),
-    (64, "qsup_2x2_8_0"): ((61, 76, 1), (4, 18, 0), (0, 0, 0), 73),
-    (64, "qsup_3x3_12_0"): ((1214, 11581, 180), (81, 4761, 74), (39, 1341, 20), 7026),
-    (64, "shor_15_2"): ((597, 1339, 20), (42, 120, 1), (0, 0, 0), 399),
+    (None, "qsup_2x2_8_0"): (
+        (61, 76, 0), (4, 18, 0), (0, 0, 0), (9, 19, 0), (0, 0, 0), 73, 67
+    ),
+    (None, "qsup_3x3_12_0"): (
+        (1839, 7539, 0), (90, 4360, 0), (87, 751, 0), (88, 116, 0), (0, 0, 0),
+        6788, 396,
+    ),
+    (None, "shor_15_2"): (
+        (617, 886, 0), (42, 120, 0), (0, 0, 0), (270, 398, 0), (193, 219, 0),
+        383, 685,
+    ),
+    (64, "qsup_2x2_8_0"): (
+        (61, 76, 1), (4, 18, 0), (0, 0, 0), (9, 19, 0), (0, 0, 0), 73, 67
+    ),
+    (64, "qsup_3x3_12_0"): (
+        (1214, 11581, 180), (81, 4761, 74), (39, 1341, 20), (86, 118, 1),
+        (0, 0, 0), 7026, 407,
+    ),
+    (64, "shor_15_2"): (
+        (597, 1339, 20), (42, 120, 1), (0, 0, 0), (270, 398, 6), (202, 234, 3),
+        399, 760,
+    ),
 }
 
 
@@ -288,6 +500,6 @@ def test_arena_counters_match_pinned_values(workload, strategy_factory, cache_li
     caches = package.cache_stats()["caches"]
     observed = tuple(
         (caches[name]["hits"], caches[name]["misses"], caches[name]["flushes"])
-        for name in ("mv", "vadd", "inner")
-    ) + (package.stats["vnodes_created"],)
+        for name in ("mv", "vadd", "inner", "madd", "mm")
+    ) + (package.stats["vnodes_created"], package.stats["mnodes_created"])
     assert observed == ARENA_COUNTERS[cache_limit, workload]

@@ -143,6 +143,24 @@ MALFORMED_EDGES = [
     "(1 + 0j, VNode(0, ((1 + 0j, None), ('w', None))))",
 ]
 
+#: Malformed matrix edges: bad shapes and weights, a vector node where a
+#: matrix node belongs, then matrix nodes whose own edges are malformed.
+MALFORMED_MEDGES = [
+    "[1 + 0j, None]",
+    "'edge'",
+    "None",
+    "(1 + 0j,)",
+    "(1 + 0j, None, None)",
+    "('w', None)",
+    "(None, None)",
+    "(1, None)",
+    "(1 + 0j, 'node')",
+    "(1 + 0j, VNode(0, ((1 + 0j, None),) * 2))",
+    "(1 + 0j, MNode(0, ((1 + 0j, None),) * 2))",
+    "(1 + 0j, MNode(0, ((1 + 0j, None),) * 3))",
+    "(1 + 0j, MNode(0, ((1 + 0j, None),) * 3 + (('w', None),)))",
+]
+
 _PRELUDE = f"""
 from repro.dd.node import MNode, VNode
 from repro.dd.package import Package
@@ -153,7 +171,9 @@ from repro.circuits.lowering import operation_to_medge
 package = Package(backend="arena")
 state = StateDD.plus_state(2, package)
 gate = operation_to_medge(Operation("h", (0,)), 2, package)
+identity = package.identity(2)
 malformed = [{", ".join(MALFORMED_EDGES)}]
+malformed_m = [{", ".join(MALFORMED_MEDGES)}]
 
 def expect_type_error(call, *args):
     try:
@@ -215,6 +235,46 @@ class TestCrashSafety:
                 expect_type_error(package.multiply_mv, gate, (1 + 0j, None), 1)
                 """,
                 id="multiply_mv",
+            ),
+            pytest.param(
+                """
+                quadrants = gate[1].edges
+                # The core reads the four quadrant edges, not their nodes.
+                for bad in malformed_m[:10]:
+                    for k in range(4):
+                        edges = quadrants[:k] + (bad,) + quadrants[k + 1 :]
+                        expect_type_error(package.make_medge, 1, edges)
+                for edges in (quadrants[:2], quadrants[:3], list(quadrants), None):
+                    expect_type_error(package.make_medge, 1, edges)
+                expect_type_error(package.make_medge, "1", quadrants)
+                """,
+                id="make_medge",
+            ),
+            pytest.param(
+                """
+                for bad in malformed_m:
+                    expect_type_error(package.madd, bad, gate, 1)
+                    expect_type_error(package.madd, gate, bad, 1)
+                # A zero operand returns the other edge without reading
+                # its node, so only the edge itself is checked.
+                for bad in malformed_m[:10]:
+                    expect_type_error(package.madd, (0j, None), bad, 1)
+                expect_type_error(package.madd, gate, (1 + 0j, None), 1)
+                expect_type_error(package.madd, gate, identity, "1")
+                """,
+                id="madd",
+            ),
+            pytest.param(
+                """
+                for bad in malformed_m:
+                    expect_type_error(package.multiply_mm, bad, gate, 1)
+                    expect_type_error(package.multiply_mm, gate, bad, 1)
+                for bad in malformed_m[:10]:
+                    expect_type_error(package.multiply_mm, (0j, None), bad, 1)
+                expect_type_error(package.multiply_mm, gate, (1 + 0j, None), 1)
+                expect_type_error(package.multiply_mm, gate, identity, "1")
+                """,
+                id="multiply_mm",
             ),
             pytest.param(
                 """
