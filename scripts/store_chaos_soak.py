@@ -28,7 +28,10 @@ replication invariants from docs/SERVICE.md:
   adds zero float drift).
 * **Stale-epoch fencing** — after a forced lease takeover, a write
   carrying the fenced ex-owner's epoch is rejected at the store layer
-  (``StaleLeaseError``), and the new owner's token is accepted.
+  (``StaleLeaseError``), and the new owner's token is accepted — still
+  after one bit of replica 0's lease ``epoch`` is flipped so it reads
+  higher: the checksum rejects that copy, and the healthy copies keep
+  their bytes.
 * **Clean drain** — a cluster-wide drain ends every shard with exit
   code 5 (``EXIT_DRAINED``, docs/SERVE.md).
 
@@ -125,16 +128,16 @@ def _replica_plan(workdir: str) -> FaultPlan:
     )
 
 
-def _raise_op_index(path: str) -> None:
-    """Flip one bit of the checkpoint's ``next_op_index`` so it reads higher.
+def _raise_number(path: str, key: str) -> None:
+    """Flip one bit of the document's integer ``key`` so it reads higher.
 
     Sets a clear low bit of the lowest digit that stays a digit (e.g.
-    56 -> 57); only an index made of 7s and 9s falls back to clearing
+    56 -> 57); only a number made of 7s and 9s falls back to clearing
     the last digit's low bit, which lowers it.
     """
     with open(path, "rb") as handle:
         data = bytearray(handle.read())
-    field = b'"next_op_index":'
+    field = f'"{key}":'.encode()
     start = data.index(field) + len(field)
     end = start
     while chr(data[end]).isdigit():
@@ -149,6 +152,11 @@ def _raise_op_index(path: str) -> None:
     data[position] ^= bit
     with open(path, "r+b") as handle:
         handle.write(data)
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _tail(path: str, lines: int = 30) -> None:
@@ -457,7 +465,7 @@ def main() -> int:
             first.job_hash,
             CHECKPOINT_FILE,
         )
-        _raise_op_index(victim)
+        _raise_number(victim, "next_op_index")
         resumed = execute_job(
             rt_spec.with_overrides(max_seconds=None), store
         )
@@ -501,6 +509,34 @@ def main() -> int:
         else:
             check(True, "current-epoch write accepted")
             store.clear_checkpoint(fence_hash, fence=new_lease.fence)
+
+        # Lease damage: one bit that raises replica 0's epoch makes that
+        # copy fail its checksum, so it can neither win the read nor be
+        # repaired onto the healthy replicas and fence out the owner.
+        lease_paths = [
+            replica.lease_path(fence_hash) for replica in store.replicas
+        ]
+        healthy = [_read_bytes(path) for path in lease_paths[1:]]
+        _raise_number(lease_paths[0], "epoch")
+        try:
+            store.save_checkpoint(fence_hash, probe, fence=new_lease.fence)
+        except StaleLeaseError as error:
+            check(
+                False,
+                f"owner's write accepted after a one-bit epoch raise "
+                f"on replica 0 ({error})",
+            )
+        else:
+            check(
+                True,
+                "owner's write accepted after a one-bit epoch raise on "
+                "replica 0",
+            )
+            store.clear_checkpoint(fence_hash, fence=new_lease.fence)
+        check(
+            [_read_bytes(path) for path in lease_paths[1:]] == healthy,
+            "healthy lease copies kept their bytes",
+        )
     finally:
         disarm()
         if supervisor.is_alive():

@@ -1190,7 +1190,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         report = store.scrub(repair=repair)
         print(
             f"checked {report['results_checked']} result(s), "
-            f"{report['checkpoints_checked']} checkpoint(s) in "
+            f"{report['checkpoints_checked']} checkpoint(s), "
+            f"{report['leases_checked']} lease(s) in "
             f"{report['duration_seconds']:.2f}s"
         )
         print(

@@ -29,6 +29,7 @@ from .errors import (
     TRANSIENT,
     ArtifactIntegrityError,
     CheckpointIntegrityError,
+    LeaseIntegrityError,
     MemoryBudgetExceeded,
     PartialWriteFault,
     PermanentFault,
@@ -59,6 +60,7 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
+    "LeaseIntegrityError",
     "MemoryBudgetExceeded",
     "PartialWriteFault",
     "PermanentFault",

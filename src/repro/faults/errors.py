@@ -55,6 +55,16 @@ class CheckpointIntegrityError(ArtifactIntegrityError):
     """
 
 
+class LeaseIntegrityError(ArtifactIntegrityError):
+    """A copy of an ownership lease is corrupt, unchecksummed, or stale.
+
+    Recovery: a lease no copy of which verifies is quarantined and
+    reads as absent, exactly like a lost lease — fencing then falls
+    back to the router's own exclusion until the next placement
+    writes a fresh lease.
+    """
+
+
 class PartialWriteFault(ConnectionResetError):
     """An injected torn write on a network path (``partial_write`` kind).
 

@@ -64,6 +64,7 @@ from .protocol import (
     ProtocolError,
     error_response,
     ok_response,
+    parse_submission,
     read_message,
     write_message,
 )
@@ -532,7 +533,10 @@ class SimDaemon:
                     if obs.enabled:
                         obs.count("serve.rejected_bad_spec")
                     return error_response(f"bad spec: {error}")
-                priority = int(message.get("priority", 0))
+                try:
+                    submission = parse_submission(message)
+                except ValueError as error:
+                    return error_response(str(error))
                 # Admission control first (non-destructive): a full
                 # queue sheds before the breaker consumes a probe.
                 if self.queue.full:
@@ -557,26 +561,22 @@ class SimDaemon:
                         ),
                     )
                 tiered = self.ladder.apply(spec, self.queue.utilization)
-                record = self._new_record(tiered.spec, priority)
+                record = self._new_record(tiered.spec, submission.priority)
                 record.tenant = str(
                     message.get("tenant") or DEFAULT_TENANT
                 )
                 record.tier = tiered.tier
                 record.f_final_cap = tiered.f_final_cap
                 record.degraded = tiered.degraded
-                soft = message.get("soft_timeout")
-                hard = message.get("hard_timeout")
-                record.soft_timeout = (
-                    float(soft) if soft is not None else None
-                )
-                record.hard_timeout = (
-                    float(hard) if hard is not None else None
-                )
+                record.soft_timeout = submission.soft_timeout
+                record.hard_timeout = submission.hard_timeout
                 fence = message.get("fence")
                 record.fence = fence if isinstance(fence, dict) else None
                 # Cannot fail: fullness was checked under this lock.
                 self.queue.offer(
-                    QueueItem(job_id=record.job_id, priority=priority)
+                    QueueItem(
+                        job_id=record.job_id, priority=submission.priority
+                    )
                 )
                 self.supervisor.wake()
                 if obs.enabled:

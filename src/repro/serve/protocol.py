@@ -35,7 +35,8 @@ backoff) and ``"breaker_open"`` (the spec keeps failing permanently;
 from __future__ import annotations
 
 import json
-from typing import IO
+import math
+from typing import IO, NamedTuple
 
 #: Maximum accepted request line (a spec carries full QASM text, so the
 #: bound is generous; beyond it the connection is dropped as malformed).
@@ -44,6 +45,47 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 
 class ProtocolError(ValueError):
     """A malformed frame on the wire (not valid JSON, not an object)."""
+
+
+class Submission(NamedTuple):
+    """The validated admission fields of a ``submit`` request."""
+
+    priority: int
+    soft_timeout: float | None
+    hard_timeout: float | None
+
+
+def parse_submission(message: dict) -> Submission:
+    """Validate a ``submit`` request's priority and timeouts.
+
+    The daemon and the router both call this before any job record
+    exists, so a malformed field is rejected without leaving a record
+    behind.
+
+    Raises:
+        ValueError: ``bad submit: ...`` for a priority that is not an
+            integer, or a timeout that is not a finite number >= 0.
+    """
+    priority = message.get("priority", 0)
+    if isinstance(priority, bool) or not isinstance(priority, int):
+        raise ValueError(
+            f"bad submit: priority must be an integer, got {priority!r}"
+        )
+    timeouts = []
+    for name in ("soft_timeout", "hard_timeout"):
+        value = message.get(name)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ValueError(
+                f"bad submit: {name} must be a finite number >= 0, "
+                f"got {value!r}"
+            )
+        timeouts.append(None if value is None else float(value))
+    return Submission(priority, *timeouts)
 
 
 def encode_message(message: dict) -> bytes:

@@ -74,7 +74,12 @@ from ..service.replication import open_store
 from ..service.store import ArtifactStore
 from .client import ServeClient, ServeError
 from .daemon import DEFAULT_TENANT, build_line_server
-from .protocol import ProtocolError, error_response, ok_response
+from .protocol import (
+    ProtocolError,
+    error_response,
+    ok_response,
+    parse_submission,
+)
 
 #: File (under ``<store>/serve/``) holding router-side jobs that had no
 #: live owner when a cluster drain completed; the next router start
@@ -580,9 +585,12 @@ class ClusterRouter:
             spec = JobSpec.from_dict(spec_doc)
         except (TypeError, ValueError) as error:
             return error_response(f"bad spec: {error}")
+        try:
+            submission = parse_submission(message)
+        except ValueError as error:
+            return error_response(str(error))
         job_hash = spec.content_hash()
         tenant = str(message.get("tenant") or DEFAULT_TENANT)
-        priority = int(message.get("priority", 0))
         if getattr(self.store, "read_only", False):
             # Replicated store lost its write quorum: every shard
             # shares it, so placement is pointless — shed here with a
@@ -601,12 +609,10 @@ class ClusterRouter:
                 return rejection
             targets = self.membership.route(job_hash)
             job = self._new_record(
-                job_hash, spec.to_dict(), tenant, priority
+                job_hash, spec.to_dict(), tenant, submission.priority
             )
-            soft = message.get("soft_timeout")
-            hard = message.get("hard_timeout")
-            job.soft_timeout = float(soft) if soft is not None else None
-            job.hard_timeout = float(hard) if hard is not None else None
+            job.soft_timeout = submission.soft_timeout
+            job.hard_timeout = submission.hard_timeout
         try:
             placed = self._place(job, targets, event="assigned")
         except ServeError as error:

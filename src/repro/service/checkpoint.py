@@ -23,47 +23,33 @@ budget boundary can admit a marginally different node set — the realized
 fidelity may then differ at that round's boundary while still obeying
 the same ``f >= f_round`` bound.
 
-**Stored form.**  The artifact store is the only caller of
-:func:`encode_checkpoint` and :func:`decode_checkpoint`: it takes and
-returns :class:`Checkpoint` objects, never documents.  The encoding is
-one sorted compact JSON dump with a SHA-256 over those bytes, and every
-read verifies it — a document that is unreadable, mistyped, missing its
-checksum, failing it, or recorded for another job raises
-:class:`~repro.faults.errors.CheckpointIntegrityError`, so a damaged
-copy can never be resumed from or replicated.
+**Stored form.**  The artifact store is the only user of
+:data:`CHECKPOINT_DOCUMENT`: it takes and returns :class:`Checkpoint`
+objects, never documents.  The encoding is the :mod:`repro.service.codec`
+one shared with leases — one sorted compact JSON dump with a SHA-256
+over those bytes — and every read verifies it: a document that is
+unreadable, mistyped, missing its checksum, failing it, or recorded for
+another job raises :class:`~repro.faults.errors.CheckpointIntegrityError`,
+so a damaged copy can never be resumed from or replicated.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from collections.abc import Sequence
-from hashlib import sha256
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.simulator import RoundRecord, SimulationStats, SimulationTimeout
 from ..dd.serialize import state_to_dict
 from ..dd.vector import StateDD
 from ..faults.errors import CheckpointIntegrityError
+from .codec import DocumentKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .store import ArtifactStore
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
-
-#: Document key carrying the SHA-256 over the rest of the document.
-CHECKSUM_KEY = "checksum"
-
-#: Payload fields and the JSON types a valid document gives them.
-_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
-    "job_hash": str,
-    "next_op_index": int,
-    "state": dict,
-    "rounds": list,
-    "max_nodes": int,
-    "elapsed_seconds": (int, float),
-}
 
 
 def rounds_to_dicts(rounds: Sequence[RoundRecord]) -> list[dict]:
@@ -114,78 +100,24 @@ class Checkpoint:
         return rounds_from_dicts(self.rounds)
 
 
-def encode_checkpoint(checkpoint: Checkpoint) -> str:
-    """The stored form of ``checkpoint``: one dump, checksum spliced in.
+#: The checksummed ``repro-checkpoint`` document (stored form).
+CHECKPOINT_DOCUMENT = DocumentKind(
+    value_type=Checkpoint,
+    format=CHECKPOINT_FORMAT,
+    version=CHECKPOINT_VERSION,
+    fields={
+        "job_hash": str,
+        "next_op_index": int,
+        "state": dict,
+        "rounds": list,
+        "max_nodes": int,
+        "elapsed_seconds": (int, float),
+    },
+    error=CheckpointIntegrityError,
+)
 
-    The payload is dumped once as sorted compact JSON, the SHA-256 is
-    taken over those bytes, and ``{"checksum":"<hex>",`` replaces the
-    opening brace.  ``checksum`` sorts before every payload key, so the
-    text is also the sorted compact JSON of the whole document.
-    """
-    canonical = json.dumps(
-        {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            **vars(checkpoint),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = sha256(canonical.encode()).hexdigest()
-    return f'{{"{CHECKSUM_KEY}":"{digest}",{canonical[1:]}'
-
-
-def decode_checkpoint(raw: bytes, job_hash: str, path: str) -> Checkpoint:
-    """Verify the stored bytes of ``job_hash``'s checkpoint and rebuild it.
-
-    The checksum is the SHA-256 of the sorted compact JSON of every
-    other key, so documents of any ``repro-checkpoint`` v1 writer
-    verify, whatever their key order or whitespace.
-
-    Raises:
-        CheckpointIntegrityError: When the bytes are not JSON, the
-            format or version is wrong, the checksum is missing or does
-            not match, a field is missing or mistyped, or the document
-            was recorded for another job (a *stale* checkpoint).
-    """
-
-    def rejected(problem: str) -> CheckpointIntegrityError:
-        return CheckpointIntegrityError(
-            f"checkpoint for {job_hash[:12]} {problem}", path=path
-        )
-
-    try:
-        document = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise rejected(f"is unreadable: {error}") from error
-    if (
-        not isinstance(document, dict)
-        or document.get("format") != CHECKPOINT_FORMAT
-    ):
-        raise rejected(f"is not a {CHECKPOINT_FORMAT} document")
-    if document.get("version") != CHECKPOINT_VERSION:
-        raise rejected(f"has unsupported version {document.get('version')!r}")
-    recorded = document.pop(CHECKSUM_KEY, None)
-    if recorded is None:
-        raise rejected("carries no checksum")
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    if recorded != sha256(canonical.encode()).hexdigest():
-        raise rejected("fails its embedded SHA-256 check")
-    for name, kind in _FIELD_TYPES.items():
-        if not isinstance(document.get(name), kind):
-            raise rejected(f"has a missing or mistyped {name!r}")
-    if document["job_hash"] != job_hash:
-        raise rejected(
-            f"is stale: recorded for job {document['job_hash'][:12]}"
-        )
-    return Checkpoint(
-        job_hash=job_hash,
-        next_op_index=document["next_op_index"],
-        state=document["state"],
-        rounds=document["rounds"],
-        max_nodes=document["max_nodes"],
-        elapsed_seconds=float(document["elapsed_seconds"]),
-    )
+#: The stored text of a checkpoint (:meth:`DocumentKind.encode`).
+encode_checkpoint = CHECKPOINT_DOCUMENT.encode
 
 
 def checkpoint_from_timeout(

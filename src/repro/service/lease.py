@@ -9,7 +9,9 @@ this"; leases answer "who may write *now*":
 * Every placement acquires a **lease** for the job: a small document
   ``{job_hash, owner, epoch, expires_at}`` persisted through the
   store (and therefore quorum-replicated when the store is a
-  :class:`~repro.service.replication.ReplicatedStore`).
+  :class:`~repro.service.replication.ReplicatedStore`).  The store
+  owns the document and verifies its checksum on every read, so a
+  copy whose epoch a flipped bit has raised is corrupt, never newest.
 * The **epoch** increments on every change of ownership.  The router
   hands the ``(owner, epoch)`` pair to the executing worker as a
   **fence token**; the store layer rejects checkpoint writes whose
@@ -23,17 +25,22 @@ this"; leases answer "who may write *now*":
 
 Releases keep the lease document (with ``expires_at`` forced into the
 past) rather than deleting it: a deleted lease would read as "no
-lease" and let a stale fenced writer through.  ``jobs gc`` may remove
-lease files of jobs whose result exists — at that point the
-checkpoint is gone too, so there is nothing left to fence.
+lease" and let a stale fenced writer through; ``jobs gc`` leaves lease
+files alone too.  A lease no copy of which verifies is quarantined and
+reads as absent, as a lost lease would.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .store import ArtifactStore
+from ..faults.errors import LeaseIntegrityError
+from .codec import DocumentKind
+
+if TYPE_CHECKING:  # pragma: no cover - the store imports this module
+    from .store import ArtifactStore
 
 #: Default time a lease stays valid without renewal, in seconds.
 DEFAULT_LEASE_TTL = 30.0
@@ -79,24 +86,20 @@ class Lease:
             now = time.time()  # ddlint: ignore[DD005]
         return now >= self.expires_at
 
-    def to_dict(self) -> dict:
-        """JSON-compatible lease document."""
-        return {
-            "job_hash": self.job_hash,
-            "owner": self.owner,
-            "epoch": self.epoch,
-            "expires_at": self.expires_at,
-        }
 
-    @classmethod
-    def from_dict(cls, job_hash: str, data: dict) -> "Lease":
-        """Rebuild a lease from its stored document (tolerant)."""
-        return cls(
-            job_hash=job_hash,
-            owner=str(data.get("owner", "")),
-            epoch=int(data.get("epoch", 0)),
-            expires_at=float(data.get("expires_at", 0.0)),
-        )
+#: The checksummed ``repro-lease`` document (stored form).
+LEASE_DOCUMENT = DocumentKind(
+    value_type=Lease,
+    format="repro-lease",
+    version=1,
+    fields={
+        "job_hash": str,
+        "owner": str,
+        "epoch": int,
+        "expires_at": (int, float),
+    },
+    error=LeaseIntegrityError,
+)
 
 
 class LeaseManager:
@@ -124,11 +127,15 @@ class LeaseManager:
     # ------------------------------------------------------------------
 
     def current(self, job_hash: str) -> Lease | None:
-        """The lease currently recorded for a job, or None."""
-        document = self.store.read_lease(job_hash)
-        if document is None:
+        """The lease currently recorded for a job, or None.
+
+        A lease that does not verify is quarantined and reads as None.
+        """
+        try:
+            return self.store.read_lease(job_hash)
+        except LeaseIntegrityError as error:
+            self.store.quarantine_lease(job_hash, str(error))
             return None
-        return Lease.from_dict(job_hash, document)
 
     # ------------------------------------------------------------------
     # State changes
@@ -174,7 +181,7 @@ class LeaseManager:
             epoch=epoch,
             expires_at=now + self.ttl_seconds,
         )
-        self.store.write_lease(job_hash, lease.to_dict())
+        self.store.write_lease(lease)
         return lease
 
     def renew(self, lease: Lease) -> Lease | None:
@@ -198,7 +205,7 @@ class LeaseManager:
             epoch=lease.epoch,
             expires_at=now + self.ttl_seconds,
         )
-        self.store.write_lease(lease.job_hash, refreshed.to_dict())
+        self.store.write_lease(refreshed)
         return refreshed
 
     def release(self, lease: Lease) -> None:
@@ -223,4 +230,4 @@ class LeaseManager:
             epoch=lease.epoch,
             expires_at=0.0,
         )
-        self.store.write_lease(lease.job_hash, expired.to_dict())
+        self.store.write_lease(expired)

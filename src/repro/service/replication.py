@@ -25,18 +25,20 @@ replica and — when a healthy copy is found — triggers **read-repair**:
 the corrupt copy is quarantined for forensics and the healthy bytes
 are re-replicated in its place.  Checkpoints and leases are ordered
 documents, so their reads consult *all* replicas and pick the newest
-(highest ``next_op_index`` / highest epoch) rather than the first —
-a stale checkpoint replayed after failover would corrupt the Lemma-1
-fidelity ledger, and a stale lease epoch would un-fence a dead owner.
-Every checkpoint copy is verified by its replica's
-:meth:`ArtifactStore.load_checkpoint` before it is compared, so the
-pick, the read-repair and the scrub only ever see verified copies: a
-bit flip that raises one copy's op index makes that copy corrupt, not
-newest.  Lease copies are not verified yet (a lease has no checksum).
+rather than the first — a stale checkpoint replayed after failover
+would corrupt the Lemma-1 fidelity ledger, and a stale lease epoch
+would un-fence a dead owner.  One read, :meth:`ReplicatedStore._newest`,
+does this for both: every copy is verified before it is compared, the
+freshest verified copy wins (highest ``(next_op_index,
+elapsed_seconds)`` / ``(epoch, expires_at)``), and every other copy is
+quarantined if corrupt and rewritten from it.  A bit flip that raises
+one copy's op index or epoch therefore makes that copy corrupt, not
+newest.
 
-**Anti-entropy.**  :meth:`scrub` walks every artifact on every replica,
-verifies the integrity blocks, quarantines bitrot/torn copies, and
-re-replicates healthy bytes until the target replication factor holds
+**Anti-entropy.**  :meth:`scrub` runs every result, checkpoint and lease
+on every replica through that same read (a result is immutable, so any
+verified copy is newest), quarantining bitrot/torn copies and
+re-replicating healthy bytes until the target replication factor holds
 again (``repro-sim store scrub/repair/status``).
 
 Fault injection: every delegated replica operation visits the
@@ -55,22 +57,24 @@ import shutil
 import tempfile
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from operator import attrgetter
+from typing import Any, NamedTuple
 
 from ..faults.errors import (
     ArtifactIntegrityError,
-    CheckpointIntegrityError,
     QuorumLost,
     StaleReplicaFault,
 )
 from ..faults.injector import inject
 from ..obs import get_recorder
 from .checkpoint import Checkpoint, encode_checkpoint
+from .lease import Lease
 from .store import (
     CHECKPOINT_FILE,
     JOURNAL_FILE,
     RESULT_FILE,
+    STATE_FILE,
     ArtifactStore,
     _atomic_write,
 )
@@ -103,8 +107,110 @@ def open_store(root: str) -> ArtifactStore:
     return ArtifactStore(absolute)
 
 
-#: Freshness order of verified checkpoint copies (newest = max).
-_freshness = attrgetter("next_op_index", "elapsed_seconds")
+class _Ordered(NamedTuple):
+    """A per-job artifact kind as the newest-copy read handles it."""
+
+    name: str
+    #: The ``op`` a live read visits the ``store.replica`` site with.
+    op: str
+    read: Callable[[ArtifactStore, str], Any]
+    write: Callable[[ArtifactStore, str, Any], object]
+    quarantine: Callable[[ArtifactStore, str, str], object]
+    path: Callable[[ArtifactStore, str], str]
+    #: Order of verified copies (newest = max).
+    freshness: Callable[[Any], tuple]
+
+
+_CHECKPOINT = _Ordered(
+    name="checkpoint",
+    op="load_checkpoint",
+    read=ArtifactStore.load_checkpoint,
+    write=ArtifactStore.save_checkpoint,
+    quarantine=ArtifactStore.quarantine_checkpoint,
+    path=lambda replica, job_hash: os.path.join(
+        replica.checkpoint_dir(job_hash), CHECKPOINT_FILE
+    ),
+    freshness=attrgetter("next_op_index", "elapsed_seconds"),
+)
+
+#: ``expires_at`` orders renewals within an epoch, so a replica that
+#: missed one is repaired too.
+_LEASE = _Ordered(
+    name="lease",
+    op="read_lease",
+    read=ArtifactStore.read_lease,
+    write=lambda replica, _job_hash, lease: replica.write_lease(lease),
+    quarantine=ArtifactStore.quarantine_lease,
+    path=ArtifactStore.lease_path,
+    freshness=attrgetter("epoch", "expires_at"),
+)
+
+
+def _verified_result(
+    replica: ArtifactStore, job_hash: str
+) -> ArtifactStore | None:
+    """``replica`` when its copy of a result object verifies, else None.
+
+    Raises:
+        ArtifactIntegrityError: When the copy is incomplete or fails
+            verification (document, state and journal).
+    """
+    directory = replica.result_dir(job_hash)
+    if not os.path.isdir(directory):
+        return None
+    try:
+        replica.load_result(job_hash)
+        if os.path.exists(os.path.join(directory, STATE_FILE)):
+            replica.load_state(job_hash)
+        replica.read_journal(job_hash, repair=True)
+    except (KeyError, OSError) as error:
+        raise ArtifactIntegrityError(
+            f"result for {job_hash[:12]} is incomplete or unreadable: "
+            f"{error}",
+            path=directory,
+        ) from error
+    return replica
+
+
+def _copy_result(
+    source: ArtifactStore, target: ArtifactStore, job_hash: str
+) -> None:
+    """Re-replicate one result object, staging + promote like a put."""
+    src_dir = source.result_dir(job_hash)
+    dst_dir = target.result_dir(job_hash)
+    if os.path.isdir(dst_dir):
+        target.quarantine_result(
+            job_hash, f"repair: replaced by the copy in {source.root}"
+        )
+    shard = os.path.dirname(dst_dir)
+    os.makedirs(shard, exist_ok=True)
+    staging = tempfile.mkdtemp(dir=shard, prefix=f".staging-{job_hash[:8]}-")
+    try:
+        for name in os.listdir(src_dir):
+            shutil.copy2(
+                os.path.join(src_dir, name), os.path.join(staging, name)
+            )
+        ArtifactStore._promote(staging, dst_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+#: Results are immutable, so every verified copy is as fresh as any
+#: other.  A copy is the replica holding it; repair copies its files.
+_RESULT = _Ordered(
+    name="result",
+    op="load_result",
+    read=_verified_result,
+    write=lambda replica, job_hash, source: _copy_result(
+        source, replica, job_hash
+    ),
+    quarantine=ArtifactStore.quarantine_result,
+    path=lambda replica, job_hash: os.path.join(
+        replica.result_dir(job_hash), RESULT_FILE
+    ),
+    freshness=lambda _copy: (),
+)
 
 
 class ReplicatedStore(ArtifactStore):
@@ -298,6 +404,19 @@ class ReplicatedStore(ArtifactStore):
             path=path,
         )
 
+    def _readable(
+        self, index: int, op: str, job_hash: str, path: str
+    ) -> bool:
+        """Visit the fault site before a read; False if the replica is out."""
+        try:
+            self._fire(index, op, job_hash, path)
+        except StaleReplicaFault:
+            return False
+        except (OSError, ConnectionError, MemoryError):
+            self._mark(index, HEALTH_DEGRADED)
+            return False
+        return True
+
     def _quorum_write(
         self,
         op: str,
@@ -424,25 +543,18 @@ class ReplicatedStore(ArtifactStore):
         job_hash: str,
         read: Callable[[ArtifactStore], object],
         read_path: Callable[[ArtifactStore], str],
-        repair: Callable[[int, int], None] | None,
     ) -> object:
         """Try replicas in order; repair the broken ones from a winner.
 
         ``read`` must raise KeyError for a missing artifact and
-        :class:`ArtifactIntegrityError` for a corrupt one; ``repair``
-        is called as ``repair(source_index, target_index)`` for every
-        replica that failed before the winner.
+        :class:`ArtifactIntegrityError` for a corrupt one; every
+        replica that failed before the winner gets the winner's result
+        object (:func:`_copy_result`).
         """
         corrupt_error: ArtifactIntegrityError | None = None
         broken: list[int] = []
         for index, replica in enumerate(self.replicas):
-            try:
-                self._fire(index, op, job_hash, read_path(replica))
-            except StaleReplicaFault:
-                broken.append(index)
-                continue
-            except (OSError, ConnectionError, MemoryError):
-                self._mark(index, HEALTH_DEGRADED)
+            if not self._readable(index, op, job_hash, read_path(replica)):
                 broken.append(index)
                 continue
             try:
@@ -455,10 +567,10 @@ class ReplicatedStore(ArtifactStore):
                 self._mark(index, HEALTH_DEGRADED)
                 broken.append(index)
                 continue
-            if broken and repair is not None:
+            if broken:
                 for target in broken:
                     try:
-                        repair(index, target)
+                        _copy_result(replica, self.replicas[target], job_hash)
                         self.repairs += 1
                         self._mark(target, HEALTH_OK)
                     except OSError:
@@ -471,34 +583,6 @@ class ReplicatedStore(ArtifactStore):
             raise corrupt_error
         raise KeyError(f"no stored result for {job_hash}")
 
-    def _repair_object(self, source_index: int, target_index: int, job_hash: str) -> None:
-        """Re-replicate one result object, staging + promote like a put."""
-        source = self.replicas[source_index]
-        target = self.replicas[target_index]
-        src_dir = source.result_dir(job_hash)
-        dst_dir = target.result_dir(job_hash)
-        if os.path.isdir(dst_dir):
-            target.quarantine_result(
-                job_hash,
-                f"read-repair: replaced by healthy copy from replica "
-                f"{source_index}",
-            )
-        shard = os.path.dirname(dst_dir)
-        os.makedirs(shard, exist_ok=True)
-        staging = tempfile.mkdtemp(
-            dir=shard, prefix=f".staging-{job_hash[:8]}-"
-        )
-        try:
-            for name in os.listdir(src_dir):
-                shutil.copy2(
-                    os.path.join(src_dir, name),
-                    os.path.join(staging, name),
-                )
-            ArtifactStore._promote(staging, dst_dir)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-
     def load_result(self, job_hash: str, verify: bool = True) -> dict:
         value = self._read_any(
             "load_result",
@@ -506,9 +590,6 @@ class ReplicatedStore(ArtifactStore):
             lambda replica: replica.load_result(job_hash, verify=verify),
             lambda replica: os.path.join(
                 replica.result_dir(job_hash), RESULT_FILE
-            ),
-            lambda source, target: self._repair_object(
-                source, target, job_hash
             ),
         )
         assert isinstance(value, dict)
@@ -522,10 +603,7 @@ class ReplicatedStore(ArtifactStore):
                 job_hash, package=package, verify=verify
             ),
             lambda replica: os.path.join(
-                replica.result_dir(job_hash), "state.json"
-            ),
-            lambda source, target: self._repair_object(
-                source, target, job_hash
+                replica.result_dir(job_hash), STATE_FILE
             ),
         )
 
@@ -535,12 +613,7 @@ class ReplicatedStore(ArtifactStore):
             path = os.path.join(
                 replica.result_dir(job_hash), JOURNAL_FILE
             )
-            try:
-                self._fire(index, "read_journal", job_hash, path)
-            except StaleReplicaFault:
-                continue
-            except (OSError, ConnectionError, MemoryError):
-                self._mark(index, HEALTH_DEGRADED)
+            if not self._readable(index, "read_journal", job_hash, path):
                 continue
             if not os.path.exists(path):
                 continue  # absent here; another replica may have it
@@ -554,28 +627,16 @@ class ReplicatedStore(ArtifactStore):
             raise last_integrity
         return []
 
-    def _iter_result_hashes(self) -> Iterator[str]:
-        """Union of stored result hashes across replicas (sorted)."""
-        seen: set[str] = set()
-        for replica in self.replicas:
-            objects = os.path.join(replica.root, "objects")
-            if not os.path.isdir(objects):
-                continue
-            for shard in os.listdir(objects):
-                shard_dir = os.path.join(objects, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                for job_hash in os.listdir(shard_dir):
-                    if not job_hash.startswith("."):
-                        seen.add(job_hash)
-        yield from sorted(seen)
+    def _union(
+        self, listing: Callable[[ArtifactStore], Iterable[str]]
+    ) -> list[str]:
+        """The sorted union of one listing over every replica."""
+        return sorted(
+            {name for replica in self.replicas for name in listing(replica)}
+        )
 
-    def iter_results(self) -> Iterator[tuple[str, dict]]:
-        for job_hash in self._iter_result_hashes():
-            try:
-                yield job_hash, self.load_result(job_hash)
-            except (KeyError, ArtifactIntegrityError):
-                continue
+    def _result_hashes(self) -> list[str]:
+        return self._union(ArtifactStore._result_hashes)
 
     # ------------------------------------------------------------------
     # Checkpoints (ordered documents: read-all, pick newest, repair)
@@ -612,58 +673,9 @@ class ReplicatedStore(ArtifactStore):
         Read-any is *wrong* here: a replica that missed the last
         quorum write holds an older-but-valid checkpoint, and resuming
         from it would replay work and corrupt the Lemma-1 fidelity
-        ledger.  So every replica is consulted and the freshest
-        verified copy (highest ``next_op_index``) wins; stale, missing,
-        and corrupt copies are repaired to match.  Each replica read
-        verifies its copy, so a damaged one never takes part in the
-        choice.
+        ledger.  See :meth:`_newest`.
         """
-        copies: list[tuple[int, Checkpoint | None]] = []
-        corrupt: list[int] = []
-        corrupt_error: CheckpointIntegrityError | None = None
-        for index, replica in enumerate(self.replicas):
-            path = os.path.join(
-                replica.checkpoint_dir(job_hash), CHECKPOINT_FILE
-            )
-            try:
-                self._fire(index, "load_checkpoint", job_hash, path)
-            except StaleReplicaFault:
-                copies.append((index, None))
-                continue
-            except (OSError, ConnectionError, MemoryError):
-                self._mark(index, HEALTH_DEGRADED)
-                copies.append((index, None))
-                continue
-            try:
-                copies.append((index, replica.load_checkpoint(job_hash)))
-            except CheckpointIntegrityError as error:
-                corrupt_error = error
-                corrupt.append(index)
-                self._mark(index, HEALTH_DEGRADED)
-                copies.append((index, None))
-        verified = [copy for _index, copy in copies if copy is not None]
-        if not verified:
-            if corrupt_error is not None:
-                # Every surviving copy is damaged: surface it so the
-                # caller quarantines and restarts from scratch.
-                raise corrupt_error
-            return None
-        best = max(verified, key=_freshness)
-        for index, copy in copies:
-            if copy is not None and _freshness(copy) == _freshness(best):
-                continue
-            replica = self.replicas[index]
-            try:
-                if index in corrupt:
-                    replica.quarantine_checkpoint(
-                        job_hash, "read-repair: corrupt checkpoint copy"
-                    )
-                replica.save_checkpoint(job_hash, best)
-                self.repairs += 1
-                self._mark(index, HEALTH_OK)
-            except OSError:
-                self._mark(index, HEALTH_DEGRADED)
-        return best
+        return self._newest(_CHECKPOINT, job_hash)
 
     def clear_checkpoint(
         self, job_hash: str, fence: dict | None = None
@@ -673,10 +685,7 @@ class ReplicatedStore(ArtifactStore):
             replica.clear_checkpoint(job_hash)
 
     def iter_checkpoints(self) -> Iterator[str]:
-        seen: set[str] = set()
-        for replica in self.replicas:
-            seen.update(replica.iter_checkpoints())
-        yield from sorted(seen)
+        yield from self._union(ArtifactStore.iter_checkpoints)
 
     # ------------------------------------------------------------------
     # Ownership log
@@ -722,59 +731,106 @@ class ReplicatedStore(ArtifactStore):
     # Leases (ordered documents: highest epoch wins)
     # ------------------------------------------------------------------
 
-    def read_lease(self, job_hash: str) -> dict | None:
-        """Max-epoch lease across replicas, repairing stale copies.
+    def read_lease(self, job_hash: str) -> Lease | None:
+        """Newest verified lease across replicas (repairing the rest).
 
         Fencing correctness depends on this: a fence check that read a
         *stale* epoch from a lagging replica would accept writes the
-        current owner's epoch forbids.
+        current owner's epoch forbids, and one that trusted a damaged
+        copy's epoch would fence out the live owner.  See
+        :meth:`_newest`.
         """
-        best: dict | None = None
-        best_epoch = -1
-        stale: list[int] = []
-        for index, replica in enumerate(self.replicas):
-            document = replica.read_lease(job_hash)
-            if document is None:
-                stale.append(index)
-                continue
-            epoch = int(document.get("epoch", 0))
-            if epoch > best_epoch:
-                best, best_epoch = document, epoch
-        if best is None:
-            return None
-        for index, replica in enumerate(self.replicas):
-            document = replica.read_lease(job_hash)
-            if (
-                document is None
-                or int(document.get("epoch", 0)) < best_epoch
-            ):
-                try:
-                    replica.write_lease(job_hash, best)
-                except OSError:
-                    self._mark(index, HEALTH_DEGRADED)
-        return best
+        return self._newest(_LEASE, job_hash)
 
-    def write_lease(self, job_hash: str, document: dict) -> str:
+    def write_lease(self, lease: Lease) -> str:
         self._quorum_write(
             "write_lease",
-            job_hash,
-            lambda replica: replica.write_lease(job_hash, document),
-            written_path=lambda replica: replica.lease_path(job_hash),
+            lease.job_hash,
+            lambda replica: replica.write_lease(lease),
+            written_path=lambda replica: replica.lease_path(lease.job_hash),
             undo=lambda replica: _unlink_quiet(
-                replica.lease_path(job_hash)
+                replica.lease_path(lease.job_hash)
             ),
         )
-        return self.lease_path(job_hash)
+        return self.lease_path(lease.job_hash)
 
-    def iter_leases(self) -> Iterator[tuple[str, dict]]:
-        seen: set[str] = set()
-        for replica in self.replicas:
-            for job_hash, _doc in replica.iter_leases():
-                seen.add(job_hash)
-        for job_hash in sorted(seen):
-            document = self.read_lease(job_hash)
-            if document is not None:
-                yield job_hash, document
+    def _lease_hashes(self) -> list[str]:
+        return self._union(ArtifactStore._lease_hashes)
+
+    # ------------------------------------------------------------------
+    # Newest-copy reads (checkpoints and leases)
+    # ------------------------------------------------------------------
+
+    def _newest(
+        self, kind: _Ordered, job_hash: str, report: dict | None = None
+    ) -> Any:
+        """The newest verified copy across replicas, or None if none has one.
+
+        Each replica read verifies its copy, so a damaged copy is
+        corrupt, never newest.  Every copy less fresh than the winner
+        (corrupt, missing or stale) is rewritten from it, a corrupt one
+        quarantined first.  A live read visits the ``store.replica``
+        fault site; a scrub passes its ``report`` instead, which gets
+        the problems and counts and says whether to repair.  Raises the
+        kind's :class:`ArtifactIntegrityError` when no copy verifies.
+        """
+        copies: list[Any] = []
+        corrupt: set[int] = set()
+        error: ArtifactIntegrityError | None = None
+        for index, replica in enumerate(self.replicas):
+            copies.append(None)
+            if report is None and not self._readable(
+                index, kind.op, job_hash, kind.path(replica, job_hash)
+            ):
+                continue
+            try:
+                copies[index] = kind.read(replica, job_hash)
+            except ArtifactIntegrityError as caught:
+                error = caught
+                corrupt.add(index)
+                self._mark(index, HEALTH_DEGRADED)
+        verified = [copy for copy in copies if copy is not None]
+        if not verified:
+            if error is not None:
+                raise error
+            return None
+        best = max(verified, key=kind.freshness)
+        newest = kind.freshness(best)
+        for index, copy in enumerate(copies):
+            if copy is not None and kind.freshness(copy) == newest:
+                continue
+            if report is not None:
+                state = (
+                    "corrupt" if index in corrupt
+                    else "missing" if copy is None
+                    else "stale"
+                )
+                report["problems"].append(
+                    {
+                        "kind": f"{kind.name}_{state}",
+                        "job_hash": job_hash,
+                        "replica": index,
+                    }
+                )
+                if not report["repair"]:
+                    continue
+            replica = self.replicas[index]
+            try:
+                if index in corrupt:
+                    by = "read-repair" if report is None else "scrub"
+                    reason = f"{by}: corrupt {kind.name} copy"
+                    kind.quarantine(replica, job_hash, reason)
+                kind.write(replica, job_hash, best)
+            except OSError:
+                self._mark(index, HEALTH_DEGRADED)
+                continue
+            self._mark(index, HEALTH_OK)
+            if report is None:
+                self.repairs += 1
+            else:
+                report["repaired"] += 1
+                report["quarantined"] += int(index in corrupt)
+        return best
 
     # ------------------------------------------------------------------
     # Parked job queues
@@ -806,24 +862,22 @@ class ReplicatedStore(ArtifactStore):
     # ------------------------------------------------------------------
 
     def quarantine_checkpoint(self, job_hash: str, reason: str) -> str | None:
-        target = None
-        for replica in self.replicas:
-            moved = replica.quarantine_checkpoint(job_hash, reason)
-            target = target or moved
-        return target
+        return _first(
+            [r.quarantine_checkpoint(job_hash, reason) for r in self.replicas]
+        )
 
     def quarantine_result(self, job_hash: str, reason: str) -> str | None:
-        target = None
-        for replica in self.replicas:
-            moved = replica.quarantine_result(job_hash, reason)
-            target = target or moved
-        return target
+        return _first(
+            [r.quarantine_result(job_hash, reason) for r in self.replicas]
+        )
+
+    def quarantine_lease(self, job_hash: str, reason: str) -> str | None:
+        return _first(
+            [r.quarantine_lease(job_hash, reason) for r in self.replicas]
+        )
 
     def iter_quarantined(self) -> Iterator[str]:
-        seen: set[str] = set()
-        for replica in self.replicas:
-            seen.update(replica.iter_quarantined())
-        yield from sorted(seen)
+        yield from self._union(ArtifactStore.iter_quarantined)
 
     def quarantine_report(self) -> list[dict]:
         report: list[dict] = []
@@ -865,28 +919,6 @@ class ReplicatedStore(ArtifactStore):
     # Anti-entropy scrub
     # ------------------------------------------------------------------
 
-    def _verify_result_copy(
-        self, replica: ArtifactStore, job_hash: str
-    ) -> str:
-        """Classify one replica's copy: ``ok``/``missing``/``corrupt``."""
-        if not replica.has_result(job_hash):
-            return "missing"
-        try:
-            replica.load_result(job_hash)
-            state_path = os.path.join(
-                replica.result_dir(job_hash), "state.json"
-            )
-            if os.path.exists(state_path):
-                replica.load_state(job_hash)
-            replica.read_journal(job_hash, repair=True)
-        except ArtifactIntegrityError:
-            return "corrupt"
-        except KeyError:
-            return "missing"
-        except OSError:
-            return "corrupt"
-        return "ok"
-
     def scrub(self, repair: bool = True) -> dict:
         """One anti-entropy pass over every artifact on every replica.
 
@@ -916,131 +948,43 @@ class ReplicatedStore(ArtifactStore):
             "repair": repair,
             "results_checked": 0,
             "checkpoints_checked": 0,
+            "leases_checked": 0,
             "repaired": 0,
             "quarantined": 0,
             "lost": 0,
             "problems": [],
         }
-        # Results: every copy of every object, integrity-verified.
-        for job_hash in self._iter_result_hashes():
-            report["results_checked"] += 1
-            states = [
-                self._verify_result_copy(replica, job_hash)
-                for replica in self.replicas
-            ]
-            healthy = [
-                index
-                for index, state in enumerate(states)
-                if state == "ok"
-            ]
-            if not healthy:
-                report["lost"] += 1
-                report["problems"].append(
-                    {
-                        "kind": "result_lost",
-                        "job_hash": job_hash,
-                        "states": states,
-                    }
-                )
-                if repair:
-                    for index, state in enumerate(states):
-                        if state == "corrupt":
-                            self.replicas[index].quarantine_result(
-                                job_hash,
-                                "scrub: no healthy copy survives",
-                            )
-                            report["quarantined"] += 1
-                continue
-            source = healthy[0]
-            for index, state in enumerate(states):
-                if state == "ok":
+        # Every copy of every result, checkpoint and lease: verified,
+        # and brought to match the newest verified copy.  Checkpoints
+        # shadowed by a result are garbage (the job completed — same
+        # rule as gc).
+        for kind, hashes in (
+            (_RESULT, self._result_hashes()),
+            (_CHECKPOINT, self.iter_checkpoints()),
+            (_LEASE, self._lease_hashes()),
+        ):
+            for job_hash in hashes:
+                report[f"{kind.name}s_checked"] += 1
+                if kind is _CHECKPOINT and self.has_result(job_hash):
+                    if repair:
+                        for replica in self.replicas:
+                            replica.clear_checkpoint(job_hash)
                     continue
-                report["problems"].append(
-                    {
-                        "kind": f"result_{state}",
-                        "job_hash": job_hash,
-                        "replica": index,
-                    }
-                )
-                if not repair:
-                    continue
-                if state == "corrupt":
-                    self.replicas[index].quarantine_result(
-                        job_hash, "scrub: failed integrity check"
-                    )
-                    report["quarantined"] += 1
-                self._repair_object(source, index, job_hash)
-                report["repaired"] += 1
-        # Checkpoints: newest valid copy wins; shadowed ones are
-        # garbage (the job completed — same rule as gc).
-        for job_hash in self.iter_checkpoints():
-            report["checkpoints_checked"] += 1
-            if self.has_result(job_hash):
-                if repair:
-                    for replica in self.replicas:
-                        replica.clear_checkpoint(job_hash)
-                continue
-            copies: list[tuple[int, Checkpoint | None, bool]] = []
-            for index, replica in enumerate(self.replicas):
                 try:
-                    copies.append(
-                        (index, replica.load_checkpoint(job_hash), False)
+                    self._newest(kind, job_hash, report)
+                except ArtifactIntegrityError:
+                    report["lost"] += 1
+                    report["problems"].append(
+                        {"kind": f"{kind.name}_lost", "job_hash": job_hash}
                     )
-                except CheckpointIntegrityError:
-                    copies.append((index, None, True))
-            verified = [copy for _i, copy, _c in copies if copy is not None]
-            if not verified:
-                report["lost"] += 1
-                report["problems"].append(
-                    {
-                        "kind": "checkpoint_lost",
-                        "job_hash": job_hash,
-                    }
-                )
-                if repair:
-                    for index, _copy, corrupt in copies:
-                        if corrupt:
-                            self.replicas[
-                                index
-                            ].quarantine_checkpoint(
+                    if repair:
+                        for replica in self.replicas:
+                            if kind.quarantine(
+                                replica,
                                 job_hash,
                                 "scrub: no valid copy survives",
-                            )
-                            report["quarantined"] += 1
-                continue
-            best = max(verified, key=_freshness)
-            for index, copy, corrupt in copies:
-                if copy is not None and _freshness(copy) == _freshness(best):
-                    continue
-                report["problems"].append(
-                    {
-                        "kind": (
-                            "checkpoint_corrupt"
-                            if corrupt
-                            else "checkpoint_stale"
-                        ),
-                        "job_hash": job_hash,
-                        "replica": index,
-                    }
-                )
-                if not repair:
-                    continue
-                if corrupt:
-                    self.replicas[index].quarantine_checkpoint(
-                        job_hash, "scrub: failed integrity check"
-                    )
-                    report["quarantined"] += 1
-                self.replicas[index].save_checkpoint(job_hash, best)
-                report["repaired"] += 1
-        # Leases: highest epoch everywhere (fencing reads must
-        # never see a lagging epoch).
-        lease_hashes: set[str] = set()
-        for replica in self.replicas:
-            for job_hash, _doc in replica.iter_leases():
-                lease_hashes.add(job_hash)
-        for job_hash in sorted(lease_hashes):
-            if repair:
-                self.read_lease(job_hash)  # read-repairs laggards
+                            ):
+                                report["quarantined"] += 1
         # Ownership history: longest log wins.
         if repair:
             self._replicate_ownership_log()
@@ -1156,6 +1100,11 @@ class ReplicatedStore(ArtifactStore):
                 scrub_status.get("last_scrub") if scrub_status else None
             ),
         }
+
+
+def _first(targets: list[str | None]) -> str | None:
+    """The first quarantine target of a per-replica quarantine."""
+    return next(filter(None, targets), None)
 
 
 def _unlink_quiet(path: str) -> None:

@@ -8,6 +8,7 @@ Layout under the store root::
     checkpoints/<hash>/latest.json     — most recent resume checkpoint
     quarantine/<kind>-<hash>-<n>/      — corrupt artifacts, moved aside
     serve/ownership.jsonl              — append-only job ownership log
+    serve/leases/<hash>.json           — ownership lease (epoch fencing)
 
 ``<hash>`` is :meth:`repro.service.jobs.JobSpec.content_hash` and
 ``<hh>`` its first two hex digits (keeps directory fan-out bounded).
@@ -34,7 +35,8 @@ JSON dump, SHA-256 embedded), and :meth:`load_checkpoint` verifies the
 bytes on every read, returning a ``Checkpoint`` or raising
 :class:`~repro.faults.errors.CheckpointIntegrityError` — for a torn or
 corrupt file, a wrong format, a missing or failing checksum, and a
-checkpoint recorded for another job alike.
+checkpoint recorded for another job alike.  Ownership leases work the
+same way (:meth:`write_lease`, :meth:`read_lease`, ``LeaseIntegrityError``).
 
 **Multi-reader/multi-writer safety.**  One store may back several
 daemon shards at once (the serve cluster shares a store so results and
@@ -52,6 +54,7 @@ concurrent appenders on POSIX.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -66,12 +69,14 @@ from ..dd.serialize import state_from_dict
 from ..dd.vector import StateDD
 from ..faults.errors import (
     ArtifactIntegrityError,
-    CheckpointIntegrityError,
+    LeaseIntegrityError,
     StaleLeaseError,
 )
 from ..faults.injector import inject
 from ..obs import get_recorder
-from .checkpoint import Checkpoint, decode_checkpoint, encode_checkpoint
+from .checkpoint import CHECKPOINT_DOCUMENT, Checkpoint, encode_checkpoint
+from .codec import DocumentKind
+from .lease import LEASE_DOCUMENT, Lease, LeaseManager
 
 RESULT_FILE = "result.json"
 STATE_FILE = "state.json"
@@ -384,22 +389,26 @@ class ArtifactStore:
                 )
         return rows
 
-    def iter_results(self) -> Iterator[tuple[str, dict]]:
-        """Yield ``(job_hash, result_doc)`` for every stored result."""
+    def _result_hashes(self) -> list[str]:
+        """The job hashes with an object directory, verified or not."""
         objects = os.path.join(self.root, "objects")
         if not os.path.isdir(objects):
-            return
-        for shard in sorted(os.listdir(objects)):
-            shard_dir = os.path.join(objects, shard)
-            if not os.path.isdir(shard_dir):
+            return []
+        return sorted(
+            job_hash
+            for shard in os.listdir(objects)
+            if os.path.isdir(os.path.join(objects, shard))
+            for job_hash in os.listdir(os.path.join(objects, shard))
+            if not job_hash.startswith(".")  # a crashed writer's staging
+        )
+
+    def iter_results(self) -> Iterator[tuple[str, dict]]:
+        """Yield ``(job_hash, result_doc)`` for every stored result."""
+        for job_hash in self._result_hashes():
+            try:
+                yield job_hash, self.load_result(job_hash)
+            except (KeyError, ArtifactIntegrityError):
                 continue
-            for job_hash in sorted(os.listdir(shard_dir)):
-                if job_hash.startswith("."):
-                    continue  # staging leftovers of a crashed writer
-                try:
-                    yield job_hash, self.load_result(job_hash)
-                except (KeyError, ArtifactIntegrityError):
-                    continue
 
     def resolve_prefix(self, prefix: str) -> str:
         """Expand a unique hash prefix to the full hash.
@@ -461,27 +470,31 @@ class ArtifactStore:
             CheckpointIntegrityError: When the checkpoint file exists
                 but does not verify — unreadable, truncated, corrupted,
                 missing its checksum, or recorded for another job
-                (:func:`~repro.service.checkpoint.decode_checkpoint`).
+                (:meth:`~repro.service.codec.DocumentKind.decode`).
                 Callers should quarantine it and start fresh.
         """
         path = os.path.join(self.checkpoint_dir(job_hash), CHECKPOINT_FILE)
         if not os.path.exists(path):
             return None
         inject("store.load_checkpoint", job_hash=job_hash, path=path)
+        return self._load_document(CHECKPOINT_DOCUMENT, job_hash, path)
+
+    @staticmethod
+    def _load_document(kind: DocumentKind, job_hash: str, path: str):
+        """Read and verify one checkpoint or lease file; None if absent.
+
+        A file that vanishes before the open is absent, not corrupt: a
+        peer shard completed the job and cleared its checkpoint.
+        """
         try:
             with open(path, "rb") as handle:
-                raw = handle.read()
+                return kind.decode(handle.read(), job_hash, path)
         except FileNotFoundError:
-            # Vanished between the existence check and the open: a peer
-            # shard completed the job and cleared its checkpoint.  Not
-            # corruption — there is simply no checkpoint any more.
             return None
         except OSError as error:
-            raise CheckpointIntegrityError(
-                f"checkpoint for {job_hash[:12]} is unreadable: {error}",
-                path=path,
+            raise kind.rejected(
+                job_hash, path, f"is unreadable: {error}"
             ) from error
-        return decode_checkpoint(raw, job_hash, path)
 
     def clear_checkpoint(
         self, job_hash: str, fence: dict | None = None
@@ -575,43 +588,45 @@ class ArtifactStore:
             self.root, "serve", "leases", f"{job_hash}.json"
         )
 
-    def read_lease(self, job_hash: str) -> dict | None:
-        """Read a job's ownership lease document, or None.
+    def read_lease(self, job_hash: str) -> Lease | None:
+        """Load and verify a job's ownership lease, or None when there is none.
 
-        A torn or unparsable lease file reads as "no lease" — lease
-        writes are atomic, so damage means bitrot, and failing open
-        here only weakens fencing back to router-level exclusion (the
-        scrubber repairs the replica copy on the next pass).
+        Raises:
+            LeaseIntegrityError: When the lease file exists but does not
+                verify (damaged, unchecksummed or stale);
+                :meth:`LeaseManager.current` quarantines it.
         """
-        path = self.lease_path(job_hash)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
+        return self._load_document(
+            LEASE_DOCUMENT, job_hash, self.lease_path(job_hash)
+        )
 
-    def write_lease(self, job_hash: str, document: dict) -> str:
-        """Atomically persist a job's ownership lease document."""
-        path = self.lease_path(job_hash)
+    def write_lease(self, lease: Lease) -> str:
+        """Atomically persist a job's ownership lease."""
+        path = self.lease_path(lease.job_hash)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write(path, json.dumps(document, sort_keys=True))
+        _atomic_write(path, LEASE_DOCUMENT.encode(lease))
         return path
 
-    def iter_leases(self) -> Iterator[tuple[str, dict]]:
-        """Yield ``(job_hash, lease_doc)`` for every recorded lease."""
+    def _lease_hashes(self) -> list[str]:
+        """The job hashes that have a lease file, verified or not."""
         directory = os.path.join(self.root, "serve", "leases")
         if not os.path.isdir(directory):
-            return
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".json") or name.startswith("."):
+            return []
+        return sorted(
+            name[: -len(".json")]
+            for name in os.listdir(directory)
+            if name.endswith(".json") and not name.startswith(".")
+        )
+
+    def iter_leases(self) -> Iterator[Lease]:
+        """Yield every recorded lease that verifies."""
+        for job_hash in self._lease_hashes():
+            try:
+                lease = self.read_lease(job_hash)
+            except LeaseIntegrityError:
                 continue
-            job_hash = name[: -len(".json")]
-            document = self.read_lease(job_hash)
-            if document is not None:
-                yield job_hash, document
+            if lease is not None:
+                yield lease
 
     def _check_fence(self, job_hash: str, fence: dict | None) -> None:
         """Reject a fenced write whose lease epoch is stale.
@@ -623,23 +638,21 @@ class ArtifactStore:
         """
         if fence is None:
             return
-        lease = self.read_lease(job_hash)
+        lease = LeaseManager(self).current(job_hash)
         if lease is None:
-            return  # unleased job (or lease gc'd): nothing to fence
-        lease_epoch = int(lease.get("epoch", 0))
+            return  # unleased job (or lease lost): nothing to fence
         fence_epoch = int(fence.get("epoch", 0))
-        if lease_epoch > fence_epoch or (
-            lease_epoch == fence_epoch
-            and str(lease.get("owner", "")) != str(fence.get("owner", ""))
+        if lease.epoch > fence_epoch or (
+            lease.epoch == fence_epoch
+            and lease.owner != str(fence.get("owner", ""))
         ):
             raise StaleLeaseError(
                 f"checkpoint write for {job_hash[:12]} fenced: lease "
-                f"epoch {lease_epoch} (owner "
-                f"{lease.get('owner')!r}) supersedes writer epoch "
-                f"{fence_epoch} (owner {fence.get('owner')!r})",
+                f"epoch {lease.epoch} (owner {lease.owner!r}) supersedes "
+                f"writer epoch {fence_epoch} (owner {fence.get('owner')!r})",
                 job_hash=job_hash,
                 fence_epoch=fence_epoch,
-                lease_epoch=lease_epoch,
+                lease_epoch=lease.epoch,
             )
 
     # ------------------------------------------------------------------
@@ -738,6 +751,12 @@ class ArtifactStore:
             self.checkpoint_dir(job_hash),
             f"checkpoint-{job_hash[:12]}",
             reason,
+        )
+
+    def quarantine_lease(self, job_hash: str, reason: str) -> str | None:
+        """Move a lease that does not verify aside (it then reads as absent)."""
+        return self._quarantine(
+            self.lease_path(job_hash), f"lease-{job_hash[:12]}", reason
         )
 
     def quarantine_result(self, job_hash: str, reason: str) -> str | None:
@@ -871,38 +890,26 @@ class ArtifactStore:
     def _reap_staging(self, older_than_seconds: float) -> int:
         """Remove crash-leaked staging dirs and temp files by age.
 
-        Scans the object shards and checkpoint dirs for dot-entries
-        (``.staging-*`` dirs, their ``.replaced`` backups, ``.tmp-*``
-        atomic-write leftovers) whose mtime is older than the
+        Scans the object shards for dot-entries (``.staging-*`` dirs,
+        their ``.replaced`` backups) and the checkpoint dirs,
+        ``serve/`` (parked queues) and ``serve/leases/`` for ``.tmp-*``
+        atomic-write leftovers whose mtime is older than the
         threshold.  The age gate is what makes this safe against a
         *live* writer: an in-flight put's staging dir was created
         moments ago, so it never crosses a sane threshold.
         """
         reaped = 0
         now = time.time()  # ddlint: ignore[DD005] - compared to mtimes
-        candidates: list[str] = []
-        objects = os.path.join(self.root, "objects")
-        if os.path.isdir(objects):
-            for shard in os.listdir(objects):
-                shard_dir = os.path.join(objects, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                candidates.extend(
-                    os.path.join(shard_dir, name)
-                    for name in os.listdir(shard_dir)
-                    if name.startswith(".")
-                )
-        checkpoints = os.path.join(self.root, "checkpoints")
-        if os.path.isdir(checkpoints):
-            for job_hash in os.listdir(checkpoints):
-                entry = os.path.join(checkpoints, job_hash)
-                if not os.path.isdir(entry):
-                    continue
-                candidates.extend(
-                    os.path.join(entry, name)
-                    for name in os.listdir(entry)
-                    if name.startswith(".tmp-")
-                )
+        candidates = [
+            path
+            for pattern in (
+                "objects/*/.*",
+                "checkpoints/*/.tmp-*",
+                "serve/.tmp-*",
+                "serve/leases/.tmp-*",
+            )
+            for path in glob.glob(os.path.join(glob.escape(self.root), pattern))
+        ]
         for path in candidates:
             try:
                 age = now - os.stat(path).st_mtime

@@ -1,4 +1,4 @@
-"""Property test: single-replica damage never changes resumed fidelity.
+"""Property tests: single-replica damage never changes what a read returns.
 
 The replicated store's checkpoint read is read-ALL-pick-newest; this
 suite drives the property the design exists for — whatever single
@@ -7,7 +7,9 @@ truncation, ``load_checkpoint`` returns a checkpoint equal to the
 undamaged store's, and resuming from it spends exactly the fidelity budget of
 the uninterrupted (damage-free) reference resume.  Bit-equal, not
 approximately: the Lemma-1 ledger replays the same rounds in the same
-order, so replication must contribute zero float drift.
+order, so replication must contribute zero float drift.  The lease read
+shares that read, so the same damage to one replica's lease must leave
+``read_lease`` returning the healthy lease and every replica byte-equal.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.core.fidelity import composed_fidelity  # noqa: E402
 from repro.service.engine import execute_job  # noqa: E402
 from repro.service.jobs import JobSpec  # noqa: E402
+from repro.service.lease import Lease  # noqa: E402
 from repro.service.replication import ReplicatedStore  # noqa: E402
 from repro.service.store import CHECKPOINT_FILE  # noqa: E402
 
@@ -53,6 +56,28 @@ def _resume(template_root: str):
     root = os.path.join(scratch, "store")
     shutil.copytree(template_root, root)
     return scratch, root
+
+
+def _damage(path: str, damage: str, offset: int, bit: int) -> None:
+    """Apply one damage input to the file at ``path``."""
+    size = os.path.getsize(path)
+    assert size > 0
+    if damage in ("bitrot", "bitflip"):
+        mask = 0xFF if damage == "bitrot" else 1 << bit
+        position = offset % size
+        with open(path, "r+b") as handle:
+            handle.seek(position)
+            byte = handle.read(1)
+            handle.seek(position)
+            handle.write(bytes([byte[0] ^ mask]))
+    else:
+        with open(path, "r+b") as handle:
+            handle.truncate(offset % size)
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 @pytest.fixture(scope="module")
@@ -104,19 +129,7 @@ def test_single_replica_checkpoint_damage_round_trip(
             job_hash,
             CHECKPOINT_FILE,
         )
-        size = os.path.getsize(victim)
-        assert size > 0
-        if damage in ("bitrot", "bitflip"):
-            mask = 0xFF if damage == "bitrot" else 1 << bit
-            position = offset % size
-            with open(victim, "r+b") as handle:
-                handle.seek(position)
-                byte = handle.read(1)
-                handle.seek(position)
-                handle.write(bytes([byte[0] ^ mask]))
-        else:
-            with open(victim, "r+b") as handle:
-                handle.truncate(offset % size)
+        _damage(victim, damage, offset, bit)
 
         store = ReplicatedStore(root)
         # load_checkpoint ignores the damaged copy and returns a
@@ -142,5 +155,44 @@ def test_single_replica_checkpoint_damage_round_trip(
             stored["stats"]["fidelity_estimate"]
             == result.stats["fidelity_estimate"]
         )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+LEASE = Lease("c" * 64, "s0", 1, 1760000000.25)
+
+#: Offset of the epoch digit in the stored lease: ``{"checksum":"``,
+#: 64 hex digits, ``",`` and ``"epoch":`` come first.
+EPOCH_DIGIT = 87
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    replica=st.integers(min_value=0, max_value=2),
+    damage=st.sampled_from(["bitrot", "bitflip", "truncate"]),
+    offset=st.integers(min_value=0, max_value=4096),
+    bit=st.integers(min_value=0, max_value=7),
+)
+# Epoch 1 reads as 9 on replica 0: valid JSON, the highest epoch, and
+# only the checksum can tell the copy from a healthy one.
+@example(replica=0, damage="bitflip", offset=EPOCH_DIGIT, bit=3)
+def test_single_replica_lease_damage_round_trip(replica, damage, offset, bit):
+    scratch = tempfile.mkdtemp(prefix="lease-rt-")
+    try:
+        store = ReplicatedStore.create(
+            os.path.join(scratch, "store"), replicas=3, write_quorum=2
+        )
+        store.write_lease(LEASE)
+        paths = [
+            replica_store.lease_path(LEASE.job_hash)
+            for replica_store in store.replicas
+        ]
+        healthy = _read_bytes(paths[0])
+        assert healthy[EPOCH_DIGIT : EPOCH_DIGIT + 1] == b"1"
+        _damage(paths[replica], damage, offset, bit)
+        # The read returns the healthy lease and repairs the damaged
+        # copy: every replica ends byte-equal.
+        assert ReplicatedStore(store.root).read_lease(LEASE.job_hash) == LEASE
+        assert [_read_bytes(path) for path in paths] == [healthy] * 3
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -355,6 +355,17 @@ class TestTenantGovernance:
         router._tick()
         assert _submit(router, _spec(seed=12), tenant="acme")["ok"]
 
+    def test_a_malformed_submit_leaves_no_record_behind(
+        self, fake_cluster
+    ):
+        router, shards = fake_cluster(["s0"], quotas={"acme": 1})
+        rejected = _submit(
+            router, _spec(seed=10), tenant="acme", soft_timeout="soon"
+        )
+        assert rejected["error"].startswith("bad submit: soft_timeout")
+        assert shards["s0"].submissions == []
+        assert _submit(router, _spec(seed=11), tenant="acme")["ok"]
+
     def test_rate_limit_is_a_deterministic_token_bucket(
         self, fake_cluster
     ):

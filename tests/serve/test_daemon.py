@@ -110,6 +110,16 @@ class TestAdmission:
         args = dict(record.spec.strategy_args)
         assert args["final_fidelity"] == 0.99
 
+    @pytest.mark.parametrize(
+        "field", [{"priority": "high"}, {"hard_timeout": -1.0}]
+    )
+    def test_a_malformed_submit_leaves_no_record_behind(self, store, field):
+        daemon = SimDaemon(store, queue_capacity=8)
+        rejected = daemon.handle_request(_submit_message(_spec(), **field))
+        assert rejected["error"].startswith("bad submit: ")
+        assert daemon._jobs == {}
+        assert daemon.queue.depth == 0
+
     def test_priority_is_honored_at_dispatch_order(self, store):
         daemon = SimDaemon(store, queue_capacity=8)
         low = daemon.handle_request(_submit_message(_spec(), priority=0))

@@ -13,6 +13,7 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
+    parse_submission,
     read_message,
     write_message,
 )
@@ -39,6 +40,36 @@ class TestCodec:
     def test_rejects_invalid_utf8(self):
         with pytest.raises(ProtocolError):
             decode_message(b"\xff\xfe\n")
+
+
+class TestParseSubmission:
+    def test_defaults(self):
+        assert parse_submission({"op": "submit"}) == (0, None, None)
+
+    def test_accepts_integer_priority_and_finite_timeouts(self):
+        submission = parse_submission(
+            {"priority": 3, "soft_timeout": 0.0, "hard_timeout": 60}
+        )
+        assert submission == (3, 0.0, 60.0)
+        assert isinstance(submission.hard_timeout, float)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"priority": "3"},
+            {"priority": 2.5},
+            {"priority": True},
+            {"priority": None},
+            {"soft_timeout": "soon"},
+            {"soft_timeout": -0.5},
+            {"hard_timeout": float("nan")},
+            {"hard_timeout": float("inf")},
+            {"hard_timeout": False},
+        ],
+    )
+    def test_rejects_malformed_fields(self, field):
+        with pytest.raises(ValueError, match="^bad submit: "):
+            parse_submission(field)
 
 
 class TestStreamIO:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
-from repro.faults.errors import StaleLeaseError
+from repro.faults.errors import LeaseIntegrityError, StaleLeaseError
 from repro.service.lease import DEFAULT_LEASE_TTL, Lease, LeaseHeld, LeaseManager
 from repro.service.store import ArtifactStore
 from tests.helpers import make_checkpoint
 
 HASH_A = "a" * 64
+HASH_B = "b" * 64
 
 
 @pytest.fixture
@@ -45,10 +49,7 @@ class TestAcquire:
     def test_takeover_of_expired_lease_bumps_epoch(self, store, leases):
         lease = leases.acquire(HASH_A)
         # Force expiry by rewriting the document with a past expiry.
-        store.write_lease(
-            HASH_A,
-            Lease(HASH_A, "s0", lease.epoch, expires_at=0.0).to_dict(),
-        )
+        store.write_lease(Lease(HASH_A, "s0", lease.epoch, expires_at=0.0))
         other = LeaseManager(store, owner="s1", ttl_seconds=30.0)
         taken = other.acquire(HASH_A)
         assert taken.owner == "s1"
@@ -154,6 +155,55 @@ class TestFencing:
         with pytest.raises(StaleLeaseError):
             store.clear_checkpoint(HASH_A, fence=lease.fence)
         assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 2)
+
+
+class TestLeaseDocument:
+    def test_stored_form_is_one_checksummed_sorted_dump(self, store):
+        lease = Lease(HASH_A, "s0", 2, 12.5)
+        store.write_lease(lease)
+        with open(store.lease_path(HASH_A), encoding="utf-8") as handle:
+            text = handle.read()
+        document = json.loads(text)
+        assert text == json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        )
+        assert text.startswith('{"checksum":"')
+        assert (document["format"], document["version"]) == ("repro-lease", 1)
+        assert store.read_lease(HASH_A) == lease
+
+    def test_damaged_lease_raises_and_current_quarantines_it(
+        self, store, leases
+    ):
+        leases.acquire(HASH_A)
+        path = store.lease_path(HASH_A)
+        with open(path, "r+b") as handle:
+            handle.seek(20)
+            byte = handle.read(1)
+            handle.seek(20)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(LeaseIntegrityError):
+            store.read_lease(HASH_A)
+        assert leases.current(HASH_A) is None
+        assert not os.path.exists(path)
+        (entry,) = store.quarantine_report()
+        assert entry["name"] == f"lease-{HASH_A[:12]}-0"
+        assert "SHA-256" in entry["reason"]
+
+    def test_iter_leases_yields_only_verified_leases(self, store):
+        store.write_lease(Lease(HASH_A, "s0", 1, 0.0))
+        store.write_lease(Lease(HASH_B, "s1", 2, 0.0))
+        with open(store.lease_path(HASH_B), "a", encoding="utf-8") as handle:
+            handle.write(" ")  # still JSON; the checksum still holds
+        with open(store.lease_path(HASH_A), "r+b") as handle:
+            handle.truncate(10)
+        assert list(store.iter_leases()) == [Lease(HASH_B, "s1", 2, 0.0)]
+
+    def test_lease_recorded_for_another_job_is_stale(self, store):
+        store.write_lease(Lease(HASH_B, "s0", 1, 0.0))
+        os.makedirs(os.path.dirname(store.lease_path(HASH_A)), exist_ok=True)
+        os.replace(store.lease_path(HASH_B), store.lease_path(HASH_A))
+        with pytest.raises(LeaseIntegrityError, match="stale"):
+            store.read_lease(HASH_A)
 
 
 class TestDefaults:

@@ -9,9 +9,10 @@ from unittest import mock
 import pytest
 
 from repro.faults import injector as injector_module
-from repro.faults.errors import QuorumLost
+from repro.faults.errors import LeaseIntegrityError, QuorumLost
 from repro.faults.injector import arm
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.service.lease import Lease, LeaseManager
 from repro.service.replication import ReplicatedStore, open_store
 from repro.service.store import ArtifactStore
 from tests.helpers import make_checkpoint
@@ -341,15 +342,25 @@ class TestScrub:
         assert persisted["report"]["results_checked"] == 1
 
     def test_scrub_spreads_lease_epochs(self, store):
-        store.replicas[0].write_lease(
-            HASH_A, {"owner": "s0", "epoch": 1, "expires_at": 0.0}
-        )
-        store.replicas[1].write_lease(
-            HASH_A, {"owner": "s1", "epoch": 4, "expires_at": 0.0}
-        )
+        store.replicas[0].write_lease(Lease(HASH_A, "s0", 1, 0.0))
+        store.replicas[1].write_lease(Lease(HASH_A, "s1", 4, 0.0))
         store.scrub(repair=True)
         for replica in store.replicas:
-            assert replica.read_lease(HASH_A)["epoch"] == 4
+            assert replica.read_lease(HASH_A).epoch == 4
+
+    def test_scrub_reports_lease_problems(self, store):
+        store.write_lease(Lease(HASH_A, "s0", 2, 50.0))
+        store.replicas[1].write_lease(Lease(HASH_A, "s0", 2, 20.0))
+        _flip_byte(store.replicas[2].lease_path(HASH_A))
+        report = store.scrub(repair=False)
+        assert report["leases_checked"] == 1
+        assert [
+            (problem["kind"], problem["replica"])
+            for problem in report["problems"]
+        ] == [("lease_stale", 1), ("lease_corrupt", 2)]
+        report = store.scrub(repair=True)
+        assert (report["repaired"], report["quarantined"]) == (2, 1)
+        assert store.scrub(repair=False)["problems"] == []
 
     def test_injected_faults_do_not_fire_during_scrub(self, store):
         # The scrubber is the repair tool, not the system under test:
@@ -362,24 +373,73 @@ class TestScrub:
 
 class TestLeaseReads:
     def test_read_lease_returns_max_epoch(self, store):
-        store.replicas[0].write_lease(
-            HASH_A, {"owner": "old", "epoch": 2, "expires_at": 0.0}
-        )
-        store.replicas[2].write_lease(
-            HASH_A, {"owner": "new", "epoch": 5, "expires_at": 0.0}
-        )
-        document = store.read_lease(HASH_A)
-        assert document["epoch"] == 5
-        assert document["owner"] == "new"
+        store.replicas[0].write_lease(Lease(HASH_A, "old", 2, 0.0))
+        store.replicas[2].write_lease(Lease(HASH_A, "new", 5, 0.0))
+        lease = store.read_lease(HASH_A)
+        assert lease.epoch == 5
+        assert lease.owner == "new"
         # Laggards were read-repaired to the winning epoch.
-        assert store.replicas[0].read_lease(HASH_A)["epoch"] == 5
+        assert store.replicas[0].read_lease(HASH_A).epoch == 5
 
     def test_write_lease_is_a_quorum_write(self, store):
-        store.write_lease(
-            HASH_A, {"owner": "s0", "epoch": 1, "expires_at": 99.0}
-        )
+        store.write_lease(Lease(HASH_A, "s0", 1, 99.0))
         for replica in store.replicas:
-            assert replica.read_lease(HASH_A)["epoch"] == 1
+            assert replica.read_lease(HASH_A).epoch == 1
+
+    def test_a_missed_renewal_is_repaired(self, store):
+        store.write_lease(Lease(HASH_A, "s0", 1, 10.0))
+        store.replicas[0].write_lease(Lease(HASH_A, "s0", 1, 40.0))
+        assert store.read_lease(HASH_A) == Lease(HASH_A, "s0", 1, 40.0)
+        for replica in store.replicas:
+            assert replica.read_lease(HASH_A).expires_at == 40.0
+
+    def test_one_bit_raising_the_lease_epoch_does_not_spread(self, store):
+        # One flipped bit makes replica 0's epoch 1 read as 9.  Every
+        # copy is verified before it is compared, so that copy is
+        # corrupt, not newest: epoch 1 wins, the healthy copies keep
+        # their bytes, and the live owner's fenced write goes through.
+        owner = LeaseManager(store, owner="s0").acquire(HASH_A)
+        assert owner.epoch == 1
+        paths = [replica.lease_path(HASH_A) for replica in store.replicas]
+        healthy = [_read_bytes(path) for path in paths[1:]]
+        field = b'"epoch":'
+        with open(paths[0], "r+b") as handle:
+            data = handle.read()
+            position = data.index(field + b"1") + len(field)
+            handle.seek(position)
+            handle.write(bytes([data[position] ^ 0x08]))  # '1' -> '9'
+        assert b'"epoch":9' in _read_bytes(paths[0])
+        assert store.read_lease(HASH_A).epoch == 1
+        assert [_read_bytes(path) for path in paths[1:]] == healthy
+        assert _read_bytes(paths[0]) == healthy[0]  # read-repaired
+        store.save_checkpoint(
+            HASH_A, make_checkpoint(HASH_A, 3), fence=owner.fence
+        )
+        assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 3)
+
+    def test_a_lease_with_no_verified_copy_reads_as_absent(self, store):
+        # Every copy fails (here: written without a checksum, as leases
+        # were before they carried one).  The read raises; the fence
+        # check and the manager quarantine the copies and go on as for
+        # a lost lease.
+        unchecksummed = {"owner": "s0", "epoch": 3, "expires_at": 0.0}
+        for replica in store.replicas:
+            path = replica.lease_path(HASH_A)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(unchecksummed, handle)
+        with pytest.raises(LeaseIntegrityError, match="not a repro-lease"):
+            store.read_lease(HASH_A)
+        store.save_checkpoint(
+            HASH_A,
+            make_checkpoint(HASH_A, 1),
+            fence={"owner": "s1", "epoch": 1},
+        )
+        assert store.read_lease(HASH_A) is None
+        assert [
+            list(replica.iter_quarantined()) for replica in store.replicas
+        ] == [[f"lease-{HASH_A[:12]}-0"]] * 3
+        assert LeaseManager(store, owner="s1").acquire(HASH_A).epoch == 1
 
 
 class TestStatus:

@@ -14,6 +14,7 @@ import pytest
 from repro.dd.package import Package
 from repro.dd.serialize import state_to_dict
 from repro.dd.vector import StateDD
+from repro.service.lease import Lease
 from repro.service.store import ArtifactStore
 from tests.helpers import make_checkpoint
 
@@ -190,6 +191,31 @@ class TestGcStaging:
         assert removed["staging"] == 1
         assert not os.path.exists(leak)
         assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 1)
+
+    @pytest.mark.parametrize("written", ["lease", "parked queue"])
+    def test_old_serve_tmp_file_is_reaped_and_a_young_one_kept(
+        self, store, written
+    ):
+        # Crashed lease writes leave .tmp-* files in serve/leases/,
+        # crashed queue dumps in serve/; gc reaps both by age.
+        if written == "lease":
+            store.write_lease(Lease(HASH_A, "s0", 1, 0.0))
+            directory = os.path.dirname(store.lease_path(HASH_A))
+        else:
+            store.park_jobs("drained-queue", [{"job_hash": HASH_A}])
+            directory = os.path.dirname(store.parked_jobs_path("q"))
+        old, young = (
+            os.path.join(directory, f".tmp-{name}.json")
+            for name in ("old", "young")
+        )
+        for leak in (old, young):
+            with open(leak, "w") as handle:
+                handle.write("{")
+        os.utime(old, (0, 0))
+        removed = store.gc(staging_older_than_seconds=3600.0)
+        assert removed["staging"] == 1
+        assert not os.path.exists(old)
+        assert os.path.exists(young)
 
     def test_concurrent_in_flight_put_is_not_reaped(self, store):
         # A put paused between staging and promote (the crash window
