@@ -287,6 +287,7 @@ _BACKEND_INTERNALS = frozenset(
         "_compute_caches",
         "_cache_counts",
         "_checked_insert",
+        "_cache_flushed",
     }
 )
 

@@ -2,24 +2,27 @@
  *
  * Implements make_vedge, vadd, the multiply_mv recursion, the inner
  * product, the rebuild of an approximation round and the whole-diagram
- * sweeps (node_count, vnodes, norm_contributions), and on the matrix
- * side make_medge, madd and the multiply_mm recursion, directly on the
- * arena's own Python structures: the unique tables `_vtable` and
- * `_mtable`, the node lists `_v_nodes` and `_m_nodes`, the compute
- * caches `_vadd_cache`, `_mv_cache`, `_inner_cache`, `_madd_cache` and
- * `_mm_cache`, the `_vcount_cache` memo, `stats` and `_cache_counts`.
- * Keys and values are the same Python objects the pure-Python engine
- * stored, so reclaim, the DDSan audit and serialization read them
- * unchanged.  Built on first use by repro.dd.backends.native.
+ * sweeps (node_count, vnodes, norm_contributions), on the matrix side
+ * make_medge, madd and the multiply_mm recursion, and the reclaim that
+ * frees what a cache flush unpinned.
+ *
+ * An arena's storage is one State object, the backend's `_state`: the
+ * node lists `_v_nodes` and `_m_nodes`, the record `_v_record`, and the
+ * seven hash tables defined here -- the unique tables `_vtable` and
+ * `_mtable` and the compute caches `_vadd_cache`, `_madd_cache`,
+ * `_mv_cache`, `_mm_cache` and `_inner_cache`.  The tables hold their
+ * keys inline, with no Python key objects, and show Python only len(),
+ * clear() and items(); items() rebuilds the key tuples the DDSan audit
+ * and the tests read.  A top-level call fetches the State once.  Built
+ * on first use by repro.dd.backends.native.
  *
  * The record: `_v_record` is a bytearray holding one Rec (level and two
  * child ids, 12 bytes) per `_v_nodes` slot, appended here whenever a
- * node is interned and renumbered by compact_record after a reclaim.
- * Nodes are immutable once interned, so it never needs a sync step; the
- * sweeps walk it instead of chasing node, edge and index objects.  A
- * child that is not a slot of the arena is recorded as REC_FOREIGN, and
- * a sweep that meets one returns None so the caller can run the generic
- * traversal.
+ * node is interned and renumbered by the reclaim.  Nodes are immutable
+ * once interned, so it never needs a sync step; the sweeps walk it
+ * instead of chasing node, edge and index objects.  A child that is not
+ * a slot of the arena is recorded as REC_FOREIGN, and a sweep that meets
+ * one returns None so the caller can run the generic traversal.
  *
  * Float contract: every complex operation calls CPython's own _Py_c_*
  * helper with the operands in the order the Python expression has them,
@@ -34,7 +37,8 @@
  * before multiply_mv), so the recursion passes nodes as borrowed pointers.
  * Nodes that come out of a cache or the unique table without being
  * arena slots are pinned for the call, because a cache flush could
- * otherwise free them mid-recursion.
+ * otherwise free them mid-recursion.  No pointer into a table is kept
+ * across anything that can run Python code: an insert probes afresh.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -42,7 +46,9 @@
 
 #include <errno.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* An edge inside the recursion: the weight as a C complex, the child as
  * a borrowed pointer (NULL is the terminal). */
@@ -61,20 +67,459 @@ typedef struct {
  * slot (hand-built, or another package's). */
 enum { REC_TERMINAL = -1, REC_FOREIGN = -2 };
 
-/* State of one top-level call.  ctx_open fills only the structures its
- * USE_* flags name; the rest stay NULL. */
+/* ------------------------------------------------------------------ */
+/* Hash tables                                                         */
+/* ------------------------------------------------------------------ */
+
+/* The seven tables of a State, in State.tables order. */
+enum { T_VTABLE, T_MTABLE, T_VADD, T_MADD, T_MV, T_MM, T_INNER, N_TABLES };
+
+/* Entry layouts.  Every entry starts with its 32-bit hash (HASH_DELETED
+ * marks a removed entry, only ever seen inside a reclaim), and its key
+ * runs from there up to its value, so two keys compare with one memcmp.
+ * That is exactly the equality of the tuples the keys stand for,
+ * because every key field has one representation per value: a level, a
+ * node id, a child pointer (nodes compare by identity; NULL is the
+ * terminal) or a weight bucket, held as its integral double with -0.0
+ * folded into 0.0 (the int round() returned has no signed zero).  The
+ * keys have no padding bytes. */
+
+typedef struct {
+    uint32_t hash;
+    int32_t level;
+    double bucket[4]; /* re, im of edge 0, then of edge 1 */
+    PyObject *child[2];
+} VKey;
+
+typedef struct {
+    VKey key;
+    PyObject *node;
+} VEntry;
+
+typedef struct {
+    uint32_t hash;
+    int32_t level;
+    double bucket[8]; /* re, im of each quadrant's edge */
+    PyObject *child[4];
+} MKey;
+
+typedef struct {
+    MKey key;
+    PyObject *node;
+} MEntry;
+
+/* The two node ids of a compute-cache key; the vadd/madd key goes on
+ * with the ratio's buckets. */
+typedef struct {
+    uint32_t hash;
+    int32_t id[2];
+    int32_t pad; /* always 0 */
+} PairKey;
+
+typedef struct {
+    PairKey ids;
+    double ratio[2];
+} AddKey;
+
+/* A cached result edge; NULL is the terminal. */
+typedef struct {
+    Py_complex w;
+    PyObject *node;
+} EdgeValue;
+
+typedef struct {
+    AddKey key;
+    EdgeValue value;
+} AddEntry;
+
+typedef struct {
+    PairKey key;
+    EdgeValue value;
+} PairEntry;
+
+typedef struct {
+    PairKey key;
+    Py_complex value;
+} InnerEntry;
+
+/* Keys compare bytewise: no padding bytes inside them. */
+_Static_assert(sizeof(VKey) == 8 + 4 * sizeof(double) + 2 * sizeof(PyObject *) &&
+                   sizeof(MKey) == 8 + 8 * sizeof(double) + 4 * sizeof(PyObject *) &&
+                   sizeof(PairKey) == 16 && sizeof(AddKey) == 32,
+               "key padding");
+_Static_assert(offsetof(AddEntry, value) == sizeof(AddKey) &&
+                   offsetof(PairEntry, value) == sizeof(PairKey) &&
+                   offsetof(InnerEntry, value) == sizeof(PairKey),
+               "a value follows its key");
+
+enum { KIND_VNODE, KIND_MNODE, KIND_ADD, KIND_PAIR, KIND_INNER };
+
+static const struct {
+    size_t size;     /* bytes per entry */
+    size_t key_size; /* bytes of key, the hash included */
+} kinds[] = {
+    [KIND_VNODE] = {sizeof(VEntry), sizeof(VKey)},
+    [KIND_MNODE] = {sizeof(MEntry), sizeof(MKey)},
+    [KIND_ADD] = {sizeof(AddEntry), sizeof(AddKey)},
+    [KIND_PAIR] = {sizeof(PairEntry), sizeof(PairKey)},
+    [KIND_INNER] = {sizeof(InnerEntry), sizeof(PairKey)},
+};
+
+static const int table_kinds[N_TABLES] = {
+    [T_VTABLE] = KIND_VNODE, [T_MTABLE] = KIND_MNODE, [T_VADD] = KIND_ADD,
+    [T_MADD] = KIND_ADD,     [T_MV] = KIND_PAIR,      [T_MM] = KIND_PAIR,
+    [T_INNER] = KIND_INNER,
+};
+
+enum { HASH_DELETED = 1 };
+
+/* A table keeps its entries densely in insertion order and finds them
+ * through an index of (hash, position) slots, probed linearly: a probe
+ * reads 8-byte slots, eight to a cache line, and touches an entry only
+ * when its hash matches, so a miss costs about one line of the index.
+ * The index doubles before its load would pass 1/2, rebuilt from the
+ * entries' stored hashes; the entry array doubles as it fills (a
+ * realloc: the entries do not move within it). */
+typedef struct {
+    PyObject_HEAD
+    uint64_t *index;      /* capacity slots: 0 free, else hash << 32 | (position + 1) */
+    size_t mask;          /* capacity - 1 */
+    char *entries;        /* `count` entries, deleted ones included */
+    Py_ssize_t count;
+    Py_ssize_t allocated; /* room in `entries` */
+    Py_ssize_t used;      /* live entries */
+    int kind;
+} Table;
+
+#define MIN_CAPACITY 8
+#define POSITION(slot) ((size_t)((slot)&0xFFFFFFFFu) - 1)
+
+static inline uint32_t
+head(const void *entry)
+{
+    uint32_t hash;
+    memcpy(&hash, entry, sizeof(hash));
+    return hash;
+}
+
+static inline uint64_t
+mix(uint64_t h, uint64_t word)
+{
+    h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+    return h ^ (h >> 32);
+}
+
+/* murmur3's finalizer, moved off 0 and HASH_DELETED: neither a zeroed
+ * nor a deleted entry reads as live. */
+static inline uint32_t
+finish_hash(uint64_t h)
+{
+    uint32_t folded;
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    folded = (uint32_t)h;
+    return folded > HASH_DELETED ? folded : folded + 2;
+}
+
+static inline uint64_t
+double_bits(double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+static uint32_t
+vkey_hash(const VKey *key)
+{
+    uint64_t h = mix(0x243F6A8885A308D3ULL, (uint32_t)key->level);
+    int k;
+    for (k = 0; k < 4; k++) {
+        h = mix(h, double_bits(key->bucket[k]));
+    }
+    for (k = 0; k < 2; k++) {
+        h = mix(h, (uintptr_t)key->child[k]);
+    }
+    return finish_hash(h);
+}
+
+static uint32_t
+mkey_hash(const MKey *key)
+{
+    uint64_t h = mix(0x452821E638D01377ULL, (uint32_t)key->level);
+    int k;
+    for (k = 0; k < 8; k++) {
+        h = mix(h, double_bits(key->bucket[k]));
+    }
+    for (k = 0; k < 4; k++) {
+        h = mix(h, (uintptr_t)key->child[k]);
+    }
+    return finish_hash(h);
+}
+
+/* The hash of a cache key: its ids, and for vadd/madd its ratio. */
+static uint32_t
+ids_hash(const PairKey *key, const double *ratio)
+{
+    uint64_t h = mix(0x13198A2E03707344ULL,
+                     (uint64_t)(uint32_t)key->id[0] << 32 | (uint32_t)key->id[1]);
+    if (ratio != NULL) {
+        h = mix(mix(h, double_bits(ratio[0])), double_bits(ratio[1]));
+    }
+    return finish_hash(h);
+}
+
+/* The index slot of `key`: the one naming its live entry, or the free
+ * slot that ends its probe (the load limit keeps one free).  A deleted
+ * entry never matches: its stored hash is HASH_DELETED. */
+static inline size_t
+probe(const Table *t, const void *key, size_t size, size_t key_size)
+{
+    uint32_t hash = head(key);
+    size_t i = hash & t->mask;
+    uint64_t slot;
+    for (;;) {
+        slot = t->index[i];
+        if (slot == 0 || ((uint32_t)(slot >> 32) == hash &&
+                          memcmp(t->entries + POSITION(slot) * size, key, key_size) == 0)) {
+            return i;
+        }
+        i = (i + 1) & t->mask;
+    }
+}
+
+/* The live entry of `key`, or NULL. */
+static inline char *
+lookup(const Table *t, const void *key, size_t size, size_t key_size)
+{
+    uint64_t slot = t->index[probe(t, key, size, key_size)];
+    return slot == 0 ? NULL : t->entries + POSITION(slot) * size;
+}
+
+/* Index the live entries afresh in `capacity` slots. */
+static int
+index_rebuild(Table *t, size_t capacity)
+{
+    size_t size = kinds[t->kind].size, mask = capacity - 1, i;
+    uint64_t *index = PyMem_Calloc(capacity, sizeof(uint64_t));
+    Py_ssize_t position;
+    uint32_t hash;
+    if (index == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (position = 0; position < t->count; position++) {
+        if ((hash = head(t->entries + (size_t)position * size)) <= HASH_DELETED) {
+            continue;
+        }
+        i = hash & mask;
+        while (index[i] != 0) {
+            i = (i + 1) & mask;
+        }
+        index[i] = (uint64_t)hash << 32 | (uint64_t)(position + 1);
+    }
+    PyMem_Free(t->index);
+    t->index = index;
+    t->mask = mask;
+    return 0;
+}
+
+/* The smallest index capacity for `entries` entries and one more. */
+static size_t
+capacity_for(Py_ssize_t entries)
+{
+    size_t capacity = MIN_CAPACITY;
+    while ((size_t)(entries + 1) * 2 > capacity) {
+        capacity *= 2;
+    }
+    return capacity;
+}
+
+/* Make room for one insert. */
+static int
+table_reserve(Table *t)
+{
+    size_t size = kinds[t->kind].size;
+    Py_ssize_t allocated;
+    char *entries;
+    if (t->count == t->allocated) {
+        if (t->count >= (Py_ssize_t)UINT32_MAX - 1) {
+            PyErr_SetString(PyExc_OverflowError, "arena table is full");
+            return -1;
+        }
+        allocated = t->allocated < MIN_CAPACITY ? MIN_CAPACITY : 2 * t->allocated;
+        if ((entries = PyMem_Realloc(t->entries, (size_t)allocated * size)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        t->entries = entries;
+        t->allocated = allocated;
+    }
+    if ((size_t)(t->count + 1) * 2 > t->mask + 1) {
+        return index_rebuild(t, 2 * (t->mask + 1));
+    }
+    return 0;
+}
+
+/* The entry of `key` after table_reserve: its live entry (*fresh = 0),
+ * or a new last entry holding the key (*fresh = 1) whose value the
+ * caller sets. */
+static inline char *
+claim(Table *t, const void *key, size_t size, size_t key_size, int *fresh)
+{
+    size_t i = probe(t, key, size, key_size);
+    char *entry;
+    if (t->index[i] != 0) {
+        *fresh = 0;
+        return t->entries + POSITION(t->index[i]) * size;
+    }
+    *fresh = 1;
+    entry = t->entries + (size_t)t->count * size;
+    memcpy(entry, key, key_size);
+    t->index[i] = (uint64_t)head(key) << 32 | (uint64_t)(t->count + 1);
+    t->count++;
+    t->used++;
+    return entry;
+}
+
+/* Drop the references an entry holds: a node table's key children and
+ * node, a cache's result node. */
+static void
+entry_release(int kind, char *entry)
+{
+    int k;
+    switch (kind) {
+    case KIND_VNODE:
+        for (k = 0; k < 2; k++) {
+            Py_XDECREF(((VEntry *)entry)->key.child[k]);
+        }
+        Py_DECREF(((VEntry *)entry)->node);
+        break;
+    case KIND_MNODE:
+        for (k = 0; k < 4; k++) {
+            Py_XDECREF(((MEntry *)entry)->key.child[k]);
+        }
+        Py_DECREF(((MEntry *)entry)->node);
+        break;
+    case KIND_ADD:
+        Py_XDECREF(((AddEntry *)entry)->value.node);
+        break;
+    case KIND_PAIR:
+        Py_XDECREF(((PairEntry *)entry)->value.node);
+        break;
+    default:
+        break;
+    }
+}
+
+static void
+release_entries(int kind, char *entries, Py_ssize_t count)
+{
+    size_t size = kinds[kind].size;
+    Py_ssize_t position;
+    for (position = 0; position < count; position++) {
+        if (head(entries + (size_t)position * size) > HASH_DELETED) {
+            entry_release(kind, entries + (size_t)position * size);
+        }
+    }
+}
+
+/* Drop every entry.  The table is consistent again before the first
+ * reference is released. */
+static int
+table_clear(Table *t)
+{
+    uint64_t *index;
+    char *entries = t->entries;
+    Py_ssize_t count = t->count;
+    if (count == 0 && t->mask + 1 == MIN_CAPACITY) {
+        return 0;
+    }
+    if ((index = PyMem_Calloc(MIN_CAPACITY, sizeof(uint64_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    PyMem_Free(t->index);
+    t->index = index;
+    t->mask = MIN_CAPACITY - 1;
+    t->entries = NULL;
+    t->count = t->allocated = t->used = 0;
+    release_entries(t->kind, entries, count);
+    PyMem_Free(entries);
+    return 0;
+}
+
+/* Delete a live entry (inside a reclaim only: the index still names it
+ * until the reclaim compacts the table). */
+static void
+table_delete(Table *t, char *entry)
+{
+    union {
+        VEntry v;
+        MEntry m;
+        AddEntry a;
+    } copy;
+    size_t size = kinds[t->kind].size;
+    uint32_t deleted = HASH_DELETED;
+    memcpy(&copy, entry, size);
+    memset(entry, 0, size);
+    memcpy(entry, &deleted, sizeof(deleted));
+    t->used--;
+    entry_release(t->kind, (char *)&copy);
+}
+
+/* Close the gaps deleted entries left, keeping the order, give back
+ * the entry room beyond twice what is left, and index the rest afresh. */
+static int
+table_compact(Table *t)
+{
+    size_t size = kinds[t->kind].size;
+    Py_ssize_t position, kept = 0;
+    char *entry;
+    for (position = 0; position < t->count; position++) {
+        entry = t->entries + (size_t)position * size;
+        if (head(entry) <= HASH_DELETED) {
+            continue;
+        }
+        if (kept != position) {
+            memcpy(t->entries + (size_t)kept * size, entry, size);
+        }
+        kept++;
+    }
+    t->count = kept;
+    if (t->allocated > 2 * kept && t->allocated > MIN_CAPACITY) {
+        Py_ssize_t allocated = kept < MIN_CAPACITY ? MIN_CAPACITY : kept;
+        /* A shrink that fails leaves the larger array in place. */
+        if ((entry = PyMem_Realloc(t->entries, (size_t)allocated * size)) != NULL) {
+            t->entries = entry;
+            t->allocated = allocated;
+        }
+    }
+    return index_rebuild(t, capacity_for(kept));
+}
+
+/* ------------------------------------------------------------------ */
+/* The arena state                                                     */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *v_nodes;  /* list */
+    PyObject *v_record; /* bytearray */
+    PyObject *m_nodes;  /* list */
+    Table *tables[N_TABLES];
+    Py_ssize_t cache_limit;
+    char counting;
+} State;
+
+static PyTypeObject Table_Type;
+static PyTypeObject State_Type;
+
+/* State of one top-level call. */
 typedef struct {
     PyObject *self;
-    PyObject *vtable;
-    PyObject *nodes;
-    PyObject *record;
-    PyObject *mtable;
-    PyObject *m_nodes;
-    PyObject *vadd_cache;
-    PyObject *mv_cache;
-    PyObject *inner_cache;
-    PyObject *madd_cache;
-    PyObject *mm_cache;
+    State *st;
     PyObject *pinned;
     Py_ssize_t cache_limit;
     int counting;
@@ -82,29 +527,19 @@ typedef struct {
     double inv;
     Py_ssize_t created;
     Py_ssize_t m_created;
-    Py_ssize_t vadd_counts[2]; /* hits, misses */
-    Py_ssize_t mv_counts[2];
-    Py_ssize_t inner_counts[2];
-    Py_ssize_t madd_counts[2];
-    Py_ssize_t mm_counts[2];
+    Py_ssize_t counts[N_TABLES][2]; /* hits, misses of each cache */
 } Ctx;
-
-/* What a top-level call works on: the vector or matrix node structures,
- * and their compute caches. */
-enum { USE_VNODES = 1, USE_VCACHES = 2, USE_MNODES = 4, USE_MCACHES = 8 };
 
 static PyTypeObject *vnode_type;
 static PyTypeObject *mnode_type;
 static Py_ssize_t v_level_off, v_edges_off, v_index_off;
 static Py_ssize_t m_level_off, m_edges_off, m_index_off;
-static PyObject *ctable;
+static PyObject *ctable, *ctable_dict;
 static PyObject *zero_edge;
 static PyObject *targets[5];
-static PyObject *s_tolerance, *s_inv_tolerance, *s_vtable, *s_v_nodes,
-    *s_v_record, *s_vadd_cache, *s_mv_cache, *s_inner_cache, *s_cache_limit,
-    *s_counting, *s_stats, *s_cache_counts, *s_vcount_cache, *s_checked_insert,
-    *s_vadd, *s_mv, *s_inner, *s_vnodes_created, *s_mtable, *s_m_nodes, *s_madd_cache,
-    *s_mm_cache, *s_madd, *s_mm, *s_mnodes_created;
+static PyObject *cache_names[N_TABLES]; /* NULL for the unique tables */
+static PyObject *s_tolerance, *s_inv_tolerance, *s_state, *s_cache_flushed, *s_stats,
+    *s_cache_counts, *s_vcount_cache, *s_vnodes_created, *s_mnodes_created;
 
 static const Edge ZERO = {{0.0, 0.0}, NULL};
 
@@ -144,15 +579,37 @@ c_quot(Py_complex a, Py_complex b, Py_complex *out)
     return 0;
 }
 
-/* round(x) for a float: half to even, then int(). */
-static PyObject *
-bucket(double x)
+/* round(x) as float.__round__ rounds it (half to even), as an integral
+ * double with -0.0 folded into 0.0.  Returns -1, leaving the unrounded
+ * non-finite value in *out, when int() of it would raise. */
+static inline int
+bucket_of(double x, double *out)
 {
     double rounded = round(x);
     if (fabs(x - rounded) == 0.5) {
         rounded = 2.0 * round(x / 2.0);
     }
-    return PyLong_FromDouble(rounded);
+    *out = rounded == 0.0 ? 0.0 : rounded;
+    return isfinite(rounded) ? 0 : -1;
+}
+
+/* The buckets round(x[k] * inv), k < n, into out, in order: the first
+ * that fails raises int()'s error, as ctable.weight_key does
+ * (OverflowError for an infinity, ValueError for NaN). */
+static int
+buckets(const double *x, int n, double inv, double *out)
+{
+    PyObject *never;
+    int k;
+    for (k = 0; k < n; k++) {
+        if (bucket_of(x[k] * inv, &out[k]) < 0) {
+            /* Raises: the value is not finite. */
+            never = PyLong_FromDouble(out[k]);
+            Py_XDECREF(never);
+            return -1;
+        }
+    }
+    return 0;
 }
 
 /* ctable.snap_boxed: the index of the target w snaps to, or SNAP_NONE. */
@@ -291,24 +748,47 @@ owned(PyObject *nodes, PyObject *node)
            PyList_GET_ITEM(nodes, index) == node;
 }
 
-/* The pair key a.index * 2**32 + b.index of the mv and inner caches, as
- * the reclaim decodes it. */
-static PyObject *
-pair_key(PyObject *a, Py_ssize_t a_off, PyObject *b, Py_ssize_t b_off)
+/* The node's `index` as a table id. */
+static int
+node_id(PyObject *node, Py_ssize_t offset, int32_t *id)
 {
-    long long ai, bi;
-    PyObject *index;
-    if ((index = node_index(a, a_off)) == NULL ||
-        ((ai = PyLong_AsLongLong(index)) == -1 && PyErr_Occurred()) ||
-        (index = node_index(b, b_off)) == NULL ||
-        ((bi = PyLong_AsLongLong(index)) == -1 && PyErr_Occurred())) {
-        return NULL;
+    PyObject *index = node_index(node, offset);
+    long value;
+    if (index == NULL || ((value = PyLong_AsLong(index)) == -1 && PyErr_Occurred())) {
+        return -1;
     }
-    if (ai <= -(1LL << 31) || ai >= (1LL << 31) || bi <= -(1LL << 32) || bi >= (1LL << 32)) {
+    if (value < INT32_MIN || value > INT32_MAX) {
         PyErr_SetString(PyExc_OverflowError, "node index out of range");
-        return NULL;
+        return -1;
     }
-    return PyLong_FromLongLong(ai * (1LL << 32) + bi);
+    *id = (int32_t)value;
+    return 0;
+}
+
+/* The mv/mm/inner cache key of two nodes. */
+static int
+pair_key(PairKey *key, PyObject *a, Py_ssize_t a_off, PyObject *b, Py_ssize_t b_off)
+{
+    if (node_id(a, a_off, &key->id[0]) < 0 || node_id(b, b_off, &key->id[1]) < 0) {
+        return -1;
+    }
+    key->pad = 0;
+    key->hash = ids_hash(key, NULL);
+    return 0;
+}
+
+/* The vadd/madd cache key of two nodes and the ratio of their weights. */
+static int
+add_key(AddKey *key, PyObject *a, PyObject *b, Py_ssize_t off, Py_complex ratio, double inv)
+{
+    double parts[2] = {ratio.real, ratio.imag};
+    if (node_id(a, off, &key->ids.id[0]) < 0 || node_id(b, off, &key->ids.id[1]) < 0 ||
+        buckets(parts, 2, inv, key->ratio) < 0) {
+        return -1;
+    }
+    key->ids.pad = 0;
+    key->ids.hash = ids_hash(&key->ids, key->ratio);
+    return 0;
 }
 
 /* Hold a node read from a cache or a unique table for the rest of the
@@ -320,7 +800,7 @@ pin(Ctx *c, PyObject *node)
     if (node == NULL) {
         return 0;
     }
-    is_owned = owned(Py_IS_TYPE(node, mnode_type) ? c->m_nodes : c->nodes, node);
+    is_owned = owned(Py_IS_TYPE(node, mnode_type) ? c->st->m_nodes : c->st->v_nodes, node);
     if (is_owned != 0) {
         return is_owned < 0 ? -1 : 0;
     }
@@ -363,33 +843,391 @@ pack(Py_complex w, int target, PyObject *node)
     return edge;
 }
 
-/* cache[key] = value, stealing `value` (NULL: a failed build). */
+/* ------------------------------------------------------------------ */
+/* Compute-cache inserts                                               */
+/* ------------------------------------------------------------------ */
+
+/* Make room for one more entry in cache `which`.  At the limit the cache
+ * is flushed wholesale and the backend's _cache_flushed(name, entries)
+ * counts the flush and marks a reclaim. */
 static int
-cache_put(Ctx *c, PyObject *cache, PyObject *key, PyObject *value, PyObject *name)
+cache_room(Ctx *c, int which)
 {
-    int rc;
-    if (value == NULL) {
+    Table *t = c->st->tables[which];
+    PyObject *entries, *done;
+    if (t->used >= c->cache_limit) {
+        if ((entries = PyLong_FromSsize_t(t->used)) == NULL) {
+            return -1;
+        }
+        if (table_clear(t) < 0) {
+            Py_DECREF(entries);
+            return -1;
+        }
+        done = PyObject_CallMethodObjArgs(c->self, s_cache_flushed, cache_names[which],
+                                          entries, NULL);
+        Py_DECREF(entries);
+        if (done == NULL) {
+            return -1;
+        }
+        Py_DECREF(done);
+    }
+    return table_reserve(t);
+}
+
+/* cache[key] = result for a vadd/madd (AddKey) or mv/mm (PairKey) key. */
+static inline int
+cache_put_edge(Ctx *c, int which, const void *key, size_t size, size_t key_size, Edge result)
+{
+    EdgeValue *value;
+    PyObject *old;
+    int fresh;
+    if (cache_room(c, which) < 0) {
         return -1;
     }
-    if (PyDict_GET_SIZE(cache) < c->cache_limit) {
-        rc = PyDict_SetItem(cache, key, value);
-    }
-    else {
-        /* At the limit: the Python method flushes and marks a reclaim. */
-        PyObject *done = PyObject_CallMethodObjArgs(c->self, s_checked_insert, cache,
-                                                    key, value, name, NULL);
-        rc = done == NULL ? -1 : 0;
-        Py_XDECREF(done);
-    }
-    Py_DECREF(value);
-    return rc;
+    value = (EdgeValue *)(claim(c->st->tables[which], key, size, key_size, &fresh) + key_size);
+    old = fresh ? NULL : value->node;
+    value->w = result.w;
+    value->node = result.n;
+    Py_XINCREF(result.n);
+    Py_XDECREF(old);
+    return 0;
 }
 
 static int
-cache_insert(Ctx *c, PyObject *cache, PyObject *key, Edge result, PyObject *name)
+cache_put_inner(Ctx *c, const PairKey *key, Py_complex total)
 {
-    return cache_put(c, cache, key, pack(result.w, SNAP_NONE, result.n), name);
+    int fresh;
+    if (cache_room(c, T_INNER) < 0) {
+        return -1;
+    }
+    ((InnerEntry *)claim(c->st->tables[T_INNER], key, sizeof(InnerEntry), sizeof(PairKey),
+                         &fresh))
+        ->value = total;
+    return 0;
 }
+
+/* unique_table[key] = node, after table_reserve.  A live entry keeps its
+ * key and takes the node, as a dict assignment would. */
+static void
+node_put(Table *t, const void *key, PyObject *node)
+{
+    int arity = t->kind == KIND_VNODE ? 2 : 4, fresh, k;
+    char *slot = claim(t, key, kinds[t->kind].size, kinds[t->kind].key_size, &fresh);
+    PyObject **child = t->kind == KIND_VNODE ? ((VEntry *)slot)->key.child
+                                             : ((MEntry *)slot)->key.child;
+    PyObject **value = t->kind == KIND_VNODE ? &((VEntry *)slot)->node : &((MEntry *)slot)->node;
+    PyObject *old = fresh ? NULL : *value;
+    if (fresh) {
+        for (k = 0; k < arity; k++) {
+            Py_XINCREF(child[k]);
+        }
+    }
+    Py_INCREF(node);
+    *value = node;
+    Py_XDECREF(old);
+}
+
+/* ------------------------------------------------------------------ */
+/* The Table type: len(), clear() and items() for Python               */
+/* ------------------------------------------------------------------ */
+
+/* A tuple of the `n` new references in `items`, or NULL (the build of
+ * one failed) with all of them released. */
+static PyObject *
+tuple_steal(Py_ssize_t n, PyObject **items)
+{
+    PyObject *tuple = NULL;
+    Py_ssize_t k;
+    for (k = 0; k < n; k++) {
+        if (items[k] == NULL) {
+            goto fail;
+        }
+    }
+    if ((tuple = PyTuple_New(n)) == NULL) {
+        goto fail;
+    }
+    for (k = 0; k < n; k++) {
+        PyTuple_SET_ITEM(tuple, k, items[k]);
+    }
+    return tuple;
+fail:
+    for (k = 0; k < n; k++) {
+        Py_XDECREF(items[k]);
+    }
+    return NULL;
+}
+
+/* (level, re, im, child, re, im, child, ...): the unique-table key
+ * tuple of the audit's _vnode_table_key / _mnode_table_key. */
+static PyObject *
+node_key_tuple(int32_t level, const double *bucket, PyObject *const *child, int arity)
+{
+    PyObject *items[13];
+    int k;
+    items[0] = PyLong_FromLong(level);
+    for (k = 0; k < arity; k++) {
+        items[3 * k + 1] = PyLong_FromDouble(bucket[2 * k]);
+        items[3 * k + 2] = PyLong_FromDouble(bucket[2 * k + 1]);
+        items[3 * k + 3] = child[k] == NULL ? Py_None : child[k];
+        Py_INCREF(items[3 * k + 3]);
+    }
+    return tuple_steal(1 + 3 * arity, items);
+}
+
+static PyObject *pack(Py_complex w, int target, PyObject *node);
+
+/* One (key, value) pair of items(): node tables give (key tuple, node),
+ * vadd/madd ((id1, id2, re, im), edge), mv/mm ((id1, id2), edge) and
+ * inner ((id1, id2), complex). */
+static PyObject *
+entry_item(int kind, const char *slot)
+{
+    const PairKey *ids = (const PairKey *)slot;
+    PyObject *pair[2], *key[4];
+    switch (kind) {
+    case KIND_VNODE: {
+        const VEntry *e = (const VEntry *)slot;
+        pair[0] = node_key_tuple(e->key.level, e->key.bucket, e->key.child, 2);
+        pair[1] = e->node;
+        Py_INCREF(pair[1]);
+        break;
+    }
+    case KIND_MNODE: {
+        const MEntry *e = (const MEntry *)slot;
+        pair[0] = node_key_tuple(e->key.level, e->key.bucket, e->key.child, 4);
+        pair[1] = e->node;
+        Py_INCREF(pair[1]);
+        break;
+    }
+    case KIND_ADD: {
+        const AddEntry *e = (const AddEntry *)slot;
+        key[0] = PyLong_FromLong(ids->id[0]);
+        key[1] = PyLong_FromLong(ids->id[1]);
+        key[2] = PyLong_FromDouble(e->key.ratio[0]);
+        key[3] = PyLong_FromDouble(e->key.ratio[1]);
+        pair[0] = tuple_steal(4, key);
+        pair[1] = pack(e->value.w, SNAP_NONE, e->value.node);
+        break;
+    }
+    case KIND_PAIR:
+        key[0] = PyLong_FromLong(ids->id[0]);
+        key[1] = PyLong_FromLong(ids->id[1]);
+        pair[0] = tuple_steal(2, key);
+        pair[1] = pack(((const PairEntry *)slot)->value.w, SNAP_NONE,
+                       ((const PairEntry *)slot)->value.node);
+        break;
+    default:
+        key[0] = PyLong_FromLong(ids->id[0]);
+        key[1] = PyLong_FromLong(ids->id[1]);
+        pair[0] = tuple_steal(2, key);
+        pair[1] = PyComplex_FromCComplex(((const InnerEntry *)slot)->value);
+        break;
+    }
+    return tuple_steal(2, pair);
+}
+
+static Py_ssize_t
+table_len(PyObject *self)
+{
+    return ((Table *)self)->used;
+}
+
+static PyObject *
+table_clear_method(PyObject *self, PyObject *unused)
+{
+    (void)unused;
+    if (table_clear((Table *)self) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+table_items(PyObject *self, PyObject *unused)
+{
+    Table *t = (Table *)self;
+    PyObject *items = PyList_New(0), *item;
+    size_t size = kinds[t->kind].size;
+    Py_ssize_t position;
+    union {
+        VEntry v;
+        MEntry m;
+        AddEntry a;
+    } entry;
+    (void)unused;
+    if (items == NULL) {
+        return NULL;
+    }
+    /* In insertion order.  Each entry is copied out and the array re-read
+     * every step: building an item allocates. */
+    for (position = 0; position < t->count; position++) {
+        if (head(t->entries + (size_t)position * size) <= HASH_DELETED) {
+            continue;
+        }
+        memcpy(&entry, t->entries + (size_t)position * size, size);
+        item = entry_item(t->kind, (const char *)&entry);
+        if (item == NULL || PyList_Append(items, item) < 0) {
+            Py_XDECREF(item);
+            Py_DECREF(items);
+            return NULL;
+        }
+        Py_DECREF(item);
+    }
+    return items;
+}
+
+static void
+table_dealloc(PyObject *self)
+{
+    Table *t = (Table *)self;
+    char *entries = t->entries;
+    Py_ssize_t count = t->count;
+    t->entries = NULL;
+    t->count = t->used = 0;
+    release_entries(t->kind, entries, count);
+    PyMem_Free(entries);
+    PyMem_Free(t->index);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static Table *
+table_new(int kind)
+{
+    Table *t = PyObject_New(Table, &Table_Type);
+    if (t == NULL) {
+        return NULL;
+    }
+    t->kind = kind;
+    t->mask = MIN_CAPACITY - 1;
+    t->entries = NULL;
+    t->count = t->allocated = t->used = 0;
+    if ((t->index = PyMem_Calloc(MIN_CAPACITY, sizeof(uint64_t))) == NULL) {
+        Py_DECREF(t);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return t;
+}
+
+static PySequenceMethods table_as_sequence = {
+    .sq_length = table_len,
+};
+
+static PyMethodDef table_methods[] = {
+    {"clear", table_clear_method, METH_NOARGS, "clear() -> None: drop every entry"},
+    {"items", table_items, METH_NOARGS,
+     "items() -> list of (key, value), the keys rebuilt as tuples"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject Table_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_arena_core.Table",
+    .tp_basicsize = sizeof(Table),
+    .tp_dealloc = table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A unique table or compute cache of an arena, owned by the C core.",
+    .tp_methods = table_methods,
+};
+
+/* ------------------------------------------------------------------ */
+/* The State type                                                      */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+state_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *keywords[] = {"v_nodes", "v_record", "m_nodes", NULL};
+    PyObject *v_nodes, *v_record, *m_nodes;
+    State *st;
+    int k;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O!O!:State", keywords, &PyList_Type,
+                                     &v_nodes, &PyByteArray_Type, &v_record, &PyList_Type,
+                                     &m_nodes) ||
+        (st = (State *)type->tp_alloc(type, 0)) == NULL) {
+        return NULL;
+    }
+    Py_INCREF(v_nodes);
+    st->v_nodes = v_nodes;
+    Py_INCREF(v_record);
+    st->v_record = v_record;
+    Py_INCREF(m_nodes);
+    st->m_nodes = m_nodes;
+    for (k = 0; k < N_TABLES; k++) {
+        if ((st->tables[k] = table_new(table_kinds[k])) == NULL) {
+            Py_DECREF(st);
+            return NULL;
+        }
+    }
+    return (PyObject *)st;
+}
+
+static void
+state_dealloc(PyObject *self)
+{
+    State *st = (State *)self;
+    int k;
+    Py_CLEAR(st->v_nodes);
+    Py_CLEAR(st->v_record);
+    Py_CLEAR(st->m_nodes);
+    for (k = 0; k < N_TABLES; k++) {
+        Py_CLEAR(st->tables[k]);
+    }
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* The State, from the backend's `_state` attribute. */
+static State *
+backend_state(PyObject *self)
+{
+    PyObject *state = PyObject_GetAttr(self, s_state);
+    if (state != NULL && !Py_IS_TYPE(state, &State_Type)) {
+        PyErr_Format(PyExc_TypeError, "the backend's _state must be a %.100s, not %.100s",
+                     State_Type.tp_name, Py_TYPE(state)->tp_name);
+        Py_CLEAR(state);
+    }
+    return (State *)state;
+}
+
+#define TABLE_MEMBER(name, index, doc)                                                      \
+    {                                                                                       \
+        name, T_OBJECT, offsetof(State, tables) + (index) * sizeof(Table *), READONLY, doc \
+    }
+
+static PyMemberDef state_members[] = {
+    TABLE_MEMBER("vtable", T_VTABLE, "the vector unique table"),
+    TABLE_MEMBER("mtable", T_MTABLE, "the matrix unique table"),
+    TABLE_MEMBER("vadd", T_VADD, "the vadd cache"),
+    TABLE_MEMBER("madd", T_MADD, "the madd cache"),
+    TABLE_MEMBER("mv", T_MV, "the multiply_mv cache"),
+    TABLE_MEMBER("mm", T_MM, "the multiply_mm cache"),
+    TABLE_MEMBER("inner", T_INNER, "the inner-product cache"),
+    {"cache_limit", T_PYSSIZET, offsetof(State, cache_limit), 0,
+     "entries per compute cache before it is flushed"},
+    {"counting", T_BOOL, offsetof(State, counting), 0, "whether hits and misses are counted"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyObject *state_reclaim(PyObject *self, PyObject *unused);
+
+static PyMethodDef state_methods[] = {
+    {"reclaim", state_reclaim, METH_NOARGS,
+     "reclaim() -> None: free the nodes nothing outside the arena holds, renumber"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject State_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_arena_core.State",
+    .tp_basicsize = sizeof(State),
+    .tp_dealloc = state_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "State(v_nodes, v_record, m_nodes): an arena's node lists, record and tables.",
+    .tp_methods = state_methods,
+    .tp_members = state_members,
+    .tp_new = state_new,
+};
 
 /* ------------------------------------------------------------------ */
 /* The record                                                          */
@@ -428,26 +1266,27 @@ child_id(PyObject *nodes, PyObject *child, int32_t *id)
     return 0;
 }
 
+
 /* Append the record entry of the node about to take the next slot. */
 static int
 record_append(Ctx *c, long level, PyObject *n0, PyObject *n1)
 {
-    Py_ssize_t size = PyByteArray_GET_SIZE(c->record);
+    PyObject *nodes = c->st->v_nodes, *record = c->st->v_record;
+    Py_ssize_t size = PyByteArray_GET_SIZE(record);
     Rec rec;
-    if (record_synced(c->nodes, c->record) < 0) {
+    if (record_synced(nodes, record) < 0) {
         return -1;
     }
-    if (level < INT32_MIN || level > INT32_MAX || PyList_GET_SIZE(c->nodes) >= INT32_MAX) {
+    if (level < INT32_MIN || level > INT32_MAX || PyList_GET_SIZE(nodes) >= INT32_MAX) {
         PyErr_SetString(PyExc_OverflowError, "node does not fit the arena record");
         return -1;
     }
     rec.level = (int32_t)level;
-    if (child_id(c->nodes, n0, &rec.child[0]) < 0 ||
-        child_id(c->nodes, n1, &rec.child[1]) < 0 ||
-        PyByteArray_Resize(c->record, size + (Py_ssize_t)sizeof(Rec)) < 0) {
+    if (child_id(nodes, n0, &rec.child[0]) < 0 || child_id(nodes, n1, &rec.child[1]) < 0 ||
+        PyByteArray_Resize(record, size + (Py_ssize_t)sizeof(Rec)) < 0) {
         return -1;
     }
-    memcpy(PyByteArray_AS_STRING(c->record) + size, &rec, sizeof(Rec));
+    memcpy(PyByteArray_AS_STRING(record) + size, &rec, sizeof(Rec));
     return 0;
 }
 
@@ -455,25 +1294,46 @@ record_append(Ctx *c, long level, PyObject *n0, PyObject *n1)
 /* make_vedge                                                          */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-new_vnode(Ctx *c, PyObject *level, Edge e0, int t0, Edge e1, int t1)
+/* The unique-table key of a vector node at `level` above e0 and e1.
+ * Returns 1, 0 when the level fits no key (no such node is interned),
+ * or -1 when a bucket raises. */
+static int
+vkey_fill(VKey *key, long level, Edge e0, Edge e1, double inv)
 {
-    PyObject *node, *index, *edges, *first, *second;
+    double parts[4] = {e0.w.real, e0.w.imag, e1.w.real, e1.w.imag};
+    if (buckets(parts, 4, inv, key->bucket) < 0) {
+        return -1;
+    }
+    if (level < INT32_MIN || level > INT32_MAX) {
+        return 0;
+    }
+    key->level = (int32_t)level;
+    key->child[0] = e0.n;
+    key->child[1] = e1.n;
+    key->hash = vkey_hash(key);
+    return 1;
+}
+
+static PyObject *
+new_vnode(Ctx *c, long level, Edge e0, int t0, Edge e1, int t1)
+{
+    PyObject *node, *level_obj, *index, *edges, *first, *second;
     first = pack(e0.w, t0, e0.n);
     second = pack(e1.w, t1, e1.n);
-    index = PyLong_FromSsize_t(PyList_GET_SIZE(c->nodes));
+    level_obj = PyLong_FromLong(level);
+    index = PyLong_FromSsize_t(PyList_GET_SIZE(c->st->v_nodes));
     edges = first && second ? PyTuple_Pack(2, first, second) : NULL;
     Py_XDECREF(first);
     Py_XDECREF(second);
     /* The slots VNode.__init__ plus interning fill; no __init__ call. */
-    node = index && edges ? vnode_type->tp_alloc(vnode_type, 0) : NULL;
+    node = level_obj && index && edges ? vnode_type->tp_alloc(vnode_type, 0) : NULL;
     if (node == NULL) {
+        Py_XDECREF(level_obj);
         Py_XDECREF(index);
         Py_XDECREF(edges);
         return NULL;
     }
-    Py_INCREF(level);
-    SLOT(node, v_level_off) = level;
+    SLOT(node, v_level_off) = level_obj;
     SLOT(node, v_edges_off) = edges;
     SLOT(node, v_index_off) = index;
     return node;
@@ -482,11 +1342,14 @@ new_vnode(Ctx *c, PyObject *level, Edge e0, int t0, Edge e1, int t1)
 static int
 make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
 {
-    double tol = c->tol, inv = c->inv, a0, a1, norm;
+    double tol = c->tol, a0, a1, norm;
     Py_complex phase, top;
     Edge n0, n1;
-    int t0, t1, rc = -1;
-    PyObject *level_obj = NULL, *key = NULL, *node;
+    int t0, t1;
+    VKey key;
+    Table *t = c->st->tables[T_VTABLE];
+    PyObject *nodes = c->st->v_nodes, *node;
+    char *slot;
 
     if (c_abs(e0.w, &a0) < 0 || c_abs(e1.w, &a1) < 0) {
         return -1;
@@ -533,69 +1396,50 @@ make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
         n1.w = target_values[t1];
     }
 
-    if ((level_obj = PyLong_FromLong(level)) == NULL || (key = PyTuple_New(7)) == NULL) {
-        goto done;
+    switch (vkey_fill(&key, level, n0, n1, c->inv)) {
+    case -1:
+        return -1;
+    case 0:
+        PyErr_SetString(PyExc_OverflowError, "node does not fit the arena record");
+        return -1;
     }
-    Py_INCREF(level_obj);
-    PyTuple_SET_ITEM(key, 0, level_obj);
-    PyTuple_SET_ITEM(key, 1, bucket(n0.w.real * inv));
-    PyTuple_SET_ITEM(key, 2, bucket(n0.w.imag * inv));
-    Py_INCREF(n0.n == NULL ? Py_None : n0.n);
-    PyTuple_SET_ITEM(key, 3, n0.n == NULL ? Py_None : n0.n);
-    PyTuple_SET_ITEM(key, 4, bucket(n1.w.real * inv));
-    PyTuple_SET_ITEM(key, 5, bucket(n1.w.imag * inv));
-    Py_INCREF(n1.n == NULL ? Py_None : n1.n);
-    PyTuple_SET_ITEM(key, 6, n1.n == NULL ? Py_None : n1.n);
-    if (PyTuple_GET_ITEM(key, 1) == NULL || PyTuple_GET_ITEM(key, 2) == NULL ||
-        PyTuple_GET_ITEM(key, 4) == NULL || PyTuple_GET_ITEM(key, 5) == NULL) {
-        goto done;
-    }
-
-    node = PyDict_GetItemWithError(c->vtable, key);
-    if (node != NULL) {
-        if (!Py_IS_TYPE(node, vnode_type)) {
-            PyErr_Format(PyExc_TypeError, "unique table holds a %.100s",
-                         Py_TYPE(node)->tp_name);
-            goto done;
-        }
+    slot = lookup(t, &key, sizeof(VEntry), sizeof(VKey));
+    if (slot != NULL) {
+        node = ((VEntry *)slot)->node;
         if (pin(c, node) < 0) {
-            goto done;
+            return -1;
         }
     }
     else {
-        if (PyErr_Occurred() || (node = new_vnode(c, level_obj, n0, t0, n1, t1)) == NULL) {
-            goto done;
+        if ((node = new_vnode(c, level, n0, t0, n1, t1)) == NULL) {
+            return -1;
         }
         if (record_append(c, level, n0.n, n1.n) < 0) {
             Py_DECREF(node);
-            goto done;
+            return -1;
         }
-        if (PyList_Append(c->nodes, node) < 0) {
+        if (PyList_Append(nodes, node) < 0) {
             /* Drop the entry again: a shrink by one entry right after the
              * growth only moves the end (it cannot fail). */
-            (void)PyByteArray_Resize(c->record,
-                                     PyByteArray_GET_SIZE(c->record) - (Py_ssize_t)sizeof(Rec));
+            (void)PyByteArray_Resize(c->st->v_record, PyByteArray_GET_SIZE(c->st->v_record) -
+                                                          (Py_ssize_t)sizeof(Rec));
             Py_DECREF(node);
-            goto done;
-        }
-        if (PyDict_SetItem(c->vtable, key, node) < 0) {
-            Py_DECREF(node);
-            goto done;
+            return -1;
         }
         /* `_v_nodes` holds it now. */
         Py_DECREF(node);
+        if (table_reserve(t) < 0) {
+            return -1;
+        }
+        node_put(t, &key, node);
         c->created++;
-        if ((PyList_GET_SIZE(c->nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
-            goto done;
+        if ((PyList_GET_SIZE(nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
+            return -1;
         }
     }
     out->w = top;
     out->n = node;
-    rc = 0;
-done:
-    Py_XDECREF(level_obj);
-    Py_XDECREF(key);
-    return rc;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -605,7 +1449,7 @@ done:
 static int vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out);
 
 static int
-vadd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, PyObject *key,
+vadd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, const AddKey *key,
           Edge *out)
 {
     Edge a[2], b[2], child[2], result;
@@ -632,7 +1476,7 @@ vadd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, PyObject *key,
         }
     }
     if (make_vedge(c, level, child[0], child[1], &result) < 0 ||
-        cache_insert(c, c->vadd_cache, key, result, s_vadd) < 0) {
+        cache_put_edge(c, T_VADD, key, sizeof(AddEntry), sizeof(AddKey), result) < 0) {
         return -1;
     }
     out->w = _Py_c_prod(result.w, e1.w);
@@ -644,8 +1488,9 @@ static int
 vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
 {
     Py_complex ratio;
-    PyObject *i1, *i2, *key, *cached;
-    int rc = -1;
+    AddKey key;
+    char *slot;
+    int rc;
 
     if (IS_ZERO(e1.w)) {
         *out = e2;
@@ -670,42 +1515,27 @@ vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "vadd reached a terminal above level 0");
         return -1;
     }
-    if (c_quot(e2.w, e1.w, &ratio) < 0 || (i1 = node_index(e1.n, v_index_off)) == NULL ||
-        (i2 = node_index(e2.n, v_index_off)) == NULL || (key = PyTuple_New(4)) == NULL) {
+    if (c_quot(e2.w, e1.w, &ratio) < 0 ||
+        add_key(&key, e1.n, e2.n, v_index_off, ratio, c->inv) < 0) {
         return -1;
     }
-    Py_INCREF(i1);
-    PyTuple_SET_ITEM(key, 0, i1);
-    Py_INCREF(i2);
-    PyTuple_SET_ITEM(key, 1, i2);
-    PyTuple_SET_ITEM(key, 2, bucket(ratio.real * c->inv));
-    PyTuple_SET_ITEM(key, 3, bucket(ratio.imag * c->inv));
-    if (PyTuple_GET_ITEM(key, 2) == NULL || PyTuple_GET_ITEM(key, 3) == NULL) {
-        goto done;
-    }
-    cached = PyDict_GetItemWithError(c->vadd_cache, key);
-    if (cached != NULL) {
-        Edge hit;
-        c->vadd_counts[0]++;
-        if (read_edge(cached, vnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
-            goto done;
+    slot = lookup(c->st->tables[T_VADD], &key, sizeof(AddEntry), sizeof(AddKey));
+    if (slot != NULL) {
+        EdgeValue hit = ((AddEntry *)slot)->value;
+        c->counts[T_VADD][0]++;
+        if (pin(c, hit.node) < 0) {
+            return -1;
         }
         out->w = _Py_c_prod(hit.w, e1.w);
-        out->n = hit.n;
-        rc = 0;
-        goto done;
+        out->n = hit.node;
+        return 0;
     }
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    c->vadd_counts[1]++;
+    c->counts[T_VADD][1]++;
     if (Py_EnterRecursiveCall(" in vadd")) {
-        goto done;
+        return -1;
     }
-    rc = vadd_miss(c, e1, e2, ratio, level, key, out);
+    rc = vadd_miss(c, e1, e2, ratio, level, &key, out);
     Py_LeaveRecursiveCall();
-done:
-    Py_DECREF(key);
     return rc;
 }
 
@@ -742,7 +1572,7 @@ mv_row(Ctx *c, const Edge *m, const Edge *v, long sub, Edge *out)
 }
 
 static int
-mv_miss(Ctx *c, Edge me, Edge ve, long level, PyObject *key, Edge *out)
+mv_miss(Ctx *c, Edge me, Edge ve, long level, const PairKey *key, Edge *out)
 {
     Edge m[4], v[2], child[2], result;
     if (read_node_edges(me.n, m_edges_off, 4, mnode_type, m) < 0 ||
@@ -750,7 +1580,7 @@ mv_miss(Ctx *c, Edge me, Edge ve, long level, PyObject *key, Edge *out)
         mv_row(c, m, v, level - 1, &child[0]) < 0 ||
         mv_row(c, m + 2, v, level - 1, &child[1]) < 0 ||
         make_vedge(c, level, child[0], child[1], &result) < 0 ||
-        cache_insert(c, c->mv_cache, key, result, s_mv) < 0) {
+        cache_put_edge(c, T_MV, key, sizeof(PairEntry), sizeof(PairKey), result) < 0) {
         return -1;
     }
     out->w = _Py_c_prod(_Py_c_prod(result.w, me.w), ve.w);
@@ -761,8 +1591,9 @@ mv_miss(Ctx *c, Edge me, Edge ve, long level, PyObject *key, Edge *out)
 static int
 mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
 {
-    PyObject *key, *cached;
-    int rc = -1;
+    PairKey key;
+    char *slot;
+    int rc;
 
     if (IS_ZERO(me.w) || IS_ZERO(ve.w)) {
         *out = ZERO;
@@ -777,32 +1608,26 @@ mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mv reached a terminal above level 0");
         return -1;
     }
-    if ((key = pair_key(me.n, m_index_off, ve.n, v_index_off)) == NULL) {
+    if (pair_key(&key, me.n, m_index_off, ve.n, v_index_off) < 0) {
         return -1;
     }
-    cached = PyDict_GetItemWithError(c->mv_cache, key);
-    if (cached != NULL) {
-        Edge hit;
-        c->mv_counts[0]++;
-        if (read_edge(cached, vnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
-            goto done;
+    slot = lookup(c->st->tables[T_MV], &key, sizeof(PairEntry), sizeof(PairKey));
+    if (slot != NULL) {
+        EdgeValue hit = ((PairEntry *)slot)->value;
+        c->counts[T_MV][0]++;
+        if (pin(c, hit.node) < 0) {
+            return -1;
         }
         out->w = _Py_c_prod(_Py_c_prod(hit.w, me.w), ve.w);
-        out->n = hit.n;
-        rc = 0;
-        goto done;
+        out->n = hit.node;
+        return 0;
     }
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    c->mv_counts[1]++;
+    c->counts[T_MV][1]++;
     if (Py_EnterRecursiveCall(" in multiply_mv")) {
-        goto done;
+        return -1;
     }
-    rc = mv_miss(c, me, ve, level, key, out);
+    rc = mv_miss(c, me, ve, level, &key, out);
     Py_LeaveRecursiveCall();
-done:
-    Py_DECREF(key);
     return rc;
 }
 
@@ -813,7 +1638,8 @@ done:
 static int inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out);
 
 static int
-inner_miss(Ctx *c, PyObject *n1, PyObject *n2, long level, PyObject *key, Py_complex *out)
+inner_miss(Ctx *c, PyObject *n1, PyObject *n2, long level, const PairKey *key,
+           Py_complex *out)
 {
     Edge a[2], b[2];
     Py_complex total = {0.0, 0.0}, conjugate, sub;
@@ -834,7 +1660,7 @@ inner_miss(Ctx *c, PyObject *n1, PyObject *n2, long level, PyObject *key, Py_com
         conjugate.imag = -a[k].w.imag;
         total = _Py_c_sum(total, _Py_c_prod(_Py_c_prod(conjugate, b[k].w), sub));
     }
-    if (cache_put(c, c->inner_cache, key, PyComplex_FromCComplex(total), s_inner) < 0) {
+    if (cache_put_inner(c, key, total) < 0) {
         return -1;
     }
     *out = total;
@@ -845,8 +1671,9 @@ inner_miss(Ctx *c, PyObject *n1, PyObject *n2, long level, PyObject *key, Py_com
 static int
 inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
 {
-    PyObject *key, *cached;
-    int rc = -1;
+    PairKey key;
+    char *slot;
+    int rc;
     if (level < 0) {
         out->real = 1.0;
         out->imag = 0.0;
@@ -856,31 +1683,21 @@ inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
         PyErr_SetString(PyExc_TypeError, "inner product reached a terminal above level 0");
         return -1;
     }
-    if ((key = pair_key(n1, v_index_off, n2, v_index_off)) == NULL) {
+    if (pair_key(&key, n1, v_index_off, n2, v_index_off) < 0) {
         return -1;
     }
-    cached = PyDict_GetItemWithError(c->inner_cache, key);
-    if (cached != NULL) {
-        c->inner_counts[0]++;
-        if (!PyComplex_Check(cached)) {
-            PyErr_Format(PyExc_TypeError, "inner cache holds a %.100s", Py_TYPE(cached)->tp_name);
-            goto done;
-        }
-        *out = ((PyComplexObject *)cached)->cval;
-        rc = 0;
-        goto done;
+    slot = lookup(c->st->tables[T_INNER], &key, sizeof(InnerEntry), sizeof(PairKey));
+    if (slot != NULL) {
+        c->counts[T_INNER][0]++;
+        *out = ((InnerEntry *)slot)->value;
+        return 0;
     }
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    c->inner_counts[1]++;
+    c->counts[T_INNER][1]++;
     if (Py_EnterRecursiveCall(" in the inner product")) {
-        goto done;
+        return -1;
     }
-    rc = inner_miss(c, n1, n2, level, key, out);
+    rc = inner_miss(c, n1, n2, level, &key, out);
     Py_LeaveRecursiveCall();
-done:
-    Py_DECREF(key);
     return rc;
 }
 
@@ -888,10 +1705,33 @@ done:
 /* make_medge                                                          */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-new_mnode(PyObject *level, const Edge *edges, const int *snapped)
+/* The unique-table key of a matrix node at `level` above `edges`.
+ * Returns 1, 0 when the level fits no key, or -1 when a bucket raises. */
+static int
+mkey_fill(MKey *key, long level, const Edge *edges, double inv)
 {
-    PyObject *node, *tuple, *edge;
+    double parts[8];
+    int k;
+    for (k = 0; k < 4; k++) {
+        parts[2 * k] = edges[k].w.real;
+        parts[2 * k + 1] = edges[k].w.imag;
+        key->child[k] = edges[k].n;
+    }
+    if (buckets(parts, 8, inv, key->bucket) < 0) {
+        return -1;
+    }
+    if (level < INT32_MIN || level > INT32_MAX) {
+        return 0;
+    }
+    key->level = (int32_t)level;
+    key->hash = mkey_hash(key);
+    return 1;
+}
+
+static PyObject *
+new_mnode(long level, const Edge *edges, const int *snapped)
+{
+    PyObject *node, *level_obj, *tuple, *edge;
     int k;
     if ((tuple = PyTuple_New(4)) == NULL) {
         return NULL;
@@ -905,30 +1745,33 @@ new_mnode(PyObject *level, const Edge *edges, const int *snapped)
     }
     /* The slots MNode.__init__ plus interning fill; no __init__ call.
      * The caller sets the index. */
-    if ((node = mnode_type->tp_alloc(mnode_type, 0)) == NULL) {
+    if ((level_obj = PyLong_FromLong(level)) == NULL ||
+        (node = mnode_type->tp_alloc(mnode_type, 0)) == NULL) {
+        Py_XDECREF(level_obj);
         Py_DECREF(tuple);
         return NULL;
     }
-    Py_INCREF(level);
-    SLOT(node, m_level_off) = level;
+    SLOT(node, m_level_off) = level_obj;
     SLOT(node, m_edges_off) = tuple;
     return node;
 }
 
 /* Intern `node` as the next `_m_nodes` slot under `key`. */
 static int
-intern_mnode(Ctx *c, PyObject *node, PyObject *key)
+intern_mnode(Ctx *c, PyObject *node, const MKey *key)
 {
-    PyObject *index = PyLong_FromSsize_t(PyList_GET_SIZE(c->m_nodes));
+    Table *t = c->st->tables[T_MTABLE];
+    PyObject *index = PyLong_FromSsize_t(PyList_GET_SIZE(c->st->m_nodes));
     if (index == NULL) {
         return -1;
     }
     SLOT(node, m_index_off) = index;
-    if (PyList_Append(c->m_nodes, node) < 0 || PyDict_SetItem(c->mtable, key, node) < 0) {
+    if (PyList_Append(c->st->m_nodes, node) < 0 || table_reserve(t) < 0) {
         return -1;
     }
+    node_put(t, key, node);
     c->m_created++;
-    if ((PyList_GET_SIZE(c->m_nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
+    if ((PyList_GET_SIZE(c->st->m_nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
         return -1;
     }
     return 0;
@@ -939,10 +1782,12 @@ intern_mnode(Ctx *c, PyObject *node, PyObject *key)
 static int
 make_medge(Ctx *c, long level, const Edge *edges, Edge *out)
 {
-    double tol = c->tol, inv = c->inv, mag, max_mag = 0.0;
+    double tol = c->tol, mag, max_mag = 0.0;
     Edge cleaned[4];
-    int snapped[4], k, max_idx = -1, rc = -1;
-    PyObject *level_obj = NULL, *key = NULL, *node;
+    int snapped[4], k, max_idx = -1;
+    MKey key;
+    PyObject *node;
+    char *slot;
 
     for (k = 0; k < 4; k++) {
         if (c_abs(edges[k].w, &mag) < 0) {
@@ -981,52 +1826,34 @@ make_medge(Ctx *c, long level, const Edge *edges, Edge *out)
         }
     }
 
-    if ((level_obj = PyLong_FromLong(level)) == NULL || (key = PyTuple_New(13)) == NULL) {
-        goto done;
+    switch (mkey_fill(&key, level, cleaned, c->inv)) {
+    case -1:
+        return -1;
+    case 0:
+        PyErr_SetString(PyExc_OverflowError, "matrix node level out of range");
+        return -1;
     }
-    Py_INCREF(level_obj);
-    PyTuple_SET_ITEM(key, 0, level_obj);
-    for (k = 0; k < 4; k++) {
-        PyObject *child = cleaned[k].n == NULL ? Py_None : cleaned[k].n;
-        PyObject *re = bucket(cleaned[k].w.real * inv), *im = bucket(cleaned[k].w.imag * inv);
-        PyTuple_SET_ITEM(key, 3 * k + 1, re);
-        PyTuple_SET_ITEM(key, 3 * k + 2, im);
-        Py_INCREF(child);
-        PyTuple_SET_ITEM(key, 3 * k + 3, child);
-        if (re == NULL || im == NULL) {
-            goto done;
-        }
-    }
-
-    node = PyDict_GetItemWithError(c->mtable, key);
-    if (node != NULL) {
-        if (!Py_IS_TYPE(node, mnode_type)) {
-            PyErr_Format(PyExc_TypeError, "unique table holds a %.100s",
-                         Py_TYPE(node)->tp_name);
-            goto done;
-        }
+    slot = lookup(c->st->tables[T_MTABLE], &key, sizeof(MEntry), sizeof(MKey));
+    if (slot != NULL) {
+        node = ((MEntry *)slot)->node;
         if (pin(c, node) < 0) {
-            goto done;
+            return -1;
         }
     }
     else {
-        if (PyErr_Occurred() || (node = new_mnode(level_obj, cleaned, snapped)) == NULL) {
-            goto done;
+        if ((node = new_mnode(level, cleaned, snapped)) == NULL) {
+            return -1;
         }
-        if (intern_mnode(c, node, key) < 0) {
+        if (intern_mnode(c, node, &key) < 0) {
             Py_DECREF(node);
-            goto done;
+            return -1;
         }
         /* `_m_nodes` holds it now. */
         Py_DECREF(node);
     }
     out->w = edges[max_idx].w;
     out->n = node;
-    rc = 0;
-done:
-    Py_XDECREF(level_obj);
-    Py_XDECREF(key);
-    return rc;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1036,7 +1863,7 @@ done:
 static int madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out);
 
 static int
-madd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, PyObject *key,
+madd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, const AddKey *key,
           Edge *out)
 {
     Edge a[4], b[4], child[4], result;
@@ -1063,7 +1890,7 @@ madd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, PyObject *key,
         }
     }
     if (make_medge(c, level, child, &result) < 0 ||
-        cache_insert(c, c->madd_cache, key, result, s_madd) < 0) {
+        cache_put_edge(c, T_MADD, key, sizeof(AddEntry), sizeof(AddKey), result) < 0) {
         return -1;
     }
     out->w = _Py_c_prod(result.w, e1.w);
@@ -1076,8 +1903,9 @@ static int
 madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
 {
     Py_complex ratio;
-    PyObject *i1, *i2, *key, *cached;
-    int rc = -1;
+    AddKey key;
+    char *slot;
+    int rc;
 
     if (IS_ZERO(e1.w)) {
         *out = e2;
@@ -1102,42 +1930,27 @@ madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "madd reached a terminal above level 0");
         return -1;
     }
-    if (c_quot(e2.w, e1.w, &ratio) < 0 || (i1 = node_index(e1.n, m_index_off)) == NULL ||
-        (i2 = node_index(e2.n, m_index_off)) == NULL || (key = PyTuple_New(4)) == NULL) {
+    if (c_quot(e2.w, e1.w, &ratio) < 0 ||
+        add_key(&key, e1.n, e2.n, m_index_off, ratio, c->inv) < 0) {
         return -1;
     }
-    Py_INCREF(i1);
-    PyTuple_SET_ITEM(key, 0, i1);
-    Py_INCREF(i2);
-    PyTuple_SET_ITEM(key, 1, i2);
-    PyTuple_SET_ITEM(key, 2, bucket(ratio.real * c->inv));
-    PyTuple_SET_ITEM(key, 3, bucket(ratio.imag * c->inv));
-    if (PyTuple_GET_ITEM(key, 2) == NULL || PyTuple_GET_ITEM(key, 3) == NULL) {
-        goto done;
-    }
-    cached = PyDict_GetItemWithError(c->madd_cache, key);
-    if (cached != NULL) {
-        Edge hit;
-        c->madd_counts[0]++;
-        if (read_edge(cached, mnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
-            goto done;
+    slot = lookup(c->st->tables[T_MADD], &key, sizeof(AddEntry), sizeof(AddKey));
+    if (slot != NULL) {
+        EdgeValue hit = ((AddEntry *)slot)->value;
+        c->counts[T_MADD][0]++;
+        if (pin(c, hit.node) < 0) {
+            return -1;
         }
         out->w = _Py_c_prod(hit.w, e1.w);
-        out->n = hit.n;
-        rc = 0;
-        goto done;
+        out->n = hit.node;
+        return 0;
     }
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    c->madd_counts[1]++;
+    c->counts[T_MADD][1]++;
     if (Py_EnterRecursiveCall(" in madd")) {
-        goto done;
+        return -1;
     }
-    rc = madd_miss(c, e1, e2, ratio, level, key, out);
+    rc = madd_miss(c, e1, e2, ratio, level, &key, out);
     Py_LeaveRecursiveCall();
-done:
-    Py_DECREF(key);
     return rc;
 }
 
@@ -1175,7 +1988,7 @@ mm_quadrant(Ctx *c, const Edge *a, const Edge *b, int row, int col, long sub, Ed
 }
 
 static int
-mm_miss(Ctx *c, Edge ae, Edge be, long level, PyObject *key, Edge *out)
+mm_miss(Ctx *c, Edge ae, Edge be, long level, const PairKey *key, Edge *out)
 {
     Edge a[4], b[4], child[4], result;
     int k;
@@ -1189,7 +2002,7 @@ mm_miss(Ctx *c, Edge ae, Edge be, long level, PyObject *key, Edge *out)
         }
     }
     if (make_medge(c, level, child, &result) < 0 ||
-        cache_insert(c, c->mm_cache, key, result, s_mm) < 0) {
+        cache_put_edge(c, T_MM, key, sizeof(PairEntry), sizeof(PairKey), result) < 0) {
         return -1;
     }
     out->w = _Py_c_prod(_Py_c_prod(result.w, ae.w), be.w);
@@ -1201,8 +2014,9 @@ mm_miss(Ctx *c, Edge ae, Edge be, long level, PyObject *key, Edge *out)
 static int
 mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
 {
-    PyObject *key, *cached;
-    int rc = -1;
+    PairKey key;
+    char *slot;
+    int rc;
 
     if (IS_ZERO(a.w) || IS_ZERO(b.w)) {
         *out = ZERO;
@@ -1217,32 +2031,26 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mm reached a terminal above level 0");
         return -1;
     }
-    if ((key = pair_key(a.n, m_index_off, b.n, m_index_off)) == NULL) {
+    if (pair_key(&key, a.n, m_index_off, b.n, m_index_off) < 0) {
         return -1;
     }
-    cached = PyDict_GetItemWithError(c->mm_cache, key);
-    if (cached != NULL) {
-        Edge hit;
-        c->mm_counts[0]++;
-        if (read_edge(cached, mnode_type, &hit) < 0 || pin(c, hit.n) < 0) {
-            goto done;
+    slot = lookup(c->st->tables[T_MM], &key, sizeof(PairEntry), sizeof(PairKey));
+    if (slot != NULL) {
+        EdgeValue hit = ((PairEntry *)slot)->value;
+        c->counts[T_MM][0]++;
+        if (pin(c, hit.node) < 0) {
+            return -1;
         }
         out->w = _Py_c_prod(_Py_c_prod(hit.w, a.w), b.w);
-        out->n = hit.n;
-        rc = 0;
-        goto done;
+        out->n = hit.node;
+        return 0;
     }
-    if (PyErr_Occurred()) {
-        goto done;
-    }
-    c->mm_counts[1]++;
+    c->counts[T_MM][1]++;
     if (Py_EnterRecursiveCall(" in multiply_mm")) {
-        goto done;
+        return -1;
     }
-    rc = mm_miss(c, a, b, level, key, out);
+    rc = mm_miss(c, a, b, level, &key, out);
     Py_LeaveRecursiveCall();
-done:
-    Py_DECREF(key);
     return rc;
 }
 
@@ -1262,70 +2070,38 @@ typed_attr(PyObject *obj, PyObject *name, PyTypeObject *type)
     return value;
 }
 
+/* A float of repro.dd.ctable, read through its module dict. */
 static int
-float_attr(PyObject *obj, PyObject *name, double *out)
+ctable_float(PyObject *name, double *out)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
+    PyObject *value = PyDict_GetItemWithError(ctable_dict, name);
     if (value == NULL) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(PyExc_AttributeError, "repro.dd.ctable has no %U", name);
+        }
         return -1;
     }
+    Py_INCREF(value);
     *out = PyFloat_AsDouble(value);
     Py_DECREF(value);
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Open a top-level call on the structures `use` (USE_* flags) names. */
+/* Open a top-level call on the backend `self`. */
 static int
-ctx_open(Ctx *c, PyObject *self, int use)
+ctx_open(Ctx *c, PyObject *self)
 {
-    PyObject *value;
     memset(c, 0, sizeof(*c));
     c->self = self;
     /* The tolerance is read on every top-level call: set_tolerance may
      * have changed it since the last one. */
-    if (float_attr(ctable, s_tolerance, &c->tol) < 0 ||
-        float_attr(ctable, s_inv_tolerance, &c->inv) < 0) {
+    if (ctable_float(s_tolerance, &c->tol) < 0 ||
+        ctable_float(s_inv_tolerance, &c->inv) < 0 || (c->st = backend_state(self)) == NULL) {
         return -1;
     }
-    if ((use & USE_VNODES) &&
-        ((c->vtable = typed_attr(self, s_vtable, &PyDict_Type)) == NULL ||
-         (c->nodes = typed_attr(self, s_v_nodes, &PyList_Type)) == NULL ||
-         (c->record = typed_attr(self, s_v_record, &PyByteArray_Type)) == NULL)) {
-        return -1;
-    }
-    if ((use & USE_MNODES) &&
-        ((c->mtable = typed_attr(self, s_mtable, &PyDict_Type)) == NULL ||
-         (c->m_nodes = typed_attr(self, s_m_nodes, &PyList_Type)) == NULL)) {
-        return -1;
-    }
-    if ((use & USE_VCACHES) &&
-        ((c->vadd_cache = typed_attr(self, s_vadd_cache, &PyDict_Type)) == NULL ||
-         (c->mv_cache = typed_attr(self, s_mv_cache, &PyDict_Type)) == NULL ||
-         (c->inner_cache = typed_attr(self, s_inner_cache, &PyDict_Type)) == NULL)) {
-        return -1;
-    }
-    if ((use & USE_MCACHES) &&
-        ((c->madd_cache = typed_attr(self, s_madd_cache, &PyDict_Type)) == NULL ||
-         (c->mm_cache = typed_attr(self, s_mm_cache, &PyDict_Type)) == NULL)) {
-        return -1;
-    }
-    if (!(use & (USE_VCACHES | USE_MCACHES))) {
-        return 0;
-    }
-    if ((value = PyObject_GetAttr(self, s_cache_limit)) == NULL) {
-        return -1;
-    }
-    c->cache_limit = PyNumber_AsSsize_t(value, PyExc_OverflowError);
-    Py_DECREF(value);
-    if (c->cache_limit == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    if ((value = PyObject_GetAttr(self, s_counting)) == NULL) {
-        return -1;
-    }
-    c->counting = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    return c->counting < 0 ? -1 : 0;
+    c->cache_limit = c->st->cache_limit;
+    c->counting = c->st->counting;
+    return 0;
 }
 
 /* counter[slot] += amount for a dict-of-counter or list-of-counter. */
@@ -1395,6 +2171,9 @@ add_stat(PyObject *self, PyObject *name, Py_ssize_t amount)
     return rc;
 }
 
+/* The caches whose hit/miss tallies a call publishes, in order. */
+static const int counted_caches[] = {T_VADD, T_MV, T_INNER, T_MADD, T_MM};
+
 /* Publish the node creation counts and the hit/miss tallies -- also when
  * the call failed, keeping its exception -- and release the call's
  * references. */
@@ -1402,7 +2181,7 @@ static int
 ctx_close(Ctx *c, int failed)
 {
     PyObject *error = NULL, *counts;
-    int rc = 0;
+    int rc = 0, k;
 #if PY_VERSION_HEX >= 0x030C0000
     if (failed) {
         error = PyErr_GetRaisedException();
@@ -1418,26 +2197,16 @@ ctx_close(Ctx *c, int failed)
         rc = -1;
     }
     if (rc == 0 && c->counting) {
-        if ((counts = PyObject_GetAttr(c->self, s_cache_counts)) == NULL ||
-            add_hits_misses(counts, s_vadd, c->vadd_counts) < 0 ||
-            add_hits_misses(counts, s_mv, c->mv_counts) < 0 ||
-            add_hits_misses(counts, s_inner, c->inner_counts) < 0 ||
-            add_hits_misses(counts, s_madd, c->madd_counts) < 0 ||
-            add_hits_misses(counts, s_mm, c->mm_counts) < 0) {
+        if ((counts = PyObject_GetAttr(c->self, s_cache_counts)) == NULL) {
             rc = -1;
+        }
+        for (k = 0; rc == 0 && k < (int)(sizeof(counted_caches) / sizeof(int)); k++) {
+            int which = counted_caches[k];
+            rc = add_hits_misses(counts, cache_names[which], c->counts[which]);
         }
         Py_XDECREF(counts);
     }
-    Py_CLEAR(c->vtable);
-    Py_CLEAR(c->nodes);
-    Py_CLEAR(c->record);
-    Py_CLEAR(c->mtable);
-    Py_CLEAR(c->m_nodes);
-    Py_CLEAR(c->vadd_cache);
-    Py_CLEAR(c->mv_cache);
-    Py_CLEAR(c->inner_cache);
-    Py_CLEAR(c->madd_cache);
-    Py_CLEAR(c->mm_cache);
+    Py_CLEAR(c->st);
     Py_CLEAR(c->pinned);
     if (failed) {
         if (rc < 0) {
@@ -1498,7 +2267,7 @@ py_make_vedge(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_edge(args[2], vnode_type, &e0) < 0 || read_edge(args[3], vnode_type, &e1) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], USE_VNODES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1524,7 +2293,7 @@ py_vadd(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(other);
         return other;
     }
-    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1545,7 +2314,7 @@ py_multiply_mv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_level(args[3], &level) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1576,7 +2345,7 @@ py_make_medge(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             return NULL;
         }
     }
-    if (ctx_open(&c, args[0], USE_MNODES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1602,7 +2371,7 @@ py_madd(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(other);
         return other;
     }
-    if (ctx_open(&c, args[0], USE_MNODES | USE_MCACHES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1622,7 +2391,7 @@ py_multiply_mm(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_edge(args[2], mnode_type, &be) < 0 || read_level(args[3], &level) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], USE_MNODES | USE_MCACHES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -1673,13 +2442,20 @@ typedef struct {
 static int
 walk_open(Walk *w, PyObject *self, PyObject *root)
 {
+    State *st;
     Edge edges[2];
     const Rec *rec;
     int is_owned, k;
     memset(w, 0, sizeof(*w));
-    if ((w->nodes = typed_attr(self, s_v_nodes, &PyList_Type)) == NULL ||
-        (w->record = typed_attr(self, s_v_record, &PyByteArray_Type)) == NULL ||
-        record_synced(w->nodes, w->record) < 0 || (is_owned = owned(w->nodes, root)) < 0 ||
+    if ((st = backend_state(self)) == NULL) {
+        return -1;
+    }
+    Py_INCREF(st->v_nodes);
+    w->nodes = st->v_nodes;
+    Py_INCREF(st->v_record);
+    w->record = st->v_record;
+    Py_DECREF(st);
+    if (record_synced(w->nodes, w->record) < 0 || (is_owned = owned(w->nodes, root)) < 0 ||
         (is_owned && read_node_edges(root, v_edges_off, 2, vnode_type, edges) < 0)) {
         return -1;
     }
@@ -2240,8 +3016,8 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     if (status > 0) {
-        if ((status = ctx_open(&c, args[0], USE_VNODES)) == 0) {
-            r.record = c.record;
+        if ((status = ctx_open(&c, args[0])) == 0) {
+            r.record = c.st->v_record;
             status = rebuild(&c, &r, edge, w.root, level, &result);
         }
         rebuilt = finish(&c, status, result);
@@ -2257,7 +3033,7 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* Inner product and reclaim entries                                   */
+/* The inner product entry                                            */
 /* ------------------------------------------------------------------ */
 
 static int
@@ -2290,7 +3066,7 @@ py_inner_nodes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         read_node_arg(args[2], &n2) < 0 || read_level(args[3], &level) < 0) {
         return NULL;
     }
-    if (ctx_open(&c, args[0], USE_VNODES | USE_VCACHES) < 0) {
+    if (ctx_open(&c, args[0]) < 0) {
         ctx_close(&c, 1);
         return NULL;
     }
@@ -2302,38 +3078,204 @@ py_inner_nodes(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
-/* Renumber the record after a reclaim compacted `_v_nodes`: entry `old`
- * moves to id_map[old] (-1: freed) with its children's ids mapped too. */
-static PyObject *
-py_compact_record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* ------------------------------------------------------------------ */
+/* The reclaim                                                         */
+/* ------------------------------------------------------------------ */
+
+/* Keep flags for the ids a cache's keys name: dropping one would change
+ * later cache hits.  `first` and `second` flag the kinds of the two ids
+ * (vector or matrix); ids of no slot (a foreign node's) flag nothing. */
+static void
+seed_keep(const Table *t, unsigned char *first, Py_ssize_t n_first, unsigned char *second,
+          Py_ssize_t n_second)
 {
-    PyObject *record, *id_map;
-    Rec *recs, rec;
-    Py_ssize_t size, old, new, kept = 0, mapped;
-    int k;
-    (void)module;
-    if (check_args("compact_record", nargs, 2) < 0) {
-        return NULL;
-    }
-    record = args[0];
-    id_map = args[1];
-    if (!PyByteArray_Check(record) || !PyList_Check(id_map)) {
-        PyErr_SetString(PyExc_TypeError, "compact_record(record: bytearray, id_map: list)");
-        return NULL;
-    }
-    size = PyList_GET_SIZE(id_map);
-    if (PyByteArray_GET_SIZE(record) != size * (Py_ssize_t)sizeof(Rec)) {
-        PyErr_Format(PyExc_RuntimeError, "arena record holds %zd bytes for %zd nodes",
-                     PyByteArray_GET_SIZE(record), size);
-        return NULL;
-    }
-    recs = records(record);
-    for (old = 0; old < size; old++) {
-        new = PyLong_AsSsize_t(PyList_GET_ITEM(id_map, old));
-        if (new == -1 && PyErr_Occurred()) {
-            return NULL;
+    size_t size = kinds[t->kind].size;
+    Py_ssize_t position;
+    const PairKey *key;
+    for (position = 0; position < t->count; position++) {
+        key = (const PairKey *)(t->entries + (size_t)position * size);
+        if (key->hash <= HASH_DELETED) {
+            continue;
         }
-        if (new < 0) {
+        if (key->id[0] >= 0 && key->id[0] < n_first) {
+            first[key->id[0]] = 1;
+        }
+        if (key->id[1] >= 0 && key->id[1] < n_second) {
+            second[key->id[1]] = 1;
+        }
+    }
+}
+
+static int
+level_of(PyObject *node, Py_ssize_t offset, long *level)
+{
+    PyObject *obj = SLOT(node, offset);
+    int overflow;
+    if (obj == NULL || !PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%.100s level must be an int", Py_TYPE(node)->tp_name);
+        return -1;
+    }
+    *level = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (overflow) {
+        *level = LONG_MAX; /* fits no key */
+    }
+    return *level == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Whether `node` (a node of `nodes`) is interned: the unique-table entry
+ * of the key its current level and edges give holds it.  Returns the
+ * entry's slot, NULL when it is not interned, or NULL with an error. */
+static char *
+interned_slot(Table *t, PyObject *node, int matrix, double inv)
+{
+    union {
+        VKey v;
+        MKey m;
+    } key;
+    Edge edges[4];
+    long level;
+    int found;
+    char *slot;
+    if (read_node_edges(node, matrix ? m_edges_off : v_edges_off, matrix ? 4 : 2,
+                        matrix ? mnode_type : vnode_type, edges) < 0 ||
+        level_of(node, matrix ? m_level_off : v_level_off, &level) < 0) {
+        return NULL;
+    }
+    found = matrix ? mkey_fill(&key.m, level, edges, inv)
+                   : vkey_fill(&key.v, level, edges[0], edges[1], inv);
+    if (found <= 0) {
+        return NULL;
+    }
+    if (matrix) {
+        slot = lookup(t, &key.m, sizeof(MEntry), sizeof(MKey));
+        return slot != NULL && ((MEntry *)slot)->node == node ? slot : NULL;
+    }
+    slot = lookup(t, &key.v, sizeof(VEntry), sizeof(VKey));
+    return slot != NULL && ((VEntry *)slot)->node == node ? slot : NULL;
+}
+
+/* Free every node of one kind that nothing outside the arena holds.
+ *
+ * Inside the arena a node is referenced by its list slot, its unique-
+ * table entry, and the edge tuples and table keys of its parents;
+ * everything else (caller states, compute-cache values, gate_cache, the
+ * identity cache) is outside.  Ids run children-before-parents, so a
+ * sweep from the highest id down decides every parent before its
+ * children: a node is kept when `keep` already names it (a kept parent
+ * or a cache key does), or when its reference count shows a holder
+ * outside the arena.  Anything else loses its table entry and then its
+ * slot (left None for compact), and is freed on the spot -- releasing
+ * its children for the rest of the sweep, the same cascade the
+ * reference's weak tables see.  On return `keep` is the survivor mask. */
+static int
+sweep(State *st, int matrix, unsigned char *keep, double inv)
+{
+    PyObject *nodes = matrix ? st->m_nodes : st->v_nodes, *node, *child;
+    PyTypeObject *type = matrix ? mnode_type : vnode_type;
+    Table *t = st->tables[matrix ? T_MTABLE : T_VTABLE];
+    Py_ssize_t i, n = PyList_GET_SIZE(nodes), index;
+    Py_ssize_t index_off = matrix ? m_index_off : v_index_off;
+    int arity = matrix ? 4 : 2, k;
+    Edge edges[4];
+    char *slot;
+    for (i = n - 1; i >= 0; i--) {
+        node = PyList_GET_ITEM(nodes, i);
+        if (!Py_IS_TYPE(node, type)) {
+            PyErr_Format(PyExc_TypeError, "arena slot %zd holds a %.100s", i,
+                         Py_TYPE(node)->tp_name);
+            return -1;
+        }
+        if (!keep[i]) {
+            slot = interned_slot(t, node, matrix, inv);
+            if (slot == NULL && PyErr_Occurred()) {
+                return -1;
+            }
+            /* Held by its slot and, when interned, its entry alone. */
+            if (Py_REFCNT(node) <= 1 + (slot != NULL)) {
+                if (slot != NULL) {
+                    table_delete(t, slot);
+                }
+                Py_INCREF(Py_None);
+                PyList_SET_ITEM(nodes, i, Py_None);
+                Py_DECREF(node);
+                continue;
+            }
+        }
+        keep[i] = 1;
+        if (read_node_edges(node, matrix ? m_edges_off : v_edges_off, arity, type, edges) < 0) {
+            return -1;
+        }
+        for (k = 0; k < arity; k++) {
+            if ((child = edges[k].n) == NULL) {
+                continue;
+            }
+            if (node_index(child, index_off) == NULL) {
+                return -1;
+            }
+            index = PyLong_AsSsize_t(SLOT(child, index_off));
+            if (index == -1 && PyErr_Occurred()) {
+                PyErr_Clear(); /* out of range: no slot */
+                continue;
+            }
+            if (index >= 0 && index < n && PyList_GET_ITEM(nodes, index) == child) {
+                keep[index] = 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Close the gaps the sweep left in `nodes` (of `n` entries), survivors
+ * keeping their order, renumber the survivors' `index` slots, and fill
+ * `map`: old id -> new id, -1 for a freed node. */
+static int
+compact(PyObject *nodes, Py_ssize_t n, Py_ssize_t index_off, int32_t *map)
+{
+    PyObject **items, *node, *index;
+    Py_ssize_t old, new = 0;
+    int rc = 0;
+    if (PyList_GET_SIZE(nodes) != n) {
+        PyErr_SetString(PyExc_RuntimeError, "arena node list changed during a reclaim");
+        return -1;
+    }
+    /* Positions [0, new) hold the survivors so far and [new, old) the
+     * Nones of freed nodes, so a survivor swaps places with a None. */
+    items = ((PyListObject *)nodes)->ob_item;
+    for (old = 0; old < n; old++) {
+        node = items[old];
+        if (node == Py_None) {
+            map[old] = -1;
+            continue;
+        }
+        map[old] = (int32_t)new;
+        if (new != old) {
+            if ((index = PyLong_FromSsize_t(new)) == NULL) {
+                rc = -1;
+            }
+            else {
+                Py_XSETREF(SLOT(node, index_off), index);
+            }
+            items[old] = items[new];
+            items[new] = node;
+        }
+        new++;
+    }
+    if (PyList_SetSlice(nodes, new, n, NULL) < 0) {
+        return -1;
+    }
+    return rc;
+}
+
+/* Renumber the record after compact: entry `old` moves to map[old]
+ * (-1: freed) with its children's ids mapped too. */
+static int
+compact_record(PyObject *record, const int32_t *map, Py_ssize_t size)
+{
+    Rec *recs = records(record), rec;
+    Py_ssize_t old, kept = 0;
+    int k;
+    for (old = 0; old < size; old++) {
+        if (map[old] < 0) {
             continue;
         }
         rec = recs[old];
@@ -2341,27 +3283,98 @@ py_compact_record(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (rec.child[k] < 0) {
                 continue;
             }
-            mapped = rec.child[k] < old ? PyLong_AsSsize_t(PyList_GET_ITEM(id_map, rec.child[k]))
-                                        : -1;
-            if (mapped < 0) {
-                if (!PyErr_Occurred()) {
-                    PyErr_Format(PyExc_RuntimeError,
-                                 "reclaim kept slot %zd but not its child %d", old,
-                                 (int)rec.child[k]);
-                }
-                return NULL;
+            if (rec.child[k] >= old || map[rec.child[k]] < 0) {
+                PyErr_Format(PyExc_RuntimeError, "reclaim kept slot %zd but not its child %d",
+                             old, (int)rec.child[k]);
+                return -1;
             }
-            rec.child[k] = (int32_t)mapped;
+            rec.child[k] = map[rec.child[k]];
         }
-        /* Survivors keep their order, so `new` never passes `old`. */
-        if (new != kept) {
-            PyErr_SetString(PyExc_RuntimeError, "reclaim id map is not dense");
-            return NULL;
-        }
-        recs[new] = rec;
+        /* Survivors keep their order, so an entry never moves up. */
+        recs[map[old]] = rec;
         kept++;
     }
-    if (PyByteArray_Resize(record, kept * (Py_ssize_t)sizeof(Rec)) < 0) {
+    return PyByteArray_Resize(record, kept * (Py_ssize_t)sizeof(Rec));
+}
+
+/* Rename the ids of every key of a compute cache through the maps of
+ * their kinds (rehashing it); an entry that names no slot (a foreign
+ * node's id) is deleted. */
+static int
+rekey(Table *t, const int32_t *first, Py_ssize_t n_first, const int32_t *second,
+      Py_ssize_t n_second)
+{
+    size_t size = kinds[t->kind].size;
+    Py_ssize_t position;
+    PairKey *key;
+    for (position = 0; position < t->count; position++) {
+        key = (PairKey *)(t->entries + (size_t)position * size);
+        if (key->hash <= HASH_DELETED) {
+            continue;
+        }
+        if (key->id[0] < 0 || key->id[0] >= n_first || first[key->id[0]] < 0 ||
+            key->id[1] < 0 || key->id[1] >= n_second || second[key->id[1]] < 0) {
+            table_delete(t, (char *)key);
+            continue;
+        }
+        key->id[0] = first[key->id[0]];
+        key->id[1] = second[key->id[1]];
+        key->hash = ids_hash(key, t->kind == KIND_ADD ? ((AddKey *)key)->ratio : NULL);
+    }
+    return table_compact(t);
+}
+
+/* State.reclaim(): drop the nodes the reference engine would have freed
+ * and renumber the survivors densely in their old order.  Kept are the
+ * nodes referenced from outside the arena and those a compute-cache key
+ * names; the node lists and the record are compacted in place and the
+ * cache keys renamed. */
+static PyObject *
+state_reclaim(PyObject *self, PyObject *unused)
+{
+    State *st = (State *)self;
+    Py_ssize_t nv = PyList_GET_SIZE(st->v_nodes), nm = PyList_GET_SIZE(st->m_nodes);
+    unsigned char *v_keep = PyMem_Calloc((size_t)nv + 1, 1);
+    unsigned char *m_keep = PyMem_Calloc((size_t)nm + 1, 1);
+    int32_t *v_map = PyMem_Malloc(((size_t)nv + 1) * sizeof(int32_t));
+    int32_t *m_map = PyMem_Malloc(((size_t)nm + 1) * sizeof(int32_t));
+    Table **tables = st->tables;
+    double inv;
+    int rc = -1;
+    (void)unused;
+    if (v_keep == NULL || m_keep == NULL || v_map == NULL || m_map == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (ctable_float(s_inv_tolerance, &inv) < 0 || record_synced(st->v_nodes, st->v_record) < 0) {
+        goto done;
+    }
+    if (nv > INT32_MAX || nm > INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "arena too large to renumber");
+        goto done;
+    }
+    seed_keep(tables[T_VADD], v_keep, nv, v_keep, nv);
+    seed_keep(tables[T_MADD], m_keep, nm, m_keep, nm);
+    seed_keep(tables[T_INNER], v_keep, nv, v_keep, nv);
+    seed_keep(tables[T_MM], m_keep, nm, m_keep, nm);
+    seed_keep(tables[T_MV], m_keep, nm, v_keep, nv);
+    if (sweep(st, 0, v_keep, inv) < 0 || compact(st->v_nodes, nv, v_index_off, v_map) < 0 ||
+        compact_record(st->v_record, v_map, nv) < 0 || sweep(st, 1, m_keep, inv) < 0 ||
+        compact(st->m_nodes, nm, m_index_off, m_map) < 0 || table_compact(tables[T_VTABLE]) < 0 ||
+        table_compact(tables[T_MTABLE]) < 0 || rekey(tables[T_VADD], v_map, nv, v_map, nv) < 0 ||
+        rekey(tables[T_MADD], m_map, nm, m_map, nm) < 0 ||
+        rekey(tables[T_MV], m_map, nm, v_map, nv) < 0 ||
+        rekey(tables[T_MM], m_map, nm, m_map, nm) < 0 ||
+        rekey(tables[T_INNER], v_map, nv, v_map, nv) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    PyMem_Free(v_keep);
+    PyMem_Free(m_keep);
+    PyMem_Free(v_map);
+    PyMem_Free(m_map);
+    if (rc < 0) {
         return NULL;
     }
     Py_RETURN_NONE;
@@ -2390,8 +3403,6 @@ static PyMethodDef core_methods[] = {
      "rebuild_without(backend, edge, level, removed) -> edge, or None for a foreign diagram"},
     {"inner_nodes", (PyCFunction)(void (*)(void))py_inner_nodes, METH_FASTCALL,
      "inner_nodes(backend, n1, n2, level) -> complex"},
-    {"compact_record", (PyCFunction)(void (*)(void))py_compact_record, METH_FASTCALL,
-     "compact_record(record, id_map) -> None"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2447,29 +3458,18 @@ init_globals(void)
     } names[] = {
         {&s_tolerance, "_tolerance"},
         {&s_inv_tolerance, "_inv_tolerance"},
-        {&s_vtable, "_vtable"},
-        {&s_v_nodes, "_v_nodes"},
-        {&s_v_record, "_v_record"},
-        {&s_vadd_cache, "_vadd_cache"},
-        {&s_mv_cache, "_mv_cache"},
-        {&s_inner_cache, "_inner_cache"},
-        {&s_cache_limit, "cache_limit"},
-        {&s_counting, "_counting"},
+        {&s_state, "_state"},
+        {&s_cache_flushed, "_cache_flushed"},
         {&s_stats, "stats"},
         {&s_cache_counts, "_cache_counts"},
         {&s_vcount_cache, "_vcount_cache"},
-        {&s_checked_insert, "_checked_insert"},
-        {&s_vadd, "vadd"},
-        {&s_mv, "mv"},
-        {&s_inner, "inner"},
         {&s_vnodes_created, "vnodes_created"},
-        {&s_mtable, "_mtable"},
-        {&s_m_nodes, "_m_nodes"},
-        {&s_madd_cache, "_madd_cache"},
-        {&s_mm_cache, "_mm_cache"},
-        {&s_madd, "madd"},
-        {&s_mm, "mm"},
         {&s_mnodes_created, "mnodes_created"},
+        {&cache_names[T_VADD], "vadd"},
+        {&cache_names[T_MADD], "madd"},
+        {&cache_names[T_MV], "mv"},
+        {&cache_names[T_MM], "mm"},
+        {&cache_names[T_INNER], "inner"},
     };
     for (k = 0; k < (int)(sizeof(names) / sizeof(names[0])); k++) {
         if ((*names[k].slot = PyUnicode_InternFromString(names[k].text)) == NULL) {
@@ -2486,6 +3486,7 @@ init_globals(void)
         (node_module = PyImport_ImportModule("repro.dd.node")) == NULL) {
         return -1;
     }
+    ctable_dict = PyModule_GetDict(ctable);
     rc = node_class(node_module, "VNode", &vnode_type) < 0 ||
                  node_class(node_module, "MNode", &mnode_type) < 0 ||
                  slot_offset(vnode_type, "level", &v_level_off) < 0 ||
@@ -2503,8 +3504,14 @@ init_globals(void)
 PyMODINIT_FUNC
 PyInit__arena_core(void)
 {
-    if (init_globals() < 0) {
+    PyObject *module;
+    if (init_globals() < 0 || PyType_Ready(&Table_Type) < 0 || PyType_Ready(&State_Type) < 0 ||
+        (module = PyModule_Create(&core_module)) == NULL) {
         return NULL;
     }
-    return PyModule_Create(&core_module);
+    if (PyModule_AddObjectRef(module, "State", (PyObject *)&State_Type) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

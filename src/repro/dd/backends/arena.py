@@ -3,42 +3,47 @@
 Same semantics as the reference backend, different storage.  Every node
 is assigned a dense integer id (``node.index``): its slot in the arena's
 node list (appended at interning, compacted by a reclaim).  The hot data
-structures are built around those ids:
+structures are built around those ids and live in the C extension
+``_arena_core.c`` (built on first use by :mod:`.native`), held by one
+state object, ``_state``:
 
-* **Unique tables** are plain dicts keyed on flat tuples
-  ``(level, re_bucket, im_bucket, child, ...)`` — the children are the
-  node objects themselves, hashed by identity, so a reclaim's
-  renumbering leaves the keys valid — with the weight quantization of
-  :func:`repro.dd.ctable.weight_key` inlined
-  (``round(component * inv_tolerance)``): no nested tuples, no weak
-  references, no ``WeakValueDictionary`` machinery.
-* **Compute caches** are dicts keyed on small integer tuples (vadd/madd:
-  ``(id1, id2, ratio_buckets)``) or single packed integers (mv/mm/inner:
-  ``id_a * 2**32 + id_b``), wholesale-flushed exactly like the
-  reference caches.
+* **Unique tables** (``_vtable``, ``_mtable``) are open-addressing hash
+  tables whose entries hold the key inline: the level, the weight
+  buckets of :func:`repro.dd.ctable.weight_key` (``round(component *
+  inv_tolerance)``, kept as integral doubles) and the child node
+  pointers, hashed and compared by identity, so a reclaim's renumbering
+  leaves the keys valid.
+* **Compute caches** are tables of the same kind keyed on node ids:
+  vadd/madd on ``(id1, id2)`` plus the two ratio buckets, mv/mm/inner
+  on ``(id1, id2)``; wholesale-flushed exactly like the reference
+  caches.
+
+Python sees each table only through ``len``, ``clear`` and ``items()``,
+which rebuilds the key tuples the pure-Python engine used to store
+(``(level, re, im, child, ...)``, ``(id1, id2, re, im)``, ``(id1, id2)``),
+so the DDSan audit, :meth:`~DDBackend.cache_stats`,
+:meth:`~DDBackend.clear_caches` and :meth:`~DDBackend.unique_table_sizes`
+read them unchanged.  Key equality is the tuples' equality, so hit/miss
+sequences, node counts and results are those of the dict engine.
 
 **The arithmetic is native.**  ``make_vedge``, ``vadd``, the
 ``multiply_mv`` recursion, the inner product, the approximation round's
 ``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
-``norm_contributions``, and on the matrix side ``make_medge``, ``madd``
-and the ``multiply_mm`` recursion run in the C extension
-``_arena_core.c`` (built on first use by :mod:`.native`).  It works on
-the structures above directly, with the same key and value objects, so
-the reclaim, the DDSan audit, serialization and every other Python
-consumer read them unchanged; the methods here are thin calls into it.
-Every complex operation in the core calls CPython's own complex
-arithmetic, so results are *bit-for-bit identical* to the reference
-backend and cache keys bucket identically, making hit/miss sequences
-coincide.  The reclaim stays in Python.  See docs/BACKENDS.md.
+``norm_contributions``, on the matrix side ``make_medge``, ``madd`` and
+the ``multiply_mm`` recursion, and the reclaim run in the core; the
+methods here are thin calls into it.  Every complex operation in the
+core calls CPython's own complex arithmetic, so results are
+*bit-for-bit identical* to the reference backend and cache keys bucket
+identically, making hit/miss sequences coincide.  See docs/BACKENDS.md.
 
 **The record.**  ``_v_record`` is a bytearray with one 12-byte entry per
 ``_v_nodes`` slot: the node's level and its two children's ids as
 native int32 (``-1`` for the terminal, ``-2`` for a child that is not a
 slot of this arena).  The core appends an entry whenever it interns a
-node, and :meth:`ArenaBackend._reclaim` renumbers it with the node list.
-Interned nodes never change, so the sweeps walk these integers instead
-of chasing node, edge and index objects.  A sweep that meets a foreign
-child gets ``None`` from the core and runs the generic traversal.
+node and renumbers it with the node list at a reclaim.  Interned nodes
+never change, so the sweeps walk these integers instead of chasing node,
+edge and index objects.  A sweep that meets a foreign child gets
+``None`` from the core and runs the generic traversal.
 
 Edge *handles* are real :class:`~repro.dd.node.VNode` /
 :class:`~repro.dd.node.MNode` objects, so every consumer that traverses
@@ -51,22 +56,20 @@ engine's weak unique tables would already have dropped (harmless: a
 retained node is only ever re-interned with identical contents).  In
 practice the reference frees almost nothing between flushes either,
 because its compute caches pin every node they name.  A cache flush
-only *marks* a reclaim as pending — the recursion that triggered it
-still holds raw ids in its in-flight cache keys — and
+only *marks* a reclaim as pending -- the recursion that triggered it
+still holds raw ids in its in-flight cache keys -- and
 :meth:`ArenaBackend._reclaim` runs at the next safe point: entry to the
 public :meth:`ArenaBackend.multiply_mv` (the core's recursion never
 re-enters it) and :meth:`ArenaBackend.clear_caches`.  It keeps exactly
-the nodes the reference would still hold — those referenced from Python
+the nodes the reference would still hold -- those referenced from Python
 (caller states, cache values, ``gate_cache``, the identity cache) or
-named by a surviving compute-cache key — and renumbers the survivors
+named by a surviving compute-cache key -- and renumbers the survivors
 densely in their old order.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable
-from sys import getrefcount
 from typing import Any
 
 from .. import ctable
@@ -77,124 +80,6 @@ from .base import DEFAULT_CACHE_LIMIT, DDBackend
 #: The C core (None when it could not be built; construction then raises).
 _core: Any = native.load()[0]
 
-#: Packing base for two-id cache keys.  Arena ids are dense counters and
-#: stay far below 2**32, so ``a * _PAIR_SHIFT + b`` is collision-free.
-_PAIR_BITS = 32
-_PAIR_SHIFT = 1 << _PAIR_BITS
-_PAIR_MASK = _PAIR_SHIFT - 1
-
-
-def _release_unreferenced(
-    nodes: list[Any],
-    table: dict[tuple[Any, ...], Any],
-    key_of: Callable[[Any], tuple[Any, ...]],
-    keep: bytearray,
-) -> None:
-    """Free every node of ``nodes`` that nothing outside the arena holds.
-
-    Inside the arena a node is referenced by its ``nodes`` slot, its
-    unique-table entry, and the edge tuples and table keys of its
-    parents; everything else (caller states, compute-cache values,
-    ``gate_cache``, the identity cache) is outside.  Ids run
-    children-before-parents, so a sweep from the highest id down decides
-    every parent before its children: a node is kept when ``keep``
-    already names it (a kept parent or a cache key does), or when its
-    reference count shows a holder outside the arena.  Anything else
-    loses its table entry and then its slot, and Python frees it on the
-    spot — releasing its children for the rest of the sweep, the same
-    cascade the reference's weak tables see.  On return ``keep`` is the
-    survivor mask.
-    """
-    # One slot reference plus the call's own argument, measured the same
-    # way as _unreferenced measures each node.
-    probe = [object()]
-    floor = getrefcount(probe[0])
-    for index in range(len(nodes) - 1, -1, -1):
-        if not keep[index] and _unreferenced(nodes, index, table, key_of, floor):
-            nodes[index] = None
-        else:
-            keep[index] = 1
-            # (The loop variable outlives the loop, but only ever names
-            # a node that is already marked kept.)
-            for _weight, child in nodes[index].edges:
-                if child is not None:
-                    keep[child.index] = 1
-
-
-def _unreferenced(
-    nodes: list[Any],
-    index: int,
-    table: dict[tuple[Any, ...], Any],
-    key_of: Callable[[Any], tuple[Any, ...]],
-    floor: int,
-) -> bool:
-    """True, with the table entry dropped, when only the arena holds it.
-
-    A function of its own so that the key (which references the
-    children) is gone before the sweep reaches them.
-    """
-    key = key_of(nodes[index])
-    interned = table.get(key) is nodes[index]
-    if getrefcount(nodes[index]) > floor + interned:
-        return False
-    if interned:
-        del table[key]
-    return True
-
-
-def _compact(
-    nodes: list[Any],
-    table: dict[tuple[Any, ...], Any],
-    keep: bytearray,
-    key_of: Callable[[Any], tuple[Any, ...]],
-) -> list[int]:
-    """Reclaim one node kind in place; return the old-to-new id map.
-
-    The unique table keys on child *objects*, so renumbering leaves the
-    surviving entries as they are.  Unmapped ids map to ``-1``.
-    """
-    _release_unreferenced(nodes, table, key_of, keep)
-    id_map = [-1] * len(nodes)
-    new = 0
-    for old, node in enumerate(nodes):
-        if node is not None:
-            id_map[old] = new
-            node.index = new
-            nodes[new] = node
-            new += 1
-    del nodes[new:]
-    return id_map
-
-
-# The compute caches move to new dicts under renumbered keys.  Popping as
-# they go frees each old key before the next new one is built, so a
-# re-key costs a second table, not a second set of keys; the reversed
-# order is invisible to a wholesale-flushed memo.
-
-
-def _rekeyed_adds(
-    cache: dict[tuple[int, int, int, int], Any], ids: list[int]
-) -> dict[tuple[int, int, int, int], Any]:
-    """Re-key a vadd/madd cache: ``(id1, id2, re, im)``."""
-    fresh = {}
-    pop = cache.popitem
-    for _ in range(len(cache)):
-        (a, b, re, im), value = pop()
-        fresh[ids[a], ids[b], re, im] = value
-    return fresh
-
-
-def _rekeyed_pairs(
-    cache: dict[int, Any], high: list[int], low: list[int]
-) -> dict[int, Any]:
-    """Re-key an mv/mm/inner cache: ``high_id * 2**32 + low_id``."""
-    fresh = {}
-    pop = cache.popitem
-    for _ in range(len(cache)):
-        key, value = pop()
-        fresh[high[key >> _PAIR_BITS] * _PAIR_SHIFT + low[key & _PAIR_MASK]] = value
-    return fresh
-
 
 class ArenaBackend(DDBackend):
     """Integer-id arena engine with vectorized sweeps."""
@@ -203,13 +88,17 @@ class ArenaBackend(DDBackend):
 
     def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
         native.require()
-        super().__init__(cache_limit)
         # Node arenas: slot ``i`` holds the node whose ``index`` is ``i``.
         self._v_nodes: list[VNode] = []
         self._m_nodes: list[MNode] = []
         # Per-slot (level, child0 id, child1 id) of ``_v_nodes``, int32
         # each; owned by the C core (see the module docstring).
         self._v_record = bytearray()
+        # The core's state: the lists above, the seven hash tables, the
+        # cache limit and the counting flag.  It exists before the base
+        # initializer sets the last two through the properties below.
+        self._state = _core.State(self._v_nodes, self._v_record, self._m_nodes)
+        super().__init__(cache_limit)
         # node_count memo keyed by root id.  Safe because diagrams are
         # immutable after interning and an id names one node until the
         # next reclaim, which renumbers and so clears the memo; the
@@ -218,15 +107,14 @@ class ArenaBackend(DDBackend):
         self._vcount_cache: dict[int, int] = {}
         # Set by a cache flush; the reclaim runs at the next safe point.
         self._reclaim_pending = False
-        # Unique tables: plain dicts on flat (level, buckets, child...) keys.
-        self._vtable: dict[tuple[Any, ...], VNode] = {}
-        self._mtable: dict[tuple[Any, ...], MNode] = {}
-        # Compute caches: int-tuple / packed-int keys, flushed wholesale.
-        self._vadd_cache: dict[tuple[int, int, int, int], VEdge] = {}
-        self._madd_cache: dict[tuple[int, int, int, int], MEdge] = {}
-        self._mv_cache: dict[int, VEdge] = {}
-        self._mm_cache: dict[int, MEdge] = {}
-        self._inner_cache: dict[int, complex] = {}
+        state = self._state
+        self._vtable = state.vtable
+        self._mtable = state.mtable
+        self._vadd_cache = state.vadd
+        self._madd_cache = state.madd
+        self._mv_cache = state.mv
+        self._mm_cache = state.mm
+        self._inner_cache = state.inner
         self._compute_caches = {
             "vadd": self._vadd_cache,
             "madd": self._madd_cache,
@@ -238,6 +126,25 @@ class ArenaBackend(DDBackend):
         # hash-consing makes a repeated lowering return the identical
         # edge, so a hit changes no computed value and no cache contents.
         self.gate_cache: dict[Any, MEdge] = {}
+
+    # The core reads both on every top-level call from the state.
+
+    @property
+    def cache_limit(self) -> int:
+        """Entries per compute cache before it is flushed."""
+        return int(self._state.cache_limit)
+
+    @cache_limit.setter
+    def cache_limit(self, value: int) -> None:
+        self._state.cache_limit = value
+
+    @property
+    def _counting(self) -> bool:
+        return bool(self._state.counting)
+
+    @_counting.setter
+    def _counting(self, value: bool) -> None:
+        self._state.counting = bool(value)
 
     # ------------------------------------------------------------------
     # Node construction (normalizing, hash-consing)
@@ -292,14 +199,11 @@ class ArenaBackend(DDBackend):
     # Reclaim (see the module docstring for the safe-point rule)
     # ------------------------------------------------------------------
 
-    def _checked_insert(
-        self, cache: dict[Any, Any], key: Any, value: Any, name: str
-    ) -> None:
-        if len(cache) >= self.cache_limit:
-            # The flush unpins nodes, but the recursion above still holds
-            # raw ids: reclaim at the next safe point, not here.
-            self._reclaim_pending = True
-        super()._checked_insert(cache, key, value, name)
+    def _cache_flushed(self, name: str, entries: int) -> None:
+        # The flush unpinned nodes, but the recursion above still holds
+        # raw ids: reclaim at the next safe point, not here.
+        self._reclaim_pending = True
+        super()._cache_flushed(name, entries)
 
     def clear_caches(self) -> None:
         """Flush all compute caches, then reclaim what they pinned."""
@@ -309,40 +213,15 @@ class ArenaBackend(DDBackend):
     def _reclaim(self) -> None:
         """Drop the nodes the reference engine would have freed; renumber.
 
-        Survivors keep their relative order, so children still precede
-        parents.  The node lists and the record are compacted in place,
-        the compute caches are re-keyed, and the ``node_count`` memo is
-        dropped.
+        The core keeps the nodes referenced from outside the arena and
+        those a compute-cache key names, frees the rest, compacts the
+        node lists and the record in place (survivors keep their order,
+        so children still precede parents) and renames the cache keys.
+        The ``node_count`` memo is keyed by old ids and is dropped.
         """
         self._reclaim_pending = False
-        # Keep flags per id, seeded with the ids that surviving cache
-        # keys name: dropping one would change later cache hits.
-        v_keep = bytearray(len(self._v_nodes))
-        m_keep = bytearray(len(self._m_nodes))
-        for a, b, _re, _im in self._vadd_cache:
-            v_keep[a] = v_keep[b] = 1
-        for a, b, _re, _im in self._madd_cache:
-            m_keep[a] = m_keep[b] = 1
-        for key in self._inner_cache:
-            v_keep[key >> _PAIR_BITS] = v_keep[key & _PAIR_MASK] = 1
-        for key in self._mm_cache:
-            m_keep[key >> _PAIR_BITS] = m_keep[key & _PAIR_MASK] = 1
-        for key in self._mv_cache:
-            m_keep[key >> _PAIR_BITS] = v_keep[key & _PAIR_MASK] = 1
-
-        v_map = _compact(self._v_nodes, self._vtable, v_keep, self._vnode_table_key)
-        _core.compact_record(self._v_record, v_map)
-        m_map = _compact(self._m_nodes, self._mtable, m_keep, self._mnode_table_key)
+        self._state.reclaim()
         self._vcount_cache.clear()
-
-        caches = self._compute_caches
-        caches["vadd"] = self._vadd_cache = _rekeyed_adds(caches["vadd"], v_map)
-        caches["madd"] = self._madd_cache = _rekeyed_adds(caches["madd"], m_map)
-        caches["mv"] = self._mv_cache = _rekeyed_pairs(caches["mv"], m_map, v_map)
-        caches["mm"] = self._mm_cache = _rekeyed_pairs(caches["mm"], m_map, m_map)
-        caches["inner"] = self._inner_cache = _rekeyed_pairs(
-            caches["inner"], v_map, v_map
-        )
 
     # ------------------------------------------------------------------
     # Whole-diagram sweeps
@@ -466,7 +345,7 @@ class ArenaBackend(DDBackend):
             ("matrix", self._mtable, self._mnode_table_key),
         ):
             recomputed: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for key, node in list(table.items()):
+            for key, node in table.items():
                 actual = key_of(node)  # type: ignore[operator]
                 if actual != key:
                     problems.append(
@@ -482,15 +361,15 @@ class ArenaBackend(DDBackend):
                 recomputed[actual] = key
 
         if check_caches:
+            vtable = dict(self._vtable.items())
+            mtable = dict(self._mtable.items())
             for cache_name, cache, table, key_of in (
-                ("vadd", self._vadd_cache, self._vtable,
-                 self._vnode_table_key),
-                ("mv", self._mv_cache, self._vtable, self._vnode_table_key),
-                ("madd", self._madd_cache, self._mtable,
-                 self._mnode_table_key),
-                ("mm", self._mm_cache, self._mtable, self._mnode_table_key),
+                ("vadd", self._vadd_cache, vtable, self._vnode_table_key),
+                ("mv", self._mv_cache, vtable, self._vnode_table_key),
+                ("madd", self._madd_cache, mtable, self._mnode_table_key),
+                ("mm", self._mm_cache, mtable, self._mnode_table_key),
             ):
-                for _key, (_weight, node) in list(cache.items()):
+                for _key, (_weight, node) in cache.items():
                     if node is None:
                         continue
                     if table.get(key_of(node)) is not node:  # type: ignore[operator, arg-type]

@@ -14,8 +14,8 @@ Two implementations ship with the repo (see docs/BACKENDS.md):
 * :class:`repro.dd.backends.reference.ReferenceBackend` — the original
   hash-consed object engine (weak-reference unique tables, tuple keys).
 * :class:`repro.dd.backends.arena.ArenaBackend` — nodes addressed by
-  dense integer ids, with flat table/cache keys and the vector hot path
-  in a C extension.
+  dense integer ids, with its tables, caches and arithmetic in a C
+  extension.
 
 The **semantic contract** between backends is strict: for the same
 sequence of calls both must produce states with equal amplitudes within
@@ -52,10 +52,11 @@ class DDBackend(ABC):
 
     Subclasses must populate, in ``__init__`` after calling ``super()``:
 
-    * ``_vtable`` / ``_mtable`` — the unique tables (any mapping with
-      ``len``; key layout is backend-private).
+    * ``_vtable`` / ``_mtable`` — the unique tables (anything with
+      ``len`` and ``items()``; key layout is backend-private).
     * ``_compute_caches`` — mapping from :data:`CACHE_NAMES` entries to
-      the backing cache dict, used by the shared cache plumbing.
+      the backing caches (anything with ``len`` and ``clear``), used by
+      the shared cache plumbing.
 
     Args:
         cache_limit: Maximum number of entries per compute cache.  When
@@ -369,18 +370,26 @@ class DDBackend(ABC):
         if len(cache) >= self.cache_limit:
             entries = len(cache)
             cache.clear()
-            self.stats["cache_flushes"] += 1
-            self._cache_counts[name][2] += 1
-            recorder = self._recorder
-            if recorder is not None and recorder.enabled:
-                recorder.count(f"dd.cache.{name}.flush")
-                recorder.event(
-                    "cache_flush",
-                    cache=name,
-                    entries=entries,
-                    limit=self.cache_limit,
-                )
+            self._cache_flushed(name, entries)
         cache[key] = value
+
+    def _cache_flushed(self, name: str, entries: int) -> None:
+        """Account for a wholesale flush of cache ``name`` (``entries`` long).
+
+        Called right after the flush and before the insert that caused
+        it; the arena's C core calls it too.
+        """
+        self.stats["cache_flushes"] += 1
+        self._cache_counts[name][2] += 1
+        recorder = self._recorder
+        if recorder is not None and recorder.enabled:
+            recorder.count(f"dd.cache.{name}.flush")
+            recorder.event(
+                "cache_flush",
+                cache=name,
+                entries=entries,
+                limit=self.cache_limit,
+            )
 
     def clear_caches(self) -> None:
         """Flush all compute caches (unique tables are left intact)."""

@@ -78,13 +78,18 @@ def _build(target: Path) -> None:
             os.unlink(temporary)
 
 
-def _load_from(directory: Path) -> ModuleType:
-    """Import the core from ``directory``, building it there if missing."""
+def target_path(directory: Path) -> Path:
+    """Where the core built from this source, flags and interpreter lives."""
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update(" ".join(FLAGS).encode())
     digest.update(sys.version.encode())
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    target = directory / f"_arena_core.{digest.hexdigest()[:16]}{suffix}"
+    return directory / f"_arena_core.{digest.hexdigest()[:16]}{suffix}"
+
+
+def _load_from(directory: Path) -> ModuleType:
+    """Import the core from ``directory``, building it there if missing."""
+    target = target_path(directory)
     if not target.exists():
         directory.mkdir(parents=True, exist_ok=True)
         _build(target)

@@ -629,12 +629,14 @@ class ArtifactStore:
                 yield lease
 
     def _check_fence(self, job_hash: str, fence: dict | None) -> None:
-        """Reject a fenced write whose lease epoch is stale.
+        """Reject a fenced write unless it holds the current lease.
 
         The comparison happens at the store layer so the guarantee
-        survives router failover bugs: whichever process holds the
-        highest-epoch lease wins, and everyone else's checkpoint
-        writes raise :class:`StaleLeaseError`.
+        survives router failover bugs.  A fence passes only when it
+        names the recorded lease's exact owner and epoch, the rule
+        :meth:`LeaseManager.renew` applies: a lease lost and claimed
+        afresh restarts at epoch 1, so "no older than the lease" would
+        let an ex-owner's higher-epoch token through.
         """
         if fence is None:
             return
@@ -642,14 +644,11 @@ class ArtifactStore:
         if lease is None:
             return  # unleased job (or lease lost): nothing to fence
         fence_epoch = int(fence.get("epoch", 0))
-        if lease.epoch > fence_epoch or (
-            lease.epoch == fence_epoch
-            and lease.owner != str(fence.get("owner", ""))
-        ):
+        if lease.epoch != fence_epoch or lease.owner != str(fence.get("owner", "")):
             raise StaleLeaseError(
                 f"checkpoint write for {job_hash[:12]} fenced: lease "
-                f"epoch {lease.epoch} (owner {lease.owner!r}) supersedes "
-                f"writer epoch {fence_epoch} (owner {fence.get('owner')!r})",
+                f"epoch {lease.epoch} (owner {lease.owner!r}) is not the "
+                f"writer's epoch {fence_epoch} (owner {fence.get('owner')!r})",
                 job_hash=job_hash,
                 fence_epoch=fence_epoch,
                 lease_epoch=lease.epoch,

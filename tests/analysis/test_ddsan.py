@@ -117,8 +117,12 @@ class TestPackageAudit:
 
     def test_non_canonical_cached_node(self):
         package = Package()
-        rogue = VNode(0, ((1.0 + 0j, None), (0j, None)))
-        package._vadd_cache["forged"] = (1.0 + 0j, rogue)
+        plus = StateDD.plus_state(2, package)
+        basis = StateDD.basis_state(2, 1, package)
+        package.vadd(plus.edge, basis.edge, 1)
+        assert len(package._vadd_cache) > 0
+        # Emptying the unique table leaves every cached node un-interned.
+        package._vtable.clear()
         problems = audit_package(package)
         assert any("non-canonical" in problem for problem in problems)
         assert audit_package(package, check_caches=False) == []

@@ -409,14 +409,13 @@ class TestMatrixParity:
         # A flush followed by more inserts before the top-level call
         # returns happened inside the recursion, not at its last insert.
         flushes: list[str] = []
-        checked_insert = engine._checked_insert
+        cache_flushed = engine._cache_flushed
 
-        def recording_insert(cache, key, value, name):
-            if len(cache) >= engine.cache_limit:
-                flushes.append(name)
-            checked_insert(cache, key, value, name)
+        def recording_flush(name, entries):
+            flushes.append(name)
+            cache_flushed(name, entries)
 
-        engine._checked_insert = recording_insert
+        engine._cache_flushed = recording_flush
         mid_recursion: set[str] = set()
         for entry, name in (("madd", "madd"), ("multiply_mm", "mm")):
 

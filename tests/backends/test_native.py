@@ -81,11 +81,12 @@ class TestLoader:
     def test_concurrent_builds_install_one_working_file(self, core, tmp_path):
         script = f"""
             from pathlib import Path
-            from repro.dd.backends import native
-            from repro.dd.backends.arena import ArenaBackend
+            from repro.dd.backends import arena, native
 
             module = native._load_from(Path({str(tmp_path)!r}))
-            backend = ArenaBackend()
+            # A backend's state is an object of the core that made it.
+            arena._core = module
+            backend = arena.ArenaBackend()
             weight, node = module.make_vedge(backend, 0, (1 + 0j, None), (0j, None))
             assert weight == 1 and node.index == 0 and backend._v_nodes == [node]
             print("ok")

@@ -145,6 +145,32 @@ class TestFencing:
         )
         assert store.load_checkpoint(HASH_A) == make_checkpoint(HASH_A, 1)
 
+    def test_lost_lease_fences_a_higher_epoch_token(self, store, leases):
+        # A lease at epoch 3 loses its only copy to a flipped bit; the new
+        # owner's forced acquire restarts at epoch 1.  An ex-owner's token
+        # from epoch 2 must not pass for being "newer" than epoch 1.
+        leases.acquire(HASH_A)
+        for owner in ("s1", "s2"):
+            LeaseManager(store, owner=owner, ttl_seconds=30.0).acquire(
+                HASH_A, force=True
+            )
+        assert store.read_lease(HASH_A).epoch == 3
+        path = store.lease_path(HASH_A)
+        with open(path, "r+b") as handle:
+            handle.seek(20)
+            byte = handle.read(1)
+            handle.seek(20)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        fresh = LeaseManager(store, owner="s3", ttl_seconds=30.0)
+        assert fresh.acquire(HASH_A, force=True).epoch == 1
+        with pytest.raises(StaleLeaseError):
+            store.save_checkpoint(
+                HASH_A,
+                make_checkpoint(HASH_A, 1),
+                fence={"owner": "s1", "epoch": 2},
+            )
+        assert store.load_checkpoint(HASH_A) is None
+
     def test_clear_checkpoint_is_fenced_too(self, store, leases):
         lease = leases.acquire(HASH_A)
         store.save_checkpoint(
