@@ -17,8 +17,8 @@ replication invariants from docs/SERVICE.md:
   ``store:`` section (replication factor, quorum, per-replica state).
 * **Scrub heals both replicas** — one ``scrub --repair`` pass after
   the soak re-replicates every artifact back to full replication
-  factor: zero lost objects, every result byte-identical on every
-  replica, read-only mode off.
+  factor: zero lost objects, every result object (document, state and
+  journal) byte-identical on every replica, read-only mode off.
 * **Resumed fidelity is bit-equal** — a checkpoint-resumed run on the
   scrubbed store, with one bit of replica 0's recorded
   ``next_op_index`` flipped so that the damaged copy reads as the
@@ -58,7 +58,13 @@ from repro.service.engine import execute_job
 from repro.service.jobs import JobSpec
 from repro.service.lease import LeaseManager
 from repro.service.replication import ReplicatedStore
-from repro.service.store import CHECKPOINT_FILE, ArtifactStore
+from repro.service.store import (
+    CHECKPOINT_FILE,
+    JOURNAL_FILE,
+    RESULT_FILE,
+    STATE_FILE,
+    ArtifactStore,
+)
 
 CIRCUITS = (
     "builtin:shor_15_2",
@@ -76,6 +82,9 @@ ACCEPTABLE_FINAL = {"completed", "deadline"}
 RETRYABLE = {"shed", "quota", "rate_limited", "store_degraded"}
 
 EXIT_DRAINED = 5
+
+#: The files of a stored result object.
+RESULT_FILES = (RESULT_FILE, STATE_FILE, JOURNAL_FILE)
 
 #: The replica the fault plan bitrots and the one it takes down.
 BITROT_REPLICA = 1
@@ -157,6 +166,13 @@ def _raise_number(path: str, key: str) -> None:
 def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _read_or_none(path: str) -> bytes | None:
+    try:
+        return _read_bytes(path)
+    except FileNotFoundError:
+        return None
 
 
 def _tail(path: str, lines: int = 30) -> None:
@@ -372,8 +388,10 @@ def main() -> int:
             f"({[r.get('state') for r in status.get('replicas', [])]})",
         )
 
-        # Full replication factor: every completed job's result is
-        # byte-identical on every replica (including the wiped one).
+        # Full replication factor: every completed job's result object
+        # (document, state and journal) is byte-identical on every
+        # replica (including the wiped one), and its copies verify.
+        # Bytes first: the verifying read would read-repair a copy.
         divergent: list[str] = []
         completed_hashes = sorted(
             {
@@ -383,19 +401,26 @@ def main() -> int:
             }
         )
         for job_hash in completed_hashes:
-            canonical = store.load_result(job_hash)
-            for index, replica in enumerate(store.replicas):
-                try:
-                    copy = replica.load_result(job_hash)
-                except Exception as error:  # noqa: BLE001 - report all
-                    divergent.append(
-                        f"{job_hash[:12]} replica {index}: {error}"
-                    )
-                    continue
-                if copy != canonical:
-                    divergent.append(
-                        f"{job_hash[:12]} replica {index}: differs"
-                    )
+            copies = [
+                [
+                    _read_or_none(os.path.join(replica.result_dir(job_hash), name))
+                    for name in RESULT_FILES
+                ]
+                for replica in store.replicas
+            ]
+            for index, copy in enumerate(copies):
+                for name, data, first in zip(
+                    RESULT_FILES, copy, copies[0], strict=True
+                ):
+                    if data != first:
+                        divergent.append(
+                            f"{job_hash[:12]} replica {index}: {name} "
+                            f"differs from replica 0"
+                        )
+            try:
+                store.load_result(job_hash)  # verifies every copy
+            except Exception as error:  # noqa: BLE001 - report all
+                divergent.append(f"{job_hash[:12]}: {error}")
         check(
             not divergent,
             f"every result at full replication factor "

@@ -726,12 +726,15 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
                 print(f"  {entry['name']}: {detail}")
         return 0
     if args.jobs_command == "show":
+        from .faults import ArtifactIntegrityError
+
         try:
             job_hash = store.resolve_prefix(args.job_hash)
-        except KeyError as error:
+            document = store.load_result(job_hash)
+            journal = store.read_journal(job_hash)
+        except (KeyError, ArtifactIntegrityError) as error:
             print(f"error: {error.args[0]}", file=sys.stderr)
             return 1
-        document = store.load_result(job_hash)
         stats = document.get("stats", {})
         spec = document.get("spec", {})
         print(f"job      {job_hash}")
@@ -750,7 +753,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         print(f"runtime  {stats.get('runtime_seconds', 0.0):.2f}s")
         if document.get("resumed_at"):
             print(f"resumed  from op {document['resumed_at']}")
-        journal = store.read_journal(job_hash)
         if journal:
             ops = sum(1 for row in journal if row.get("event") == "op")
             print(f"journal  {len(journal)} rows ({ops} op records)")

@@ -748,47 +748,67 @@ owned(PyObject *nodes, PyObject *node)
            PyList_GET_ITEM(nodes, index) == node;
 }
 
-/* The node's `index` as a table id. */
+/* The node's `index` as a table id.  Returns 1 when `node` is the live
+ * slot of `nodes` that the id names, 0 for a node that is not (its id
+ * may name another node, so it neither hits nor fills a cache entry),
+ * -1 on error. */
 static int
-node_id(PyObject *node, Py_ssize_t offset, int32_t *id)
+node_id(PyObject *nodes, PyObject *node, Py_ssize_t offset, int32_t *id)
 {
     PyObject *index = node_index(node, offset);
     long value;
     if (index == NULL || ((value = PyLong_AsLong(index)) == -1 && PyErr_Occurred())) {
         return -1;
     }
-    if (value < INT32_MIN || value > INT32_MAX) {
+    if (value < 0 || value >= PyList_GET_SIZE(nodes) || PyList_GET_ITEM(nodes, value) != node) {
+        return 0;
+    }
+    if (value > INT32_MAX) {
         PyErr_SetString(PyExc_OverflowError, "node index out of range");
         return -1;
     }
     *id = (int32_t)value;
-    return 0;
+    return 1;
 }
 
-/* The mv/mm/inner cache key of two nodes. */
+/* The mv/mm/inner cache key of node `a` of arena list `as` and node `b`
+ * of `bs`: 1 when both are arena nodes, 0 when the pair is uncacheable,
+ * -1 on error. */
 static int
-pair_key(PairKey *key, PyObject *a, Py_ssize_t a_off, PyObject *b, Py_ssize_t b_off)
+pair_key(PairKey *key, PyObject *as, PyObject *a, Py_ssize_t a_off, PyObject *bs, PyObject *b,
+         Py_ssize_t b_off)
 {
-    if (node_id(a, a_off, &key->id[0]) < 0 || node_id(b, b_off, &key->id[1]) < 0) {
-        return -1;
+    int rc = node_id(as, a, a_off, &key->id[0]);
+    if (rc > 0) {
+        rc = node_id(bs, b, b_off, &key->id[1]);
     }
-    key->pad = 0;
-    key->hash = ids_hash(key, NULL);
-    return 0;
+    if (rc > 0) {
+        key->pad = 0;
+        key->hash = ids_hash(key, NULL);
+    }
+    return rc;
 }
 
-/* The vadd/madd cache key of two nodes and the ratio of their weights. */
+/* The vadd/madd cache key of two nodes of arena list `nodes` and the
+ * ratio of their weights; returns as pair_key.  The ratio is bucketed
+ * for every pair, so a non-finite one raises alike. */
 static int
-add_key(AddKey *key, PyObject *a, PyObject *b, Py_ssize_t off, Py_complex ratio, double inv)
+add_key(AddKey *key, PyObject *nodes, PyObject *a, PyObject *b, Py_ssize_t off,
+        Py_complex ratio, double inv)
 {
     double parts[2] = {ratio.real, ratio.imag};
-    if (node_id(a, off, &key->ids.id[0]) < 0 || node_id(b, off, &key->ids.id[1]) < 0 ||
-        buckets(parts, 2, inv, key->ratio) < 0) {
+    int rc = node_id(nodes, a, off, &key->ids.id[0]);
+    if (rc > 0) {
+        rc = node_id(nodes, b, off, &key->ids.id[1]);
+    }
+    if (rc < 0 || buckets(parts, 2, inv, key->ratio) < 0) {
         return -1;
     }
-    key->ids.pad = 0;
-    key->ids.hash = ids_hash(&key->ids, key->ratio);
-    return 0;
+    if (rc > 0) {
+        key->ids.pad = 0;
+        key->ids.hash = ids_hash(&key->ids, key->ratio);
+    }
+    return rc;
 }
 
 /* Hold a node read from a cache or a unique table for the rest of the
@@ -881,6 +901,9 @@ cache_put_edge(Ctx *c, int which, const void *key, size_t size, size_t key_size,
     EdgeValue *value;
     PyObject *old;
     int fresh;
+    if (key == NULL) {
+        return 0; /* an operand is not an arena node */
+    }
     if (cache_room(c, which) < 0) {
         return -1;
     }
@@ -897,6 +920,9 @@ static int
 cache_put_inner(Ctx *c, const PairKey *key, Py_complex total)
 {
     int fresh;
+    if (key == NULL) {
+        return 0; /* an operand is not an arena node */
+    }
     if (cache_room(c, T_INNER) < 0) {
         return -1;
     }
@@ -1490,7 +1516,7 @@ vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
     Py_complex ratio;
     AddKey key;
     char *slot;
-    int rc;
+    int rc, cached;
 
     if (IS_ZERO(e1.w)) {
         *out = e2;
@@ -1516,10 +1542,10 @@ vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         return -1;
     }
     if (c_quot(e2.w, e1.w, &ratio) < 0 ||
-        add_key(&key, e1.n, e2.n, v_index_off, ratio, c->inv) < 0) {
+        (cached = add_key(&key, c->st->v_nodes, e1.n, e2.n, v_index_off, ratio, c->inv)) < 0) {
         return -1;
     }
-    slot = lookup(c->st->tables[T_VADD], &key, sizeof(AddEntry), sizeof(AddKey));
+    slot = cached ? lookup(c->st->tables[T_VADD], &key, sizeof(AddEntry), sizeof(AddKey)) : NULL;
     if (slot != NULL) {
         EdgeValue hit = ((AddEntry *)slot)->value;
         c->counts[T_VADD][0]++;
@@ -1534,7 +1560,7 @@ vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
     if (Py_EnterRecursiveCall(" in vadd")) {
         return -1;
     }
-    rc = vadd_miss(c, e1, e2, ratio, level, &key, out);
+    rc = vadd_miss(c, e1, e2, ratio, level, cached ? &key : NULL, out);
     Py_LeaveRecursiveCall();
     return rc;
 }
@@ -1593,7 +1619,7 @@ mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
 {
     PairKey key;
     char *slot;
-    int rc;
+    int rc, cached;
 
     if (IS_ZERO(me.w) || IS_ZERO(ve.w)) {
         *out = ZERO;
@@ -1608,10 +1634,11 @@ mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mv reached a terminal above level 0");
         return -1;
     }
-    if (pair_key(&key, me.n, m_index_off, ve.n, v_index_off) < 0) {
+    if ((cached = pair_key(&key, c->st->m_nodes, me.n, m_index_off, c->st->v_nodes, ve.n,
+                           v_index_off)) < 0) {
         return -1;
     }
-    slot = lookup(c->st->tables[T_MV], &key, sizeof(PairEntry), sizeof(PairKey));
+    slot = cached ? lookup(c->st->tables[T_MV], &key, sizeof(PairEntry), sizeof(PairKey)) : NULL;
     if (slot != NULL) {
         EdgeValue hit = ((PairEntry *)slot)->value;
         c->counts[T_MV][0]++;
@@ -1626,7 +1653,7 @@ mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
     if (Py_EnterRecursiveCall(" in multiply_mv")) {
         return -1;
     }
-    rc = mv_miss(c, me, ve, level, &key, out);
+    rc = mv_miss(c, me, ve, level, cached ? &key : NULL, out);
     Py_LeaveRecursiveCall();
     return rc;
 }
@@ -1673,7 +1700,7 @@ inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
 {
     PairKey key;
     char *slot;
-    int rc;
+    int rc, cached;
     if (level < 0) {
         out->real = 1.0;
         out->imag = 0.0;
@@ -1683,10 +1710,12 @@ inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
         PyErr_SetString(PyExc_TypeError, "inner product reached a terminal above level 0");
         return -1;
     }
-    if (pair_key(&key, n1, v_index_off, n2, v_index_off) < 0) {
+    if ((cached = pair_key(&key, c->st->v_nodes, n1, v_index_off, c->st->v_nodes, n2,
+                           v_index_off)) < 0) {
         return -1;
     }
-    slot = lookup(c->st->tables[T_INNER], &key, sizeof(InnerEntry), sizeof(PairKey));
+    slot = cached ? lookup(c->st->tables[T_INNER], &key, sizeof(InnerEntry), sizeof(PairKey))
+                  : NULL;
     if (slot != NULL) {
         c->counts[T_INNER][0]++;
         *out = ((InnerEntry *)slot)->value;
@@ -1696,7 +1725,7 @@ inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
     if (Py_EnterRecursiveCall(" in the inner product")) {
         return -1;
     }
-    rc = inner_miss(c, n1, n2, level, &key, out);
+    rc = inner_miss(c, n1, n2, level, cached ? &key : NULL, out);
     Py_LeaveRecursiveCall();
     return rc;
 }
@@ -1905,7 +1934,7 @@ madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
     Py_complex ratio;
     AddKey key;
     char *slot;
-    int rc;
+    int rc, cached;
 
     if (IS_ZERO(e1.w)) {
         *out = e2;
@@ -1931,10 +1960,10 @@ madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         return -1;
     }
     if (c_quot(e2.w, e1.w, &ratio) < 0 ||
-        add_key(&key, e1.n, e2.n, m_index_off, ratio, c->inv) < 0) {
+        (cached = add_key(&key, c->st->m_nodes, e1.n, e2.n, m_index_off, ratio, c->inv)) < 0) {
         return -1;
     }
-    slot = lookup(c->st->tables[T_MADD], &key, sizeof(AddEntry), sizeof(AddKey));
+    slot = cached ? lookup(c->st->tables[T_MADD], &key, sizeof(AddEntry), sizeof(AddKey)) : NULL;
     if (slot != NULL) {
         EdgeValue hit = ((AddEntry *)slot)->value;
         c->counts[T_MADD][0]++;
@@ -1949,7 +1978,7 @@ madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
     if (Py_EnterRecursiveCall(" in madd")) {
         return -1;
     }
-    rc = madd_miss(c, e1, e2, ratio, level, &key, out);
+    rc = madd_miss(c, e1, e2, ratio, level, cached ? &key : NULL, out);
     Py_LeaveRecursiveCall();
     return rc;
 }
@@ -2016,7 +2045,7 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
 {
     PairKey key;
     char *slot;
-    int rc;
+    int rc, cached;
 
     if (IS_ZERO(a.w) || IS_ZERO(b.w)) {
         *out = ZERO;
@@ -2031,10 +2060,11 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mm reached a terminal above level 0");
         return -1;
     }
-    if (pair_key(&key, a.n, m_index_off, b.n, m_index_off) < 0) {
+    if ((cached = pair_key(&key, c->st->m_nodes, a.n, m_index_off, c->st->m_nodes, b.n,
+                           m_index_off)) < 0) {
         return -1;
     }
-    slot = lookup(c->st->tables[T_MM], &key, sizeof(PairEntry), sizeof(PairKey));
+    slot = cached ? lookup(c->st->tables[T_MM], &key, sizeof(PairEntry), sizeof(PairKey)) : NULL;
     if (slot != NULL) {
         EdgeValue hit = ((PairEntry *)slot)->value;
         c->counts[T_MM][0]++;
@@ -2049,7 +2079,7 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
     if (Py_EnterRecursiveCall(" in multiply_mm")) {
         return -1;
     }
-    rc = mm_miss(c, a, b, level, &key, out);
+    rc = mm_miss(c, a, b, level, cached ? &key : NULL, out);
     Py_LeaveRecursiveCall();
     return rc;
 }

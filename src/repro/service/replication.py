@@ -19,34 +19,33 @@ sees it), which admission control surfaces by shedding new work
 instead of accepting jobs whose artifacts could not be durably
 persisted.  The next successful quorum write clears the marker.
 
-**Read-any-verify-repair.**  Reads try replicas in order; an
-integrity-block mismatch or missing copy falls through to the next
-replica and — when a healthy copy is found — triggers **read-repair**:
-the corrupt copy is quarantined for forensics and the healthy bytes
-are re-replicated in its place.  Checkpoints and leases are ordered
-documents, so their reads consult *all* replicas and pick the newest
-rather than the first — a stale checkpoint replayed after failover
-would corrupt the Lemma-1 fidelity ledger, and a stale lease epoch
-would un-fence a dead owner.  One read, :meth:`ReplicatedStore._newest`,
-does this for both: every copy is verified before it is compared, the
-freshest verified copy wins (highest ``(next_op_index,
-elapsed_seconds)`` / ``(epoch, expires_at)``), and every other copy is
-quarantined if corrupt and rewritten from it.  A bit flip that raises
-one copy's op index or epoch therefore makes that copy corrupt, not
-newest.
+**Read-all, verify, repair.**  Every read of a result, checkpoint or
+lease consults *all* replicas through one read,
+:meth:`ReplicatedStore._newest`: each copy is verified before it is
+compared, the freshest verified copy wins, and every other copy is
+quarantined if corrupt and rewritten from it (**read-repair**).
+Checkpoints and leases are ordered documents, so freshness matters — a
+stale checkpoint replayed after failover would corrupt the Lemma-1
+fidelity ledger, and a stale lease epoch would un-fence a dead owner —
+and the winner is the highest ``(next_op_index, elapsed_seconds)`` /
+``(epoch, expires_at)``.  A bit flip that raises one copy's op index or
+epoch therefore makes that copy corrupt, not newest.  A result object
+is immutable, so any verified copy wins; its copy is verified by the
+plain store's rule (the document's CRC, the state's and journal's
+recorded SHA-256) and ``load_result``, ``load_state`` and
+``read_journal`` are then served from it.
 
 **Anti-entropy.**  :meth:`scrub` runs every result, checkpoint and lease
-on every replica through that same read (a result is immutable, so any
-verified copy is newest), quarantining bitrot/torn copies and
-re-replicating healthy bytes until the target replication factor holds
-again (``repro-sim store scrub/repair/status``).
+on every replica through that same read, quarantining bitrot/torn
+copies and re-replicating healthy bytes until the target replication
+factor holds again (``repro-sim store scrub/repair/status``).
 
 Fault injection: every delegated replica operation visits the
 ``store.replica`` site — before reads, after writes (so file kinds see
 the written bytes) — with ``replica=<index>``/``op=<method>`` context;
-pair with a rule's ``match`` to break exactly one replica.  Scrubbing
-itself does not visit the site: it is the repair tool, not the system
-under test.
+pair with a rule's ``match`` to break exactly one replica.  The three
+result reads visit it as ``op="load_result"``.  Scrubbing itself does
+not visit the site: it is the repair tool, not the system under test.
 """
 
 from __future__ import annotations
@@ -151,18 +150,21 @@ def _verified_result(
 ) -> ArtifactStore | None:
     """``replica`` when its copy of a result object verifies, else None.
 
+    Checks the bytes of all three files by the plain store's read rule
+    (the document's CRC, the state's and journal's recorded SHA-256)
+    without deserializing the state.
+
     Raises:
         ArtifactIntegrityError: When the copy is incomplete or fails
-            verification (document, state and journal).
+            verification.
     """
     directory = replica.result_dir(job_hash)
     if not os.path.isdir(directory):
         return None
     try:
-        replica.load_result(job_hash)
-        if os.path.exists(os.path.join(directory, STATE_FILE)):
-            replica.load_state(job_hash)
-        replica.read_journal(job_hash, repair=True)
+        document = replica.load_result(job_hash)
+        for name in (STATE_FILE, JOURNAL_FILE):
+            replica._checked_bytes(job_hash, document, name)
     except (KeyError, OSError) as error:
         raise ArtifactIntegrityError(
             f"result for {job_hash[:12]} is incomplete or unreadable: "
@@ -537,95 +539,29 @@ class ReplicatedStore(ArtifactStore):
         )
         return self.result_dir(job_hash)
 
-    def _read_any(
-        self,
-        op: str,
-        job_hash: str,
-        read: Callable[[ArtifactStore], object],
-        read_path: Callable[[ArtifactStore], str],
-    ) -> object:
-        """Try replicas in order; repair the broken ones from a winner.
+    def _result_copy(self, job_hash: str) -> ArtifactStore:
+        """A replica holding a verified copy of the result object.
 
-        ``read`` must raise KeyError for a missing artifact and
-        :class:`ArtifactIntegrityError` for a corrupt one; every
-        replica that failed before the winner gets the winner's result
-        object (:func:`_copy_result`).
+        Every copy is checked (:meth:`_newest`); the corrupt and missing
+        ones are repaired from the winner.
+
+        Raises:
+            KeyError: When no replica holds the result.
+            ArtifactIntegrityError: When no copy verifies.
         """
-        corrupt_error: ArtifactIntegrityError | None = None
-        broken: list[int] = []
-        for index, replica in enumerate(self.replicas):
-            if not self._readable(index, op, job_hash, read_path(replica)):
-                broken.append(index)
-                continue
-            try:
-                value = read(replica)
-            except KeyError:
-                broken.append(index)
-                continue
-            except ArtifactIntegrityError as error:
-                corrupt_error = error
-                self._mark(index, HEALTH_DEGRADED)
-                broken.append(index)
-                continue
-            if broken:
-                for target in broken:
-                    try:
-                        _copy_result(replica, self.replicas[target], job_hash)
-                        self.repairs += 1
-                        self._mark(target, HEALTH_OK)
-                    except OSError:
-                        self._mark(target, HEALTH_DEGRADED)
-                obs = get_recorder()
-                if obs.enabled:
-                    obs.count("store.read_repairs", len(broken))
-            return value
-        if corrupt_error is not None:
-            raise corrupt_error
-        raise KeyError(f"no stored result for {job_hash}")
+        replica = self._newest(_RESULT, job_hash)
+        if replica is None:
+            raise KeyError(f"no stored result for {job_hash}")
+        return replica
 
-    def load_result(self, job_hash: str, verify: bool = True) -> dict:
-        value = self._read_any(
-            "load_result",
-            job_hash,
-            lambda replica: replica.load_result(job_hash, verify=verify),
-            lambda replica: os.path.join(
-                replica.result_dir(job_hash), RESULT_FILE
-            ),
-        )
-        assert isinstance(value, dict)
-        return value
+    def load_result(self, job_hash: str) -> dict:
+        return self._result_copy(job_hash).load_result(job_hash)
 
-    def load_state(self, job_hash, package=None, verify: bool = True):
-        return self._read_any(
-            "load_state",
-            job_hash,
-            lambda replica: replica.load_state(
-                job_hash, package=package, verify=verify
-            ),
-            lambda replica: os.path.join(
-                replica.result_dir(job_hash), STATE_FILE
-            ),
-        )
+    def load_state(self, job_hash, package=None):
+        return self._result_copy(job_hash).load_state(job_hash, package)
 
-    def read_journal(self, job_hash: str, repair: bool = True) -> list[dict]:
-        last_integrity: ArtifactIntegrityError | None = None
-        for index, replica in enumerate(self.replicas):
-            path = os.path.join(
-                replica.result_dir(job_hash), JOURNAL_FILE
-            )
-            if not self._readable(index, "read_journal", job_hash, path):
-                continue
-            if not os.path.exists(path):
-                continue  # absent here; another replica may have it
-            try:
-                return replica.read_journal(job_hash, repair=repair)
-            except ArtifactIntegrityError as error:
-                last_integrity = error
-                self._mark(index, HEALTH_DEGRADED)
-                continue
-        if last_integrity is not None:
-            raise last_integrity
-        return []
+    def read_journal(self, job_hash: str) -> list[dict]:
+        return self._result_copy(job_hash).read_journal(job_hash)
 
     def _union(
         self, listing: Callable[[ArtifactStore], Iterable[str]]
@@ -758,7 +694,7 @@ class ReplicatedStore(ArtifactStore):
         return self._union(ArtifactStore._lease_hashes)
 
     # ------------------------------------------------------------------
-    # Newest-copy reads (checkpoints and leases)
+    # Newest-copy reads (results, checkpoints and leases)
     # ------------------------------------------------------------------
 
     def _newest(
@@ -770,18 +706,22 @@ class ReplicatedStore(ArtifactStore):
         corrupt, never newest.  Every copy less fresh than the winner
         (corrupt, missing or stale) is rewritten from it, a corrupt one
         quarantined first.  A live read visits the ``store.replica``
-        fault site; a scrub passes its ``report`` instead, which gets
-        the problems and counts and says whether to repair.  Raises the
-        kind's :class:`ArtifactIntegrityError` when no copy verifies.
+        fault site and leaves a replica it cannot reach alone, neither
+        compared nor rewritten; a scrub passes its ``report`` instead,
+        which gets the problems and counts and says whether to repair.
+        Raises the kind's :class:`ArtifactIntegrityError` when no copy
+        verifies.
         """
         copies: list[Any] = []
         corrupt: set[int] = set()
+        unreachable: set[int] = set()
         error: ArtifactIntegrityError | None = None
         for index, replica in enumerate(self.replicas):
             copies.append(None)
             if report is None and not self._readable(
                 index, kind.op, job_hash, kind.path(replica, job_hash)
             ):
+                unreachable.add(index)
                 continue
             try:
                 copies[index] = kind.read(replica, job_hash)
@@ -797,7 +737,9 @@ class ReplicatedStore(ArtifactStore):
         best = max(verified, key=kind.freshness)
         newest = kind.freshness(best)
         for index, copy in enumerate(copies):
-            if copy is not None and kind.freshness(copy) == newest:
+            if index in unreachable or (
+                copy is not None and kind.freshness(copy) == newest
+            ):
                 continue
             if report is not None:
                 state = (

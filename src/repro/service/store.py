@@ -22,12 +22,14 @@ file goes into a same-filesystem staging directory which is then
 all, so a crash between file writes can never leave a half-artifact
 that reads as a cache hit.  ``result.json`` embeds an ``integrity``
 block (SHA-256 of the state and journal bytes, CRC-32 of the document
-itself); loads verify it and raise
-:class:`~repro.faults.errors.ArtifactIntegrityError` on mismatch, which
-callers handle by quarantining the object (move aside, keep for
-forensics) and recomputing.  Truncated journals are repaired in place
-by dropping the torn tail line — the only damage an interrupted append
-can cause.
+itself).  Every read verifies by one rule: :meth:`load_result` checks
+the CRC and requires the block, and :meth:`load_state` and
+:meth:`read_journal` check their file's bytes against the SHA-256
+recorded in that verified document — a file that is missing, present
+without a recorded hash, short or edited is corrupt.  A failure raises
+:class:`~repro.faults.errors.ArtifactIntegrityError`, which callers
+handle by quarantining the object (move aside, keep for forensics) and
+recomputing.
 
 The store owns the checkpoint document: :meth:`save_checkpoint` takes a
 :class:`~repro.service.checkpoint.Checkpoint` and encodes it once (one
@@ -85,6 +87,9 @@ CHECKPOINT_FILE = "latest.json"
 
 #: Key under which result documents carry their checksums.
 INTEGRITY_KEY = "integrity"
+
+#: The integrity-block key recording each sibling file's SHA-256.
+_RECORDED_HASH = {STATE_FILE: "state_sha256", JOURNAL_FILE: "journal_sha256"}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -247,13 +252,14 @@ class ArtifactStore:
             f"could not promote {staging!r}: rename race persisted"
         )
 
-    def load_result(self, job_hash: str, verify: bool = True) -> dict:
-        """Load a result document, verifying its embedded checksum.
+    def load_result(self, job_hash: str) -> dict:
+        """Load a result document, verifying its integrity block.
 
         Raises:
             KeyError: When no result exists for the hash.
-            ArtifactIntegrityError: When the document is unparsable or
-                fails its CRC (callers should quarantine + recompute).
+            ArtifactIntegrityError: When the document is unparsable, has
+                no integrity block or fails its CRC (callers should
+                quarantine + recompute).
         """
         path = os.path.join(self.result_dir(job_hash), RESULT_FILE)
         if not os.path.exists(path):
@@ -268,126 +274,101 @@ class ArtifactStore:
                     f"JSON: {error}",
                     path=path,
                 ) from error
-        if verify and INTEGRITY_KEY in document:
-            integrity = dict(document[INTEGRITY_KEY])
-            expected = integrity.pop("doc_crc32", None)
-            actual = _doc_crc(
-                {
-                    **{
-                        k: v
-                        for k, v in document.items()
-                        if k != INTEGRITY_KEY
-                    },
-                    INTEGRITY_KEY: integrity,
-                }
+        integrity = (
+            document.get(INTEGRITY_KEY) if isinstance(document, dict) else None
+        )
+        if not isinstance(integrity, dict) or "doc_crc32" not in integrity:
+            raise ArtifactIntegrityError(
+                f"result document for {job_hash[:12]} has no integrity "
+                f"block",
+                path=path,
             )
-            if expected is not None and actual != expected:
-                raise ArtifactIntegrityError(
-                    f"result document for {job_hash[:12]} fails its "
-                    f"CRC-32 (stored {expected}, computed {actual})",
-                    path=path,
-                )
+        covered = {k: v for k, v in integrity.items() if k != "doc_crc32"}
+        expected = integrity["doc_crc32"]
+        actual = _doc_crc({**document, INTEGRITY_KEY: covered})
+        if actual != expected:
+            raise ArtifactIntegrityError(
+                f"result document for {job_hash[:12]} fails its "
+                f"CRC-32 (stored {expected}, computed {actual})",
+                path=path,
+            )
         return document
 
+    def _checked_bytes(
+        self, job_hash: str, document: dict, name: str
+    ) -> bytes | None:
+        """The bytes of a result object's state or journal file.
+
+        ``document`` is the object's verified result document; the file
+        must match the SHA-256 it records.  Returns None when the object
+        has no such file and records none.
+
+        Raises:
+            ArtifactIntegrityError: When the file is missing, has no
+                recorded hash, or fails its SHA-256 check.
+        """
+        expected = document[INTEGRITY_KEY].get(_RECORDED_HASH[name])
+        path = os.path.join(self.result_dir(job_hash), name)
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            if expected is None:
+                return None
+            raise ArtifactIntegrityError(
+                f"{name} of {job_hash[:12]} is missing", path=path
+            ) from None
+        if expected is None:
+            raise ArtifactIntegrityError(
+                f"{name} of {job_hash[:12]} has no recorded SHA-256",
+                path=path,
+            )
+        if sha256(raw).hexdigest() != expected:
+            raise ArtifactIntegrityError(
+                f"{name} of {job_hash[:12]} fails its SHA-256 check",
+                path=path,
+            )
+        return raw
+
     def load_state(
-        self,
-        job_hash: str,
-        package: Package | None = None,
-        verify: bool = True,
+        self, job_hash: str, package: Package | None = None
     ) -> StateDD:
         """Rehydrate the stored final-state diagram of a job.
 
-        When the result document records a state checksum, the file
-        bytes are verified against it before deserialization.
+        The file bytes are verified against the SHA-256 the result
+        document records before deserialization.
 
         Raises:
-            KeyError: When the job has no stored state artifact.
-            ArtifactIntegrityError: On checksum mismatch.
+            KeyError: When the job has no stored result or no state.
+            ArtifactIntegrityError: When the result document or the
+                state file fails verification.
         """
-        path = os.path.join(self.result_dir(job_hash), STATE_FILE)
-        if not os.path.exists(path):
+        raw = self._checked_bytes(
+            job_hash, self.load_result(job_hash), STATE_FILE
+        )
+        if raw is None:
             raise KeyError(f"no stored state for {job_hash}")
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        if verify:
-            expected = self._recorded_hash(job_hash, "state_sha256")
-            if expected is not None and sha256(raw).hexdigest() != expected:
-                raise ArtifactIntegrityError(
-                    f"state artifact for {job_hash[:12]} fails its "
-                    f"SHA-256 check",
-                    path=path,
-                )
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ArtifactIntegrityError(
-                f"state artifact for {job_hash[:12]} is unreadable: "
-                f"{error}",
-                path=path,
-            ) from error
-        return state_from_dict(document, package)
+        return state_from_dict(json.loads(raw), package)
 
-    def _recorded_hash(self, job_hash: str, key: str) -> str | None:
-        """The checksum the result document records for a sibling file."""
-        try:
-            document = self.load_result(job_hash, verify=False)
-        except (KeyError, ArtifactIntegrityError):
-            return None
-        integrity = document.get(INTEGRITY_KEY)
-        if not isinstance(integrity, dict):
-            return None
-        value = integrity.get(key)
-        return value if isinstance(value, str) else None
+    def read_journal(self, job_hash: str) -> list[dict]:
+        """Read the run journal rows (empty list when the job has none).
 
-    def read_journal(self, job_hash: str, repair: bool = True) -> list[dict]:
-        """Read the run journal rows (empty list when absent).
+        The file bytes are verified against the SHA-256 the result
+        document records.  :meth:`put_result` writes the journal whole,
+        so a short or edited journal is damage, never an interrupted
+        append.
 
-        A torn tail line — the only damage an interrupted append can
-        cause — is dropped, and with ``repair`` the file is rewritten
-        without it.  Corruption *before* the tail raises
-        :class:`ArtifactIntegrityError`.
+        Raises:
+            KeyError: When the job has no stored result.
+            ArtifactIntegrityError: When the result document or the
+                journal fails verification.
         """
-        path = os.path.join(self.result_dir(job_hash), JOURNAL_FILE)
-        if not os.path.exists(path):
+        raw = self._checked_bytes(
+            job_hash, self.load_result(job_hash), JOURNAL_FILE
+        )
+        if raw is None:
             return []
-        with open(path, "rb") as handle:
-            lines = handle.readlines()
-        rows = []
-        torn_at: int | None = None
-        for index, raw in enumerate(lines):
-            problem: Exception
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as error:
-                problem = error
-            else:
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                    continue
-                except json.JSONDecodeError as error:
-                    problem = error
-            if any(rest.strip() for rest in lines[index + 1:]):
-                raise ArtifactIntegrityError(
-                    f"journal for {job_hash[:12]} is corrupt at "
-                    f"line {index + 1}: {problem}",
-                    path=path,
-                ) from problem
-            torn_at = index
-            break
-        if torn_at is not None and repair:
-            # Every line before the torn one decoded cleanly above.
-            _atomic_write(path, b"".join(lines[:torn_at]).decode("utf-8"))
-            obs = get_recorder()
-            if obs.enabled:
-                obs.count("store.journal_repairs")
-                obs.event(
-                    "journal_repair",
-                    job=job_hash[:12],
-                    dropped_line=torn_at + 1,
-                )
-        return rows
+        return [json.loads(line) for line in raw.splitlines()]
 
     def _result_hashes(self) -> list[str]:
         """The job hashes with an object directory, verified or not."""
@@ -413,12 +394,15 @@ class ArtifactStore:
     def resolve_prefix(self, prefix: str) -> str:
         """Expand a unique hash prefix to the full hash.
 
+        Matches every stored object, verified or not, so a damaged
+        result resolves and its read reports the damage.
+
         Raises:
             KeyError: When the prefix matches zero or several results.
         """
         matches = [
             job_hash
-            for job_hash, _doc in self.iter_results()
+            for job_hash in self._result_hashes()
             if job_hash.startswith(prefix)
         ]
         if len(matches) == 1:

@@ -16,6 +16,7 @@ import pytest
 from repro.circuits.circuit import Operation
 from repro.circuits.lowering import operation_to_medge
 from repro.dd import ctable
+from repro.dd.node import VNode
 from repro.dd.package import Package
 
 BACKENDS = ("reference", "arena")
@@ -97,6 +98,25 @@ def test_non_finite_ratio_bucket_raises_alike(operation, w1, w2):
         raised[backend] = _raised(call, (w1, a), (w2, b), 0)
     assert raised["reference"] in (OverflowError, ValueError)
     assert raised["arena"] is raised["reference"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_foreign_nodes_neither_hit_nor_fill_a_cache_entry(backend):
+    # Two hand-built leaves outside any arena share the index -1, so an
+    # id-keyed cache would serve the first sum for the second.
+    package = Package(backend=backend)
+    one = package.make_vedge(0, (0j, None), (1 + 0j, None))[1]
+    zero = VNode(0, ((1 + 0j, None), (0j, None)))
+    tilted = VNode(0, ((0.6 + 0j, None), (0.8 + 0j, None)))
+    assert zero.index == tilted.index == -1
+    first = package.vadd((1 + 0j, zero), (1 + 0j, one), 0)
+    second = package.vadd((1 + 0j, tilted), (1 + 0j, one), 0)
+    assert first[0] == pytest.approx(math.sqrt(2))
+    assert first[1].edges[0][0] == pytest.approx(math.sqrt(0.5))
+    assert second[0] == pytest.approx(math.sqrt(3.6))
+    assert [w for w, _n in second[1].edges] == pytest.approx(
+        [0.6 / math.sqrt(3.6), 1.8 / math.sqrt(3.6)]
+    )
 
 
 def _intern_leaves(package: Package, total: int, stride: int = 1):

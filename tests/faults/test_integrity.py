@@ -1,4 +1,4 @@
-"""Artifact/checkpoint integrity: checksums, atomicity, quarantine, repair."""
+"""Artifact/checkpoint integrity: checksums, atomicity, quarantine."""
 
 from __future__ import annotations
 
@@ -38,6 +38,33 @@ V1_DOCUMENT = (
     '"checksum": '
     '"df78c93d7d86fd33c795880ff0b62142f39f6a460823a13674f891d82253507d"}'
 )
+
+#: A result object (``result.json``, ``state.json``, ``journal.jsonl``)
+#: exactly as the writer stored it: the format every reader must keep
+#: verifying.
+PINNED_OBJECT = {
+    RESULT_FILE: (
+        '{\n  "integrity": {\n    "doc_crc32": 3171601979,\n'
+        '    "journal_sha256": '
+        '"b44091b02d6015e6ce4109ca4c42a16ed624b350e343f108b7de6e7b72daf30e",'
+        '\n    "state_sha256": '
+        '"fa877f72388910aa7f84e3bbb376ca12545f2e628e7a377d364b9d99b3d38dc9"'
+        '\n  },\n  "stats": {\n    "fidelity_estimate": 0.9,\n'
+        '    "max_nodes": 3\n  },\n  "stored_at": 1760000000.5\n}'
+    ),
+    STATE_FILE: (
+        '{"format": "repro-dd-state", "version": 1, "num_qubits": 2, '
+        '"root": {"weight": [0.9999999999999999, 0.0], "node": 2}, '
+        '"nodes": [{"level": 0, "edges": [[[0.0, 0.0], -1], [[1.0, 0.0], '
+        '-1]]}, {"level": 0, "edges": [[[1.0, 0.0], -1], [[0.0, 0.0], '
+        '-1]]}, {"level": 1, "edges": [[[0.7071067811865476, 0.0], 1], '
+        '[[0.7071067811865476, 0.0], 0]]}]}'
+    ),
+    JOURNAL_FILE: (
+        '{"achieved_fidelity": 0.9, "event": "round"}\n'
+        '{"event": "completed"}\n'
+    ),
+}
 
 
 def _spec(**kwargs) -> JobSpec:
@@ -114,6 +141,40 @@ class TestResultVerification:
         with pytest.raises(ArtifactIntegrityError, match="not valid JSON"):
             store.load_result(HASH_A)
 
+    def test_document_without_integrity_block_is_rejected(self, store):
+        # Stripping the block would otherwise switch every check off.
+        store.put_result(HASH_A, {"stats": {"max_nodes": 4}})
+        path = os.path.join(store.result_dir(HASH_A), RESULT_FILE)
+        document = json.loads(open(path, encoding="utf-8").read())
+        del document["integrity"]
+        document["stats"]["max_nodes"] = 99999
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with pytest.raises(ArtifactIntegrityError, match="no integrity"):
+            store.load_result(HASH_A)
+
+    def test_unrecorded_state_is_corrupt(self, store):
+        store.put_result(HASH_A, {"stats": {}})
+        path = os.path.join(store.result_dir(HASH_A), STATE_FILE)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(PINNED_OBJECT[STATE_FILE])
+        with pytest.raises(ArtifactIntegrityError, match="no recorded"):
+            store.load_state(HASH_A)
+
+    def test_object_of_the_earlier_writer_still_verifies(self, store):
+        os.makedirs(store.result_dir(HASH_A))
+        for name, text in PINNED_OBJECT.items():
+            path = os.path.join(store.result_dir(HASH_A), name)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        document = store.load_result(HASH_A)
+        assert document["stats"] == {"fidelity_estimate": 0.9, "max_nodes": 3}
+        assert store.load_state(HASH_A).num_qubits == 2
+        assert store.read_journal(HASH_A) == [
+            {"achieved_fidelity": 0.9, "event": "round"},
+            {"event": "completed"},
+        ]
+
     def test_corrupted_state_fails_its_sha(self, store):
         spec = _spec()
         execute_job(spec, store)
@@ -145,27 +206,58 @@ class TestResultVerification:
         assert stored["fidelity_estimate"] == first.stats["fidelity_estimate"]
 
 
-class TestJournalRepair:
-    def test_torn_tail_is_dropped_and_repaired(self, store):
+class TestJournalVerification:
+    @staticmethod
+    def _put(store) -> str:
         store.put_result(
             HASH_A,
             {"stats": {}},
-            journal_rows=[{"event": "op", "index": 0}],
+            journal_rows=[
+                {"event": "round", "achieved_fidelity": 0.9},
+                {"event": "op", "index": 0},
+            ],
         )
-        path = os.path.join(store.result_dir(HASH_A), JOURNAL_FILE)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "op", "ind')  # interrupted append
-        assert store.read_journal(HASH_A) == [{"event": "op", "index": 0}]
-        # The file itself was rewritten without the torn line.
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read().count("\n") == 1
+        return os.path.join(store.result_dir(HASH_A), JOURNAL_FILE)
+
+    def test_truncated_journal_raises_and_is_left_untouched(self, store):
+        # put_result writes the journal whole through the staging
+        # rename, so a short journal is damage, not an interrupted
+        # append: nothing may rewrite it.
+        path = self._put(store)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 5)
+        damaged = open(path, "rb").read()
+        with pytest.raises(ArtifactIntegrityError, match="SHA-256"):
+            store.read_journal(HASH_A)
+        assert open(path, "rb").read() == damaged
+
+    def test_edited_row_fails_the_sha(self, store):
+        path = self._put(store)
+        text = open(path, encoding="utf-8").read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace("0.9", "0.1"))
+        with pytest.raises(ArtifactIntegrityError, match="SHA-256"):
+            store.read_journal(HASH_A)
 
     def test_mid_file_corruption_raises(self, store):
         store.put_result(HASH_A, {"stats": {}}, journal_rows=[])
         path = os.path.join(store.result_dir(HASH_A), JOURNAL_FILE)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"event": "op"}\n{broken}\n{"event": "end"}\n')
-        with pytest.raises(ArtifactIntegrityError, match="line 2"):
+        with pytest.raises(ArtifactIntegrityError, match="SHA-256"):
+            store.read_journal(HASH_A)
+
+    def test_unrecorded_journal_is_corrupt(self, store):
+        store.put_result(HASH_A, {"stats": {}})
+        path = os.path.join(store.result_dir(HASH_A), JOURNAL_FILE)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"event": "op"}\n')
+        with pytest.raises(ArtifactIntegrityError, match="no recorded"):
+            store.read_journal(HASH_A)
+
+    def test_deleted_journal_is_corrupt(self, store):
+        os.unlink(self._put(store))
+        with pytest.raises(ArtifactIntegrityError, match="missing"):
             store.read_journal(HASH_A)
 
 

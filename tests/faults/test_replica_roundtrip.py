@@ -10,14 +10,19 @@ approximately: the Lemma-1 ledger replays the same rounds in the same
 order, so replication must contribute zero float drift.  The lease read
 shares that read, so the same damage to one replica's lease must leave
 ``read_lease`` returning the healthy lease and every replica byte-equal.
+A stored result (its document, state and journal) is read the same way:
+damage to one replica's copy of any of its files leaves ``load_result``,
+``load_state`` and ``read_journal`` returning the undamaged values.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,11 +30,17 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.fidelity import composed_fidelity  # noqa: E402
+from repro.dd.package import Package  # noqa: E402
 from repro.service.engine import execute_job  # noqa: E402
 from repro.service.jobs import JobSpec  # noqa: E402
 from repro.service.lease import Lease  # noqa: E402
 from repro.service.replication import ReplicatedStore  # noqa: E402
-from repro.service.store import CHECKPOINT_FILE  # noqa: E402
+from repro.service.store import (  # noqa: E402
+    CHECKPOINT_FILE,
+    JOURNAL_FILE,
+    RESULT_FILE,
+    STATE_FILE,
+)
 
 SPEC = JobSpec(
     circuit="builtin:shor_21_2",
@@ -194,5 +205,96 @@ def test_single_replica_lease_damage_round_trip(replica, damage, offset, bit):
         # copy: every replica ends byte-equal.
         assert ReplicatedStore(store.root).read_lease(LEASE.job_hash) == LEASE
         assert [_read_bytes(path) for path in paths] == [healthy] * 3
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _strip_integrity(data: bytes) -> bytes:
+    """The document without its integrity block and with f_final raised."""
+    document = json.loads(data)
+    del document["integrity"]
+    document["stats"]["fidelity_estimate"] = 1.0
+    return json.dumps(document, sort_keys=True, indent=2).encode()
+
+
+#: Whole-file edits no byte-level draw is likely to make; pinned below.
+EDITS = {
+    "strip-integrity": _strip_integrity,
+    # A round's fidelity 0.9 -> 0.1: valid JSON, a different ledger.
+    "0.9->0.1": lambda data: data.replace(b"0.9", b"0.1", 1),
+}
+
+
+def _stored(store, job_hash: str):
+    """What a live read of the result returns (state as amplitudes)."""
+    return (
+        store.load_result(job_hash),
+        store.load_state(job_hash, Package()).to_amplitudes(),
+        store.read_journal(job_hash),
+    )
+
+
+@pytest.fixture(scope="module")
+def result_template(tmp_path_factory):
+    """A completed result on every replica of a 3-replica store."""
+    base = tmp_path_factory.mktemp("result-roundtrip")
+    store = ReplicatedStore.create(
+        str(base / "template"), replicas=3, write_quorum=2
+    )
+    result = execute_job(SPEC.with_overrides(max_seconds=None), store)
+    assert result.status == "completed"
+    reference = _stored(store, result.job_hash)
+    assert b"0.9" in _read_bytes(
+        os.path.join(store.replicas[0].result_dir(result.job_hash), JOURNAL_FILE)
+    )
+    return store.root, result.job_hash, reference
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    replica=st.integers(min_value=0, max_value=2),
+    name=st.sampled_from([RESULT_FILE, STATE_FILE, JOURNAL_FILE]),
+    damage=st.sampled_from(["bitrot", "bitflip", "truncate"]),
+    offset=st.integers(min_value=0, max_value=1 << 15),
+    bit=st.integers(min_value=0, max_value=7),
+)
+# Without its integrity block the document would switch its own checks
+# off; an edited journal row still parses.  Only the recorded CRC and
+# SHA-256 can tell either copy from a healthy one.
+@example(replica=0, name=RESULT_FILE, damage="strip-integrity", offset=0, bit=0)
+@example(replica=0, name=JOURNAL_FILE, damage="0.9->0.1", offset=0, bit=0)
+def test_single_replica_result_damage_round_trip(
+    result_template, replica, name, damage, offset, bit
+):
+    template_root, job_hash, reference = result_template
+    scratch, root = _resume(template_root)
+    try:
+        store = ReplicatedStore(root)
+        paths = {
+            file: [
+                os.path.join(replica_store.result_dir(job_hash), file)
+                for replica_store in store.replicas
+            ]
+            for file in (RESULT_FILE, STATE_FILE, JOURNAL_FILE)
+        }
+        healthy = {file: _read_bytes(files[0]) for file, files in paths.items()}
+        victim = paths[name][replica]
+        if damage in EDITS:
+            with open(victim, "wb") as handle:
+                handle.write(EDITS[damage](healthy[name]))
+        else:
+            _damage(victim, damage, offset, bit)
+        assert _read_bytes(victim) != healthy[name]
+
+        document, amplitudes, journal = _stored(store, job_hash)
+        assert document == reference[0]
+        assert np.array_equal(amplitudes, reference[1])
+        assert journal == reference[2]
+        for file, files in paths.items():
+            assert [_read_bytes(path) for path in files] == [healthy[file]] * 3
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -6,8 +6,12 @@ import json
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from repro.dd.package import Package, default_package
+from repro.dd.serialize import state_to_dict
+from repro.dd.vector import StateDD
 from repro.faults import injector as injector_module
 from repro.faults.errors import LeaseIntegrityError, QuorumLost
 from repro.faults.injector import arm
@@ -46,6 +50,16 @@ def _flip_byte(path: str, offset: int = 16) -> None:
 def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _state_doc(seed: int = 0) -> dict:
+    """A 3-qubit state no other test builds (distinct per ``seed``)."""
+    amplitudes = np.arange(1.0, 9.0) + seed / 7
+    package = Package()
+    state = StateDD.from_amplitudes(
+        amplitudes / np.linalg.norm(amplitudes), package
+    )
+    return state_to_dict(state)
 
 
 def _replica_down(replica: int) -> FaultRule:
@@ -175,6 +189,18 @@ class TestReadRepair:
         arm(FaultPlan(rules=(_replica_down(0),)))
         assert store.load_result(HASH_A)["stats"] == {}
 
+    def test_a_replica_the_read_cannot_reach_is_left_alone(self, store):
+        store.put_result(HASH_A, {"stats": {}})
+        victim = os.path.join(
+            store.replicas[0].result_dir(HASH_A), "result.json"
+        )
+        _flip_byte(victim)
+        damaged = _read_bytes(victim)
+        arm(FaultPlan(rules=(_replica_down(0),)))
+        assert store.load_result(HASH_A)["stats"] == {}
+        assert _read_bytes(victim) == damaged
+        assert not list(store.replicas[0].iter_quarantined())
+
     def test_all_copies_corrupt_raises_integrity_error(self, store):
         from repro.faults.errors import ArtifactIntegrityError
 
@@ -189,6 +215,119 @@ class TestReadRepair:
     def test_missing_result_raises_key_error(self, store):
         with pytest.raises(KeyError):
             store.load_result(HASH_A)
+
+
+def _edit_json(path: str, edit) -> None:
+    """Apply ``edit`` to the JSON document at ``path`` and write it back."""
+    with open(path, encoding="utf-8") as handle:
+        document = json.load(handle)
+    edit(document)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+
+def _strip_integrity(document: dict) -> None:
+    del document["integrity"]
+    document["stats"]["fidelity"] = 0.1
+
+
+JOURNAL = [{"event": "round", "achieved_fidelity": 0.9}, {"event": "end"}]
+FILES = ("result.json", "state.json", "journal.jsonl")
+
+
+class TestResultReads:
+    """Every result read checks every copy by the plain store's rule."""
+
+    def _paths(self, store, name: str) -> list[str]:
+        return [
+            os.path.join(replica.result_dir(HASH_A), name)
+            for replica in store.replicas
+        ]
+
+    def _damaged_replica_0(self, store, name: str, damage) -> list[bytes]:
+        """Put a result, damage replica 0's ``name``; the healthy bytes."""
+        store.put_result(
+            HASH_A,
+            {"stats": {"fidelity": 0.9}},
+            state_doc=_state_doc(),
+            journal_rows=JOURNAL,
+        )
+        healthy = [_read_bytes(self._paths(store, n)[1]) for n in FILES]
+        damage(self._paths(store, name)[0])
+        return healthy
+
+    def _assert_repaired(self, store, healthy: list[bytes]) -> None:
+        for name, data in zip(FILES, healthy, strict=True):
+            assert [_read_bytes(p) for p in self._paths(store, name)] == [
+                data
+            ] * 3
+        assert list(store.replicas[0].iter_quarantined())
+
+    def test_stripped_integrity_block_is_corrupt_not_served(self, store):
+        healthy = self._damaged_replica_0(
+            store,
+            "result.json",
+            lambda path: _edit_json(path, _strip_integrity),
+        )
+        report = store.scrub(repair=False)
+        assert [
+            (problem["kind"], problem["replica"])
+            for problem in report["problems"]
+        ] == [("result_corrupt", 0)]
+        assert store.load_result(HASH_A)["stats"] == {"fidelity": 0.9}
+        self._assert_repaired(store, healthy)
+
+    def test_edited_journal_row_is_corrupt_not_served(self, store):
+        def edit(path: str) -> None:
+            text = _read_bytes(path).replace(b"0.9", b"0.1")
+            with open(path, "wb") as handle:
+                handle.write(text)
+
+        healthy = self._damaged_replica_0(store, "journal.jsonl", edit)
+        report = store.scrub(repair=False)
+        assert [
+            (problem["kind"], problem["replica"])
+            for problem in report["problems"]
+        ] == [("result_corrupt", 0)]
+        assert store.read_journal(HASH_A) == JOURNAL
+        self._assert_repaired(store, healthy)
+
+    def test_emptied_journal_is_corrupt_not_served(self, store):
+        healthy = self._damaged_replica_0(
+            store, "journal.jsonl", lambda path: open(path, "w").close()
+        )
+        assert store.read_journal(HASH_A) == JOURNAL
+        self._assert_repaired(store, healthy)
+
+    def test_state_is_served_from_a_verified_copy(self, store):
+        healthy = self._damaged_replica_0(store, "state.json", _flip_byte)
+        state = store.load_state(HASH_A, Package())
+        assert state.num_qubits == 3
+        self._assert_repaired(store, healthy)
+
+    def test_result_reads_visit_the_site_as_load_result(self, store):
+        store.put_result(HASH_A, {"stats": {}}, journal_rows=JOURNAL)
+        visits = []
+        with mock.patch.object(
+            ReplicatedStore,
+            "_fire",
+            lambda self, index, op, job_hash, path: visits.append(op),
+        ):
+            store.load_result(HASH_A)
+            store.read_journal(HASH_A)
+            with pytest.raises(KeyError):
+                store.load_state(HASH_A)
+        assert visits == ["load_result"] * 9
+
+    def test_scrub_adds_nothing_to_the_unique_tables(self, store):
+        for index in range(3):
+            store.put_result(
+                f"{index}" * 64, {"stats": {}}, state_doc=_state_doc(index)
+            )
+        before = default_package().unique_table_sizes()
+        report = store.scrub(repair=False)
+        assert (report["results_checked"], report["problems"]) == (3, [])
+        assert default_package().unique_table_sizes() == before
 
 
 class TestCheckpoints:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.store import ArtifactStore
 
 
 class TestParser:
@@ -282,6 +284,24 @@ class TestJobsCommand:
         )
         assert code == 1
         assert capsys.readouterr().err
+
+    def test_show_corrupt_result_prints_the_integrity_error(
+        self, tmp_path, capsys
+    ):
+        root = str(tmp_path / "store")
+        store = ArtifactStore(root)
+        job_hash = "ab00" + "0" * 60
+        store.put_result(job_hash, {"stats": {"max_nodes": 4}})
+        path = os.path.join(store.result_dir(job_hash), "result.json")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace('"max_nodes": 4', '"max_nodes": 5'))
+        code = main(["jobs", "show", "ab00", "--store", root])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "CRC-32" in err
+        assert "no stored result matches" not in err
 
 
 class TestAnalyzeCommand:
