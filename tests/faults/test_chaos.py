@@ -176,12 +176,21 @@ class TestCorruptedCheckpoint:
         # No periodic checkpoint interval: the timeout-rescue save is
         # the only save_checkpoint visit, so the one-shot damage rule
         # hits the checkpoint the rerun will actually load.  Without the
-        # periodic saves the whole run fits in 0.15 s, so the budget is
-        # cut to keep the first attempt a timeout.
+        # periodic saves the whole run fits in about 0.1 s on the native
+        # core, so the budget is cut and one gate is slowed past it: the
+        # first attempt times out by op 41 however fast the host is.
         spec = JobSpec(
             **{**self.TIMEOUT_SPEC, "checkpoint_interval": 0, "max_seconds": 0.03}
         )
-        _arm(FaultRule(site="store.save_checkpoint", kind=damage, max_hits=1))
+        _arm(
+            FaultRule(site="store.save_checkpoint", kind=damage, max_hits=1),
+            FaultRule(
+                site="simulator.gate",
+                kind="slow",
+                at_op=40,
+                args={"delay_seconds": 0.1},
+            ),
+        )
         first = execute_job(spec, store)
         assert first.status == "timeout"  # left a (damaged) checkpoint
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.service.engine import JobEngine
 from repro.service.jobs import JobSpec
-from repro.service.store import ArtifactStore
+from repro.service.store import CHECKPOINT_FILE, ArtifactStore
 
 SPECS = [
     dict(circuit="builtin:shor_15_2"),
@@ -30,17 +30,17 @@ SPECS = [
     dict(circuit="builtin:shor_21_2"),
 ]
 
-#: Two checkpointing jobs of a few seconds each, one approximation
-#: round apiece: both are still in flight one second into a
-#: ``workers=2`` batch.
+#: Two checkpointing jobs of about four seconds each on the native
+#: core (2 vCPUs), one approximation round apiece: both are still in
+#: flight when their first checkpoints land in a ``workers=2`` batch.
 LONG_SPECS = [
     dict(
         circuit=f"builtin:{name}",
         strategy="memory",
-        strategy_args={"round_fidelity": 0.8, "threshold": 32000},
+        strategy_args={"round_fidelity": 0.8, "threshold": 64000},
         checkpoint_interval=10,
     )
-    for name in ("shor_33_5", "shor_35_2")
+    for name in ("shor_65_2", "shor_69_2")
 ]
 
 
@@ -93,15 +93,34 @@ class TestEngineDrain:
     def test_pool_drain_checkpoints_in_flight_jobs(self, store, tmp_path):
         specs = [JobSpec.from_dict(doc) for doc in LONG_SPECS]
         engine = JobEngine(store, workers=2)
-        timer = threading.Timer(1.0, engine.request_drain)
-        started = time.monotonic()
-        timer.start()
+        checkpoints = [
+            os.path.join(store.checkpoint_dir(spec.content_hash()), CHECKPOINT_FILE)
+            for spec in specs
+        ]
+        drained_at: list[float] = []
+        stop = threading.Event()
+
+        def drain_once_both_checkpointed() -> None:
+            # Drain when both jobs are provably in flight (each has
+            # saved a checkpoint), not after a fixed delay that a
+            # faster engine or a slow pool start can outrun.
+            deadline = time.monotonic() + 60.0
+            while not stop.is_set() and time.monotonic() < deadline:
+                if all(os.path.exists(path) for path in checkpoints):
+                    break
+                time.sleep(0.02)
+            drained_at.append(time.monotonic())
+            engine.request_drain()
+
+        trigger = threading.Thread(target=drain_once_both_checkpointed)
+        trigger.start()
         try:
             results = engine.run_batch(specs)
         finally:
-            timer.cancel()
+            stop.set()
+            trigger.join()
         # Workers stop at their next gate instead of finishing the run.
-        assert time.monotonic() - started < 4.0
+        assert time.monotonic() - drained_at[0] < 3.0
         assert [r.status for r in results] == ["drained", "drained"]
         for result in results:
             assert store.load_checkpoint(result.job_hash) is not None
