@@ -726,49 +726,50 @@ node_index(PyObject *node, Py_ssize_t offset)
     return index;
 }
 
-/* True when `node` is the live slot `index` of `nodes` (a VNode in
- * `_v_nodes`, an MNode in `_m_nodes`); -1 on error. */
+/* 1 when `node` is the live slot of `nodes` that its `index` (the slot
+ * at `offset`) names, stored in `*slot`; 0 when it is not; -1 on error. */
 static int
-owned(PyObject *nodes, PyObject *node)
+live_slot(PyObject *nodes, PyObject *node, Py_ssize_t offset, Py_ssize_t *slot)
 {
-    Py_ssize_t index;
-    PyObject *obj = node_index(node, Py_IS_TYPE(node, mnode_type) ? m_index_off : v_index_off);
+    PyObject *obj = node_index(node, offset);
     if (obj == NULL) {
         return -1;
     }
-    index = PyLong_AsSsize_t(obj);
-    if (index == -1 && PyErr_Occurred()) {
+    *slot = PyLong_AsSsize_t(obj);
+    if (*slot == -1 && PyErr_Occurred()) {
         if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
             return -1;
         }
         PyErr_Clear();
         return 0;
     }
-    return 0 <= index && index < PyList_GET_SIZE(nodes) &&
-           PyList_GET_ITEM(nodes, index) == node;
+    return 0 <= *slot && *slot < PyList_GET_SIZE(nodes) && PyList_GET_ITEM(nodes, *slot) == node;
 }
 
-/* The node's `index` as a table id.  Returns 1 when `node` is the live
- * slot of `nodes` that the id names, 0 for a node that is not (its id
- * may name another node, so it neither hits nor fills a cache entry),
- * -1 on error. */
+/* True when `node` is the live slot `index` of `nodes` (a VNode in
+ * `_v_nodes`, an MNode in `_m_nodes`); -1 on error. */
+static int
+owned(PyObject *nodes, PyObject *node)
+{
+    Py_ssize_t slot;
+    return live_slot(nodes, node, Py_IS_TYPE(node, mnode_type) ? m_index_off : v_index_off, &slot);
+}
+
+/* The node's `index` as a table id; returns as live_slot.  A node that
+ * is not its slot's live node may share its id with one, and a slot
+ * past INT32_MAX fits no id: neither hits nor fills a cache entry. */
 static int
 node_id(PyObject *nodes, PyObject *node, Py_ssize_t offset, int32_t *id)
 {
-    PyObject *index = node_index(node, offset);
-    long value;
-    if (index == NULL || ((value = PyLong_AsLong(index)) == -1 && PyErr_Occurred())) {
-        return -1;
-    }
-    if (value < 0 || value >= PyList_GET_SIZE(nodes) || PyList_GET_ITEM(nodes, value) != node) {
+    Py_ssize_t slot;
+    int rc = live_slot(nodes, node, offset, &slot);
+    if (rc > 0 && slot > INT32_MAX) {
         return 0;
     }
-    if (value > INT32_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "node index out of range");
-        return -1;
+    if (rc > 0) {
+        *id = (int32_t)slot;
     }
-    *id = (int32_t)value;
-    return 1;
+    return rc;
 }
 
 /* The mv/mm/inner cache key of node `a` of arena list `as` and node `b`

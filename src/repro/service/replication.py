@@ -33,7 +33,7 @@ epoch therefore makes that copy corrupt, not newest.  A result object
 is immutable, so any verified copy wins; its copy is verified by the
 plain store's rule (the document's CRC, the state's and journal's
 recorded SHA-256) and ``load_result``, ``load_state`` and
-``read_journal`` are then served from it.
+``read_journal`` are served from its verified document and bytes.
 
 **Anti-entropy.**  :meth:`scrub` runs every result, checkpoint and lease
 on every replica through that same read, quarantining bitrot/torn
@@ -76,6 +76,8 @@ from .store import (
     STATE_FILE,
     ArtifactStore,
     _atomic_write,
+    _journal_from,
+    _state_from,
 )
 
 MANIFEST_FILE = "replication.json"
@@ -145,10 +147,21 @@ _LEASE = _Ordered(
 )
 
 
+class _ResultCopy(NamedTuple):
+    """One replica's verified copy of a result object."""
+
+    replica: ArtifactStore
+    document: dict
+    #: The verified bytes of ``state.json`` / ``journal.jsonl`` (None:
+    #: the object has no such file and records none).
+    state: bytes | None
+    journal: bytes | None
+
+
 def _verified_result(
     replica: ArtifactStore, job_hash: str
-) -> ArtifactStore | None:
-    """``replica`` when its copy of a result object verifies, else None.
+) -> _ResultCopy | None:
+    """``replica``'s copy of a result object when it verifies, else None.
 
     Checks the bytes of all three files by the plain store's read rule
     (the document's CRC, the state's and journal's recorded SHA-256)
@@ -163,15 +176,20 @@ def _verified_result(
         return None
     try:
         document = replica.load_result(job_hash)
-        for name in (STATE_FILE, JOURNAL_FILE):
-            replica._checked_bytes(job_hash, document, name)
+        return _ResultCopy(
+            replica,
+            document,
+            *(
+                replica._checked_bytes(job_hash, document, name)
+                for name in (STATE_FILE, JOURNAL_FILE)
+            ),
+        )
     except (KeyError, OSError) as error:
         raise ArtifactIntegrityError(
             f"result for {job_hash[:12]} is incomplete or unreadable: "
             f"{error}",
             path=directory,
         ) from error
-    return replica
 
 
 def _copy_result(
@@ -199,13 +217,13 @@ def _copy_result(
 
 
 #: Results are immutable, so every verified copy is as fresh as any
-#: other.  A copy is the replica holding it; repair copies its files.
+#: other.  Repair copies the winning replica's files.
 _RESULT = _Ordered(
     name="result",
     op="load_result",
     read=_verified_result,
     write=lambda replica, job_hash, source: _copy_result(
-        source, replica, job_hash
+        source.replica, replica, job_hash
     ),
     quarantine=ArtifactStore.quarantine_result,
     path=lambda replica, job_hash: os.path.join(
@@ -539,8 +557,8 @@ class ReplicatedStore(ArtifactStore):
         )
         return self.result_dir(job_hash)
 
-    def _result_copy(self, job_hash: str) -> ArtifactStore:
-        """A replica holding a verified copy of the result object.
+    def _result_copy(self, job_hash: str) -> _ResultCopy:
+        """A verified copy of the result object.
 
         Every copy is checked (:meth:`_newest`); the corrupt and missing
         ones are repaired from the winner.
@@ -549,19 +567,19 @@ class ReplicatedStore(ArtifactStore):
             KeyError: When no replica holds the result.
             ArtifactIntegrityError: When no copy verifies.
         """
-        replica = self._newest(_RESULT, job_hash)
-        if replica is None:
+        copy = self._newest(_RESULT, job_hash)
+        if copy is None:
             raise KeyError(f"no stored result for {job_hash}")
-        return replica
+        return copy
 
     def load_result(self, job_hash: str) -> dict:
-        return self._result_copy(job_hash).load_result(job_hash)
+        return self._result_copy(job_hash).document
 
     def load_state(self, job_hash, package=None):
-        return self._result_copy(job_hash).load_state(job_hash, package)
+        return _state_from(job_hash, self._result_copy(job_hash).state, package)
 
     def read_journal(self, job_hash: str) -> list[dict]:
-        return self._result_copy(job_hash).read_journal(job_hash)
+        return _journal_from(self._result_copy(job_hash).journal)
 
     def _union(
         self, listing: Callable[[ArtifactStore], Iterable[str]]

@@ -114,6 +114,24 @@ def _doc_crc(document: dict) -> int:
     return zlib.crc32(canonical.encode())
 
 
+def _state_from(
+    job_hash: str, raw: bytes | None, package: Package | None
+) -> StateDD:
+    """The state diagram of verified ``state.json`` bytes.
+
+    Raises:
+        KeyError: When the object has no state file (``raw`` is None).
+    """
+    if raw is None:
+        raise KeyError(f"no stored state for {job_hash}")
+    return state_from_dict(json.loads(raw), package)
+
+
+def _journal_from(raw: bytes | None) -> list[dict]:
+    """The rows of verified ``journal.jsonl`` bytes (None: no journal)."""
+    return [] if raw is None else [json.loads(line) for line in raw.splitlines()]
+
+
 class ArtifactStore:
     """Content-addressed persistence for job results and checkpoints.
 
@@ -343,12 +361,10 @@ class ArtifactStore:
             ArtifactIntegrityError: When the result document or the
                 state file fails verification.
         """
-        raw = self._checked_bytes(
-            job_hash, self.load_result(job_hash), STATE_FILE
+        document = self.load_result(job_hash)
+        return _state_from(
+            job_hash, self._checked_bytes(job_hash, document, STATE_FILE), package
         )
-        if raw is None:
-            raise KeyError(f"no stored state for {job_hash}")
-        return state_from_dict(json.loads(raw), package)
 
     def read_journal(self, job_hash: str) -> list[dict]:
         """Read the run journal rows (empty list when the job has none).
@@ -363,12 +379,8 @@ class ArtifactStore:
             ArtifactIntegrityError: When the result document or the
                 journal fails verification.
         """
-        raw = self._checked_bytes(
-            job_hash, self.load_result(job_hash), JOURNAL_FILE
-        )
-        if raw is None:
-            return []
-        return [json.loads(line) for line in raw.splitlines()]
+        document = self.load_result(job_hash)
+        return _journal_from(self._checked_bytes(job_hash, document, JOURNAL_FILE))
 
     def _result_hashes(self) -> list[str]:
         """The job hashes with an object directory, verified or not."""

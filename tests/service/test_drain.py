@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.faults import FaultPlan, FaultRule, arm, disarm
 from repro.service.engine import JobEngine
 from repro.service.jobs import JobSpec
 from repro.service.store import CHECKPOINT_FILE, ArtifactStore
@@ -30,18 +31,22 @@ SPECS = [
     dict(circuit="builtin:shor_21_2"),
 ]
 
-#: Two checkpointing jobs of about four seconds each on the native
-#: core (2 vCPUs), one approximation round apiece: both are still in
-#: flight when their first checkpoints land in a ``workers=2`` batch.
+#: Two checkpointing jobs, one approximation round apiece.  The drain
+#: test slows every gate of the drained batch (``GATE_DELAY``) so both
+#: are still in flight when their first checkpoints land in a
+#: ``workers=2`` batch, however fast the host or slow the pool start.
 LONG_SPECS = [
     dict(
         circuit=f"builtin:{name}",
         strategy="memory",
-        strategy_args={"round_fidelity": 0.8, "threshold": 64000},
+        strategy_args={"round_fidelity": 0.8, "threshold": 32000},
         checkpoint_interval=10,
     )
-    for name in ("shor_65_2", "shor_69_2")
+    for name in ("shor_33_5", "shor_35_2")
 ]
+
+#: Seconds slept before every gate of the drained batch.
+GATE_DELAY = 0.02
 
 
 @pytest.fixture
@@ -113,10 +118,24 @@ class TestEngineDrain:
             engine.request_drain()
 
         trigger = threading.Thread(target=drain_once_both_checkpointed)
+        # Forked pool workers inherit the armed plan.
+        arm(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="simulator.gate",
+                        kind="slow",
+                        max_hits=None,
+                        args={"delay_seconds": GATE_DELAY},
+                    ),
+                )
+            )
+        )
         trigger.start()
         try:
             results = engine.run_batch(specs)
         finally:
+            disarm()
             stop.set()
             trigger.join()
         # Workers stop at their next gate instead of finishing the run.
