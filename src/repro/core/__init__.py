@@ -39,7 +39,6 @@ from .simulator import (
     DDSimulator,
     MemoryWatchdog,
     RoundRecord,
-    SimulationCancelled,
     SimulationOutcome,
     SimulationStats,
     SimulationTimeout,
@@ -72,7 +71,6 @@ __all__ = [
     "NoApproximation",
     "RoundRecord",
     "SemiclassicalRun",
-    "SimulationCancelled",
     "SimulationOutcome",
     "SizeCapStrategy",
     "SimulationStats",

@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 from ..circuits.circuit import Circuit
 from ..circuits.lowering import operation_to_medge
 from ..dd.package import Package, default_package
-from ..dd.serialize import state_to_dict
 from ..dd.vector import StateDD
 from ..faults.errors import MemoryBudgetExceeded
 from ..faults.injector import get_injector
@@ -126,10 +125,11 @@ class CancellationToken:
     deadlines and drain requests into a running simulation through this
     token: :meth:`DDSimulator.run` polls :meth:`reason` before each
     operation and again after each operation's approximation round, and
-    raises :class:`SimulationCancelled` — carrying a checkpointable
-    partial state — as soon as either trigger fires.  Polling (rather
-    than signals) keeps cancellation deterministic: it can only land at
-    Lemma-1-consistent boundaries, never mid-multiplication.
+    raises :class:`SimulationTimeout` — carrying the live state, the
+    resume index and the trigger as ``reason`` — as soon as either
+    trigger fires.  Polling (rather than signals) keeps cancellation
+    deterministic: it can only land at Lemma-1-consistent boundaries,
+    never mid-multiplication.
 
     Attributes:
         soft_deadline: Absolute deadline on ``clock``'s timeline
@@ -168,63 +168,41 @@ class CancellationToken:
 
 
 class SimulationTimeout(RuntimeError):
-    """Raised when a run exceeds its cooperative time budget.
+    """Raised when a run stops before its last operation.
 
-    Mirrors the 3-hour experiment timeouts of §VI ("the runtime *Timeout*
-    indicates the experiment was terminated"); the partially computed
-    statistics are attached for reporting.
+    The one stop exception of the simulator.  Mirrors the 3-hour
+    experiment timeouts of §VI ("the runtime *Timeout* indicates the
+    experiment was terminated"); the partially computed statistics and
+    the live state are attached so the caller can report, checkpoint
+    (:class:`repro.service.checkpoint.CheckpointWriter`) or resume in
+    the same package without a serialization round trip.
 
     Attributes:
-        stats: Statistics accumulated up to the timeout.
-        partial_state: JSON-compatible serialization of the state reached
-            so far (``repro.dd.serialize.state_to_dict`` format), or None
-            when no state was available.  Serialized — rather than a live
-            :class:`~repro.dd.vector.StateDD` — so the partial work is
-            picklable across process boundaries and directly persistable
-            as a checkpoint (see :mod:`repro.service.checkpoint`).
+        stats: Statistics accumulated up to the stop.
+        state: The live state reached so far, or None when the run has
+            no resumable state vector (the matrix–matrix paradigm).
         op_index: Index of the first operation that was *not* applied;
-            resuming from ``partial_state`` must continue at this index.
+            resuming from ``state`` must continue at this index.
+        reason: ``"timeout"`` (``max_seconds`` elapsed), ``"deadline"``
+            (the :class:`CancellationToken`'s soft deadline elapsed) or
+            ``"drain"`` (the token's event fired).
     """
 
     def __init__(
         self,
         stats: "SimulationStats",
-        partial_state: dict | None = None,
+        state: StateDD | None = None,
         op_index: int | None = None,
+        reason: str = "timeout",
     ):
+        where = "" if op_index is None else f" at operation {op_index}"
         super().__init__(
-            f"simulation of {stats.circuit_name!r} timed out after "
-            f"{stats.runtime_seconds:.2f}s at operation "
-            f"{op_index if op_index is not None else len(stats.trajectory or [])}"
+            f"simulation of {stats.circuit_name!r} stopped ({reason}) "
+            f"after {stats.runtime_seconds:.2f}s{where}"
         )
         self.stats = stats
-        self.partial_state = partial_state
+        self.state = state
         self.op_index = op_index
-
-
-class SimulationCancelled(SimulationTimeout):
-    """Raised when a :class:`CancellationToken` fires mid-run.
-
-    A subclass of :class:`SimulationTimeout` so every existing
-    checkpoint/resume path (``repro.service.checkpoint``) handles it
-    unchanged: the partially computed state, accumulated statistics, and
-    resume index travel on the exception exactly as for a timeout.
-
-    Attributes:
-        reason: ``"drain"`` (operator-initiated shutdown) or
-            ``"deadline"`` (the request's soft deadline elapsed).
-    """
-
-    def __init__(
-        self,
-        stats: "SimulationStats",
-        partial_state: dict | None = None,
-        op_index: int | None = None,
-        reason: str = "deadline",
-    ):
-        super().__init__(
-            stats, partial_state=partial_state, op_index=op_index
-        )
         self.reason = reason
 
 
@@ -423,26 +401,18 @@ def _stop(
     state: StateDD,
     op_index: int,
     started: float,
-    reason: str | None = None,
+    reason: str,
 ) -> SimulationTimeout:
     """Stamp a stopping run's statistics and build its exception.
 
-    ``op_index`` is the first operation not applied and ``started`` the
-    run's ``time.perf_counter()`` start.  Without a
-    ``reason`` the run timed out (:class:`SimulationTimeout`); with one
-    a :class:`CancellationToken` fired (:class:`SimulationCancelled`).
-    Either way the exception carries the serialized state to resume from.
+    ``op_index`` is the first operation not applied, ``started`` the
+    run's ``time.perf_counter()`` start, and ``reason`` why it stopped
+    (see :class:`SimulationTimeout`).  The exception carries the live
+    state to resume or checkpoint from.
     """
     stats.runtime_seconds = time.perf_counter() - started
     stats.final_nodes = state.node_count()
-    partial_state = state_to_dict(state)
-    if reason is None:
-        return SimulationTimeout(
-            stats, partial_state=partial_state, op_index=op_index
-        )
-    return SimulationCancelled(
-        stats, partial_state=partial_state, op_index=op_index, reason=reason
-    )
+    return SimulationTimeout(stats, state, op_index, reason)
 
 
 class DDSimulator:
@@ -536,9 +506,8 @@ class DDSimulator:
                 :class:`CancellationToken`).  Polled before every
                 operation and again after every operation's
                 approximation round; when it fires the run raises
-                :class:`SimulationCancelled` carrying the serialized
-                partial state, the index of the first unapplied
-                operation, and the trigger reason.  The post-round
+                :class:`SimulationTimeout` with the token's reason
+                (``"deadline"`` or ``"drain"``).  The post-round
                 check is skipped after the final operation — a run
                 whose last gate finished simply completes.
 
@@ -547,12 +516,10 @@ class DDSimulator:
             and the per-run statistics.
 
         Raises:
-            SimulationTimeout: When ``max_seconds`` elapses mid-run.  The
-                exception carries the serialized partial state and the
-                index of the first unapplied operation for checkpointing.
-            SimulationCancelled: When ``cancel`` fires mid-run (same
-                checkpoint payload as :class:`SimulationTimeout`, plus
-                the cancellation reason).
+            SimulationTimeout: When ``max_seconds`` elapses
+                (``reason="timeout"``) or ``cancel`` fires mid-run.  The
+                exception carries the live state and the index of the
+                first unapplied operation for checkpointing or resuming.
             MemoryBudgetExceeded: When an emergency approximation round
                 would push the fidelity estimate below the watchdog's
                 floor.
@@ -631,7 +598,7 @@ class DDSimulator:
                     max_seconds is not None
                     and time.perf_counter() - started > max_seconds
                 ):
-                    raise _stop(stats, state, op_index, started)
+                    raise _stop(stats, state, op_index, started, "timeout")
                 if cancel is not None:
                     cancel_reason = cancel.reason()
                     if cancel_reason is not None:
@@ -846,7 +813,9 @@ class DDSimulator:
 
         Statistics semantics: ``max_nodes``/``trajectory`` track the
         *operator* diagram during accumulation; ``final_nodes`` is the
-        final state's size.
+        final state's size.  A ``max_seconds`` stop raises
+        :class:`SimulationTimeout` with no state (there is no resumable
+        state vector) and the index of the first operation not composed.
         """
         from ..dd.matrix import OperatorDD
 
@@ -869,7 +838,7 @@ class DDSimulator:
                     if elapsed > max_seconds:
                         stats.runtime_seconds = elapsed
                         stats.final_nodes = accumulated.node_count()
-                        raise SimulationTimeout(stats)
+                        raise SimulationTimeout(stats, op_index=op_index)
                 medge = operation_to_medge(
                     operation, circuit.num_qubits, self.package
                 )

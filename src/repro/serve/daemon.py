@@ -421,24 +421,20 @@ class SimDaemon:
             for entry in entries:
                 try:
                     spec = JobSpec.from_dict(entry["spec"])
-                    priority = int(entry.get("priority", 0))
+                    submission = parse_submission(entry)
                 except (KeyError, TypeError, ValueError) as error:
                     self._log(f"dropping malformed drained entry: {error}")
                     continue
-                record = self._new_record(spec, priority)
+                record = self._new_record(spec, submission.priority)
                 record.tenant = str(
                     entry.get("tenant") or DEFAULT_TENANT
                 )
-                soft = entry.get("soft_timeout")
-                hard = entry.get("hard_timeout")
-                record.soft_timeout = (
-                    float(soft) if soft is not None else None
-                )
-                record.hard_timeout = (
-                    float(hard) if hard is not None else None
-                )
+                record.soft_timeout = submission.soft_timeout
+                record.hard_timeout = submission.hard_timeout
                 if self.queue.offer(
-                    QueueItem(job_id=record.job_id, priority=priority)
+                    QueueItem(
+                        job_id=record.job_id, priority=submission.priority
+                    )
                 ):
                     restored += 1
                 else:

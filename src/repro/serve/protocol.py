@@ -35,8 +35,9 @@ backoff) and ``"breaker_open"`` (the spec keeps failing permanently;
 from __future__ import annotations
 
 import json
-import math
 from typing import IO, NamedTuple
+
+from ..service.jobs import check_seconds
 
 #: Maximum accepted request line (a spec carries full QASM text, so the
 #: bound is generous; beyond it the connection is dropped as malformed).
@@ -64,27 +65,21 @@ def parse_submission(message: dict) -> Submission:
 
     Raises:
         ValueError: ``bad submit: ...`` for a priority that is not an
-            integer, or a timeout that is not a finite number >= 0.
+            integer, or a timeout that is not a finite number >= 0
+            (:func:`~repro.service.jobs.check_seconds`).
     """
     priority = message.get("priority", 0)
     if isinstance(priority, bool) or not isinstance(priority, int):
         raise ValueError(
             f"bad submit: priority must be an integer, got {priority!r}"
         )
-    timeouts = []
-    for name in ("soft_timeout", "hard_timeout"):
-        value = message.get(name)
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or value < 0
-        ):
-            raise ValueError(
-                f"bad submit: {name} must be a finite number >= 0, "
-                f"got {value!r}"
-            )
-        timeouts.append(None if value is None else float(value))
+    try:
+        timeouts = [
+            check_seconds(name, message.get(name))
+            for name in ("soft_timeout", "hard_timeout")
+        ]
+    except ValueError as error:
+        raise ValueError(f"bad submit: {error}") from None
     return Submission(priority, *timeouts)
 
 

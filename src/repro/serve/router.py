@@ -368,6 +368,7 @@ class ClusterRouter:
             for entry in entries:
                 try:
                     spec = JobSpec.from_dict(entry["spec"])
+                    submission = parse_submission(entry)
                 except (KeyError, TypeError, ValueError) as error:
                     self._log(f"dropping malformed parked job: {error}")
                     continue
@@ -375,12 +376,10 @@ class ClusterRouter:
                     spec.content_hash(),
                     spec.to_dict(),
                     str(entry.get("tenant") or DEFAULT_TENANT),
-                    int(entry.get("priority", 0)),
+                    submission.priority,
                 )
-                soft = entry.get("soft_timeout")
-                hard = entry.get("hard_timeout")
-                job.soft_timeout = float(soft) if soft is not None else None
-                job.hard_timeout = float(hard) if hard is not None else None
+                job.soft_timeout = submission.soft_timeout
+                job.hard_timeout = submission.hard_timeout
                 job.status = "orphaned"
                 job.history.append("restored from parked-job file")
                 restored += 1

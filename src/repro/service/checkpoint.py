@@ -16,12 +16,18 @@ rounds the resumed run adds.  The resumed run seeds its statistics with
 the recorded rounds and its strategy with the spent budget
 (:meth:`repro.core.strategies.ApproximationStrategy.resume`), so round
 placement, budgets, and the fidelity guarantee all match the
-uninterrupted run.  One caveat: the complex table's tolerance-bucketed
-canonicalization accumulates different representatives in a fresh
-process, so a later round whose greedy selection sits exactly on the
-budget boundary can admit a marginally different node set — the realized
-fidelity may then differ at that round's boundary while still obeying
-the same ``f >= f_round`` bound.
+uninterrupted run.
+
+Every checkpoint — periodic, or the one a stopped run leaves — is
+written by :class:`CheckpointWriter`: the engine hands it the live state
+that :class:`~repro.core.simulator.SimulationTimeout` carries.  Resuming
+from that live state in the same package is bit-exact.  Resuming from
+the stored document is not yet: ``state_from_dict`` rebuilds each node
+through ``make_vedge``, which renormalises, and a fresh package's
+tables remember a different history.  A later round whose greedy
+selection sits on the budget boundary can then admit a marginally
+different node set — the realized fidelity may differ in its last bits
+while still obeying the same ``f >= f_round`` bound.
 
 **Stored form.**  The artifact store is the only user of
 :data:`CHECKPOINT_DOCUMENT`: it takes and returns :class:`Checkpoint`
@@ -39,7 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.simulator import RoundRecord, SimulationStats, SimulationTimeout
+from ..core.simulator import RoundRecord, SimulationStats
 from ..dd.serialize import state_to_dict
 from ..dd.vector import StateDD
 from ..faults.errors import CheckpointIntegrityError
@@ -120,36 +126,14 @@ CHECKPOINT_DOCUMENT = DocumentKind(
 encode_checkpoint = CHECKPOINT_DOCUMENT.encode
 
 
-def checkpoint_from_timeout(
-    job_hash: str,
-    timeout: SimulationTimeout,
-    prior_elapsed: float = 0.0,
-    prior_max_nodes: int = 0,
-) -> Checkpoint | None:
-    """Build a checkpoint from a :class:`SimulationTimeout`, if possible.
-
-    Returns None when the timeout carries no partial state (e.g. raised
-    by the matrix–matrix paradigm, which has no resumable state vector).
-    """
-    if timeout.partial_state is None or timeout.op_index is None:
-        return None
-    stats = timeout.stats
-    return Checkpoint(
-        job_hash=job_hash,
-        next_op_index=timeout.op_index,
-        state=timeout.partial_state,
-        rounds=rounds_to_dicts(stats.rounds),
-        max_nodes=max(prior_max_nodes, stats.max_nodes),
-        elapsed_seconds=prior_elapsed + stats.runtime_seconds,
-    )
-
-
 class CheckpointWriter:
     """Simulator checkpoint callback that persists snapshots to a store.
 
     Designed to be handed to :meth:`repro.core.simulator.DDSimulator.run`
-    as ``checkpoint_callback``; each invocation serializes the current
-    state and atomically replaces the job's latest checkpoint.
+    as ``checkpoint_callback``, and called once more by the engine with
+    a stopped run's :class:`~repro.core.simulator.SimulationTimeout`
+    payload; each invocation serializes the state and atomically
+    replaces the job's latest checkpoint.
 
     Args:
         store: Target artifact store.

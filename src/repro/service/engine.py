@@ -12,8 +12,10 @@ Execution path for one :class:`~repro.service.jobs.JobSpec`:
 3. **Simulate** — run :class:`repro.core.simulator.DDSimulator` with the
    spec's time budget; periodically persist checkpoints.
 4. **Persist** — on success write ``result.json`` + ``state.json`` +
-   ``journal.jsonl`` and delete the checkpoint; on timeout persist the
-   final checkpoint so the next attempt resumes instead of restarting.
+   ``journal.jsonl`` and delete the checkpoint; on a stop (timeout,
+   deadline or drain) the same :class:`CheckpointWriter` persists the
+   live state the stop carries, so the next attempt resumes instead of
+   restarting.
 
 :class:`JobEngine` deduplicates identical specs within a batch and fans
 them out over the supervised worker pool
@@ -37,7 +39,6 @@ import numpy as np
 from ..core.simulator import (
     CancellationToken,
     DDSimulator,
-    SimulationCancelled,
     SimulationTimeout,
 )
 from ..dd.package import Package
@@ -52,11 +53,7 @@ from ..faults.errors import (
 )
 from ..faults.injector import inject
 from ..obs import get_recorder
-from .checkpoint import (
-    CheckpointWriter,
-    checkpoint_from_timeout,
-    rounds_to_dicts,
-)
+from .checkpoint import CheckpointWriter, rounds_to_dicts
 from .jobs import JobSpec
 from .replication import open_store
 from .store import ArtifactStore
@@ -344,12 +341,9 @@ def execute_job(
             prior_max_nodes = checkpoint.max_nodes
             initial_state = state_from_dict(checkpoint.state, package)
 
-        writer = None
-        if spec.checkpoint_interval:
-            writer = CheckpointWriter(
-                store, job_hash, prior_elapsed, prior_max_nodes,
-                fence=fence,
-            )
+        writer = CheckpointWriter(
+            store, job_hash, prior_elapsed, prior_max_nodes, fence=fence
+        )
 
         if obs.enabled:
             phase = "resumed" if checkpoint is not None else "started"
@@ -372,29 +366,20 @@ def execute_job(
                 checkpoint_callback=writer,
                 cancel=cancel,
             )
-        except SimulationTimeout as timeout:
-            if isinstance(timeout, SimulationCancelled):
-                status = (
-                    "drained" if timeout.reason == "drain" else "deadline"
-                )
-            else:
-                status = "timeout"
-            rescue = checkpoint_from_timeout(
-                job_hash, timeout, prior_elapsed, prior_max_nodes
-            )
-            if rescue is not None:
-                store.save_checkpoint(job_hash, rescue, fence=fence)
+        except SimulationTimeout as stopped:
+            status = "drained" if stopped.reason == "drain" else stopped.reason
+            writer(stopped.state, stopped.op_index, stopped.stats)
             partial = _stats_doc(
-                timeout.stats,
-                prior_elapsed + timeout.stats.runtime_seconds,
+                stopped.stats,
+                prior_elapsed + stopped.stats.runtime_seconds,
                 prior_max_nodes,
             )
-            partial["next_op_index"] = timeout.op_index
+            partial["next_op_index"] = stopped.op_index
             if obs.enabled:
                 obs.count(f"jobs.{status}")
                 obs.event(
                     "job", phase=status, job=job_hash[:12],
-                    name=spec.display_name, op_index=timeout.op_index,
+                    name=spec.display_name, op_index=stopped.op_index,
                 )
             return JobResult(
                 spec=spec,

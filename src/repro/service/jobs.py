@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from ..circuits.circuit import Circuit
@@ -67,6 +68,30 @@ _STRATEGY_CLASSES: dict[str, type[ApproximationStrategy]] = {
     "adaptive": AdaptiveStrategy,
     "size_cap": SizeCapStrategy,
 }
+
+
+def check_seconds(name: str, value: object) -> float | None:
+    """Validate a time budget: None, or a finite number >= 0.
+
+    The one rule for ``JobSpec.max_seconds`` and the serve protocol's
+    ``soft_timeout``/``hard_timeout``.  Returns the budget as a float.
+
+    Raises:
+        ValueError: ``<name> must be a finite number >= 0, got ...``
+            for a string, a bool, NaN, an infinity or a negative value.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number >= 0, got {value!r}"
+        )
+    return float(value)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -128,7 +153,7 @@ def build_strategy(
             argument the constructor does not take (or a missing one)
             raises :class:`JobSpecError` naming the kind and the argument.
     """
-    kwargs: Dict = dict(args or {})
+    kwargs: dict = dict(args or {})
     for key in _INT_ARGS & kwargs.keys():
         kwargs[key] = int(kwargs[key])
     if kind == "exact":
@@ -158,7 +183,8 @@ class JobSpec:
         shots: Measurement samples drawn from the final state (0 = none).
         seed: RNG seed for sampling.
         max_seconds: Cooperative time budget per execution attempt
-            (None = unbounded).
+            (None = unbounded; otherwise a finite number >= 0, see
+            :func:`check_seconds`).
         checkpoint_interval: Persist a resume checkpoint every this many
             applied operations (0 disables checkpointing).
         label: Free-form display name (not part of the identity).
@@ -183,6 +209,7 @@ class JobSpec:
             raise ValueError("shots must be non-negative")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be non-negative")
+        check_seconds("max_seconds", self.max_seconds)
         # Canonicalize the argument order so hashing is insensitive to it.
         object.__setattr__(
             self,

@@ -23,7 +23,6 @@ from repro.circuits.supremacy import supremacy_circuit
 from repro.core.simulator import (
     CancellationToken,
     DDSimulator,
-    SimulationCancelled,
     SimulationTimeout,
     simulate,
 )
@@ -89,7 +88,7 @@ class TestEntryStateRestored:
         assert gc.isenabled() is entry_state
 
     def test_after_a_cancellation(self, entry_state):
-        with pytest.raises(SimulationCancelled):
+        with pytest.raises(SimulationTimeout, match="drain"):
             simulate(ghz_circuit(4), cancel=CancellationToken(event=SetEvent()))
         assert gc.isenabled() is entry_state
 

@@ -66,6 +66,32 @@ class TestStatistics:
         with pytest.raises(SimulationTimeout):
             simulator.run_matrix_matrix(circuit, max_seconds=1e-4)
 
+    @pytest.mark.parametrize("record_trajectory", [False, True])
+    def test_timeout_names_the_first_operation_not_composed(
+        self, monkeypatch, record_trajectory
+    ):
+        """With a clock that ticks one second per read (the start, then
+        one read per operation), a 5.5 s budget stops before op 5."""
+        ticks = iter(range(1, 10_000))
+        monkeypatch.setattr(
+            "repro.core.simulator.time.perf_counter",
+            lambda: float(next(ticks)),
+        )
+        simulator = DDSimulator(Package())
+        with pytest.raises(
+            SimulationTimeout, match="at operation 5$"
+        ) as excinfo:
+            simulator.run_matrix_matrix(
+                qft_circuit(12),
+                max_seconds=5.5,
+                record_trajectory=record_trajectory,
+            )
+        stopped = excinfo.value
+        assert (stopped.reason, stopped.op_index) == ("timeout", 5)
+        assert stopped.state is None
+        if record_trajectory:
+            assert len(stopped.stats.trajectory) == 5
+
 
 class TestRegimes:
     def test_qft_operator_stays_polynomial(self):

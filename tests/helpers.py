@@ -48,3 +48,14 @@ def make_checkpoint(job_hash: str, next_op_index: int) -> Checkpoint:
         job_hash, next_op_index, state={}, rounds=[], max_nodes=0,
         elapsed_seconds=0.0,
     )
+
+
+class CountingClock:
+    """Monotone clock returning 1.0, 2.0, ... — one tick per poll."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return float(self.calls)

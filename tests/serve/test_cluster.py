@@ -660,6 +660,18 @@ class TestOrphanPersistence:
         successor._tick()
         assert job.status == "queued" and job.shard_id
 
+    def test_restore_drops_a_bad_entry_alone(self, fake_cluster):
+        router, _ = fake_cluster(["s0"])
+        spec = JobSpec(circuit="builtin:shor_15_2").to_dict()
+        good = {"spec": spec, "tenant": "acme", "priority": 2}
+        bad = {"spec": spec, "tenant": "acme", "priority": "high"}
+        router.store.park_jobs(router._orphan_name(), [good, bad, good])
+        router._restore_orphans()  # must not raise
+        jobs = list(router._jobs.values())
+        assert len(jobs) == 2
+        assert all(job.priority == 2 for job in jobs)
+        assert all(job.status == "orphaned" for job in jobs)
+
     def test_restore_tolerates_garbage_files(self, fake_cluster):
         router, _ = fake_cluster(["s0"])
         path = router.store.parked_jobs_path(router._orphan_name())

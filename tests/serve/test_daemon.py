@@ -82,6 +82,15 @@ class TestAdmission:
         assert not bad["ok"] and bad["error"].startswith("bad spec")
         assert daemon.queue.depth == 0
 
+    @pytest.mark.parametrize("max_seconds", ["5", float("nan"), -1])
+    def test_a_bad_time_budget_is_a_bad_spec(self, store, max_seconds):
+        daemon = SimDaemon(store)
+        spec_doc = {**_spec().to_dict(), "max_seconds": max_seconds}
+        bad = daemon.handle_request({"op": "submit", "spec": spec_doc})
+        assert not bad["ok"]
+        assert bad["error"].startswith("bad spec: max_seconds")
+        assert daemon.queue.depth == 0
+
     def test_unknown_op_and_unknown_job(self, store):
         daemon = SimDaemon(store)
         assert not daemon.handle_request({"op": "explode"})["ok"]
@@ -155,6 +164,18 @@ class TestDrainWithoutWorkers:
         successor._restore_drained_queue()
         assert successor.queue.depth == 2
         assert not os.path.exists(path)
+
+    def test_restore_drops_a_bad_entry_alone(self, store):
+        good = {"spec": _spec().to_dict(), "priority": 1, "soft_timeout": 2.0}
+        bad = {"spec": _spec().to_dict(), "soft_timeout": "soon"}
+        store.park_jobs(
+            DRAINED_QUEUE_FILE.removesuffix(".json"), [good, bad, good]
+        )
+        daemon = SimDaemon(store, queue_capacity=8)
+        daemon._restore_drained_queue()  # must not raise
+        assert daemon.queue.depth == 2
+        for record in daemon._jobs.values():
+            assert (record.priority, record.soft_timeout) == (1, 2.0)
 
     def test_restore_tolerates_garbage_files(self, store):
         path = os.path.join(store.root, "serve", DRAINED_QUEUE_FILE)

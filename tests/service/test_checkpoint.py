@@ -9,10 +9,9 @@ import pytest
 
 from repro.circuits.qft import qft_circuit
 from repro.core.simulator import (
+    CancellationToken,
     DDSimulator,
     RoundRecord,
-    SimulationStats,
-    SimulationTimeout,
 )
 from repro.dd.package import Package
 from repro.dd.serialize import state_from_dict
@@ -20,13 +19,14 @@ from repro.faults.errors import CheckpointIntegrityError
 from repro.service.checkpoint import (
     Checkpoint,
     CheckpointWriter,
-    checkpoint_from_timeout,
     encode_checkpoint,
     rounds_from_dicts,
     rounds_to_dicts,
 )
+from repro.service.engine import execute_job
+from repro.service.jobs import JobSpec
 from repro.service.store import CHECKPOINT_FILE, ArtifactStore
-from tests.helpers import make_checkpoint
+from tests.helpers import CountingClock, make_checkpoint
 
 JOB_HASH = "ff" + "0" * 62
 
@@ -115,31 +115,57 @@ class TestCheckpointDocument:
             store.load_checkpoint(JOB_HASH)
 
 
-class TestCheckpointFromTimeout:
-    def test_builds_from_partial_state(self):
-        package = Package()
-        simulator = DDSimulator(package)
-        circuit = qft_circuit(5)
-        with pytest.raises(SimulationTimeout) as excinfo:
-            simulator.run(circuit, max_seconds=0.0)
-        checkpoint = checkpoint_from_timeout(
-            JOB_HASH, excinfo.value, prior_elapsed=2.0
-        )
-        assert checkpoint is not None
-        assert checkpoint.job_hash == JOB_HASH
-        assert checkpoint.next_op_index == excinfo.value.op_index
-        assert checkpoint.elapsed_seconds >= 2.0
-        # The snapshot rehydrates into a valid state.
-        state = state_from_dict(checkpoint.state, Package())
-        assert state.num_qubits == 5
+class TestStopCheckpoint:
+    """A stopped job's checkpoint is written by the same writer as the
+    periodic ones, from the live state the stop carries."""
 
-    def test_returns_none_without_partial_state(self):
-        stats = SimulationStats(
-            circuit_name="x", strategy="exact", num_qubits=1,
-            num_operations=1,
+    SPEC = JobSpec(
+        "builtin:qsup_3x3_10_0",
+        "memory",
+        (("threshold", 64), ("round_fidelity", 0.975)),
+    )
+
+    def test_a_stop_leaves_a_checkpoint_that_verifies_and_resumes(
+        self, tmp_path
+    ):
+        reference = DDSimulator(Package()).run(
+            self.SPEC.build_circuit(), self.SPEC.build_strategy()
         )
-        timeout = SimulationTimeout(stats)
-        assert checkpoint_from_timeout(JOB_HASH, timeout) is None
+        assert reference.stats.rounds
+        cut = reference.stats.rounds[0].op_index + 1
+        store = ArtifactStore(str(tmp_path))
+        job_hash = self.SPEC.content_hash()
+        # The post-round poll of operation cut - 1 is clock call 2 * cut.
+        stopped = execute_job(
+            self.SPEC,
+            store,
+            cancel=CancellationToken(
+                soft_deadline=2.0 * cut, clock=CountingClock()
+            ),
+        )
+        assert stopped.status == "deadline"
+        assert stopped.stats["next_op_index"] == cut
+
+        checkpoint = store.load_checkpoint(job_hash)  # verifies
+        assert checkpoint.next_op_index == cut
+        assert checkpoint.round_records() == reference.stats.rounds[:1]
+        assert checkpoint.max_nodes == stopped.stats["max_nodes"]
+        assert checkpoint.elapsed_seconds == stopped.stats["runtime_seconds"]
+
+        resumed = execute_job(self.SPEC, store)
+        assert resumed.status == "completed"
+        assert resumed.resumed_at == cut
+        assert resumed.stats["num_rounds"] == reference.stats.num_rounds
+        assert store.load_checkpoint(job_hash) is None
+
+    def test_a_timeout_checkpoints_without_an_interval(self, tmp_path):
+        spec = self.SPEC.with_overrides(max_seconds=0.0)
+        assert spec.checkpoint_interval == 0
+        store = ArtifactStore(str(tmp_path))
+        stopped = execute_job(spec, store)
+        assert stopped.status == "timeout"
+        checkpoint = store.load_checkpoint(spec.content_hash())
+        assert checkpoint.next_op_index == stopped.stats["next_op_index"]
 
 
 class TestCheckpointWriter:

@@ -149,6 +149,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JobSpec("builtin:shor_15_2", checkpoint_interval=-1)
 
+    @pytest.mark.parametrize(
+        "max_seconds", ["5", float("nan"), float("inf"), -1, True]
+    )
+    def test_rejects_a_bad_time_budget(self, max_seconds):
+        """A string would fail later in the worker, NaN would disable
+        the budget, and a negative one would stop every attempt at op 0."""
+        with pytest.raises(ValueError, match="^max_seconds must be"):
+            JobSpec("builtin:shor_15_2", max_seconds=max_seconds)
+
+    @pytest.mark.parametrize("max_seconds", [None, 0, 0.0, 2.5])
+    def test_accepts_none_zero_and_finite_budgets(self, max_seconds):
+        spec = JobSpec("builtin:shor_15_2", max_seconds=max_seconds)
+        assert spec.max_seconds == max_seconds
+
+    def test_from_dict_rejects_a_string_budget(self):
+        with pytest.raises(ValueError, match="max_seconds"):
+            JobSpec.from_dict(
+                {"circuit": "builtin:shor_15_2", "max_seconds": "5"}
+            )
+
 
 class TestSerialization:
     def test_round_trip(self):
