@@ -31,8 +31,10 @@ import socket
 
 from ..service.jobs import JobSpec
 from .protocol import (
+    DEFAULT_TENANT,
     MAX_LINE_BYTES,
     ProtocolError,
+    Submission,
     decode_message,
     encode_message,
 )
@@ -172,19 +174,21 @@ class ServeClient:
         soft_timeout: float | None = None,
         hard_timeout: float | None = None,
     ) -> dict:
-        document = spec.to_dict() if isinstance(spec, JobSpec) else spec
-        message: dict = {
-            "op": "submit",
-            "spec": document,
-            "priority": priority,
-        }
-        if tenant is not None:
-            message["tenant"] = tenant
-        if soft_timeout is not None:
-            message["soft_timeout"] = soft_timeout
-        if hard_timeout is not None:
-            message["hard_timeout"] = hard_timeout
-        return self.request(message)
+        """Submit one job; a spec given as a dict is parsed here first.
+
+        Raises:
+            ValueError: When ``spec`` is a dict :meth:`JobSpec.from_dict`
+                rejects.
+            ServeError: On a rejection (``shed``, ``bad submit: ...``).
+        """
+        submission = Submission(
+            spec if isinstance(spec, JobSpec) else JobSpec.from_dict(spec),
+            tenant or DEFAULT_TENANT,
+            priority,
+            soft_timeout,
+            hard_timeout,
+        )
+        return self.request({"op": "submit", **submission.to_message()})
 
     def status(self, job_id: str) -> dict:
         return self.request(

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from ..faults.errors import PERMANENT
 from ..obs import get_recorder
 from ..service.engine import JobResult
-from ..service.jobs import JobSpec
 from ..service.replication import open_store
 from ..service.store import ArtifactStore
 from ..service.supervisor import WorkerEvent, WorkerSupervisor
@@ -62,10 +61,13 @@ from .breaker import CircuitBreaker
 from .degrade import FidelityLadder
 from .protocol import (
     ProtocolError,
+    Submission,
     error_response,
     ok_response,
+    park_submissions,
     parse_submission,
     read_message,
+    take_parked_submissions,
     write_message,
 )
 from .queue import AdmissionQueue, QueueItem
@@ -81,23 +83,17 @@ FINAL_STATES = frozenset(
     {"completed", "timeout", "deadline", "drained", "error", "stolen"}
 )
 
-#: Tenant recorded for submissions that carry no ``tenant`` field.
-DEFAULT_TENANT = "default"
-
 
 @dataclass
 class JobRecord:
     """Daemon-side lifecycle of one accepted job."""
 
     job_id: str
-    spec: JobSpec
-    tenant: str = DEFAULT_TENANT
-    priority: int = 0
+    #: The admitted submission; its spec is the fidelity ladder's tier.
+    submission: Submission
     tier: int = 0
     f_final_cap: float | None = None
     degraded: bool = False
-    soft_timeout: float | None = None
-    hard_timeout: float | None = None
     status: str = "queued"
     attempts: int = 0
     submitted_at: float = 0.0
@@ -117,13 +113,14 @@ class JobRecord:
         return self.status in FINAL_STATES
 
     def to_dict(self) -> dict:
+        spec = self.submission.spec
         document: dict = {
             "job_id": self.job_id,
-            "job_hash": self.spec.content_hash(),
-            "name": self.spec.display_name,
+            "job_hash": spec.content_hash(),
+            "name": spec.display_name,
             "status": self.status,
-            "tenant": self.tenant,
-            "priority": self.priority,
+            "tenant": self.submission.tenant,
+            "priority": self.submission.priority,
             "tier": self.tier,
             "f_final_cap": self.f_final_cap,
             "degraded": self.degraded,
@@ -382,84 +379,31 @@ class SimDaemon:
         )
         return name
 
-    def _persist_drained_queue(self, records: list[JobRecord]) -> None:
-        if not records:
-            return
-        name = self._drained_queue_name()
-        payload = [
-            {
-                "spec": record.spec.to_dict(),
-                "priority": record.priority,
-                "tenant": record.tenant,
-                "soft_timeout": record.soft_timeout,
-                "hard_timeout": record.hard_timeout,
-            }
-            for record in records
-        ]
-        try:
-            self.store.park_jobs(name, payload)
-        except OSError as error:
-            self._log(f"failed to persist drained queue: {error}")
-            return
-        self._log(
-            f"persisted {len(records)} queued job(s) to "
-            f"{self.store.parked_jobs_path(name)} for the next start"
-        )
-
     def _restore_drained_queue(self) -> None:
         name = self._drained_queue_name()
-        try:
-            entries = self.store.take_parked_jobs(name)
-        except OSError as error:
-            self._log(f"ignoring unreadable drained queue: {error}")
-            return
-        if not entries:
-            return
-        restored = 0
+        submissions = take_parked_submissions(self.store, name, self._log)
         leftover = []
         with self._lock:
-            for entry in entries:
-                try:
-                    spec = JobSpec.from_dict(entry["spec"])
-                    submission = parse_submission(entry)
-                except (KeyError, TypeError, ValueError) as error:
-                    self._log(f"dropping malformed drained entry: {error}")
-                    continue
-                record = self._new_record(spec, submission.priority)
-                record.tenant = str(
-                    entry.get("tenant") or DEFAULT_TENANT
-                )
-                record.soft_timeout = submission.soft_timeout
-                record.hard_timeout = submission.hard_timeout
-                if self.queue.offer(
+            for submission in submissions:
+                record = self._new_record(submission)
+                if not self.queue.offer(
                     QueueItem(
                         job_id=record.job_id, priority=submission.priority
                     )
                 ):
-                    restored += 1
-                else:
                     del self._jobs[record.job_id]
-                    leftover.append(entry)
-        if leftover:
-            try:
-                self.store.park_jobs(name, leftover)
-            except OSError as error:
-                self._log(f"failed to re-park overflow jobs: {error}")
-        if restored:
-            self._log(
-                f"re-admitted {restored} job(s) from the previous drain"
-            )
+                    leftover.append(submission)
+        park_submissions(self.store, name, leftover, self._log)
 
     # ------------------------------------------------------------------
     # Admission (called from handler threads)
     # ------------------------------------------------------------------
 
-    def _new_record(self, spec: JobSpec, priority: int) -> JobRecord:
+    def _new_record(self, submission: Submission) -> JobRecord:
         self._seq += 1
         record = JobRecord(
             job_id=f"j-{self._seq:06d}",
-            spec=spec,
-            priority=priority,
+            submission=submission,
             submitted_at=self.clock(),
         )
         self._jobs[record.job_id] = record
@@ -509,9 +453,13 @@ class SimDaemon:
                     if obs.enabled:
                         obs.count("serve.rejected_draining")
                     return error_response("draining")
-                spec_doc = message.get("spec")
-                if not isinstance(spec_doc, dict):
-                    return error_response("submit requires a spec object")
+                try:
+                    submission = parse_submission(message)
+                except ValueError as error:
+                    if obs.enabled and str(error).startswith("bad spec"):
+                        obs.count("serve.rejected_bad_spec")
+                    return error_response(str(error))
+                spec = submission.spec
                 if getattr(self.store, "read_only", False):
                     # A replicated store that lost its write quorum is
                     # read-only: accepting the job would let it run and
@@ -523,16 +471,6 @@ class SimDaemon:
                         "store_degraded",
                         retry_after=self._retry_after_estimate(),
                     )
-                try:
-                    spec = JobSpec.from_dict(spec_doc)
-                except (TypeError, ValueError) as error:
-                    if obs.enabled:
-                        obs.count("serve.rejected_bad_spec")
-                    return error_response(f"bad spec: {error}")
-                try:
-                    submission = parse_submission(message)
-                except ValueError as error:
-                    return error_response(str(error))
                 # Admission control first (non-destructive): a full
                 # queue sheds before the breaker consumes a probe.
                 if self.queue.full:
@@ -557,15 +495,12 @@ class SimDaemon:
                         ),
                     )
                 tiered = self.ladder.apply(spec, self.queue.utilization)
-                record = self._new_record(tiered.spec, submission.priority)
-                record.tenant = str(
-                    message.get("tenant") or DEFAULT_TENANT
+                record = self._new_record(
+                    submission._replace(spec=tiered.spec)
                 )
                 record.tier = tiered.tier
                 record.f_final_cap = tiered.f_final_cap
                 record.degraded = tiered.degraded
-                record.soft_timeout = submission.soft_timeout
-                record.hard_timeout = submission.hard_timeout
                 fence = message.get("fence")
                 record.fence = fence if isinstance(fence, dict) else None
                 # Cannot fail: fullness was checked under this lock.
@@ -582,7 +517,7 @@ class SimDaemon:
                         obs.count("serve.degraded")
                 return ok_response(
                     job_id=record.job_id,
-                    job_hash=record.spec.content_hash(),
+                    job_hash=tiered.spec.content_hash(),
                     tier=record.tier,
                     f_final_cap=record.f_final_cap,
                     degraded=record.degraded,
@@ -637,7 +572,7 @@ class SimDaemon:
                 statuses[record.status] = statuses.get(record.status, 0) + 1
                 tiers[str(record.tier)] = tiers.get(str(record.tier), 0) + 1
                 tenant = tenants.setdefault(
-                    record.tenant,
+                    record.submission.tenant,
                     {"queued": 0, "running": 0, "final": 0, "total": 0},
                 )
                 tenant["total"] += 1
@@ -686,9 +621,9 @@ class SimDaemon:
             jobs = [
                 {
                     "job_id": record.job_id,
-                    "job_hash": record.spec.content_hash(),
+                    "job_hash": record.submission.spec.content_hash(),
                     "status": record.status,
-                    "tenant": record.tenant,
+                    "tenant": record.submission.tenant,
                 }
                 for record in self._jobs.values()
             ]
@@ -715,12 +650,8 @@ class SimDaemon:
                 stolen.append(
                     {
                         "job_id": record.job_id,
-                        "job_hash": record.spec.content_hash(),
-                        "spec": record.spec.to_dict(),
-                        "priority": record.priority,
-                        "tenant": record.tenant,
-                        "soft_timeout": record.soft_timeout,
-                        "hard_timeout": record.hard_timeout,
+                        "job_hash": record.submission.spec.content_hash(),
+                        **record.submission.to_message(),
                     }
                 )
             if obs.enabled and stolen:
@@ -748,9 +679,10 @@ class SimDaemon:
             self._check_workers()
             self._enforce_hard_deadlines()
             self._dispatch()
-            to_persist = self._advance_drain()
-        if to_persist:
-            self._persist_drained_queue(to_persist)
+            to_park = self._advance_drain()
+        park_submissions(
+            self.store, self._drained_queue_name(), to_park, self._log
+        )
 
     def _apply_events(self, events: list[WorkerEvent]) -> None:
         for event in events:
@@ -807,14 +739,15 @@ class SimDaemon:
             record = self._jobs.get(item.job_id)
             if record is None or record.status != "queued":
                 continue
+            submission = record.submission
             soft_deadline = (
-                self.clock() + record.soft_timeout
-                if record.soft_timeout is not None
+                self.clock() + submission.soft_timeout
+                if submission.soft_timeout is not None
                 else None
             )
             if not self.supervisor.submit(
                 record.job_id,
-                record.spec,
+                submission.spec,
                 soft_deadline,
                 fence=record.fence,
             ):
@@ -825,20 +758,20 @@ class SimDaemon:
             record.status = "dispatched"
             record.started_at = self.clock()
             record.hard_deadline = (
-                self.clock() + record.hard_timeout
-                if record.hard_timeout is not None
+                self.clock() + submission.hard_timeout
+                if submission.hard_timeout is not None
                 else None
             )
             record.events.append(f"attempt {record.attempts} dispatched")
 
-    def _advance_drain(self) -> list[JobRecord]:
+    def _advance_drain(self) -> list[Submission]:
         """Advance the drain state machine under the state lock.
 
-        Returns the records whose specs still need persisting; the
-        caller writes them to disk *after* releasing the lock so file
-        I/O never runs inside the lock region (DD009).
+        Returns the submissions of the jobs still queued, to be parked;
+        the caller writes them to disk *after* releasing the lock so
+        file I/O never runs inside the lock region (DD009).
         """
-        queued: list[JobRecord] = []
+        queued: list[Submission] = []
         if not self.draining:
             return queued
         if not self._drain_swept:
@@ -847,7 +780,7 @@ class SimDaemon:
             for item in self.queue.drain():
                 record = self._jobs.get(item.job_id)
                 if record is not None and record.status == "queued":
-                    queued.append(record)
+                    queued.append(record.submission)
                     self._finalize(record, "drained")
             self._log(
                 f"draining: cancelled {cancelled} in-flight job(s), "
@@ -870,7 +803,7 @@ class SimDaemon:
     def _apply_result(self, record: JobRecord, result: JobResult) -> None:
         obs = get_recorder()
         record.result = result
-        job_hash = record.spec.content_hash()
+        job_hash = record.submission.spec.content_hash()
         if record.started_at is not None:
             elapsed = self.clock() - record.started_at
             self._service_ewma = (
@@ -926,7 +859,7 @@ class SimDaemon:
         record.started_at = None
         record.hard_deadline = None
         if self.queue.offer(
-            QueueItem(job_id=record.job_id, priority=record.priority)
+            QueueItem(job_id=record.job_id, priority=record.submission.priority)
         ):
             if obs.enabled:
                 obs.count("serve.requeued")

@@ -26,6 +26,10 @@ work-stealing loops; the router additionally accepts a ``shard``
 argument on ``drain`` to drain one shard while redistributing its
 queue.
 
+A ``submit`` carries one :class:`Submission`; parked-queue files and
+``steal`` answers hold the same keys, read by :func:`parse_submission`
+and written by :meth:`Submission.to_message`.
+
 Responses always carry ``ok``.  Rejections (``ok: false``) carry
 ``error`` — notably ``"shed"`` (queue full; ``retry_after`` suggests a
 backoff) and ``"breaker_open"`` (the spec keeps failing permanently;
@@ -35,13 +39,19 @@ backoff) and ``"breaker_open"`` (the spec keeps failing permanently;
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from typing import IO, NamedTuple
 
-from ..service.jobs import check_seconds
+from ..faults.errors import QuorumLost
+from ..service.jobs import JobSpec, check_seconds
+from ..service.store import ArtifactStore
 
 #: Maximum accepted request line (a spec carries full QASM text, so the
 #: bound is generous; beyond it the connection is dropped as malformed).
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+#: Tenant recorded for submissions that carry no ``tenant`` field.
+DEFAULT_TENANT = "default"
 
 
 class ProtocolError(ValueError):
@@ -49,25 +59,59 @@ class ProtocolError(ValueError):
 
 
 class Submission(NamedTuple):
-    """The validated admission fields of a ``submit`` request."""
+    """One validated submission: what every submit, park, steal and
+    forward carries.
 
-    priority: int
-    soft_timeout: float | None
-    hard_timeout: float | None
+    ``spec`` holds the job's Lemma-1 budget (``f_final``, ``f_round``);
+    the rest is admission metadata.  :func:`parse_submission` is the
+    one reader of the format and :meth:`to_message` its one writer.
+    """
+
+    spec: JobSpec
+    tenant: str = DEFAULT_TENANT
+    priority: int = 0
+    soft_timeout: float | None = None
+    hard_timeout: float | None = None
+
+    def to_message(self) -> dict:
+        """The submit/park/steal keys (``op`` and extras are the caller's).
+
+        A default tenant and an unset timeout are left out; every
+        reader takes an absent key as its default.
+        """
+        message = {"spec": self.spec.to_dict(), "priority": self.priority}
+        if self.tenant != DEFAULT_TENANT:
+            message["tenant"] = self.tenant
+        if self.soft_timeout is not None:
+            message["soft_timeout"] = self.soft_timeout
+        if self.hard_timeout is not None:
+            message["hard_timeout"] = self.hard_timeout
+        return message
 
 
 def parse_submission(message: dict) -> Submission:
-    """Validate a ``submit`` request's priority and timeouts.
+    """Validate a ``submit`` request, a parked entry or a stolen job.
 
     The daemon and the router both call this before any job record
     exists, so a malformed field is rejected without leaving a record
-    behind.
+    behind.  A missing or empty ``tenant`` reads as
+    :data:`DEFAULT_TENANT`.
 
     Raises:
-        ValueError: ``bad submit: ...`` for a priority that is not an
-            integer, or a timeout that is not a finite number >= 0
+        ValueError: ``submit requires a spec object`` when ``spec`` is
+            not an object; ``bad spec: ...`` when
+            :meth:`JobSpec.from_dict` rejects it; ``bad submit: ...``
+            for a priority that is not an integer, or a timeout that is
+            not a finite number >= 0
             (:func:`~repro.service.jobs.check_seconds`).
     """
+    spec_doc = message.get("spec")
+    if not isinstance(spec_doc, dict):
+        raise ValueError("submit requires a spec object")
+    try:
+        spec = JobSpec.from_dict(spec_doc)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"bad spec: {error}") from None
     priority = message.get("priority", 0)
     if isinstance(priority, bool) or not isinstance(priority, int):
         raise ValueError(
@@ -80,7 +124,55 @@ def parse_submission(message: dict) -> Submission:
         ]
     except ValueError as error:
         raise ValueError(f"bad submit: {error}") from None
-    return Submission(priority, *timeouts)
+    tenant = str(message.get("tenant") or DEFAULT_TENANT)
+    return Submission(spec, tenant, priority, *timeouts)
+
+
+def park_submissions(
+    store: ArtifactStore,
+    name: str,
+    submissions: list[Submission],
+    log: Callable[[str], None],
+) -> None:
+    """Persist ``submissions`` as the parked-jobs file ``name``.
+
+    The daemon parks its queue at a drain and the router its unowned
+    jobs at shutdown; the next start takes them back with
+    :func:`take_parked_submissions`.  A failed write is logged: the
+    caller is shutting down and has nowhere else to put the jobs.
+    """
+    if not submissions:
+        return
+    try:
+        path = store.park_jobs(name, [s.to_message() for s in submissions])
+    except (OSError, QuorumLost) as error:
+        log(f"failed to park {len(submissions)} job(s): {error}")
+        return
+    log(f"parked {len(submissions)} job(s) to {path} for the next start")
+
+
+def take_parked_submissions(
+    store: ArtifactStore, name: str, log: Callable[[str], None]
+) -> list[Submission]:
+    """Take back the parked-jobs file ``name``, each entry parsed.
+
+    A malformed entry is logged and dropped alone; an unreadable file
+    is logged and reads as empty.
+    """
+    try:
+        entries = store.take_parked_jobs(name)
+    except OSError as error:
+        log(f"ignoring unreadable parked-job file: {error}")
+        return []
+    submissions = []
+    for entry in entries:
+        try:
+            submissions.append(parse_submission(entry))
+        except ValueError as error:
+            log(f"dropping malformed parked job: {error}")
+    if submissions:
+        log(f"restored {len(submissions)} parked job(s) from {name}")
+    return submissions
 
 
 def encode_message(message: dict) -> bytes:

@@ -68,17 +68,19 @@ from dataclasses import dataclass, field
 from ..faults.errors import QuorumLost
 from ..faults.injector import inject
 from ..obs import get_recorder
-from ..service.jobs import JobSpec
 from ..service.lease import DEFAULT_LEASE_TTL, LeaseManager
 from ..service.replication import open_store
 from ..service.store import ArtifactStore
 from .client import ServeClient, ServeError
-from .daemon import DEFAULT_TENANT, build_line_server
+from .daemon import build_line_server
 from .protocol import (
     ProtocolError,
+    Submission,
     error_response,
     ok_response,
+    park_submissions,
     parse_submission,
+    take_parked_submissions,
 )
 
 #: File (under ``<store>/serve/``) holding router-side jobs that had no
@@ -104,11 +106,7 @@ class ClusterJob:
 
     cluster_id: str
     job_hash: str
-    spec_doc: dict
-    tenant: str = DEFAULT_TENANT
-    priority: int = 0
-    soft_timeout: float | None = None
-    hard_timeout: float | None = None
+    submission: Submission
     shard_id: str = ""
     shard_job_id: str = ""
     status: str = "admitting"
@@ -126,8 +124,8 @@ class ClusterJob:
             "job_id": self.cluster_id,
             "job_hash": self.job_hash,
             "status": self.status,
-            "tenant": self.tenant,
-            "priority": self.priority,
+            "tenant": self.submission.tenant,
+            "priority": self.submission.priority,
             "error": self.error,
             "shard": self.shard_id,
             "shard_job_id": self.shard_job_id,
@@ -316,11 +314,11 @@ class ClusterRouter:
                 pass
         with self._lock:
             orphans = [
-                job
+                job.submission
                 for job in self._jobs.values()
                 if job.status in _UNOWNED
             ]
-        self._persist_orphans(orphans)
+        park_submissions(self.store, self._orphan_name(), orphans, self._log)
         self._log("shut down")
 
     # ------------------------------------------------------------------
@@ -331,63 +329,15 @@ class ClusterRouter:
     def _orphan_name(self) -> str:
         return ROUTER_DRAINED_FILE.removesuffix(".json")
 
-    def _persist_orphans(self, jobs: list[ClusterJob]) -> None:
-        if not jobs:
-            return
-        name = self._orphan_name()
-        payload = [
-            {
-                "spec": job.spec_doc,
-                "tenant": job.tenant,
-                "priority": job.priority,
-                "soft_timeout": job.soft_timeout,
-                "hard_timeout": job.hard_timeout,
-            }
-            for job in jobs
-        ]
-        try:
-            self.store.park_jobs(name, payload)
-        except (OSError, QuorumLost) as error:
-            self._log(f"failed to park unowned jobs: {error}")
-            return
-        self._log(
-            f"parked {len(jobs)} unowned job(s) to "
-            f"{self.store.parked_jobs_path(name)} for the next start"
-        )
-
     def _restore_orphans(self) -> None:
-        try:
-            entries = self.store.take_parked_jobs(self._orphan_name())
-        except OSError as error:
-            self._log(f"ignoring unreadable parked-job file: {error}")
-            return
-        if not entries:
-            return
-        restored = 0
+        submissions = take_parked_submissions(
+            self.store, self._orphan_name(), self._log
+        )
         with self._lock:
-            for entry in entries:
-                try:
-                    spec = JobSpec.from_dict(entry["spec"])
-                    submission = parse_submission(entry)
-                except (KeyError, TypeError, ValueError) as error:
-                    self._log(f"dropping malformed parked job: {error}")
-                    continue
-                job = self._new_record(
-                    spec.content_hash(),
-                    spec.to_dict(),
-                    str(entry.get("tenant") or DEFAULT_TENANT),
-                    submission.priority,
-                )
-                job.soft_timeout = submission.soft_timeout
-                job.hard_timeout = submission.hard_timeout
+            for submission in submissions:
+                job = self._new_record(submission)
                 job.status = "orphaned"
                 job.history.append("restored from parked-job file")
-                restored += 1
-        if restored:
-            self._log(
-                f"restored {restored} parked job(s); re-admitting on "
-                "the next tick"
-            )
 
     # ------------------------------------------------------------------
     # Shard RPC (never called with the state lock held — DD009)
@@ -434,7 +384,7 @@ class ClusterRouter:
                     "cluster_job": job.cluster_id,
                     "job_hash": job.job_hash,
                     "shard": shard_id,
-                    "tenant": job.tenant,
+                    "tenant": job.submission.tenant,
                     "readmissions": job.readmissions,
                 }
             )
@@ -470,20 +420,12 @@ class ClusterRouter:
             return self._handle_drain(message)
         return error_response(f"unknown op {op!r}")
 
-    def _new_record(
-        self,
-        job_hash: str,
-        spec_doc: dict,
-        tenant: str,
-        priority: int,
-    ) -> ClusterJob:
+    def _new_record(self, submission: Submission) -> ClusterJob:
         self._seq += 1
         job = ClusterJob(
             cluster_id=f"c-{self._seq:06d}",
-            job_hash=job_hash,
-            spec_doc=spec_doc,
-            tenant=tenant,
-            priority=priority,
+            job_hash=submission.spec.content_hash(),
+            submission=submission,
         )
         self._jobs[job.cluster_id] = job
         return job
@@ -495,7 +437,7 @@ class ClusterRouter:
             active = sum(
                 1
                 for job in self._jobs.values()
-                if job.tenant == tenant and not job.final
+                if job.submission.tenant == tenant and not job.final
             )
             if active >= quota:
                 return error_response(
@@ -526,18 +468,9 @@ class ClusterRouter:
     def _submit_message(
         self, job: ClusterJob, fence: dict | None = None
     ) -> dict:
-        message: dict = {
-            "op": "submit",
-            "spec": job.spec_doc,
-            "priority": job.priority,
-            "tenant": job.tenant,
-        }
+        message = {"op": "submit", **job.submission.to_message()}
         if fence is not None:
             message["fence"] = fence
-        if job.soft_timeout is not None:
-            message["soft_timeout"] = job.soft_timeout
-        if job.hard_timeout is not None:
-            message["hard_timeout"] = job.hard_timeout
         return message
 
     def _grant_lease(self, job: ClusterJob, shard_id: str) -> dict | None:
@@ -577,19 +510,10 @@ class ClusterRouter:
 
     def _admit(self, message: dict) -> dict:
         obs = get_recorder()
-        spec_doc = message.get("spec")
-        if not isinstance(spec_doc, dict):
-            return error_response("submit requires a spec object")
-        try:
-            spec = JobSpec.from_dict(spec_doc)
-        except (TypeError, ValueError) as error:
-            return error_response(f"bad spec: {error}")
         try:
             submission = parse_submission(message)
         except ValueError as error:
             return error_response(str(error))
-        job_hash = spec.content_hash()
-        tenant = str(message.get("tenant") or DEFAULT_TENANT)
         if getattr(self.store, "read_only", False):
             # Replicated store lost its write quorum: every shard
             # shares it, so placement is pointless — shed here with a
@@ -601,17 +525,13 @@ class ClusterRouter:
         with self._lock:
             if self.draining:
                 return error_response("draining")
-            rejection = self._tenant_gate(tenant)
+            rejection = self._tenant_gate(submission.tenant)
             if rejection is not None:
                 if obs.enabled:
                     obs.count(f"cluster.rejected_{rejection['error']}")
                 return rejection
-            targets = self.membership.route(job_hash)
-            job = self._new_record(
-                job_hash, spec.to_dict(), tenant, submission.priority
-            )
-            job.soft_timeout = submission.soft_timeout
-            job.hard_timeout = submission.hard_timeout
+            job = self._new_record(submission)
+            targets = self.membership.route(job.job_hash)
         try:
             placed = self._place(job, targets, event="assigned")
         except ServeError as error:
@@ -626,7 +546,7 @@ class ClusterRouter:
                 obs.count("cluster.submitted")
             return ok_response(
                 job_id=job.cluster_id,
-                job_hash=job_hash,
+                job_hash=job.job_hash,
                 shard=shard_id,
                 tier=response.get("tier"),
                 f_final_cap=response.get("f_final_cap"),
@@ -853,7 +773,7 @@ class ClusterRouter:
             for job in self._jobs.values():
                 statuses[job.status] = statuses.get(job.status, 0) + 1
                 tenant = tenants.setdefault(
-                    job.tenant,
+                    job.submission.tenant,
                     {
                         "queued": 0,
                         "running": 0,
@@ -892,7 +812,7 @@ class ClusterRouter:
                         "job_id": job.cluster_id,
                         "job_hash": job.job_hash,
                         "status": job.status,
-                        "tenant": job.tenant,
+                        "tenant": job.submission.tenant,
                         "shard": job.shard_id,
                         "readmissions": job.readmissions,
                         "history": list(job.history),
@@ -1157,24 +1077,14 @@ class ClusterRouter:
                 if job is None:
                     # A shard-local job (e.g. restored from the shard's
                     # own drained queue): adopt it into the cluster so
-                    # the move cannot lose it.
-                    spec_doc = payload.get("spec")
-                    if not isinstance(spec_doc, dict):
+                    # the move cannot lose it.  The shard has already
+                    # given it up, so a malformed one is dropped alone.
+                    try:
+                        submission = parse_submission(payload)
+                    except ValueError as error:
+                        self._log(f"dropping malformed stolen job: {error}")
                         continue
-                    job = self._new_record(
-                        str(payload.get("job_hash", "")),
-                        spec_doc,
-                        str(payload.get("tenant") or DEFAULT_TENANT),
-                        int(payload.get("priority", 0)),
-                    )
-                    soft = payload.get("soft_timeout")
-                    hard = payload.get("hard_timeout")
-                    job.soft_timeout = (
-                        float(soft) if soft is not None else None
-                    )
-                    job.hard_timeout = (
-                        float(hard) if hard is not None else None
-                    )
+                    job = self._new_record(submission)
                     job.history.append(f"adopted from {shard_id}")
                 job.status = "orphaned"
                 job.history.append(f"stolen from {shard_id}")

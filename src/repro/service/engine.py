@@ -164,26 +164,31 @@ def _stats_doc(stats, total_runtime: float, prior_max_nodes: int = 0) -> dict:
 
 
 def _journal_rows(
-    stats, start_op_index: int, resumed: bool
+    trajectory: list[int] | None, stats_document: dict, start_op_index: int
 ) -> list[dict]:
-    """Build the JSONL journal: per-op sizes plus round records."""
+    """Build the JSONL journal: this attempt's per-op sizes, then the
+    round records and totals of ``result.json``'s stats document."""
     rows: list[dict] = []
-    if resumed:
+    if start_op_index > 0:
         rows.append({"event": "resume", "at": start_op_index})
-    trajectory = stats.trajectory or []
-    for offset, nodes in enumerate(trajectory):
+    for offset, nodes in enumerate(trajectory or []):
         rows.append(
             {"event": "op", "index": start_op_index + offset, "nodes": nodes}
         )
-    for record in rounds_to_dicts(stats.rounds):
+    for record in stats_document["rounds"]:
         rows.append({"event": "round", **record})
     rows.append(
         {
             "event": "completed",
-            "runtime_seconds": stats.runtime_seconds,
-            "fidelity_estimate": stats.fidelity_estimate,
-            "max_nodes": stats.max_nodes,
-            "final_nodes": stats.final_nodes,
+            **{
+                key: stats_document[key]
+                for key in (
+                    "runtime_seconds",
+                    "fidelity_estimate",
+                    "max_nodes",
+                    "final_nodes",
+                )
+            },
         }
     )
     return rows
@@ -408,7 +413,7 @@ def execute_job(
             result_document,
             state_doc=state_to_dict(outcome.state),
             journal_rows=_journal_rows(
-                stats, start_op_index, resumed=start_op_index > 0
+                stats.trajectory, stats_document, start_op_index
             ),
         )
         try:

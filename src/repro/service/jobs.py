@@ -181,7 +181,8 @@ class JobSpec:
         strategy_args: Sorted ``(name, value)`` pairs for the strategy
             constructor (a tuple so the spec stays hashable/picklable).
         shots: Measurement samples drawn from the final state (0 = none).
-        seed: RNG seed for sampling.
+        seed: RNG seed for sampling.  ``shots``, ``seed`` and
+            ``checkpoint_interval`` must be ``int`` (not ``bool``).
         max_seconds: Cooperative time budget per execution attempt
             (None = unbounded; otherwise a finite number >= 0, see
             :func:`check_seconds`).
@@ -205,6 +206,10 @@ class JobSpec:
                 f"unknown strategy kind {self.strategy!r}; "
                 f"expected one of {STRATEGY_KINDS}"
             )
+        for name in ("shots", "seed", "checkpoint_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
         if self.checkpoint_interval < 0:

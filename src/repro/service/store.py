@@ -108,6 +108,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _result_text(document: dict) -> str:
+    """The one serialization of ``result.json`` (written and verified)."""
+    return json.dumps(document, sort_keys=True, indent=2)
+
+
 def _doc_crc(document: dict) -> int:
     """CRC-32 over the canonical JSON form of ``document``."""
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
@@ -232,9 +237,7 @@ class ArtifactStore:
             with open(
                 os.path.join(staging, RESULT_FILE), "w", encoding="utf-8"
             ) as handle:
-                handle.write(
-                    json.dumps(document, sort_keys=True, indent=2)
-                )
+                handle.write(_result_text(document))
             self._promote(staging, directory)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
@@ -273,19 +276,24 @@ class ArtifactStore:
     def load_result(self, job_hash: str) -> dict:
         """Load a result document, verifying its integrity block.
 
+        The CRC covers the parsed values, so the file must also be the
+        writer's one dump of them, byte for byte: an edit that parses to
+        the same values (``e-05`` read as ``E-05``) still fails.
+
         Raises:
             KeyError: When no result exists for the hash.
             ArtifactIntegrityError: When the document is unparsable, has
-                no integrity block or fails its CRC (callers should
-                quarantine + recompute).
+                no integrity block, fails its CRC or is not the writer's
+                dump of itself (callers should quarantine + recompute).
         """
         path = os.path.join(self.result_dir(job_hash), RESULT_FILE)
         if not os.path.exists(path):
             raise KeyError(f"no stored result for {job_hash}")
         inject("store.load_result", job_hash=job_hash, path=path)
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
+            raw = handle.read()
             try:
-                document = json.load(handle)
+                document = json.loads(raw)
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise ArtifactIntegrityError(
                     f"result document for {job_hash[:12]} is not valid "
@@ -308,6 +316,12 @@ class ArtifactStore:
             raise ArtifactIntegrityError(
                 f"result document for {job_hash[:12]} fails its "
                 f"CRC-32 (stored {expected}, computed {actual})",
+                path=path,
+            )
+        if raw != _result_text(document).encode():
+            raise ArtifactIntegrityError(
+                f"result document for {job_hash[:12]} differs from the "
+                "writer's dump of its own values",
                 path=path,
             )
         return document

@@ -133,6 +133,27 @@ class TestResultVerification:
         with pytest.raises(ArtifactIntegrityError, match="CRC-32"):
             store.load_result(HASH_A)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"e-05", b"E-05"), (b'"max_nodes": 4', b'"max_nodes":4')],
+    )
+    def test_an_edit_that_keeps_the_values_is_still_corrupt(
+        self, store, old, new
+    ):
+        """The CRC covers the parsed values; the bytes must be the
+        writer's own dump too, or a copy can differ unnoticed."""
+        store.put_result(
+            HASH_A, {"stats": {"max_nodes": 4, "runtime_seconds": 1.5e-05}}
+        )
+        path = os.path.join(store.result_dir(HASH_A), RESULT_FILE)
+        with open(path, "rb") as handle:
+            text = handle.read()
+        assert text.count(old) == 1
+        with open(path, "wb") as handle:
+            handle.write(text.replace(old, new))
+        with pytest.raises(ArtifactIntegrityError, match="writer's dump"):
+            store.load_result(HASH_A)
+
     def test_unparsable_document_is_an_integrity_error(self, store):
         store.put_result(HASH_A, {"stats": {}})
         path = os.path.join(store.result_dir(HASH_A), RESULT_FILE)

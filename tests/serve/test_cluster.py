@@ -18,11 +18,17 @@ import pytest
 from repro.faults import FaultPlan, FaultRule, arm
 from repro.serve import ClusterRouter, Membership, ServeError
 from repro.serve import router as router_module
+from repro.serve.protocol import Submission
 from repro.serve.router import CLUSTER_FINAL, ROUTER_DRAINED_FILE
 from repro.service.jobs import JobSpec
 from repro.service.store import ArtifactStore
 
-from .conftest import run_daemon
+from .conftest import (
+    LEGACY_PARKED_FILE,
+    legacy_parked_submissions,
+    run_daemon,
+    write_parked_file,
+)
 
 
 def _spec(**kwargs) -> JobSpec:
@@ -583,6 +589,32 @@ class TestSingleShardDrain:
         assert job.shard_id == "s1" and job.status == "queued"
         assert "orphaned by draining shard s0" in job.history
 
+    def test_a_malformed_stolen_job_is_dropped_alone(self, fake_cluster):
+        """Shard-local jobs are adopted from the steal answer; the shard
+        has already finalized them as stolen, so one bad entry must not
+        cost the ones after it."""
+        router, shards = fake_cluster(["s0", "s1"])
+        for seq, priority in ((1, 1), (2, "high"), (3, 1)):
+            job_id = f"j-{seq:06d}"
+            shards["s0"].jobs[job_id] = {
+                "job_id": job_id,
+                "status": "queued",
+                "spec": _spec(seed=seq).to_dict(),
+                "tenant": "acme",
+                "priority": priority,
+            }
+        response = router.handle_request({"op": "drain", "shard": "s0"})
+        assert response["redistributed"] == 2
+        assert [job.submission for job in router._jobs.values()] == [
+            Submission(_spec(seed=seq), "acme", 1) for seq in (1, 3)
+        ]
+        for job in router._jobs.values():
+            assert job.shard_id == "s1" and job.status == "queued"
+            assert "adopted from s0" in job.history
+        assert [m["spec"]["seed"] for m in shards["s1"].submissions] == [1, 3]
+        log = router._log_stream.getvalue()
+        assert "dropping malformed stolen job: bad submit: priority" in log
+
     def test_unknown_shard_is_an_error(self, fake_cluster):
         router, _ = fake_cluster(["s0"])
         response = router.handle_request(
@@ -655,7 +687,8 @@ class TestOrphanPersistence:
         assert not os.path.exists(path)
         (job,) = successor._jobs.values()
         assert job.status == "orphaned"
-        assert job.tenant == "acme" and job.priority == 2
+        assert job.submission.tenant == "acme"
+        assert job.submission.priority == 2
         assert "restored from parked-job file" in job.history
         successor._tick()
         assert job.status == "queued" and job.shard_id
@@ -669,7 +702,19 @@ class TestOrphanPersistence:
         router._restore_orphans()  # must not raise
         jobs = list(router._jobs.values())
         assert len(jobs) == 2
-        assert all(job.priority == 2 for job in jobs)
+        assert all(job.submission.priority == 2 for job in jobs)
+        assert all(job.status == "orphaned" for job in jobs)
+
+    def test_restores_a_parked_file_with_every_key_written(
+        self, fake_cluster
+    ):
+        router, _ = fake_cluster(["s0"])
+        write_parked_file(
+            router.store, router._orphan_name(), LEGACY_PARKED_FILE
+        )
+        router._restore_orphans()
+        jobs = list(router._jobs.values())
+        assert [job.submission for job in jobs] == legacy_parked_submissions()
         assert all(job.status == "orphaned" for job in jobs)
 
     def test_restore_tolerates_garbage_files(self, fake_cluster):
@@ -868,6 +913,74 @@ class TestEndToEndCluster:
                 router._tick()
                 assert d0._stopped.wait(30.0)
                 assert d1._stopped.wait(30.0)
+
+    def test_single_shard_drain_carries_every_submission_field(
+        self, store, monkeypatch
+    ):
+        """Jobs queued on s0 (its dispatch held) move to s1 with their
+        tenant, priority and timeouts: two placed by the router, one
+        submitted to s0 directly and adopted from the steal answer."""
+        with run_daemon(store, shard_id="s0") as (d0, c0):
+            monkeypatch.setattr(d0, "_dispatch", lambda: None)
+            with run_daemon(store, shard_id="s1") as (d1, _c1):
+                membership = Membership(
+                    [
+                        ("s0", d0.socket_path),
+                        ("s1", d1.socket_path),
+                    ]
+                )
+                router = ClusterRouter(
+                    store, membership, log=io.StringIO()
+                )
+                fidelity_specs = (
+                    _spec(
+                        strategy="fidelity",
+                        strategy_args=(
+                            ("final_fidelity", 0.99 - nonce / 1000),
+                            ("round_fidelity", 0.999),
+                        ),
+                    )
+                    for nonce in range(100)
+                )
+                placed = [
+                    spec
+                    for spec in fidelity_specs
+                    if membership.prefer(spec.content_hash())[0] == "s0"
+                ][:2]
+                expected = [
+                    Submission(placed[0], "acme", 4, 30.0, 60.0),
+                    Submission(placed[1], "beta", -1, None, 45.0),
+                ]
+                for submission in expected:
+                    accepted = router.handle_request(
+                        {"op": "submit", **submission.to_message()}
+                    )
+                    assert accepted["shard"] == "s0"
+                local = Submission(_spec(seed=9), "gamma", 2, 20.0, None)
+                c0.submit(
+                    local.spec,
+                    tenant=local.tenant,
+                    priority=local.priority,
+                    soft_timeout=local.soft_timeout,
+                )
+                expected.append(local)
+                moved = router.handle_request({"op": "drain", "shard": "s0"})
+                assert moved["redistributed"] == 3
+                assert d0._stopped.wait(30.0)
+                by_hash = {s.spec.content_hash(): s for s in expected}
+                for job in list(router._jobs.values()):
+                    assert job.shard_id == "s1"
+                    assert job.submission == by_hash[job.job_hash]
+                    done = router.handle_request(
+                        {
+                            "op": "wait",
+                            "job_id": job.cluster_id,
+                            "timeout": 60.0,
+                        }
+                    )["job"]
+                    assert done["status"] == "completed", done
+                    record = d1._jobs[job.shard_job_id]
+                    assert record.submission == by_hash[job.job_hash]
 
     def test_checkpoint_resumes_across_shards_with_same_fidelity(
         self, store

@@ -14,11 +14,17 @@ import os
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, arm
+from repro.obs import recording
 from repro.serve import CircuitBreaker, FidelityLadder, SimDaemon
 from repro.serve.daemon import DRAINED_QUEUE_FILE
 from repro.service.jobs import JobSpec
 
-from .conftest import run_daemon
+from .conftest import (
+    LEGACY_PARKED_FILE,
+    legacy_parked_submissions,
+    run_daemon,
+    write_parked_file,
+)
 
 FIDELITY_ARGS = (
     ("final_fidelity", 0.999),
@@ -91,6 +97,22 @@ class TestAdmission:
         assert bad["error"].startswith("bad spec: max_seconds")
         assert daemon.queue.depth == 0
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"shots": 2.5}, {"shots": True}, {"checkpoint_interval": 2.5}],
+    )
+    def test_a_non_integer_count_is_a_bad_spec(self, store, field):
+        daemon = SimDaemon(store)
+        spec_doc = {**_spec().to_dict(), **field}
+        with recording() as recorder:
+            bad = daemon.handle_request({"op": "submit", "spec": spec_doc})
+        assert not bad["ok"]
+        (name,) = field
+        assert bad["error"].startswith(f"bad spec: {name} must be an integer")
+        assert recorder.counters["serve.rejected_bad_spec"] == 1
+        assert daemon._jobs == {}
+        assert daemon.queue.depth == 0
+
     def test_unknown_op_and_unknown_job(self, store):
         daemon = SimDaemon(store)
         assert not daemon.handle_request({"op": "explode"})["ok"]
@@ -116,7 +138,7 @@ class TestAdmission:
         assert responses[2]["f_final_cap"] == 0.99
         assert responses[2]["job_hash"] != spec.content_hash()
         record = daemon._jobs[responses[2]["job_id"]]
-        args = dict(record.spec.strategy_args)
+        args = dict(record.submission.spec.strategy_args)
         assert args["final_fidelity"] == 0.99
 
     @pytest.mark.parametrize(
@@ -175,7 +197,19 @@ class TestDrainWithoutWorkers:
         daemon._restore_drained_queue()  # must not raise
         assert daemon.queue.depth == 2
         for record in daemon._jobs.values():
-            assert (record.priority, record.soft_timeout) == (1, 2.0)
+            submission = record.submission
+            assert (submission.priority, submission.soft_timeout) == (1, 2.0)
+
+    def test_restores_a_parked_file_with_every_key_written(self, store):
+        write_parked_file(
+            store, DRAINED_QUEUE_FILE.removesuffix(".json"), LEGACY_PARKED_FILE
+        )
+        daemon = SimDaemon(store, queue_capacity=8)
+        daemon._restore_drained_queue()
+        assert [record.submission for record in daemon._jobs.values()] == (
+            legacy_parked_submissions()
+        )
+        assert daemon.queue.depth == 2
 
     def test_restore_tolerates_garbage_files(self, store):
         path = os.path.join(store.root, "serve", DRAINED_QUEUE_FILE)

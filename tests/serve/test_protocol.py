@@ -7,8 +7,10 @@ import io
 import pytest
 
 from repro.serve.protocol import (
+    DEFAULT_TENANT,
     MAX_LINE_BYTES,
     ProtocolError,
+    Submission,
     decode_message,
     encode_message,
     error_response,
@@ -17,6 +19,7 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
+from repro.service.jobs import JobSpec
 
 
 class TestCodec:
@@ -42,16 +45,35 @@ class TestCodec:
             decode_message(b"\xff\xfe\n")
 
 
+SPEC = JobSpec(circuit="builtin:shor_15_2")
+
+
+def _entry(**fields) -> dict:
+    return {"spec": SPEC.to_dict(), **fields}
+
+
 class TestParseSubmission:
     def test_defaults(self):
-        assert parse_submission({"op": "submit"}) == (0, None, None)
+        assert parse_submission({"op": "submit", "spec": SPEC.to_dict()}) == (
+            SPEC,
+            DEFAULT_TENANT,
+            0,
+            None,
+            None,
+        )
 
     def test_accepts_integer_priority_and_finite_timeouts(self):
         submission = parse_submission(
-            {"priority": 3, "soft_timeout": 0.0, "hard_timeout": 60}
+            _entry(priority=3, soft_timeout=0.0, hard_timeout=60)
         )
-        assert submission == (3, 0.0, 60.0)
+        assert submission == (SPEC, DEFAULT_TENANT, 3, 0.0, 60.0)
         assert isinstance(submission.hard_timeout, float)
+
+    @pytest.mark.parametrize("tenant", [None, ""])
+    def test_an_absent_tenant_is_the_default(self, tenant):
+        assert parse_submission(_entry(tenant=tenant)).tenant == (
+            DEFAULT_TENANT
+        )
 
     @pytest.mark.parametrize(
         "field",
@@ -69,7 +91,63 @@ class TestParseSubmission:
     )
     def test_rejects_malformed_fields(self, field):
         with pytest.raises(ValueError, match="^bad submit: "):
-            parse_submission(field)
+            parse_submission(_entry(**field))
+
+    @pytest.mark.parametrize("spec", [None, "builtin:shor_15_2", [1]])
+    def test_requires_a_spec_object(self, spec):
+        with pytest.raises(ValueError, match="^submit requires a spec object$"):
+            parse_submission({"spec": spec})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"circuit": "builtin:shor_15_2", "bogus": 1},
+            {"circuit": "builtin:shor_15_2", "shots": 2.5},
+            {"circuit": "builtin:shor_15_2", "max_seconds": "5"},
+        ],
+    )
+    def test_a_rejected_spec_is_a_bad_spec(self, spec):
+        with pytest.raises(ValueError, match="^bad spec: "):
+            parse_submission({"spec": spec})
+
+
+class TestSubmissionEncoding:
+    @pytest.mark.parametrize(
+        "submission",
+        [
+            Submission(SPEC),
+            Submission(SPEC, "acme", -2, 0.0, 60.0),
+            Submission(
+                JobSpec(
+                    circuit="builtin:shor_21_2",
+                    strategy="fidelity",
+                    strategy_args=(
+                        ("final_fidelity", 0.5),
+                        ("round_fidelity", 0.9),
+                    ),
+                    shots=8,
+                    seed=3,
+                ),
+                "beta",
+                5,
+                None,
+                1.5,
+            ),
+        ],
+    )
+    def test_round_trip(self, submission):
+        message = submission.to_message()
+        assert parse_submission(message) == submission
+        # The encoding is plain JSON: it survives the wire unchanged.
+        assert parse_submission(decode_message(encode_message(message))) == (
+            submission
+        )
+
+    def test_defaults_are_left_out(self):
+        assert Submission(SPEC).to_message() == {
+            "spec": SPEC.to_dict(),
+            "priority": 0,
+        }
 
 
 class TestStreamIO:

@@ -7,9 +7,11 @@ import os
 
 import pytest
 
+from repro.core.simulator import CancellationToken
 from repro.service.engine import JobEngine, JobResult, execute_job
 from repro.service.jobs import JobSpec
 from repro.service.store import CHECKPOINT_FILE, ArtifactStore
+from tests.helpers import CountingClock
 
 FIDELITY_SHOR = (
     ("final_fidelity", 0.5),
@@ -119,6 +121,48 @@ class TestTimeoutResume:
         # Peak diagram size and runtime accumulate across attempts.
         assert result.stats["max_nodes"] == reference.stats["max_nodes"]
         assert result.stats["runtime_seconds"] >= spec.max_seconds
+
+
+    def test_resumed_journal_totals_match_the_result(self, store):
+        """The journal's ``completed`` row carries the totals of
+        ``result.json`` (runtime and peak across both attempts), not
+        those of the resuming attempt alone."""
+        spec = JobSpec(
+            circuit="builtin:shor_21_2",
+            strategy="fidelity",
+            strategy_args=FIDELITY_SHOR,
+        )
+        # The post-round poll of operation 59 is clock call 120.
+        stopped = execute_job(
+            spec,
+            store,
+            cancel=CancellationToken(
+                soft_deadline=120.0, clock=CountingClock()
+            ),
+        )
+        assert stopped.status == "deadline"
+        assert stopped.stats["next_op_index"] == 60
+        result = execute_job(spec, store)
+        assert result.status == "completed" and result.resumed_at == 60
+        assert result.stats["runtime_seconds"] > 0.0
+        journal = store.read_journal(spec.content_hash())
+        assert journal[0] == {"event": "resume", "at": 60}
+        completed = journal[-1]
+        assert completed == {
+            "event": "completed",
+            **{
+                key: result.stats[key]
+                for key in (
+                    "runtime_seconds",
+                    "fidelity_estimate",
+                    "max_nodes",
+                    "final_nodes",
+                )
+            },
+        }
+        assert [row for row in journal if row["event"] == "round"] == [
+            {"event": "round", **record} for record in result.stats["rounds"]
+        ]
 
 
 class TestStaleCheckpoint:

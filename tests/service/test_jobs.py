@@ -150,6 +150,26 @@ class TestSpecValidation:
             JobSpec("builtin:shor_15_2", checkpoint_interval=-1)
 
     @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("shots", {"shots": 2.5}),
+            ("shots", {"shots": True}),
+            ("shots", {"shots": "4"}),
+            ("seed", {"seed": "x", "shots": 4}),
+            ("seed", {"seed": 1.0}),
+            ("seed", {"seed": False}),
+            ("checkpoint_interval", {"checkpoint_interval": 2.5}),
+            ("checkpoint_interval", {"checkpoint_interval": None}),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, name, field):
+        """A float, bool or string here would raise out of
+        ``execute_job`` after the result is stored (``shots``, ``seed``)
+        or checkpoint at an odd cadence (``checkpoint_interval``)."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            JobSpec("builtin:shor_15_2", **field)
+
+    @pytest.mark.parametrize(
         "max_seconds", ["5", float("nan"), float("inf"), -1, True]
     )
     def test_rejects_a_bad_time_budget(self, max_seconds):

@@ -277,6 +277,30 @@ class TestResultReads:
         assert store.load_result(HASH_A)["stats"] == {"fidelity": 0.9}
         self._assert_repaired(store, healthy)
 
+    def test_a_one_bit_edit_that_keeps_the_values_is_corrupt(self, store):
+        """``1.5e-05`` and ``1.5E-05`` parse alike, one bit apart: the
+        copy is byte-divergent, so the scrub reports it and the read
+        repairs it."""
+        store.put_result(
+            HASH_A,
+            {"stats": {"runtime_seconds": 1.5e-05}},
+            state_doc=_state_doc(),
+            journal_rows=JOURNAL,
+        )
+        healthy = [_read_bytes(self._paths(store, n)[1]) for n in FILES]
+        victim = self._paths(store, "result.json")[0]
+        with open(victim, "wb") as handle:
+            handle.write(healthy[0].replace(b"e-05", b"E-05"))
+        report = store.scrub(repair=False)
+        assert [
+            (problem["kind"], problem["replica"])
+            for problem in report["problems"]
+        ] == [("result_corrupt", 0)]
+        assert store.load_result(HASH_A)["stats"] == {
+            "runtime_seconds": 1.5e-05
+        }
+        self._assert_repaired(store, healthy)
+
     def test_edited_journal_row_is_corrupt_not_served(self, store):
         def edit(path: str) -> None:
             text = _read_bytes(path).replace(b"0.9", b"0.1")
