@@ -473,7 +473,24 @@ def main() -> int:
             max_seconds=0.05,
             checkpoint_interval=20,
         )
-        first = execute_job(rt_spec, store)
+        # The whole run can fit the budget on a fast host: gate 40 is
+        # slowed past it, so this first attempt times out.
+        arm(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="simulator.gate",
+                        kind="slow",
+                        at_op=40,
+                        args={"delay_seconds": 0.1},
+                    ),
+                )
+            )
+        )
+        try:
+            first = execute_job(rt_spec, store)
+        finally:
+            disarm()
         check(
             first.status == "timeout",
             f"round-trip job checkpointed ({first.status})",

@@ -2,7 +2,8 @@
  *
  * Implements make_vedge, vadd, the multiply_mv recursion, the inner
  * product, the rebuild of an approximation round and the whole-diagram
- * sweeps (node_count, vnodes, norm_contributions), on the matrix side
+ * sweeps (node_count, vnodes, norm_contributions), the packed node table
+ * of a stored state and its verbatim load, on the matrix side
  * make_medge, madd and the multiply_mm recursion, and the reclaim that
  * frees what a cache flush unpinned.
  *
@@ -1366,6 +1367,58 @@ new_vnode(Ctx *c, long level, Edge e0, int t0, Edge e1, int t1)
     return node;
 }
 
+/* The node at `level` above the normalized edges n0 and n1 (t0 and t1 their
+ * snap targets, whose shared weight objects the node takes): the one the
+ * unique table holds under their key, else a new node appended to the
+ * arena and interned.  *node is borrowed (an arena slot, or pinned). */
+static int
+intern_vnode(Ctx *c, long level, Edge n0, int t0, Edge n1, int t1, PyObject **node)
+{
+    VKey key;
+    Table *t = c->st->tables[T_VTABLE];
+    PyObject *nodes = c->st->v_nodes;
+    char *slot;
+
+    switch (vkey_fill(&key, level, n0, n1, c->inv)) {
+    case -1:
+        return -1;
+    case 0:
+        PyErr_SetString(PyExc_OverflowError, "node does not fit the arena record");
+        return -1;
+    }
+    slot = lookup(t, &key, sizeof(VEntry), sizeof(VKey));
+    if (slot != NULL) {
+        *node = ((VEntry *)slot)->node;
+        return pin(c, *node);
+    }
+    if ((*node = new_vnode(c, level, n0, t0, n1, t1)) == NULL) {
+        return -1;
+    }
+    if (record_append(c, level, n0.n, n1.n) < 0) {
+        Py_DECREF(*node);
+        return -1;
+    }
+    if (PyList_Append(nodes, *node) < 0) {
+        /* Drop the entry again: a shrink by one entry right after the
+         * growth only moves the end (it cannot fail). */
+        (void)PyByteArray_Resize(c->st->v_record,
+                                 PyByteArray_GET_SIZE(c->st->v_record) - (Py_ssize_t)sizeof(Rec));
+        Py_DECREF(*node);
+        return -1;
+    }
+    /* `_v_nodes` holds it now. */
+    Py_DECREF(*node);
+    if (table_reserve(t) < 0) {
+        return -1;
+    }
+    node_put(t, &key, *node);
+    c->created++;
+    if ((PyList_GET_SIZE(nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
+        return -1;
+    }
+    return 0;
+}
+
 static int
 make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
 {
@@ -1373,10 +1426,6 @@ make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
     Py_complex phase, top;
     Edge n0, n1;
     int t0, t1;
-    VKey key;
-    Table *t = c->st->tables[T_VTABLE];
-    PyObject *nodes = c->st->v_nodes, *node;
-    char *slot;
 
     if (c_abs(e0.w, &a0) < 0 || c_abs(e1.w, &a1) < 0) {
         return -1;
@@ -1422,51 +1471,8 @@ make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
     if (t1 != SNAP_NONE) {
         n1.w = target_values[t1];
     }
-
-    switch (vkey_fill(&key, level, n0, n1, c->inv)) {
-    case -1:
-        return -1;
-    case 0:
-        PyErr_SetString(PyExc_OverflowError, "node does not fit the arena record");
-        return -1;
-    }
-    slot = lookup(t, &key, sizeof(VEntry), sizeof(VKey));
-    if (slot != NULL) {
-        node = ((VEntry *)slot)->node;
-        if (pin(c, node) < 0) {
-            return -1;
-        }
-    }
-    else {
-        if ((node = new_vnode(c, level, n0, t0, n1, t1)) == NULL) {
-            return -1;
-        }
-        if (record_append(c, level, n0.n, n1.n) < 0) {
-            Py_DECREF(node);
-            return -1;
-        }
-        if (PyList_Append(nodes, node) < 0) {
-            /* Drop the entry again: a shrink by one entry right after the
-             * growth only moves the end (it cannot fail). */
-            (void)PyByteArray_Resize(c->st->v_record, PyByteArray_GET_SIZE(c->st->v_record) -
-                                                          (Py_ssize_t)sizeof(Rec));
-            Py_DECREF(node);
-            return -1;
-        }
-        /* `_v_nodes` holds it now. */
-        Py_DECREF(node);
-        if (table_reserve(t) < 0) {
-            return -1;
-        }
-        node_put(t, &key, node);
-        c->created++;
-        if ((PyList_GET_SIZE(nodes) & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
-            return -1;
-        }
-    }
     out->w = top;
-    out->n = node;
-    return 0;
+    return intern_vnode(c, level, n0, t0, n1, t1, &out->n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -3064,6 +3070,277 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
+/* The packed node table (repro-dd-state version 2)                    */
+/* ------------------------------------------------------------------ */
+
+/* Per node, the table holds TABLE_INTS little-endian int32 (level, then
+ * the positions of child 0 and child 1, -1 for the terminal) and
+ * TABLE_DOUBLES little-endian float64 (re and im of weight 0, then of
+ * weight 1).  Children precede parents. */
+enum { TABLE_INTS = 3, TABLE_DOUBLES = 4 };
+
+/* Copy one `width`-byte value between host order and little-endian. */
+static void
+le_copy(void *dst, const void *src, size_t width)
+{
+#if PY_BIG_ENDIAN
+    size_t k;
+    for (k = 0; k < width; k++) {
+        ((unsigned char *)dst)[k] = ((const unsigned char *)src)[width - 1 - k];
+    }
+#else
+    memcpy(dst, src, width);
+#endif
+}
+
+static int32_t
+table_int(const char *ints, Py_ssize_t node, int k)
+{
+    int32_t value;
+    le_copy(&value, ints + 4 * (TABLE_INTS * node + k), 4);
+    return value;
+}
+
+static Py_complex
+table_weight(const char *doubles, Py_ssize_t node, int k)
+{
+    Py_complex w;
+    le_copy(&w.real, doubles + 8 * (TABLE_DOUBLES * node + 2 * k), 8);
+    le_copy(&w.imag, doubles + 8 * (TABLE_DOUBLES * node + 2 * k + 1), 8);
+    return w;
+}
+
+/* DDBackend.state_table over the record: the nodes of the walk in
+ * ascending level order, each level in DDBackend.vnodes order, which is
+ * the vnodes order with its level groups taken from the last.  The
+ * weights are read from the nodes' edges.  None for a foreign diagram. */
+static PyObject *
+py_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Walk w;
+    Ids order = {NULL, 0, 0};
+    PyObject *result = NULL, *ints = NULL, *doubles = NULL;
+    int32_t *position = NULL, value;
+    Py_ssize_t n, i, start, end, at = 0;
+    const Rec *recs;
+    Edge root, edges[2];
+    char *ip, *dp;
+    int status, k;
+    (void)module;
+    if (read_sweep_args("state_table", args, nargs, &root) < 0) {
+        return NULL;
+    }
+    if (root.n == NULL) {
+        return Py_BuildValue("(y#y#)", "", (Py_ssize_t)0, "", (Py_ssize_t)0);
+    }
+    if ((status = walk_open(&w, args[0], root.n)) <= 0 ||
+        (status = sorted_nodes(&w, &order)) <= 0) {
+        goto done;
+    }
+    status = -1;
+    n = order.len;
+    recs = records(w.record);
+    position = PyMem_Malloc((size_t)w.size * sizeof(int32_t));
+    ints = PyBytes_FromStringAndSize(NULL, n * TABLE_INTS * 4);
+    doubles = PyBytes_FromStringAndSize(NULL, n * TABLE_DOUBLES * 8);
+    if (position == NULL || ints == NULL || doubles == NULL) {
+        if (position == NULL) {
+            PyErr_NoMemory();
+        }
+        goto done;
+    }
+    /* Positions first: a parent names children of lower levels. */
+    for (end = n; end > 0; end = start) {
+        for (start = end - 1;
+             start > 0 && recs[order.data[start - 1]].level == recs[order.data[end - 1]].level;
+             start--) {
+        }
+        for (i = start; i < end; i++) {
+            position[order.data[i]] = (int32_t)at++;
+        }
+    }
+    ip = PyBytes_AS_STRING(ints);
+    dp = PyBytes_AS_STRING(doubles);
+    for (i = 0; i < n; i++) {
+        int32_t id = order.data[i];
+        Py_ssize_t p = position[id];
+        if (read_node_edges(PyList_GET_ITEM(w.nodes, id), v_edges_off, 2, vnode_type, edges) < 0) {
+            goto done;
+        }
+        le_copy(ip + 4 * TABLE_INTS * p, &recs[id].level, 4);
+        for (k = 0; k < 2; k++) {
+            value = recs[id].child[k] == REC_TERMINAL ? -1 : position[recs[id].child[k]];
+            le_copy(ip + 4 * (TABLE_INTS * p + 1 + k), &value, 4);
+            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k), &edges[k].w.real, 8);
+            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k + 1), &edges[k].w.imag, 8);
+        }
+    }
+    result = PyTuple_Pack(2, ints, doubles);
+    status = 1;
+done:
+    if (status == 0) {
+        result = Py_None;
+        Py_INCREF(result);
+    }
+    Py_XDECREF(ints);
+    Py_XDECREF(doubles);
+    PyMem_Free(position);
+    PyMem_Free(order.data);
+    walk_close(&w);
+    return result;
+}
+
+/* |w|^2 for the normalization check (a bound, not an engine value). */
+static double
+norm2(Py_complex w)
+{
+    return w.real * w.real + w.imag * w.imag;
+}
+
+/* The checks of DDBackend.intern_state_table on node `p`, with its
+ * messages: sets ValueError and returns -1 on the first failure. */
+static int
+check_table_node(const char *ints, const char *doubles, Py_ssize_t p, double slack)
+{
+    int32_t level = table_int(ints, p, 0), child;
+    Py_complex w[2], first;
+    int k;
+    if (level < 0) {
+        PyErr_Format(PyExc_ValueError, "node %zd has negative level %d", p, (int)level);
+        return -1;
+    }
+    for (k = 0; k < 2; k++) {
+        child = table_int(ints, p, 1 + k);
+        w[k] = table_weight(doubles, p, k);
+        if (child < -1 || child >= p) {
+            PyErr_Format(PyExc_ValueError, "node %zd references forward/unknown child %d", p,
+                         (int)child);
+            return -1;
+        }
+        if (!isfinite(w[k].real) || !isfinite(w[k].imag)) {
+            PyErr_Format(PyExc_ValueError, "node %zd has a non-finite weight", p);
+            return -1;
+        }
+        if (child >= 0 && table_int(ints, child, 0) != level - 1) {
+            PyErr_Format(PyExc_ValueError, "node %zd at level %d references child %d at level %d",
+                         p, (int)level, (int)child, (int)table_int(ints, child, 0));
+            return -1;
+        }
+        if (child >= 0 && IS_ZERO(w[k])) {
+            PyErr_Format(PyExc_ValueError, "node %zd has a zero edge into node %d", p,
+                         (int)child);
+            return -1;
+        }
+        if (child < 0 && level > 0 && !IS_ZERO(w[k])) {
+            PyErr_Format(PyExc_ValueError,
+                         "node %zd at level %d has a non-zero edge into the terminal", p,
+                         (int)level);
+            return -1;
+        }
+    }
+    first = IS_ZERO(w[0]) ? w[1] : w[0];
+    if (!(first.real > 0.0) || fabs(first.imag) > slack) {
+        PyErr_Format(PyExc_ValueError, "node %zd's first non-zero weight is not real and positive",
+                     p);
+        return -1;
+    }
+    if (fabs(norm2(w[0]) + norm2(w[1]) - 1.0) > slack) {
+        PyErr_Format(PyExc_ValueError, "node %zd is not normalized", p);
+        return -1;
+    }
+    return 0;
+}
+
+/* DDBackend.intern_state_table: check every node and the root, then
+ * intern the nodes in table order with their stored weights. */
+static PyObject *
+py_intern_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    PyObject **nodes = NULL, *result = NULL;
+    const char *ints, *doubles;
+    Py_ssize_t n, p, num_qubits, root;
+    double slack;
+    Edge e[2];
+    int k, status = -1;
+    (void)module;
+    if (check_args("intern_state_table", nargs, 6) < 0) {
+        return NULL;
+    }
+    if (!PyBytes_Check(args[2]) || !PyBytes_Check(args[3])) {
+        PyErr_SetString(PyExc_TypeError, "the node table must be bytes");
+        return NULL;
+    }
+    num_qubits = PyLong_AsSsize_t(args[1]);
+    root = PyLong_AsSsize_t(args[4]);
+    slack = PyFloat_AsDouble(args[5]);
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    n = PyBytes_GET_SIZE(args[2]) / (TABLE_INTS * 4);
+    if (PyBytes_GET_SIZE(args[2]) != n * TABLE_INTS * 4 ||
+        PyBytes_GET_SIZE(args[3]) != n * TABLE_DOUBLES * 8) {
+        PyErr_Format(PyExc_ValueError,
+                     "node table buffers of %zd and %zd bytes hold no whole number of nodes",
+                     PyBytes_GET_SIZE(args[2]), PyBytes_GET_SIZE(args[3]));
+        return NULL;
+    }
+    if (n > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "node table too large");
+        return NULL;
+    }
+    ints = PyBytes_AS_STRING(args[2]);
+    doubles = PyBytes_AS_STRING(args[3]);
+    for (p = 0; p < n; p++) {
+        if (check_table_node(ints, doubles, p, slack) < 0) {
+            return NULL;
+        }
+    }
+    if (root == -1) {
+        PyErr_SetString(PyExc_ValueError, "state root cannot be the terminal");
+        return NULL;
+    }
+    if (root < 0 || root >= n) {
+        PyErr_Format(PyExc_ValueError, "root references unknown node %zd", root);
+        return NULL;
+    }
+    if (table_int(ints, root, 0) != num_qubits - 1) {
+        PyErr_Format(PyExc_ValueError, "root level %d is not num_qubits - 1 (%zd)",
+                     (int)table_int(ints, root, 0), num_qubits - 1);
+        return NULL;
+    }
+    if ((nodes = PyMem_Malloc((size_t)n * sizeof(PyObject *))) == NULL) {
+        return PyErr_NoMemory();
+    }
+    if (ctx_open(&c, args[0]) < 0) {
+        PyMem_Free(nodes);
+        ctx_close(&c, 1);
+        return NULL;
+    }
+    for (p = 0; p < n; p++) {
+        for (k = 0; k < 2; k++) {
+            int32_t child = table_int(ints, p, 1 + k);
+            e[k].w = table_weight(doubles, p, k);
+            e[k].n = child < 0 ? NULL : nodes[child];
+        }
+        if (intern_vnode(&c, table_int(ints, p, 0), e[0], SNAP_NONE, e[1], SNAP_NONE, &nodes[p]) <
+            0) {
+            break;
+        }
+    }
+    if (p == n) {
+        status = 0;
+        result = nodes[root];
+        Py_INCREF(result);
+    }
+    PyMem_Free(nodes);
+    if (ctx_close(&c, status < 0) < 0) {
+        Py_CLEAR(result);
+    }
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* The inner product entry                                            */
 /* ------------------------------------------------------------------ */
 
@@ -3434,6 +3711,10 @@ static PyMethodDef core_methods[] = {
      "rebuild_without(backend, edge, level, removed) -> edge, or None for a foreign diagram"},
     {"inner_nodes", (PyCFunction)(void (*)(void))py_inner_nodes, METH_FASTCALL,
      "inner_nodes(backend, n1, n2, level) -> complex"},
+    {"state_table", (PyCFunction)(void (*)(void))py_state_table, METH_FASTCALL,
+     "state_table(backend, edge) -> (ints, doubles), or None for a foreign diagram"},
+    {"intern_state_table", (PyCFunction)(void (*)(void))py_intern_state_table, METH_FASTCALL,
+     "intern_state_table(backend, num_qubits, ints, doubles, root, slack) -> node"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -29,7 +29,8 @@ sequences, node counts and results are those of the dict engine.
 **The arithmetic is native.**  ``make_vedge``, ``vadd``, the
 ``multiply_mv`` recursion, the inner product, the approximation round's
 ``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
-``norm_contributions``, on the matrix side ``make_medge``, ``madd`` and
+``norm_contributions``, the stored-state entries ``state_table`` and
+``intern_state_table``, on the matrix side ``make_medge``, ``madd`` and
 the ``multiply_mm`` recursion, and the reclaim run in the core; the
 methods here are thin calls into it.  Every complex operation in the
 core calls CPython's own complex arithmetic, so results are
@@ -263,6 +264,28 @@ class ArenaBackend(DDBackend):
         if rebuilt is None:
             return super().rebuild_without(edge, level, removed)
         return rebuilt
+
+    # ------------------------------------------------------------------
+    # Stored states (see the base for the packed node table)
+    # ------------------------------------------------------------------
+
+    def state_table(self, edge: VEdge) -> tuple[bytes, bytes]:
+        """The packed node table, written by the core in one record walk."""
+        table = _core.state_table(self, edge)
+        return super().state_table(edge) if table is None else table
+
+    def intern_state_table(
+        self, num_qubits: int, ints: bytes, doubles: bytes, root: int
+    ) -> VNode:
+        """The base's checks and verbatim interning, in the core."""
+        return _core.intern_state_table(
+            self,
+            num_qubits,
+            ints,
+            doubles,
+            root,
+            ctable.TOLERANCE_SLACK * ctable.tolerance(),
+        )
 
     # ------------------------------------------------------------------
     # Integrity auditing (DDSan)

@@ -25,16 +25,21 @@ differentially).  Normalization formulas, tolerance bucketing, snap
 targets, and cache-flush policy are therefore part of this interface,
 not an implementation detail — see the method docstrings.
 
-Serialization is backend-neutral by construction:
-:mod:`repro.dd.serialize` rebuilds diagrams exclusively through
-:meth:`make_vedge`, so states round-trip across backends.
+Serialization goes through two entries with one byte-level contract:
+:meth:`DDBackend.state_table` writes the packed node table of
+:mod:`repro.dd.serialize`, and :meth:`DDBackend.intern_state_table`
+checks one and interns its nodes verbatim, so states round-trip across
+backends bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Hashable, Mapping
 
+from .. import ctable
 from ..node import MEdge, MNode, VEdge, VNode, zero_medge, zero_vedge
 
 if TYPE_CHECKING:
@@ -361,6 +366,102 @@ class DDBackend(ABC):
         return (cached[0] * weight, cached[1])
 
     # ------------------------------------------------------------------
+    # Stored states: the packed node table of repro-dd-state version 2
+    # ------------------------------------------------------------------
+
+    def state_table(self, edge: VEdge) -> tuple[bytes, bytes]:
+        """The packed node table of the diagram below ``edge``.
+
+        Returns ``(ints, doubles)``: per node three little-endian int32
+        (level, child 0 and child 1 positions, ``-1`` for the terminal)
+        and four little-endian float64 (re and im of weight 0, then of
+        weight 1), the weights' exact bits.  Nodes run in ascending
+        level order, each level in :meth:`vnodes` order, so children
+        precede parents and the root comes last.  Both backends must
+        produce the identical bytes.
+        """
+        nodes = self.vnodes(edge)
+        nodes.sort(key=lambda node: node.level)
+        position = {id(node): index for index, node in enumerate(nodes)}
+        ints: list[int] = []
+        doubles: list[float] = []
+        for node in nodes:
+            (w0, n0), (w1, n1) = node.edges
+            ints += (
+                node.level,
+                -1 if n0 is None else position[id(n0)],
+                -1 if n1 is None else position[id(n1)],
+            )
+            doubles += (w0.real, w0.imag, w1.real, w1.imag)
+        return (
+            struct.pack(f"<{len(ints)}i", *ints),
+            struct.pack(f"<{len(doubles)}d", *doubles),
+        )
+
+    def intern_state_table(
+        self, num_qubits: int, ints: bytes, doubles: bytes, root: int
+    ) -> VNode:
+        """Check a packed node table, then intern its nodes verbatim.
+
+        The inverse of :meth:`state_table`: every stored node is
+        interned with its stored weights, in table order, with no
+        renormalisation (a node already interned under the same
+        unique-table key is used as it is).  Returns the node at
+        position ``root``.  Nothing is interned unless every check
+        passes.
+
+        Raises:
+            ValueError: When the buffers hold no whole number of nodes;
+                a child position is outside ``[-1, position)`` or not
+                one level below; a weight is not finite; an edge above
+                level 0 is zero but not terminal or terminal but not
+                zero; the first non-zero weight is not real and positive,
+                or ``|w0|² + |w1|²`` is not 1, within
+                :data:`~repro.dd.ctable.TOLERANCE_SLACK` tolerances; or
+                the root is the terminal, unknown, or not at level
+                ``num_qubits - 1``.
+        """
+        count = len(ints) // 12
+        if len(ints) != 12 * count or len(doubles) != 32 * count:
+            raise ValueError(
+                f"node table buffers of {len(ints)} and {len(doubles)} "
+                "bytes hold no whole number of nodes"
+            )
+        table = struct.unpack(f"<{3 * count}i", ints)
+        weights = struct.unpack(f"<{4 * count}d", doubles)
+        slack = ctable.TOLERANCE_SLACK * ctable.tolerance()
+        for position in range(count):
+            _check_table_node(table, weights, position, slack)
+        if root == -1:
+            raise ValueError("state root cannot be the terminal")
+        if not 0 <= root < count:
+            raise ValueError(f"root references unknown node {root}")
+        if table[3 * root] != num_qubits - 1:
+            raise ValueError(
+                f"root level {table[3 * root]} is not num_qubits - 1 "
+                f"({num_qubits - 1})"
+            )
+        nodes: list[VNode] = []
+        for position in range(count):
+            level, child0, child1 = table[3 * position : 3 * position + 3]
+            re0, im0, re1, im1 = weights[4 * position : 4 * position + 4]
+            nodes.append(
+                self._intern_vnode(
+                    level,
+                    (complex(re0, im0), None if child0 < 0 else nodes[child0]),
+                    (complex(re1, im1), None if child1 < 0 else nodes[child1]),
+                )
+            )
+        return nodes[root]
+
+    def _intern_vnode(self, level: int, e0: VEdge, e1: VEdge) -> VNode:
+        """The node above normalized ``e0``/``e1``: the one the unique
+        table holds under their key, else a new interned node (the tail
+        of :meth:`make_vedge`).  Backends whose
+        :meth:`intern_state_table` runs this body implement it."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # Cache plumbing (shared)
     # ------------------------------------------------------------------
 
@@ -478,3 +579,50 @@ class DDBackend(ABC):
         here too.  DDSan (:mod:`repro.analysis.ddsan`) calls this after every
         instrumented operation.
         """
+
+
+def _check_table_node(
+    table: tuple[int, ...],
+    weights: tuple[float, ...],
+    position: int,
+    slack: float,
+) -> None:
+    """The checks :meth:`DDBackend.intern_state_table` runs on one node."""
+    level = table[3 * position]
+    if level < 0:
+        raise ValueError(f"node {position} has negative level {level}")
+    edges = []
+    for k in range(2):
+        child = table[3 * position + 1 + k]
+        weight = complex(*weights[4 * position + 2 * k : 4 * position + 2 * k + 2])
+        if not -1 <= child < position:
+            raise ValueError(
+                f"node {position} references forward/unknown child {child}"
+            )
+        if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
+            raise ValueError(f"node {position} has a non-finite weight")
+        if child >= 0 and table[3 * child] != level - 1:
+            raise ValueError(
+                f"node {position} at level {level} references child "
+                f"{child} at level {table[3 * child]}"
+            )
+        if child >= 0 and weight == 0:
+            raise ValueError(f"node {position} has a zero edge into node {child}")
+        if child < 0 and level > 0 and weight != 0:
+            raise ValueError(
+                f"node {position} at level {level} has a non-zero edge "
+                "into the terminal"
+            )
+        edges.append(weight)
+    w0, w1 = edges
+    first = w1 if w0 == 0 else w0
+    if not first.real > 0.0 or abs(first.imag) > slack:
+        raise ValueError(
+            f"node {position}'s first non-zero weight is not real and "
+            "positive"
+        )
+    norm = (w0.real * w0.real + w0.imag * w0.imag) + (
+        w1.real * w1.real + w1.imag * w1.imag
+    )
+    if abs(norm - 1.0) > slack:
+        raise ValueError(f"node {position} is not normalized")

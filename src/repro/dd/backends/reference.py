@@ -125,20 +125,23 @@ class ReferenceBackend(DDBackend):
         top_weight = norm * phase
         w0n = ctable.snap(w0 / top_weight)
         w1n = ctable.snap(w1 / top_weight)
+        return (top_weight, self._intern_vnode(level, (w0n, n0), (w1n, n1)))
 
+    def _intern_vnode(self, level: int, e0: VEdge, e1: VEdge) -> VNode:
+        (w0, n0), (w1, n1) = e0, e1
         key = (
             level,
-            ctable.weight_key(w0n),
+            ctable.weight_key(w0),
             n0,
-            ctable.weight_key(w1n),
+            ctable.weight_key(w1),
             n1,
         )
         node = self._vtable.get(key)
         if node is None:
-            node = VNode(level, ((w0n, n0), (w1n, n1)))
+            node = VNode(level, (e0, e1))
             self._vtable[key] = node
             self.stats["vnodes_created"] += 1
-        return (top_weight, node)
+        return node
 
     def make_medge(
         self, level: int, edges: tuple[MEdge, MEdge, MEdge, MEdge]

@@ -25,6 +25,14 @@ DEFAULT_TOLERANCE = 1e-10
 _tolerance = DEFAULT_TOLERANCE
 _inv_tolerance = 1.0 / DEFAULT_TOLERANCE
 
+#: Multiples of the tolerance granted to derived quantities (edge-norm
+#: sums, root magnitudes, phase components) when a stored or built node
+#: is checked.  Snapping moves each weight by <= 1 tolerance, so a
+#: two-edge norm² can shift by ~4; 16 leaves comfortable headroom without
+#: masking real corruption, which produces errors orders of magnitude
+#: larger.
+TOLERANCE_SLACK = 16.0
+
 #: Exact constants that weights are snapped to when within tolerance.
 _SNAP_TARGETS = (
     complex(0.0, 0.0),

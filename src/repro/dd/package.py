@@ -102,6 +102,8 @@ class Package:
     vnodes: Callable[[VEdge], list[VNode]]
     norm_contributions: Callable[[VEdge], dict[VNode, float]]
     rebuild_without: Callable[[VEdge, int, set[VNode]], VEdge]
+    state_table: Callable[[VEdge], tuple[bytes, bytes]]
+    intern_state_table: Callable[[int, bytes, bytes, int], VNode]
 
     def __init__(
         self,
@@ -138,6 +140,8 @@ class Package:
         self.vnodes = impl.vnodes
         self.norm_contributions = impl.norm_contributions
         self.rebuild_without = impl.rebuild_without
+        self.state_table = impl.state_table
+        self.intern_state_table = impl.intern_state_table
 
     @property
     def backend(self) -> DDBackend:

@@ -3,41 +3,54 @@
 Persisting an approximate state is a natural companion to the paper's
 workflow — a single approximation result may be sampled and post-processed
 many times.  The format stores each distinct node exactly once (preserving
-the sharing that makes the representation small) plus the root edge:
+the sharing that makes the representation small) plus the root edge, as
+a packed node table:
 
 .. code-block:: json
 
     {
       "format": "repro-dd-state",
-      "version": 1,
+      "version": 2,
       "num_qubits": 3,
       "root": {"weight": [1.0, 0.0], "node": 4},
-      "nodes": [
-        {"level": 0, "edges": [[[0.6, 0.0], -1], [[0.8, 0.0], -1]]},
-        ...
-      ]
+      "children": "<base64: 3 little-endian int32 per node>",
+      "weights": "<base64: 4 little-endian float64 per node>"
     }
 
-Node references are indices into the ``nodes`` list (children always
-precede parents); ``-1`` denotes the terminal.  Loading rebuilds through
-the package's normalizing constructors, so a round trip through a
-different package still yields a canonical diagram.
+Per node, ``children`` holds its level and the positions of its two
+children (``-1`` denotes the terminal), and ``weights`` the real and
+imaginary parts of its two edge weights, bit for bit.  Nodes run in
+ascending level order, each level in
+:meth:`~repro.dd.backends.DDBackend.vnodes` order, so children precede
+parents and the root comes last.  The backend writes the table
+(:meth:`~repro.dd.backends.DDBackend.state_table`; the arena's core in
+one walk of its record).
+
+Loading checks every node and the root, then interns the stored nodes
+verbatim (:meth:`~repro.dd.backends.DDBackend.intern_state_table`): no
+node is renormalised, so the decoded diagram equals the stored one
+weight for weight, in any package and on either backend.
+
+Version 1 documents (a ``nodes`` list of ``{"level", "edges"}`` entries
+with JSON weights) are still read, because stored results are a
+persistent cache; they load through the normalizing
+:meth:`~repro.dd.package.Package.make_vedge`, as they always did.
+Only version 2 is written.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 
 from .node import VEdge, zero_vedge
 from .package import Package, default_package
 from .vector import StateDD
 
 FORMAT_NAME = "repro-dd-state"
-FORMAT_VERSION = 1
-
-
-def _weight_to_json(weight: complex) -> list:
-    return [weight.real, weight.imag]
+FORMAT_VERSION = 2
 
 
 def _weight_from_json(pair: list) -> complex:
@@ -46,29 +59,18 @@ def _weight_from_json(pair: list) -> complex:
 
 def state_to_dict(state: StateDD) -> dict:
     """Serialize a state diagram to a JSON-compatible dictionary."""
-    nodes = state.nodes()
-    # Children must precede parents: emit in ascending level order.
-    nodes.sort(key=lambda node: node.level)
-    index_of: dict[int, int] = {
-        id(node): position for position, node in enumerate(nodes)
-    }
-    serialized_nodes: list[dict] = []
-    for node in nodes:
-        edges = []
-        for weight, child in node.edges:
-            child_index = -1 if child is None else index_of[id(child)]
-            edges.append([_weight_to_json(weight), child_index])
-        serialized_nodes.append({"level": node.level, "edges": edges})
+    ints, doubles = state.package.state_table(state.edge)
     weight, root = state.edge
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "num_qubits": state.num_qubits,
         "root": {
-            "weight": _weight_to_json(weight),
-            "node": -1 if root is None else index_of[id(root)],
+            "weight": [weight.real, weight.imag],
+            "node": -1 if root is None else len(ints) // 12 - 1,
         },
-        "nodes": serialized_nodes,
+        "children": base64.b64encode(ints).decode("ascii"),
+        "weights": base64.b64encode(doubles).decode("ascii"),
     }
 
 
@@ -78,17 +80,40 @@ def state_from_dict(
     """Rebuild a state diagram from its serialized form.
 
     Raises:
-        ValueError: On format mismatches or malformed references.
+        ValueError: On format mismatches, malformed documents, and
+            version 2 node tables that fail their checks (see
+            :meth:`~repro.dd.backends.DDBackend.intern_state_table`).
     """
-    if data.get("format") != FORMAT_NAME:
+    if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported version {data.get('version')!r}"
-        )
-    num_qubits = int(data["num_qubits"])
+    version = data.get("version")
+    if version not in (1, FORMAT_VERSION):
+        raise ValueError(f"unsupported version {version!r}")
     pkg = package or default_package()
+    try:
+        num_qubits = int(data["num_qubits"])
+        root_weight = _weight_from_json(data["root"]["weight"])
+        root_index = int(data["root"]["node"])
+        if version == 1:
+            return _state_from_v1(data, num_qubits, root_weight, root_index, pkg)
+        ints = base64.b64decode(data["children"], validate=True)
+        doubles = base64.b64decode(data["weights"], validate=True)
+    except (KeyError, TypeError, IndexError, binascii.Error) as error:
+        raise ValueError(f"malformed {FORMAT_NAME} document: {error!r}") from error
+    if not (math.isfinite(root_weight.real) and math.isfinite(root_weight.imag)):
+        raise ValueError("root weight is not finite")
+    node = pkg.intern_state_table(num_qubits, ints, doubles, root_index)
+    return StateDD((root_weight, node), num_qubits, pkg)
 
+
+def _state_from_v1(
+    data: dict,
+    num_qubits: int,
+    root_weight: complex,
+    root_index: int,
+    pkg: Package,
+) -> StateDD:
+    """Rebuild a version 1 document through the normalizing constructor."""
     rebuilt: list[VEdge] = []
     for position, entry in enumerate(data["nodes"]):
         level = int(entry["level"])
@@ -110,9 +135,6 @@ def state_from_dict(
             edges.append(child_edge)
         rebuilt.append(pkg.make_vedge(level, edges[0], edges[1]))
 
-    root_info = data["root"]
-    root_weight = _weight_from_json(root_info["weight"])
-    root_index = root_info["node"]
     if root_index == -1:
         raise ValueError("state root cannot be the terminal")
     if not 0 <= root_index < len(rebuilt):

@@ -22,8 +22,9 @@ All comparisons go through the global tolerance of
 epsilons, so tightening or loosening the interning tolerance tightens
 or loosens validation with it.  *Derived* quantities (norms, products
 of weights) are granted a small multiple of the tolerance
-(:data:`TOLERANCE_SLACK`): snapping may legally move each stored weight
-by up to one tolerance, so sums of squared magnitudes drift by a few.
+(:data:`repro.dd.ctable.TOLERANCE_SLACK`): snapping may legally move
+each stored weight by up to one tolerance, so sums of squared
+magnitudes drift by a few.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ from .node import VNode
 from . import ctable
 from .package import Package
 from .vector import StateDD
-
-#: Multiples of the ctable tolerance granted to derived quantities
-#: (edge-norm sums, root magnitudes, phase components).  Snapping moves
-#: each weight by <= 1 tolerance, so a two-edge norm² can shift by ~4;
-#: 16 leaves comfortable headroom without masking real corruption,
-#: which produces errors orders of magnitude larger.
-TOLERANCE_SLACK = 16.0
 
 
 class InvariantViolation(AssertionError):
@@ -67,7 +61,7 @@ def collect_violations(
     state: StateDD, require_unit_norm: bool = True
 ) -> list[str]:
     """Like :func:`check_state_invariants` but returns all findings."""
-    slack = TOLERANCE_SLACK * ctable.tolerance()
+    slack = ctable.TOLERANCE_SLACK * ctable.tolerance()
     problems: list[str] = []
 
     weight, root = state.edge

@@ -21,13 +21,17 @@ uninterrupted run.
 Every checkpoint — periodic, or the one a stopped run leaves — is
 written by :class:`CheckpointWriter`: the engine hands it the live state
 that :class:`~repro.core.simulator.SimulationTimeout` carries.  Resuming
-from that live state in the same package is bit-exact.  Resuming from
-the stored document is not yet: ``state_from_dict`` rebuilds each node
-through ``make_vedge``, which renormalises, and a fresh package's
-tables remember a different history.  A later round whose greedy
-selection sits on the budget boundary can then admit a marginally
-different node set — the realized fidelity may differ in its last bits
-while still obeying the same ``f >= f_round`` bound.
+from that live state in the same package is bit-exact.  The stored
+state decodes verbatim too (:meth:`Checkpoint.resume_state`): every
+node is interned with its stored weights, so the resumed run starts
+from the very diagram the checkpoint was written from.  What a fresh
+package still lacks is the history of its tables: the ``vadd`` cache
+buckets the weight ratio and the unique table keeps the first-seen
+weights of a bucket, so a later operation can land a few ulps away
+from the uninterrupted run, and a round whose greedy selection sits
+on the budget boundary can then admit a marginally different node set
+— the realized fidelity may differ in its last bits while still
+obeying the same ``f >= f_round`` bound.
 
 **Stored form.**  The artifact store is the only user of
 :data:`CHECKPOINT_DOCUMENT`: it takes and returns :class:`Checkpoint`
@@ -36,7 +40,9 @@ one shared with leases — one sorted compact JSON dump with a SHA-256
 over those bytes — and every read verifies it: a document that is
 unreadable, mistyped, missing its checksum, failing it, or recorded for
 another job raises :class:`~repro.faults.errors.CheckpointIntegrityError`,
-so a damaged copy can never be resumed from or replicated.
+so a damaged copy can never be resumed from or replicated.  A checkpoint
+that verifies but whose state does not decode raises the same error
+from :meth:`Checkpoint.resume_state`.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.simulator import RoundRecord, SimulationStats
-from ..dd.serialize import state_to_dict
+from ..dd.package import Package
+from ..dd.serialize import state_from_dict, state_to_dict
 from ..dd.vector import StateDD
 from ..faults.errors import CheckpointIntegrityError
 from .codec import DocumentKind
@@ -104,6 +111,23 @@ class Checkpoint:
     def round_records(self) -> list[RoundRecord]:
         """The completed rounds as live :class:`RoundRecord` objects."""
         return rounds_from_dicts(self.rounds)
+
+    def resume_state(self, package: Package) -> StateDD:
+        """The stored state, decoded verbatim into ``package``.
+
+        Raises:
+            CheckpointIntegrityError: When the state does not decode.
+                The checkpoint passed its checksum, so its writer stored
+                a state no decoder accepts and no attempt could ever
+                resume from it.
+        """
+        try:
+            return state_from_dict(self.state, package)
+        except ValueError as error:
+            raise CheckpointIntegrityError(
+                f"checkpoint for {self.job_hash[:12]} holds a state that "
+                f"does not decode: {error}"
+            ) from error
 
 
 #: The checksummed ``repro-checkpoint`` document (stored form).

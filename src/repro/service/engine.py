@@ -42,7 +42,7 @@ from ..core.simulator import (
     SimulationTimeout,
 )
 from ..dd.package import Package
-from ..dd.serialize import state_from_dict, state_to_dict
+from ..dd.serialize import state_to_dict
 from ..faults.errors import (
     TRANSIENT,
     ArtifactIntegrityError,
@@ -262,9 +262,10 @@ def execute_job(
     * A cached artifact that fails its integrity check is quarantined
       and the job is recomputed — corruption never surfaces as an error.
     * A corrupt, truncated, or *stale* checkpoint (its ``job_hash``
-      disagrees with the spec's) is quarantined and the job restarts
-      from scratch — sound, since a fresh run spends its own Lemma-1
-      budget from 1.0.
+      disagrees with the spec's), or one whose state does not decode,
+      is quarantined and the job restarts from scratch in a fresh
+      package — sound, since a fresh run spends its own Lemma-1 budget
+      from 1.0.
     """
     job_hash = spec.content_hash()
     obs = get_recorder()
@@ -318,10 +319,14 @@ def execute_job(
                     name=spec.display_name, error=str(error),
                 )
 
+    package = Package()
+    initial_state: "int | object" = 0
     try:
         checkpoint = store.load_checkpoint(job_hash)
+        if checkpoint is not None:
+            initial_state = checkpoint.resume_state(package)
     except CheckpointIntegrityError as error:
-        checkpoint = None
+        checkpoint, initial_state, package = None, 0, Package()
         store.quarantine_checkpoint(job_hash, str(error))
         if obs.enabled:
             obs.count("jobs.checkpoint_quarantined")
@@ -329,7 +334,6 @@ def execute_job(
                 "job", phase="checkpoint_quarantined", job=job_hash[:12],
                 error=str(error),
             )
-    package = Package()
     try:
         circuit = spec.build_circuit()
         strategy = spec.build_strategy()
@@ -338,13 +342,11 @@ def execute_job(
         prior_rounds = None
         prior_elapsed = 0.0
         prior_max_nodes = 0
-        initial_state: "int | object" = 0
         if checkpoint is not None:
             start_op_index = checkpoint.next_op_index
             prior_rounds = checkpoint.round_records()
             prior_elapsed = checkpoint.elapsed_seconds
             prior_max_nodes = checkpoint.max_nodes
-            initial_state = state_from_dict(checkpoint.state, package)
 
         writer = CheckpointWriter(
             store, job_hash, prior_elapsed, prior_max_nodes, fence=fence

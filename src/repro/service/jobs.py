@@ -182,7 +182,8 @@ class JobSpec:
             constructor (a tuple so the spec stays hashable/picklable).
         shots: Measurement samples drawn from the final state (0 = none).
         seed: RNG seed for sampling.  ``shots``, ``seed`` and
-            ``checkpoint_interval`` must be ``int`` (not ``bool``).
+            ``checkpoint_interval`` must be non-negative ``int`` (not
+            ``bool``).
         max_seconds: Cooperative time budget per execution attempt
             (None = unbounded; otherwise a finite number >= 0, see
             :func:`check_seconds`).
@@ -210,10 +211,8 @@ class JobSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.shots < 0:
-            raise ValueError("shots must be non-negative")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
         check_seconds("max_seconds", self.max_seconds)
         # Canonicalize the argument order so hashing is insensitive to it.
         object.__setattr__(

@@ -26,7 +26,8 @@ itself).  Every read verifies by one rule: :meth:`load_result` checks
 the CRC and requires the block, and :meth:`load_state` and
 :meth:`read_journal` check their file's bytes against the SHA-256
 recorded in that verified document — a file that is missing, present
-without a recorded hash, short or edited is corrupt.  A failure raises
+without a recorded hash, short or edited is corrupt, and so is a state
+that verifies but does not decode.  A failure raises
 :class:`~repro.faults.errors.ArtifactIntegrityError`, which callers
 handle by quarantining the object (move aside, keep for forensics) and
 recomputing.
@@ -93,7 +94,13 @@ _RECORDED_HASH = {STATE_FILE: "state_sha256", JOURNAL_FILE: "journal_sha256"}
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory temp file)."""
+    """Write ``text`` to ``path`` atomically (same-directory temp file).
+
+    The rename makes the write survive a killed process: readers see the
+    old bytes or the new, never a torn file.  Nothing calls ``fsync``,
+    so surviving an operating-system crash or a power loss is not
+    promised (docs/SERVICE.md, "What a write survives").
+    """
     directory = os.path.dirname(path)
     descriptor, temp_path = tempfile.mkstemp(
         dir=directory, prefix=".tmp-", suffix=".json"
@@ -126,10 +133,18 @@ def _state_from(
 
     Raises:
         KeyError: When the object has no state file (``raw`` is None).
+        ArtifactIntegrityError: When the bytes do not decode.  They
+            passed their recorded SHA-256, so the writer stored a state
+            no decoder accepts: the object must be recomputed.
     """
     if raw is None:
         raise KeyError(f"no stored state for {job_hash}")
-    return state_from_dict(json.loads(raw), package)
+    try:
+        return state_from_dict(json.loads(raw), package)
+    except ValueError as error:
+        raise ArtifactIntegrityError(
+            f"{STATE_FILE} of {job_hash[:12]} does not decode: {error}"
+        ) from error
 
 
 def _journal_from(raw: bytes | None) -> list[dict]:
@@ -373,7 +388,8 @@ class ArtifactStore:
         Raises:
             KeyError: When the job has no stored result or no state.
             ArtifactIntegrityError: When the result document or the
-                state file fails verification.
+                state file fails verification, or the state does not
+                decode.
         """
         document = self.load_result(job_hash)
         return _state_from(

@@ -146,3 +146,21 @@ class TestForeignNodeFallback:
         foreign = VNode(0, ((complex(1.0), None), (complex(0.0), None)))
         contributions = package.norm_contributions((complex(1.0), foreign))
         assert set(contributions) == {foreign}
+
+    def test_state_table_on_foreign_diagram(self):
+        package = Package(backend="arena")
+        backend = package.backend
+        foreign = VNode(0, ((complex(0.6), None), (complex(0.0, 0.8), None)))
+        edge = package.make_vedge(1, (complex(1.0), foreign), (0j, None))
+        assert package.state_table(edge) == DDBackend.state_table(backend, edge)
+        assert package.state_table((complex(1.0), foreign)) == (
+            DDBackend.state_table(backend, (complex(1.0), foreign))
+        )
+
+    def test_state_table_with_sparse_levels(self):
+        package = Package(backend="arena")
+        leaf = package.make_vedge(0, (0.6 + 0j, None), (0.8 + 0j, None))
+        edge = package.make_vedge(10**6, leaf, (0j, None))
+        assert package.state_table(edge) == DDBackend.state_table(
+            package.backend, edge
+        )

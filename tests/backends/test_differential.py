@@ -81,6 +81,40 @@ class TestGateParity:
 
     @settings(max_examples=25, deadline=None)
     @given(
+        num_qubits=st.integers(min_value=2, max_value=5),
+        num_operations=st.integers(min_value=1, max_value=25),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        round_fidelity=st.floats(min_value=0.5, max_value=0.999),
+    )
+    def test_state_tables_match(
+        self, num_qubits, num_operations, seed, round_fidelity
+    ):
+        """The packed node table is the same bytes on both engines, for
+        the gate-built state and for its approximation, and each engine
+        interns the other's table back to the same table."""
+        circuit = random_circuit(num_qubits, num_operations, seed=seed)
+        tables = {}
+        for backend in BACKENDS:
+            package = Package(backend=backend)
+            state = _apply_circuit(circuit, package)
+            approximated = approximate_state(state, round_fidelity).state
+            tables[backend] = [
+                package.state_table(s.edge) for s in (state, approximated)
+            ]
+        assert tables["arena"] == tables["reference"]
+        for backend in BACKENDS:
+            for ints, doubles in tables["reference"]:
+                package = Package(backend=backend)
+                root = package.intern_state_table(
+                    num_qubits, ints, doubles, len(ints) // 12 - 1
+                )
+                assert package.state_table((complex(1.0), root)) == (
+                    ints,
+                    doubles,
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
         num_qubits=st.integers(min_value=2, max_value=4),
         num_operations=st.integers(min_value=1, max_value=25),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -200,6 +234,9 @@ def test_builtin_workload_parity(workload, strategy_factory):
             rtol=0.0,
         )
         assert other.stats.dd_backend == "arena"
+        assert other.state.package.state_table(other.state.edge) == (
+            reference.state.package.state_table(reference.state.edge)
+        )
     assert reference.stats.dd_backend == "reference"
 
 

@@ -346,6 +346,51 @@ class TestCrashSafety:
                 """,
                 id="inner_nodes",
             ),
+            pytest.param(
+                """
+                from repro.dd.backends.base import DDBackend
+
+                for bad in malformed[:10]:
+                    expect_type_error(package.state_table, bad)
+                for bad in malformed[10:]:
+                    expect_type_error_or_generic(
+                        package.state_table, DDBackend.state_table, bad
+                    )
+                """,
+                id="state_table",
+            ),
+            pytest.param(
+                """
+                import struct
+
+                ints, doubles = package.state_table(state.edge)
+                intern = package.intern_state_table
+                for bad in ("text", None, bytearray(ints), 12):
+                    expect_type_error(intern, 2, bad, doubles, 1)
+                    expect_type_error(intern, 2, ints, bad, 1)
+                expect_type_error(intern, "2", ints, doubles, 1)
+                expect_type_error(intern, 2, ints, doubles, "1")
+                # Out-of-range positions, levels and sizes raise, never read
+                # out of bounds.
+                for child in (10**6, -7, -(2**31), 2**31 - 1, 1):
+                    table = struct.pack("<6i", 0, -1, -1, 1, child, 0)
+                    try:
+                        intern(2, table, doubles, 1)
+                    except ValueError:
+                        pass
+                    else:
+                        raise AssertionError(child)
+                for root in (2, -2, 10**6, 2**40):
+                    try:
+                        intern(2, ints, doubles, root)
+                    except (ValueError, OverflowError):
+                        pass
+                    else:
+                        raise AssertionError(root)
+                assert intern(2, ints, doubles, 1) is state.edge[1]
+                """,
+                id="intern_state_table",
+            ),
         ],
     )
     def test_malformed_edges_raise_type_error(self, calls):
@@ -415,6 +460,7 @@ def test_sweeps_over_a_foreign_child_match_the_base_traversal(graft, how):
         for removed in (set(), {{stranger}}):
             rebuilt = package.rebuild_without(edge, 2, removed)
             assert rebuilt == DDBackend.rebuild_without(backend, edge, 2, removed)
+        assert package.state_table(edge) == DDBackend.state_table(backend, edge)
         print("ok")
         """
     )
@@ -435,7 +481,9 @@ def test_record_walks_reject_a_corrupt_record():
         for child in (middle.index, 10**6, -7):
             struct.pack_into("3i", backend._v_record, 12 * middle.index,
                              middle.level, child, child)
-            for sweep in (package.vnodes, package.norm_contributions):
+            for sweep in (
+                package.vnodes, package.norm_contributions, package.state_table
+            ):
                 try:
                     sweep(state.edge)
                 except RuntimeError:

@@ -146,6 +146,13 @@ class TestKilledWorker:
         assert all("worker failed" in r.error for r in results)
 
 
+#: Slows the first attempt's gate 40 past a 0.05 s budget, so a timeout
+#: spec times out there however fast the host is.
+SLOW_GATE_40 = FaultRule(
+    site="simulator.gate", kind="slow", at_op=40, args={"delay_seconds": 0.1}
+)
+
+
 class TestCorruptedCheckpoint:
     TIMEOUT_SPEC = dict(
         circuit="builtin:shor_21_2",
@@ -184,12 +191,7 @@ class TestCorruptedCheckpoint:
         )
         _arm(
             FaultRule(site="store.save_checkpoint", kind=damage, max_hits=1),
-            FaultRule(
-                site="simulator.gate",
-                kind="slow",
-                at_op=40,
-                args={"delay_seconds": 0.1},
-            ),
+            SLOW_GATE_40,
         )
         first = execute_job(spec, store)
         assert first.status == "timeout"  # left a (damaged) checkpoint
@@ -217,6 +219,9 @@ class TestCorruptedCheckpoint:
         """Repeated timeout/resume cycles (the kill-resume shape without
         the kill) spend exactly the reference run's fidelity budget."""
         spec = JobSpec(**self.TIMEOUT_SPEC)
+        # The whole run can fit the budget on a fast host: one gate of
+        # the first attempt is slowed past it, so that attempt times out.
+        _arm(SLOW_GATE_40)
         result = self._drive_to_completion(spec, store)
         assert result.status == "completed"
         assert result.resumed_at and result.resumed_at > 0

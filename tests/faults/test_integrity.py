@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
 import pytest
 
+from repro.dd.package import Package
+from repro.dd.serialize import state_to_dict
+from repro.dd.vector import StateDD
 from repro.faults.errors import (
     ArtifactIntegrityError,
     CheckpointIntegrityError,
@@ -17,7 +21,7 @@ from repro.service.checkpoint import Checkpoint, encode_checkpoint
 from repro.service.engine import execute_job
 from repro.service.jobs import JobSpec
 from repro.service.store import JOURNAL_FILE, RESULT_FILE, STATE_FILE
-from tests.helpers import make_checkpoint
+from tests.helpers import make_checkpoint, v1_state_document
 
 HASH_A = "a" * 64
 
@@ -65,6 +69,22 @@ PINNED_OBJECT = {
         '{"event": "completed"}\n'
     ),
 }
+
+
+def _undecodable_state(num_qubits: int, version: int) -> dict:
+    """A state document of ``num_qubits`` qubits whose first node names
+    a later node as its child: well-formed JSON that no decoder
+    accepts."""
+    state = StateDD.plus_state(num_qubits, Package())
+    if version == 1:
+        document = v1_state_document(state)
+        document["nodes"][0]["edges"][0][1] = 1
+        return document
+    document = state_to_dict(state)
+    children = bytearray(base64.b64decode(document["children"]))
+    children[4:8] = (1).to_bytes(4, "little", signed=True)
+    document["children"] = base64.b64encode(bytes(children)).decode()
+    return document
 
 
 def _spec(**kwargs) -> JobSpec:
@@ -227,6 +247,36 @@ class TestResultVerification:
         assert stored["fidelity_estimate"] == first.stats["fidelity_estimate"]
 
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_engine_recomputes_a_result_whose_state_does_not_decode(
+        self, store, version
+    ):
+        """The state file passes its SHA-256, yet the writer stored a
+        state no decoder accepts: that is integrity damage, so a cache
+        hit that samples it quarantines the object and recomputes."""
+        spec = _spec(shots=4)
+        first = execute_job(spec, store)
+        job_hash = spec.content_hash()
+        store.put_result(
+            job_hash,
+            store.load_result(job_hash),
+            state_doc=_undecodable_state(
+                first.stats["num_qubits"], version
+            ),
+            journal_rows=store.read_journal(job_hash),
+        )
+        with pytest.raises(ArtifactIntegrityError, match="does not decode"):
+            store.load_state(job_hash)
+        result = execute_job(spec, store)
+        assert result.status == "completed"
+        assert not result.cached
+        assert result.counts == first.counts
+        assert len(list(store.iter_quarantined())) == 1
+        assert (
+            store.load_state(job_hash).num_qubits == first.stats["num_qubits"]
+        )
+
+
 class TestJournalVerification:
     @staticmethod
     def _put(store) -> str:
@@ -344,10 +394,38 @@ class TestCheckpointIntegrity:
         assert [row["achieved_fidelity"] for row in checkpoint.rounds] == [
             0.9375
         ]
+        assert checkpoint.resume_state(Package()).num_qubits == 2
         # Re-encoding yields the canonical form of the same document.
         assert json.loads(encode_checkpoint(checkpoint)) == json.loads(
             V1_DOCUMENT
         )
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_checkpoint_whose_state_does_not_decode_is_quarantined(
+        self, store, version
+    ):
+        """The checkpoint passes its checksum, yet its state does not
+        decode: the job must not fail on it attempt after attempt, but
+        quarantine it and start fresh, as for a failed checksum."""
+        spec = _spec()
+        job_hash = spec.content_hash()
+        num_qubits = spec.build_circuit().num_qubits
+        store.save_checkpoint(
+            job_hash,
+            Checkpoint(
+                job_hash=job_hash,
+                next_op_index=10,
+                state=_undecodable_state(num_qubits, version),
+                rounds=[],
+                max_nodes=3,
+                elapsed_seconds=0.0,
+            ),
+        )
+        result = execute_job(spec, store)
+        assert result.status == "completed", result.error
+        assert result.resumed_at is None
+        assert store.load_checkpoint(job_hash) is None
+        assert len(list(store.iter_quarantined())) == 1
 
     def test_truncated_checkpoint_file_raises(self, store):
         store.save_checkpoint(HASH_A, self._checkpoint())

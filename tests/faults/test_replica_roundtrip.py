@@ -31,6 +31,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.fidelity import composed_fidelity  # noqa: E402
 from repro.dd.package import Package  # noqa: E402
+from repro.faults.injector import arm, disarm  # noqa: E402
+from repro.faults.plan import FaultPlan, FaultRule  # noqa: E402
 from repro.service.engine import execute_job  # noqa: E402
 from repro.service.jobs import JobSpec  # noqa: E402
 from repro.service.lease import Lease  # noqa: E402
@@ -100,7 +102,24 @@ def template(tmp_path_factory):
     store = ReplicatedStore.create(
         str(base / "template"), replicas=3, write_quorum=2
     )
-    first = execute_job(SPEC, store)
+    # The whole run can fit the budget on a fast host: gate 40 is
+    # slowed past it, so the first attempt times out.
+    arm(
+        FaultPlan(
+            rules=(
+                FaultRule(
+                    site="simulator.gate",
+                    kind="slow",
+                    at_op=40,
+                    args={"delay_seconds": 0.1},
+                ),
+            )
+        )
+    )
+    try:
+        first = execute_job(SPEC, store)
+    finally:
+        disarm()
     assert first.status == "timeout", "spec must time out to checkpoint"
     for replica in store.replicas:
         assert replica.load_checkpoint(first.job_hash) is not None

@@ -42,6 +42,35 @@ def random_sparse_state_vector(
     return vector / np.linalg.norm(vector)
 
 
+def v1_state_document(state: StateDD) -> dict:
+    """The ``repro-dd-state`` version 1 document of ``state``, as the
+    earlier writer built it: a ``nodes`` list in ascending level order,
+    each node's weights as JSON ``[re, im]`` pairs.  Only version 2 is
+    written now; version 1 is still read."""
+    nodes = sorted(state.nodes(), key=lambda node: node.level)
+    index_of = {id(node): position for position, node in enumerate(nodes)}
+    weight, root = state.edge
+    return {
+        "format": "repro-dd-state",
+        "version": 1,
+        "num_qubits": state.num_qubits,
+        "root": {
+            "weight": [weight.real, weight.imag],
+            "node": -1 if root is None else index_of[id(root)],
+        },
+        "nodes": [
+            {
+                "level": node.level,
+                "edges": [
+                    [[w.real, w.imag], -1 if child is None else index_of[id(child)]]
+                    for w, child in node.edges
+                ],
+            }
+            for node in nodes
+        ],
+    }
+
+
 def make_checkpoint(job_hash: str, next_op_index: int) -> Checkpoint:
     """A small valid checkpoint (empty state, no rounds) for store tests."""
     return Checkpoint(

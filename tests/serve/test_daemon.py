@@ -113,6 +113,17 @@ class TestAdmission:
         assert daemon._jobs == {}
         assert daemon.queue.depth == 0
 
+    def test_a_negative_seed_is_a_bad_spec(self, store):
+        daemon = SimDaemon(store)
+        spec_doc = {**_spec().to_dict(), "seed": -1, "shots": 4}
+        with recording() as recorder:
+            bad = daemon.handle_request({"op": "submit", "spec": spec_doc})
+        assert not bad["ok"]
+        assert bad["error"].startswith("bad spec: seed must be non-negative")
+        assert recorder.counters["serve.rejected_bad_spec"] == 1
+        assert daemon._jobs == {}
+        assert daemon.queue.depth == 0
+
     def test_unknown_op_and_unknown_job(self, store):
         daemon = SimDaemon(store)
         assert not daemon.handle_request({"op": "explode"})["ok"]

@@ -8,6 +8,8 @@ import os
 import pytest
 
 from repro.core.simulator import CancellationToken
+from repro.faults.injector import arm, disarm
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.service.engine import JobEngine, JobResult, execute_job
 from repro.service.jobs import JobSpec
 from repro.service.store import CHECKPOINT_FILE, ArtifactStore
@@ -94,7 +96,24 @@ class TestTimeoutResume:
             max_seconds=0.05,
             checkpoint_interval=20,
         )
-        result = execute_job(spec, store)
+        # The whole run can fit the budget on a fast host: gate 40 of
+        # the first attempt is slowed past it, so that attempt times out.
+        arm(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="simulator.gate",
+                        kind="slow",
+                        at_op=40,
+                        args={"delay_seconds": 0.1},
+                    ),
+                )
+            )
+        )
+        try:
+            result = execute_job(spec, store)
+        finally:
+            disarm()
         assert result.status == "timeout"
         assert store.load_checkpoint(spec.content_hash()) is not None
         assert result.stats["next_op_index"] > 0

@@ -149,6 +149,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JobSpec("builtin:shor_15_2", checkpoint_interval=-1)
 
+    def test_rejects_a_negative_seed(self):
+        """The sampler's generator takes no negative seed, so one would
+        raise out of ``execute_job`` after the result is stored."""
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            JobSpec("builtin:shor_15_2", seed=-1, shots=4)
+
     @pytest.mark.parametrize(
         "name, field",
         [
