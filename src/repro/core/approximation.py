@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..dd.backends.base import greedy_removal, removal_order
 from ..dd.node import VEdge, VNode
 from ..dd.package import Package
 from ..dd.vector import StateDD
@@ -60,18 +61,9 @@ class ApproximationResult:
 def _removal_candidates(
     state: StateDD,
 ) -> list[tuple[float, int, VNode]]:
-    """Every node but the root as ``(contribution, index, node)``, ascending.
-
-    Indices are unique, so the tuples never compare their nodes and the
-    order is the contribution order with ties broken by sweep position.
-    """
-    contributions = node_contributions(state)
-    _weight, root = state.edge
-    return sorted(
-        (value, index, node)
-        for index, (node, value) in enumerate(contributions.items())
-        if node is not root
-    )
+    """Every node but the root as ``(contribution, index, node)``, ascending
+    (:func:`~repro.dd.backends.base.removal_order`)."""
+    return removal_order(node_contributions(state), state.edge[1])
 
 
 def _round_result(
@@ -115,22 +107,12 @@ def select_nodes_for_removal(
     """Greedily pick removable nodes within the fidelity budget.
 
     Nodes are considered in ascending contribution order; the root is never
-    a candidate.  Returns the removal set and its total contribution.
+    a candidate.  Returns the removal set and its total contribution: the
+    selection :meth:`~repro.dd.package.Package.approximate_round` makes.
     """
-    if not 0.0 < round_fidelity <= 1.0:
-        raise ValueError("round_fidelity must be in (0, 1]")
-    budget = 1.0 - round_fidelity
-    removed: set[VNode] = set()
-    spent = 0.0
-    # Tiny slack keeps exact-boundary removals (e.g. budget 0.2 against a
-    # contribution of 0.2) from being rejected by floating-point rounding.
-    slack = 1e-12
-    for value, _index, node in _removal_candidates(state):
-        if spent + value > budget + slack:
-            break
-        removed.add(node)
-        spent += value
-    return removed, spent
+    return greedy_removal(
+        node_contributions(state), state.edge[1], round_fidelity
+    )
 
 
 def rebuild_without(
@@ -144,15 +126,24 @@ def rebuild_without(
     Raises:
         ValueError: If the removal set erases the entire state.
     """
-    package = state.package
-    new_weight, new_node = package.rebuild_without(
+    rebuilt = state.package.rebuild_without(
         state.edge, state.num_qubits - 1, removed
     )
+    return _renormalized(state, rebuilt)
+
+
+def _renormalized(state: StateDD, rebuilt: VEdge) -> StateDD:
+    """``rebuilt`` (a rebuild of ``state``) scaled to unit norm.
+
+    Raises:
+        ValueError: If the rebuild erased the entire state.
+    """
+    new_weight, new_node = rebuilt
     magnitude = abs(new_weight)
     if magnitude == 0.0 or new_node is None:
         raise ValueError("approximation removed the entire state")
     return StateDD(
-        (new_weight / magnitude, new_node), state.num_qubits, package
+        (new_weight / magnitude, new_node), state.num_qubits, state.package
     )
 
 
@@ -161,8 +152,10 @@ def approximate_state(
 ) -> ApproximationResult:
     """Perform one approximation round targeting ``round_fidelity``.
 
-    The achieved fidelity is always measured with one DD inner product,
-    so it is the exact factor Lemma 1 multiplies.
+    Contributions, greedy selection and rebuild are one backend call
+    (:meth:`~repro.dd.package.Package.approximate_round`).  The achieved
+    fidelity is always measured with one DD inner product, so it is the
+    exact factor Lemma 1 multiplies.
 
     Args:
         state: The state to approximate (must be unit norm).
@@ -174,10 +167,12 @@ def approximate_state(
         input state is returned unchanged with fidelity 1.
     """
     nodes_before = state.node_count()
-    removed, spent = select_nodes_for_removal(state, round_fidelity)
-    approximated = rebuild_without(state, removed) if removed else state
+    rebuilt, spent, removed_nodes = state.package.approximate_round(
+        state.edge, state.num_qubits - 1, round_fidelity
+    )
+    approximated = _renormalized(state, rebuilt) if removed_nodes else state
     return _round_result(
-        state, approximated, round_fidelity, spent, len(removed),
+        state, approximated, round_fidelity, spent, removed_nodes,
         nodes_before,
     )
 

@@ -1,8 +1,9 @@
 /* Native core of the arena DD engine (repro.dd.backends.arena).
  *
  * Implements make_vedge, vadd, the multiply_mv recursion, the inner
- * product, the rebuild of an approximation round and the whole-diagram
- * sweeps (node_count, vnodes, norm_contributions), the packed node table
+ * product, a whole approximation round (contributions, greedy selection
+ * and rebuild) and the whole-diagram sweeps (node_count, vnodes,
+ * norm_contributions), the packed node table
  * of a stored state and its verbatim load, on the matrix side
  * make_medge, madd and the multiply_mm recursion, and the reclaim that
  * frees what a cache flush unpinned.
@@ -2803,59 +2804,59 @@ prefetch_edges(PyObject *nodes, const Ids *order, Py_ssize_t i)
     }
 }
 
-/* DDBackend.norm_contributions over the record, or None for a foreign
- * diagram: the same dict, in the same insertion order, with the same
- * float operations in the same order.  The per-node arrays are indexed
- * by position in the sweep order (`position` maps reached ids to it). */
-static PyObject *
-py_norm_contributions(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* The norm contributions of a walk's diagram, computed as
+ * DDBackend.norm_contributions computes them: the same float operations
+ * in the same order.  `order` holds the reached ids in DDBackend.vnodes
+ * order; `value` is indexed by position in `order`; `inserted` lists
+ * those positions in the order the dict inserts them (the root first). */
+typedef struct {
+    Ids order, inserted;
+    double *value;
+} Contributions;
+
+/* Fill `s` for the walk `w` whose root edge has weight `weight`.  Returns
+ * 1, 0 when the diagram needs the generic traversal, or -1 on error;
+ * contributions_close releases `s` in every case. */
+static int
+contributions_open(Contributions *s, const Walk *w, Py_complex weight)
 {
-    Walk w;
-    Ids order = {NULL, 0, 0}, inserted = {NULL, 0, 0};
-    PyObject *result = NULL, *value;
-    double *contribution = NULL, incoming, term;
+    double incoming, term;
     unsigned char *present = NULL;
     int32_t *position = NULL, id, at;
     const Rec *recs;
     Py_ssize_t i;
-    Edge root, edges[2];
+    Edge edges[2];
     int status, k;
-    (void)module;
-    if (read_sweep_args("norm_contributions", args, nargs, &root) < 0) {
-        return NULL;
-    }
-    if (root.n == NULL) {
-        return PyDict_New();
-    }
-    if ((status = walk_open(&w, args[0], root.n)) <= 0 ||
-        (status = sorted_nodes(&w, &order)) <= 0) {
-        goto done;
+    memset(s, 0, sizeof(*s));
+    if ((status = sorted_nodes(w, &s->order)) <= 0) {
+        return status;
     }
     status = -1;
-    position = PyMem_Malloc((size_t)w.size * sizeof(int32_t));
-    contribution = PyMem_Malloc((size_t)order.len * sizeof(double));
-    present = PyMem_Calloc((size_t)order.len, 1);
-    if (position == NULL || contribution == NULL || present == NULL) {
+    position = PyMem_Malloc((size_t)w->size * sizeof(int32_t));
+    s->value = PyMem_Malloc((size_t)s->order.len * sizeof(double));
+    present = PyMem_Calloc((size_t)s->order.len, 1);
+    if (position == NULL || s->value == NULL || present == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < order.len; i++) {
-        position[order.data[i]] = (int32_t)i;
+    for (i = 0; i < s->order.len; i++) {
+        position[s->order.data[i]] = (int32_t)i;
     }
-    at = position[w.root];
-    if (abs_squared(root.w, &contribution[at]) < 0 || ids_push(&inserted, at) < 0) {
+    at = position[w->root];
+    if (abs_squared(weight, &s->value[at]) < 0 || ids_push(&s->inserted, at) < 0) {
         goto done;
     }
     present[at] = 1;
-    recs = records(w.record);
-    for (i = 0; i < order.len; i++) {
-        prefetch_edges(w.nodes, &order, i);
-        incoming = present[i] ? contribution[i] : 0.0;
+    recs = records(w->record);
+    for (i = 0; i < s->order.len; i++) {
+        prefetch_edges(w->nodes, &s->order, i);
+        incoming = present[i] ? s->value[i] : 0.0;
         if (incoming == 0.0) {
             continue;
         }
-        id = order.data[i];
-        if (read_node_edges(PyList_GET_ITEM(w.nodes, id), v_edges_off, 2, vnode_type, edges) < 0) {
+        id = s->order.data[i];
+        if (read_node_edges(PyList_GET_ITEM(w->nodes, id), v_edges_off, 2, vnode_type, edges) <
+            0) {
             goto done;
         }
         for (k = 0; k < 2; k++) {
@@ -2869,25 +2870,65 @@ py_norm_contributions(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             term = incoming * term;
             at = position[recs[id].child[k]];
             if (present[at]) {
-                contribution[at] = contribution[at] + term;
+                s->value[at] = s->value[at] + term;
             }
             else {
-                contribution[at] = 0.0 + term;
+                s->value[at] = 0.0 + term;
                 present[at] = 1;
-                if (ids_push(&inserted, at) < 0) {
+                if (ids_push(&s->inserted, at) < 0) {
                     goto done;
                 }
             }
         }
     }
+    status = 1;
+done:
+    PyMem_Free(position);
+    PyMem_Free(present);
+    return status;
+}
+
+static void
+contributions_close(Contributions *s)
+{
+    PyMem_Free(s->order.data);
+    PyMem_Free(s->inserted.data);
+    PyMem_Free(s->value);
+}
+
+/* DDBackend.norm_contributions over the record, or None for a foreign
+ * diagram: the same dict, in the same insertion order, with the same
+ * bits. */
+static PyObject *
+py_norm_contributions(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Walk w;
+    Contributions s = {{NULL, 0, 0}, {NULL, 0, 0}, NULL};
+    PyObject *result = NULL, *value;
+    int32_t at;
+    Py_ssize_t i;
+    Edge root;
+    int status;
+    (void)module;
+    if (read_sweep_args("norm_contributions", args, nargs, &root) < 0) {
+        return NULL;
+    }
+    if (root.n == NULL) {
+        return PyDict_New();
+    }
+    if ((status = walk_open(&w, args[0], root.n)) <= 0 ||
+        (status = contributions_open(&s, &w, root.w)) <= 0) {
+        goto done;
+    }
+    status = -1;
     if ((result = PyDict_New()) == NULL) {
         goto done;
     }
-    for (i = 0; i < inserted.len; i++) {
-        at = inserted.data[i];
-        value = PyFloat_FromDouble(contribution[at]);
+    for (i = 0; i < s.inserted.len; i++) {
+        at = s.inserted.data[i];
+        value = PyFloat_FromDouble(s.value[at]);
         if (value == NULL ||
-            PyDict_SetItem(result, PyList_GET_ITEM(w.nodes, order.data[at]), value) < 0) {
+            PyDict_SetItem(result, PyList_GET_ITEM(w.nodes, s.order.data[at]), value) < 0) {
             Py_XDECREF(value);
             Py_CLEAR(result);
             goto done;
@@ -2900,11 +2941,7 @@ done:
         result = Py_None;
         Py_INCREF(result);
     }
-    PyMem_Free(position);
-    PyMem_Free(contribution);
-    PyMem_Free(present);
-    PyMem_Free(order.data);
-    PyMem_Free(inserted.data);
+    contributions_close(&s);
     walk_close(&w);
     return result;
 }
@@ -3067,6 +3104,185 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyMem_Free(r.slot);
     PyMem_Free(r.memo);
     return rebuilt;
+}
+
+/* ------------------------------------------------------------------ */
+/* A whole approximation round                                         */
+/* ------------------------------------------------------------------ */
+
+/* A removal candidate: the bits of its contribution and its index in
+ * the contribution dict's insertion order, the tie-break of the greedy
+ * selection. */
+typedef struct {
+    uint64_t bits;
+    Py_ssize_t index;
+} Candidate;
+
+enum { DIGITS = 8, RADIX = 256 };
+
+/* Sort `n` candidates, given in index order, into ascending (value,
+ * index) order: a stable LSD radix sort on the value bits, which order
+ * as the values do while no value is negative or NaN, and stability
+ * keeps equal values in index order.  `*data` becomes the sorted array
+ * (the other buffer is freed). */
+static int
+sort_candidates(Candidate **data, Py_ssize_t n)
+{
+    Candidate *from = *data, *to, *swap;
+    Py_ssize_t (*count)[RADIX], i, at, next;
+    int d, digit;
+    count = PyMem_Calloc(DIGITS, sizeof(*count));
+    to = PyMem_Malloc((size_t)n * sizeof(Candidate));
+    if (count == NULL || to == NULL) {
+        PyMem_Free(count);
+        PyMem_Free(to);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        for (d = 0; d < DIGITS; d++) {
+            count[d][(from[i].bits >> (8 * d)) & (RADIX - 1)]++;
+        }
+    }
+    for (d = 0; d < DIGITS; d++) {
+        /* A digit every candidate shares moves nothing. */
+        if (count[d][(from[0].bits >> (8 * d)) & (RADIX - 1)] == n) {
+            continue;
+        }
+        for (digit = 0, at = 0; digit < RADIX; digit++) {
+            next = at + count[d][digit];
+            count[d][digit] = at;
+            at = next;
+        }
+        for (i = 0; i < n; i++) {
+            to[count[d][(from[i].bits >> (8 * d)) & (RADIX - 1)]++] = from[i];
+        }
+        swap = from;
+        from = to;
+        to = swap;
+    }
+    PyMem_Free(count);
+    PyMem_Free(to);
+    *data = from;
+    return 0;
+}
+
+/* The greedy prefix of DDBackend.approximate_round: mark REMOVED, in
+ * `slot`, every node the budget admits, in ascending (value, index)
+ * order, stopping at the first that would overspend it; `count` and
+ * `spent` are summed in that order.  Returns 1, 0 when a value is NaN
+ * or negative (the caller falls back to Python's order), or -1 on
+ * error. */
+static int
+select_removed(const Contributions *s, double budget, int32_t *slot, Py_ssize_t *count,
+               double *spent)
+{
+    /* base.ROUND_SLACK */
+    const double limit = budget + 1e-12;
+    Py_ssize_t n = s->inserted.len - 1, i;
+    Candidate *candidates;
+    double value;
+    int rc = 1;
+    *count = 0;
+    *spent = 0.0;
+    if (n <= 0) {
+        return 1;
+    }
+    if ((candidates = PyMem_Malloc((size_t)n * sizeof(Candidate))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    /* The root is the dict's first entry and never a candidate. */
+    for (i = 0; i < n && rc > 0; i++) {
+        value = s->value[s->inserted.data[i + 1]];
+        candidates[i].bits = double_bits(value);
+        candidates[i].index = i + 1;
+        rc = isnan(value) || signbit(value) ? 0 : 1;
+    }
+    if (rc > 0 && (rc = sort_candidates(&candidates, n)) == 0) {
+        rc = 1;
+        for (i = 0; i < n; i++) {
+            memcpy(&value, &candidates[i].bits, sizeof(value));
+            if (*spent + value > limit) {
+                break;
+            }
+            slot[s->order.data[s->inserted.data[candidates[i].index]]] = REMOVED;
+            *spent += value;
+            ++*count;
+        }
+    }
+    PyMem_Free(candidates);
+    return rc;
+}
+
+/* DDBackend.approximate_round over the record: the contributions, the
+ * greedy selection and the rebuild in one call, with no Python set.
+ * Returns (rebuilt edge, spent, count), the input edge with (0.0, 0)
+ * when nothing fits the budget, or None for a foreign diagram. */
+static PyObject *
+py_approximate_round(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    Walk w;
+    Contributions s = {{NULL, 0, 0}, {NULL, 0, 0}, NULL};
+    Rebuild r = {NULL, NULL, NULL, 0};
+    PyObject *result = NULL, *rebuilt;
+    Edge edge, out = ZERO;
+    Py_ssize_t count = 0;
+    double fidelity, spent = 0.0;
+    long level;
+    int status;
+    (void)module;
+    if (check_args("approximate_round", nargs, 4) < 0 ||
+        read_edge(args[1], vnode_type, &edge) < 0 || read_level(args[2], &level) < 0) {
+        return NULL;
+    }
+    fidelity = PyFloat_AsDouble(args[3]);
+    if (fidelity == -1.0 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (!(0.0 < fidelity && fidelity <= 1.0)) {
+        PyErr_SetString(PyExc_ValueError, "round_fidelity must be in (0, 1]");
+        return NULL;
+    }
+    if (edge.n == NULL) {
+        return Py_BuildValue("(Odn)", args[1], 0.0, (Py_ssize_t)0);
+    }
+    /* Select before anything is interned, so a foreign diagram falls
+     * back with the arena untouched. */
+    if ((status = walk_open(&w, args[0], edge.n)) > 0 &&
+        (status = contributions_open(&s, &w, edge.w)) > 0) {
+        r.slot = PyMem_Calloc((size_t)w.size, sizeof(int32_t));
+        r.memo = PyMem_Malloc((size_t)s.order.len * sizeof(Edge));
+        if (r.slot == NULL || r.memo == NULL) {
+            PyErr_NoMemory();
+            status = -1;
+        }
+        else {
+            status = select_removed(&s, 1.0 - fidelity, r.slot, &count, &spent);
+        }
+    }
+    if (status > 0 && count == 0) {
+        result = Py_BuildValue("(Odn)", args[1], 0.0, (Py_ssize_t)0);
+    }
+    else if (status > 0) {
+        if ((status = ctx_open(&c, args[0])) == 0) {
+            r.record = c.st->v_record;
+            status = rebuild(&c, &r, edge, w.root, level, &out);
+        }
+        if ((rebuilt = finish(&c, status, out)) != NULL) {
+            result = Py_BuildValue("(Ndn)", rebuilt, spent, count);
+        }
+    }
+    else if (status == 0) {
+        result = Py_None;
+        Py_INCREF(result);
+    }
+    contributions_close(&s);
+    walk_close(&w);
+    PyMem_Free(r.slot);
+    PyMem_Free(r.memo);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -3709,6 +3925,9 @@ static PyMethodDef core_methods[] = {
      "norm_contributions(backend, edge) -> dict, or None for a foreign diagram"},
     {"rebuild_without", (PyCFunction)(void (*)(void))py_rebuild_without, METH_FASTCALL,
      "rebuild_without(backend, edge, level, removed) -> edge, or None for a foreign diagram"},
+    {"approximate_round", (PyCFunction)(void (*)(void))py_approximate_round, METH_FASTCALL,
+     "approximate_round(backend, edge, level, round_fidelity) -> (edge, spent, count), "
+     "or None for a foreign diagram"},
     {"inner_nodes", (PyCFunction)(void (*)(void))py_inner_nodes, METH_FASTCALL,
      "inner_nodes(backend, n1, n2, level) -> complex"},
     {"state_table", (PyCFunction)(void (*)(void))py_state_table, METH_FASTCALL,

@@ -27,7 +27,8 @@ read them unchanged.  Key equality is the tuples' equality, so hit/miss
 sequences, node counts and results are those of the dict engine.
 
 **The arithmetic is native.**  ``make_vedge``, ``vadd``, the
-``multiply_mv`` recursion, the inner product, the approximation round's
+``multiply_mv`` recursion, the inner product, the whole approximation
+round (``approximate_round``: contributions, selection and rebuild) and
 ``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
 ``norm_contributions``, the stored-state entries ``state_table`` and
 ``intern_state_table``, on the matrix side ``make_medge``, ``madd`` and
@@ -264,6 +265,16 @@ class ArenaBackend(DDBackend):
         if rebuilt is None:
             return super().rebuild_without(edge, level, removed)
         return rebuilt
+
+    def approximate_round(
+        self, edge: VEdge, level: int, round_fidelity: float
+    ) -> tuple[VEdge, float, int]:
+        """The base round in the C core: contributions, selection and
+        rebuild over the record, with the same removals and bits."""
+        result = _core.approximate_round(self, edge, level, round_fidelity)
+        if result is None:
+            return super().approximate_round(edge, level, round_fidelity)
+        return result
 
     # ------------------------------------------------------------------
     # Stored states (see the base for the packed node table)

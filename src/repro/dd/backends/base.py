@@ -51,6 +51,11 @@ DEFAULT_CACHE_LIMIT = 1 << 19
 #: Names of the compute caches, as reported by :meth:`DDBackend.cache_stats`.
 CACHE_NAMES = ("vadd", "madd", "mv", "mm", "inner")
 
+#: Slack on the removal budget of :meth:`DDBackend.approximate_round`: an
+#: exact-boundary removal (budget 0.2 against a contribution of 0.2) is
+#: not rejected by floating-point rounding.
+ROUND_SLACK = 1e-12
+
 
 class DDBackend(ABC):
     """Abstract decision-diagram engine.
@@ -365,6 +370,28 @@ class DDBackend(ABC):
             memo[node] = cached  # type: ignore[index]
         return (cached[0] * weight, cached[1])
 
+    def approximate_round(
+        self, edge: VEdge, level: int, round_fidelity: float
+    ) -> tuple[VEdge, float, int]:
+        """One fidelity-budgeted removal round of §IV-A, unnormalized.
+
+        Takes the :meth:`norm_contributions` of ``edge``, selects the
+        nodes to remove with :func:`greedy_removal` and runs
+        :meth:`rebuild_without`.  Returns the rebuilt edge, the removed
+        contribution summed in removal order and the number of removed
+        nodes; the input edge with ``(0.0, 0)`` when nothing fits.  Every
+        backend must remove the same nodes and return the same bits.
+
+        Raises:
+            ValueError: When ``round_fidelity`` is not in ``(0, 1]``.
+        """
+        removed, spent = greedy_removal(
+            self.norm_contributions(edge), edge[1], round_fidelity
+        )
+        if not removed:
+            return edge, 0.0, 0
+        return self.rebuild_without(edge, level, removed), spent, len(removed)
+
     # ------------------------------------------------------------------
     # Stored states: the packed node table of repro-dd-state version 2
     # ------------------------------------------------------------------
@@ -579,6 +606,51 @@ class DDBackend(ABC):
         here too.  DDSan (:mod:`repro.analysis.ddsan`) calls this after every
         instrumented operation.
         """
+
+
+def removal_order(
+    contributions: dict[VNode, float], root: VNode | None
+) -> list[tuple[float, int, VNode]]:
+    """Every node of ``contributions`` but ``root`` as ``(contribution,
+    index, node)``, ascending.
+
+    ``index`` is the node's position in the dict's insertion order.
+    Indices are unique, so the tuples never compare their nodes and the
+    order is the contribution order with ties broken by sweep position.
+    """
+    return sorted(
+        (value, index, node)
+        for index, (node, value) in enumerate(contributions.items())
+        if node is not root
+    )
+
+
+def greedy_removal(
+    contributions: dict[VNode, float],
+    root: VNode | None,
+    round_fidelity: float,
+) -> tuple[set[VNode], float]:
+    """The greedy selection of one §IV-A round.
+
+    Takes nodes in :func:`removal_order` while the running sum of their
+    contributions stays within ``1 - round_fidelity`` (plus
+    :data:`ROUND_SLACK`) and stops at the first that would overspend it.
+    Returns the removal set and its contribution, summed in that order.
+
+    Raises:
+        ValueError: When ``round_fidelity`` is not in ``(0, 1]``.
+    """
+    if not 0.0 < round_fidelity <= 1.0:
+        raise ValueError("round_fidelity must be in (0, 1]")
+    budget = 1.0 - round_fidelity
+    removed: set[VNode] = set()
+    spent = 0.0
+    for value, _index, node in removal_order(contributions, root):
+        if spent + value > budget + ROUND_SLACK:
+            break
+        removed.add(node)
+        spent += value
+    return removed, spent
 
 
 def _check_table_node(

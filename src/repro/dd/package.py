@@ -102,6 +102,7 @@ class Package:
     vnodes: Callable[[VEdge], list[VNode]]
     norm_contributions: Callable[[VEdge], dict[VNode, float]]
     rebuild_without: Callable[[VEdge, int, set[VNode]], VEdge]
+    approximate_round: Callable[[VEdge, int, float], tuple[VEdge, float, int]]
     state_table: Callable[[VEdge], tuple[bytes, bytes]]
     intern_state_table: Callable[[int, bytes, bytes, int], VNode]
 
@@ -140,6 +141,7 @@ class Package:
         self.vnodes = impl.vnodes
         self.norm_contributions = impl.norm_contributions
         self.rebuild_without = impl.rebuild_without
+        self.approximate_round = impl.approximate_round
         self.state_table = impl.state_table
         self.intern_state_table = impl.intern_state_table
 

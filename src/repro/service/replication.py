@@ -60,6 +60,7 @@ from collections.abc import Callable, Iterable, Iterator
 from operator import attrgetter
 from typing import Any, NamedTuple
 
+from ..dd.package import Package
 from ..faults.errors import (
     ArtifactIntegrityError,
     QuorumLost,
@@ -164,19 +165,21 @@ def _verified_result(
     """``replica``'s copy of a result object when it verifies, else None.
 
     Checks the bytes of all three files by the plain store's read rule
-    (the document's CRC, the state's and journal's recorded SHA-256)
-    without deserializing the state.
+    (the document's CRC, the state's and journal's recorded SHA-256),
+    then decodes the state into a throwaway package, so a state that
+    verifies but does not decode is damage too and the process's default
+    unique tables do not grow.
 
     Raises:
-        ArtifactIntegrityError: When the copy is incomplete or fails
-            verification.
+        ArtifactIntegrityError: When the copy is incomplete, fails
+            verification, or its state does not decode.
     """
     directory = replica.result_dir(job_hash)
     if not os.path.isdir(directory):
         return None
     try:
         document = replica.load_result(job_hash)
-        return _ResultCopy(
+        copy = _ResultCopy(
             replica,
             document,
             *(
@@ -184,6 +187,9 @@ def _verified_result(
                 for name in (STATE_FILE, JOURNAL_FILE)
             ),
         )
+        if copy.state is not None:
+            _state_from(job_hash, copy.state, Package())
+        return copy
     except (KeyError, OSError) as error:
         raise ArtifactIntegrityError(
             f"result for {job_hash[:12]} is incomplete or unreadable: "

@@ -147,6 +147,32 @@ class TestForeignNodeFallback:
         contributions = package.norm_contributions((complex(1.0), foreign))
         assert set(contributions) == {foreign}
 
+    def test_approximate_round_on_foreign_diagram(self):
+        package = Package(backend="arena")
+        backend = package.backend
+        foreign = VNode(0, ((complex(0.6), None), (complex(0.8), None)))
+        _one, leaf = package.make_vedge(0, (0j, None), (1 + 0j, None))
+        edge = package.make_vedge(1, (complex(0.6), foreign), (complex(0.8), leaf))
+        rebuilt, spent, count = package.approximate_round(edge, 1, 0.6)
+        assert count == 1
+        assert rebuilt[1].edges[0] == (0j, None)
+        assert (rebuilt, spent, count) == DDBackend.approximate_round(
+            backend, edge, 1, 0.6
+        )
+
+    def test_approximate_round_with_sparse_levels(self):
+        package = Package(backend="arena")
+        leaf = package.make_vedge(0, (0.6 + 0j, None), (0.8 + 0j, None))
+        other = package.make_vedge(0, (0.8 + 0j, None), (0.6 + 0j, None))
+        below = package.make_vedge(1, (0.6 + 0j, leaf[1]), (0.8 + 0j, other[1]))
+        edge = package.make_vedge(10**6, below, (0j, None))
+        # Nothing fits the budgets: a rebuild would meet the terminal
+        # far above level 0.
+        for fidelity in (0.7, 1.0):
+            assert package.approximate_round(
+                edge, 10**6, fidelity
+            ) == DDBackend.approximate_round(package.backend, edge, 10**6, fidelity)
+
     def test_state_table_on_foreign_diagram(self):
         package = Package(backend="arena")
         backend = package.backend

@@ -196,6 +196,168 @@ class TestApproximationParity:
             assert rounds[backend] == rounds["reference"]
 
 
+def _round_outcomes(build, round_fidelity: float) -> dict[str, tuple]:
+    """``build(package)`` -> StateDD on each engine, then one
+    ``approximate_round`` on it, as ``(state table, spent, count)``.
+
+    On each engine the round equals the library path,
+    ``select_nodes_for_removal`` then ``rebuild_without``, run in a
+    fresh package on a fresh copy of the state, down to the number of
+    nodes the rebuild creates.  That count is not compared across
+    engines: the arena still holds nodes a build dropped, which the
+    reference's weak unique table recreates.
+    """
+    outcomes = {}
+    for backend in BACKENDS:
+        package = Package(backend=backend)
+        state = build(package)
+        level = state.num_qubits - 1
+        rebuilt, spent, count = package.approximate_round(
+            state.edge, level, round_fidelity
+        )
+        outcome = (package.state_table(rebuilt), spent, count)
+        if count == 0:
+            assert rebuilt is state.edge
+
+        library = Package(backend=backend)
+        state = build(library)
+        removed, library_spent = select_nodes_for_removal(state, round_fidelity)
+        library_rebuilt = (
+            library.rebuild_without(state.edge, level, removed)
+            if removed
+            else state.edge
+        )
+        assert outcome == (
+            library.state_table(library_rebuilt),
+            library_spent,
+            len(removed),
+        )
+        assert package.stats["vnodes_created"] == library.stats["vnodes_created"]
+        outcomes[backend] = outcome
+    return outcomes
+
+
+def _assert_round_parity(build, round_fidelity: float) -> tuple:
+    outcomes = _round_outcomes(build, round_fidelity)
+    for backend in BACKENDS[1:]:
+        assert outcomes[backend] == outcomes["reference"]
+    return outcomes["reference"]
+
+
+def _amplitudes(*pairs: tuple[int, float], num_qubits: int):
+    """A ``build`` for the state with amplitude ``value`` at ``index``."""
+    vector = np.zeros(2**num_qubits, dtype=complex)
+    for index, value in pairs:
+        vector[index] = value
+    return lambda package: StateDD.from_amplitudes(
+        vector, package, normalize=True
+    )
+
+
+def _fading_chain(num_qubits: int, small: float):
+    """A ``build`` whose contributions shrink by ``small ** 2`` per level
+    down one path, so the deepest ones underflow to 0.0."""
+    large = (1.0 - small * small) ** 0.5
+
+    def build(package: Package) -> StateDD:
+        zero_path = package.make_vedge(0, (1 + 0j, None), (0j, None))
+        fading = package.make_vedge(
+            0, (complex(large), None), (complex(small), None)
+        )
+        for level in range(1, num_qubits):
+            fading = package.make_vedge(
+                level, (complex(large), zero_path[1]), (complex(small), fading[1])
+            )
+            zero_path = package.make_vedge(level, zero_path, (0j, None))
+        return StateDD(fading, num_qubits, package)
+
+    return build
+
+
+class TestApproximateRoundParity:
+    """``approximate_round``: the same removals and bits on both engines,
+    and the same as the library's selection plus rebuild."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=2, max_value=5),
+        num_operations=st.integers(min_value=1, max_value=25),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        round_fidelity=st.floats(min_value=0.3, max_value=1.0),
+    )
+    @example(num_qubits=4, num_operations=18, seed=661, round_fidelity=0.5)
+    def test_random_circuits(
+        self, num_qubits, num_operations, seed, round_fidelity
+    ):
+        circuit = random_circuit(num_qubits, num_operations, seed=seed)
+        _assert_round_parity(
+            lambda package: _apply_circuit(circuit, package), round_fidelity
+        )
+
+    def test_equal_contributions_break_by_index(self):
+        # GHZ: two nodes of contribution 0.5 on every level below the
+        # root.  A budget of one of them removes exactly the first one
+        # in insertion order.
+        ghz = _amplitudes((0, 1.0), (15, 1.0), num_qubits=4)
+        _table, spent, count = _assert_round_parity(ghz, 0.5)
+        assert count == 1
+        assert spent == pytest.approx(0.5)
+        # Four equal branches: ties on two levels at once.
+        uniform = _amplitudes(
+            (1, 1.0), (6, 1.0), (10, 1.0), (13, 1.0), num_qubits=4
+        )
+        for round_fidelity in (0.5, 0.74, 0.75, 0.9):
+            _assert_round_parity(uniform, round_fidelity)
+
+    def test_budget_equal_to_one_contribution_is_spent(self):
+        # 1 - 0.8 rounds below the 0.2 contribution: only the slack
+        # admits the removal.
+        state = _amplitudes((0, 0.8**0.5), (3, 0.2**0.5), num_qubits=2)
+        package = Package(backend="reference")
+        contributions = package.norm_contributions(state(package).edge)
+        assert sorted(contributions.values())[0] > 1.0 - 0.8
+        _table, spent, count = _assert_round_parity(state, 0.8)
+        assert count == 1
+        assert spent == sorted(contributions.values())[0]
+
+    def test_full_fidelity_removes_nothing(self):
+        ghz = _amplitudes((0, 1.0), (7, 1.0), num_qubits=3)
+        _table, spent, count = _assert_round_parity(ghz, 1.0)
+        assert (spent, count) == (0.0, 0)
+
+    def test_root_only_diagram(self):
+        single = _amplitudes((0, 0.6), (1, 0.8), num_qubits=1)
+        for round_fidelity in (0.1, 1.0):
+            _table, spent, count = _assert_round_parity(
+                single, round_fidelity
+            )
+            assert (spent, count) == (0.0, 0)
+        for backend in BACKENDS:
+            terminal = (0j, None)
+            assert Package(backend=backend).approximate_round(
+                terminal, 0, 0.5
+            ) == (terminal, 0.0, 0)
+
+    def test_contributions_that_underflow_to_zero(self):
+        build = _fading_chain(64, 1e-3)
+        package = Package(backend="reference")
+        contributions = package.norm_contributions(build(package).edge)
+        assert 0.0 in contributions.values()
+        for round_fidelity in (1.0, 0.999999, 0.9):
+            _table, _spent, count = _assert_round_parity(
+                build, round_fidelity
+            )
+            assert count > 0
+
+    def test_bad_round_fidelity_raises(self):
+        for backend in BACKENDS:
+            package = Package(backend=backend)
+            edge = StateDD.plus_state(2, package).edge
+            for round_fidelity in (0.0, -0.5, 1.5, float("nan")):
+                with pytest.raises(ValueError, match="round_fidelity"):
+                    package.approximate_round(edge, 1, round_fidelity)
+
+
 SMOKE_WORKLOADS = [
     ("qsup_2x2_8_0", NoApproximation),
     (

@@ -330,6 +330,31 @@ class TestCrashSafety:
             ),
             pytest.param(
                 """
+                from repro.dd.backends.base import DDBackend
+
+                round_ = package.approximate_round
+                for bad in malformed[:10]:
+                    expect_type_error(round_, bad, 1, 0.5)
+                for bad in malformed[10:]:
+                    for level in (0, 1):
+                        expect_type_error_or_generic(
+                            round_, DDBackend.approximate_round, bad, level, 0.5
+                        )
+                for fidelity in ("0.5", None, 0.5j, [0.5]):
+                    expect_type_error(round_, state.edge, 1, fidelity)
+                expect_type_error(round_, state.edge, "1", 0.5)
+                expect_type_error(package.backend.approximate_round, state.edge, 1)
+                # A level above the root's: the rebuild meets a terminal
+                # above level 0.
+                skewed = StateDD.from_amplitudes([0.8**0.5, 0, 0, 0.2**0.5], package)
+                expect_type_error(round_, skewed.edge, 5, 0.8)
+                assert round_(skewed.edge, 1, 0.8)[2] == 1
+                assert round_(state.edge, 1, 0.5) == (state.edge, 0.0, 0)
+                """,
+                id="approximate_round",
+            ),
+            pytest.param(
+                """
                 root = state.edge[1]
                 inner = package.backend._inner_nodes
                 bad_nodes = [
@@ -460,6 +485,10 @@ def test_sweeps_over_a_foreign_child_match_the_base_traversal(graft, how):
         for removed in (set(), {{stranger}}):
             rebuilt = package.rebuild_without(edge, 2, removed)
             assert rebuilt == DDBackend.rebuild_without(backend, edge, 2, removed)
+        for fidelity in (0.4, 0.5, 1.0):
+            assert package.approximate_round(edge, 2, fidelity) == (
+                DDBackend.approximate_round(backend, edge, 2, fidelity)
+            )
         assert package.state_table(edge) == DDBackend.state_table(backend, edge)
         print("ok")
         """

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import struct
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,8 @@ from repro.faults import injector as injector_module
 from repro.faults.errors import LeaseIntegrityError, QuorumLost
 from repro.faults.injector import arm
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.service.engine import execute_job
+from repro.service.jobs import JobSpec
 from repro.service.lease import Lease, LeaseManager
 from repro.service.replication import ReplicatedStore, open_store
 from repro.service.store import ArtifactStore
@@ -484,6 +488,33 @@ class TestScrub:
             )
         report = store.scrub(repair=True)
         assert report["lost"] == 1
+
+    def test_a_state_that_verifies_but_does_not_decode_is_lost(self, store):
+        """Every copy of the state passes its SHA-256 but names a forward
+        child: the scrub reports the result lost and quarantines it, and
+        the next run with shots recomputes it."""
+        spec = JobSpec("builtin:shor_15_2", shots=8)
+        job_hash = spec.content_hash()
+        document = _state_doc()
+        children = bytearray(base64.b64decode(document["children"]))
+        children[4:8] = struct.pack("<i", 3)  # node 0's child 0: a later node
+        document["children"] = base64.b64encode(bytes(children)).decode()
+        store.put_result(job_hash, {"stats": {}}, state_doc=document)
+
+        report = store.scrub(repair=False)
+        assert (report["lost"], report["problems"]) == (
+            1,
+            [{"kind": "result_lost", "job_hash": job_hash}],
+        )
+        report = store.scrub()
+        assert (report["lost"], report["quarantined"]) == (1, 3)
+        assert not store.has_result(job_hash)
+
+        result = execute_job(spec, store)
+        assert (result.status, result.cached) == ("completed", False)
+        assert sum(result.counts.values()) == 8
+        assert store.load_state(job_hash, Package()).num_qubits > 0
+        assert store.scrub(repair=False)["problems"] == []
 
     def test_scrub_clears_read_only_when_clean(self, store):
         arm(FaultPlan(rules=(_replica_down(1), _replica_down(2))))
