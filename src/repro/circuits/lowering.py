@@ -20,6 +20,14 @@ the target — with three sparse diagrams and one addition pass.
 Shor's modular-multiplication blocks (``cmodmul``) use the same scheme with
 the bottom of the ``A`` chain replaced by a *permutation diagram* encoding
 :math:`|x\\rangle \\mapsto |a \\cdot x \\bmod N\\rangle`.
+
+The construction itself is a backend entry: this module turns an
+operation into factor entries, control levels and permutation rows, and
+calls :meth:`~repro.dd.package.Package.controlled_medge` and
+:meth:`~repro.dd.package.Package.permutation_block`.  Their Python bodies
+in :class:`~repro.dd.backends.base.DDBackend` are the oracle, run by the
+reference engine; the arena runs the same ``make_medge``/``madd`` calls,
+in the same order, in its C core (docs/BACKENDS.md).
 """
 
 from __future__ import annotations
@@ -29,65 +37,10 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from ..dd.matrix import OperatorDD
-from ..dd.node import MEdge, zero_medge
+from ..dd.node import MEdge
 from ..dd.package import Package, default_package
 from .circuit import Circuit, Operation
 from .gates import gate_matrix
-
-#: Projector onto |1> — the factor placed at control qubits.
-_PROJ_ONE = np.array([[0, 0], [0, 1]], dtype=complex)
-
-
-def _kron_chain(
-    package: Package,
-    num_qubits: int,
-    factors: dict[int, np.ndarray],
-    bottom: MEdge = (complex(1.0), None),
-    bottom_levels: int = 0,
-) -> MEdge:
-    """Build ``(⊗ factors) ⊗ bottom`` as a matrix edge.
-
-    Args:
-        package: DD package to build in.
-        num_qubits: Total number of levels in the result.
-        factors: Map from level to a 2x2 factor; missing levels are identity.
-        bottom: Pre-built edge occupying the lowest ``bottom_levels`` levels.
-        bottom_levels: Number of levels covered by ``bottom``.
-    """
-    edge = bottom
-    for level in range(bottom_levels, num_qubits):
-        factor = factors.get(level)
-        if factor is None:
-            edge = package.make_medge(
-                level, (edge, zero_medge(), zero_medge(), edge)
-            )
-            continue
-        weight, node = edge
-        # Row-major, as the quadrants of a matrix node.
-        children = tuple(
-            zero_medge() if entry == 0.0 or weight == 0.0 else (entry * weight, node)
-            for entry in factor.ravel().tolist()
-        )
-        edge = package.make_medge(level, children)  # type: ignore[arg-type]
-    return edge
-
-
-def _permutation_block(
-    package: Package, level: int, pairs: Sequence[tuple[int, int]]
-) -> MEdge:
-    """Diagram of the ``(row, col)`` ones below ``level``."""
-    if not pairs:
-        return zero_medge()
-    if level < 0:
-        return (complex(1.0), None)
-    groups: tuple[list, list, list, list] = ([], [], [], [])
-    for row, col in pairs:
-        selector = ((row >> level) & 1) * 2 + ((col >> level) & 1)
-        groups[selector].append((row, col))
-    children = tuple(
-        _permutation_block(package, level - 1, group) for group in groups
-    )
-    return package.make_medge(level, children)  # type: ignore[arg-type]
 
 
 def permutation_medge(
@@ -106,14 +59,23 @@ def permutation_medge(
         ValueError: If ``mapping`` is not a permutation of the full range.
     """
     size = 1 << num_qubits
-    if len(mapping) != size or set(mapping) != set(mapping.values()) or set(
-        mapping
-    ) != set(range(size)):
+    if len(mapping) != size or set(mapping) != set(range(size)):
+        raise ValueError(f"mapping must be a permutation of range({size})")
+    return package.permutation_block(
+        num_qubits - 1, [mapping[col] for col in range(size)]
+    )
+
+
+def _modular_rows(multiplier: int, modulus: int, num_bits: int) -> list[int]:
+    """``rows[x]``: the image of ``|x>`` under ``|x> -> |a*x mod N>``."""
+    size = 1 << num_bits
+    if size < modulus:
         raise ValueError(
-            f"mapping must be a permutation of range({size})"
+            f"{num_bits} bits cannot represent values modulo {modulus}"
         )
-    pairs = [(row, col) for col, row in mapping.items()]
-    return _permutation_block(package, num_qubits - 1, pairs)
+    return [
+        (multiplier * x) % modulus if x < modulus else x for x in range(size)
+    ]
 
 
 def modular_multiplication_mapping(
@@ -125,49 +87,7 @@ def modular_multiplication_mapping(
     over the whole register (the standard embedding used in Shor circuit
     constructions).
     """
-    size = 1 << num_bits
-    if size < modulus:
-        raise ValueError(
-            f"{num_bits} bits cannot represent values modulo {modulus}"
-        )
-    mapping = {}
-    for x in range(size):
-        mapping[x] = (multiplier * x) % modulus if x < modulus else x
-    return mapping
-
-
-def _controlled_medge(
-    package: Package,
-    num_qubits: int,
-    factors: dict[int, np.ndarray],
-    controls: Sequence[int],
-    bottom: MEdge = (complex(1.0), None),
-    bottom_levels: int = 0,
-) -> MEdge:
-    """Assemble ``A + (I - P)`` from the active factors and a bottom block.
-
-    ``A`` places ``factors`` and a :math:`|1\\rangle\\langle 1|` at each
-    control above ``bottom``; ``P`` is the same chain with identity in
-    place of ``factors`` and ``bottom``.
-    """
-    control_factors = {level: _PROJ_ONE for level in controls}
-    active = _kron_chain(
-        package, num_qubits, {**factors, **control_factors}, bottom, bottom_levels
-    )
-    if not controls:
-        return active
-    identity_bottom = (
-        package.identity(bottom_levels)
-        if bottom_levels > 0
-        else (complex(1.0), None)
-    )
-    projector = _kron_chain(
-        package, num_qubits, control_factors, identity_bottom, bottom_levels
-    )
-    identity_total = package.identity(num_qubits)
-    top = num_qubits - 1
-    result = package.madd(active, (-projector[0], projector[1]), top)
-    return package.madd(result, identity_total, top)
+    return dict(enumerate(_modular_rows(multiplier, modulus, num_bits)))
 
 
 def single_qubit_medge(
@@ -177,13 +97,15 @@ def single_qubit_medge(
     matrix: np.ndarray,
     controls: Sequence[int] = (),
 ) -> MEdge:
-    """Build the full-register diagram of a (controlled) single-qubit gate."""
-    if not 0 <= target < num_qubits:
-        raise ValueError(f"target {target} out of range")
-    if target in controls:
-        raise ValueError("target cannot also be a control")
-    factors = {target: np.asarray(matrix, dtype=complex)}
-    return _controlled_medge(package, num_qubits, factors, controls)
+    """Build the full-register diagram of a (controlled) single-qubit gate.
+
+    Raises:
+        ValueError: If ``target`` or a control is out of range, or a
+            control is the target.
+    """
+    # The factor is the matrix's four entries, row-major.
+    entries = tuple(np.asarray(matrix, dtype=complex).ravel().tolist())
+    return package.controlled_medge(num_qubits, {target: entries}, controls)
 
 
 def operation_to_medge(
@@ -233,10 +155,10 @@ def _build_operation_medge(
     if operation.gate == "cmodmul":
         multiplier, modulus = int(operation.params[0]), int(operation.params[1])
         work_bits = len(operation.targets)
-        mapping = modular_multiplication_mapping(multiplier, modulus, work_bits)
-        perm = permutation_medge(package, work_bits, mapping)
-        return _controlled_medge(
-            package, num_qubits, {}, operation.controls, perm, work_bits
+        rows = _modular_rows(multiplier, modulus, work_bits)
+        perm = package.permutation_block(work_bits - 1, rows)
+        return package.controlled_medge(
+            num_qubits, {}, operation.controls, perm, work_bits
         )
     matrix = gate_matrix(operation.gate, operation.params)
     return single_qubit_medge(

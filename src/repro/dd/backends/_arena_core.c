@@ -5,7 +5,9 @@
  * and rebuild) and the whole-diagram sweeps (node_count, vnodes,
  * norm_contributions), the packed node table
  * of a stored state and its verbatim load, on the matrix side
- * make_medge, madd and the multiply_mm recursion, and the reclaim that
+ * make_medge, madd and the multiply_mm recursion, gate lowering (a
+ * gate's A + (I - P) and the permutation block of cmodmul, with the
+ * base's make_medge/madd calls in its order), and the reclaim that
  * frees what a cache flush unpinned.
  *
  * An arena's storage is one State object, the backend's `_state`: the
@@ -541,7 +543,7 @@ static PyObject *zero_edge;
 static PyObject *targets[5];
 static PyObject *cache_names[N_TABLES]; /* NULL for the unique tables */
 static PyObject *s_tolerance, *s_inv_tolerance, *s_state, *s_cache_flushed, *s_stats,
-    *s_cache_counts, *s_vcount_cache, *s_vnodes_created, *s_mnodes_created;
+    *s_cache_counts, *s_vcount_cache, *s_vnodes_created, *s_mnodes_created, *s_identity;
 
 static const Edge ZERO = {{0.0, 0.0}, NULL};
 
@@ -713,6 +715,24 @@ read_node_edges(PyObject *node, Py_ssize_t offset, Py_ssize_t arity,
         }
     }
     return 0;
+}
+
+/* The node's `level` slot, checked to be an int; a level beyond a long
+ * reads as LONG_MAX. */
+static int
+level_of(PyObject *node, Py_ssize_t offset, long *level)
+{
+    PyObject *obj = SLOT(node, offset);
+    int overflow;
+    if (obj == NULL || !PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%.100s level must be an int", Py_TYPE(node)->tp_name);
+        return -1;
+    }
+    *level = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (overflow) {
+        *level = LONG_MAX; /* fits no key */
+    }
+    return *level == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
 /* The node's `index` slot (borrowed), checked to be an int. */
@@ -2093,6 +2113,154 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
 }
 
 /* ------------------------------------------------------------------ */
+/* Gate lowering: A + (I - P) and the permutation block                */
+/* ------------------------------------------------------------------ */
+
+/* What one level of a lowered gate holds. */
+enum { LEVEL_IDENTITY, LEVEL_FACTOR, LEVEL_CONTROL };
+
+typedef struct {
+    int kind;
+    Py_complex entry[4]; /* a LEVEL_FACTOR's row-major entries */
+} GateLevel;
+
+/* The factor at a control: the projector onto |1>, row-major. */
+static const Py_complex proj_one[4] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {1.0, 0.0}};
+
+/* base._kron_chain: one make_medge per level from `from` up to
+ * `top`, above `edge`.  The chain of A takes every factor, the chain of
+ * P (`projector`) only the controls'; other levels are identity. */
+static int
+kron_chain(Ctx *c, const GateLevel *levels, long from, long top, int projector, Edge edge,
+           Edge *out)
+{
+    Edge children[4];
+    const Py_complex *entry;
+    long level;
+    int k;
+    for (level = from; level <= top; level++) {
+        entry = NULL;
+        if (levels[level].kind == LEVEL_CONTROL) {
+            entry = proj_one;
+        }
+        else if (levels[level].kind == LEVEL_FACTOR && !projector) {
+            entry = levels[level].entry;
+        }
+        if (entry == NULL) {
+            children[0] = children[3] = edge;
+            children[1] = children[2] = ZERO;
+        }
+        else {
+            for (k = 0; k < 4; k++) {
+                if (IS_ZERO(entry[k]) || IS_ZERO(edge.w)) {
+                    children[k] = ZERO;
+                }
+                else {
+                    children[k].w = _Py_c_prod(entry[k], edge.w);
+                    children[k].n = edge.n;
+                }
+            }
+        }
+        if (make_medge(c, level, children, &edge) < 0) {
+            return -1;
+        }
+    }
+    *out = edge;
+    return 0;
+}
+
+/* The backend's identity(n), through its Python memo. */
+static int
+identity_edge(Ctx *c, long n, Edge *out)
+{
+    PyObject *count = PyLong_FromLong(n), *edge;
+    int rc = -1;
+    if (count == NULL) {
+        return -1;
+    }
+    edge = PyObject_CallMethodOneArg(c->self, s_identity, count);
+    Py_DECREF(count);
+    if (edge != NULL && read_edge(edge, mnode_type, out) == 0 && pin(c, out->n) == 0) {
+        rc = 0;
+    }
+    Py_XDECREF(edge);
+    return rc;
+}
+
+/* DDBackend.controlled_medge after its checks: A, then P and the two
+ * identities, then A - P + I, in the base's call order. */
+static int
+controlled(Ctx *c, const GateLevel *levels, long num_qubits, long bottom_levels,
+           int has_controls, Edge bottom, Edge *out)
+{
+    Edge active, projector, identity_bottom = {{1.0, 0.0}, NULL}, identity_total, difference;
+    long top = num_qubits - 1;
+    if (kron_chain(c, levels, bottom_levels, top, 0, bottom, &active) < 0) {
+        return -1;
+    }
+    if (!has_controls) {
+        *out = active;
+        return 0;
+    }
+    if ((bottom_levels > 0 && identity_edge(c, bottom_levels, &identity_bottom) < 0) ||
+        kron_chain(c, levels, bottom_levels, top, 1, identity_bottom, &projector) < 0 ||
+        identity_edge(c, num_qubits, &identity_total) < 0) {
+        return -1;
+    }
+    /* -P: complex negation flips both signs. */
+    projector.w.real = -projector.w.real;
+    projector.w.imag = -projector.w.imag;
+    if (madd(c, active, projector, top, &difference) < 0) {
+        return -1;
+    }
+    return madd(c, difference, identity_total, top, out);
+}
+
+/* One (row, col) one of a permutation matrix. */
+typedef struct {
+    int64_t row, col;
+} Pair;
+
+/* base._permutation_block on the `n` pairs: split them by the
+ * row and column bit of `level` into the four quadrants (stably, through
+ * `scratch`), then build the quadrants depth-first, 0 to 3.  `level` is
+ * at most MAX_PERMUTATION_LEVEL, which bounds the recursion. */
+static int
+permutation(Ctx *c, Pair *pairs, Pair *scratch, Py_ssize_t n, long level, Edge *out)
+{
+    Py_ssize_t count[4] = {0, 0, 0, 0}, at[4], i;
+    Edge children[4];
+    int k;
+    if (n == 0) {
+        *out = ZERO;
+        return 0;
+    }
+    if (level < 0) {
+        out->w.real = 1.0;
+        out->w.imag = 0.0;
+        out->n = NULL;
+        return 0;
+    }
+#define QUADRANT(p) ((int)((((p).row >> level) & 1) * 2 + (((p).col >> level) & 1)))
+    for (i = 0; i < n; i++) {
+        count[QUADRANT(pairs[i])]++;
+    }
+    for (k = 0, i = 0; k < 4; i += count[k], k++) {
+        at[k] = i;
+    }
+    for (i = 0; i < n; i++) {
+        scratch[at[QUADRANT(pairs[i])]++] = pairs[i];
+    }
+#undef QUADRANT
+    for (k = 0, i = 0; k < 4; i += count[k], k++) {
+        if (permutation(c, scratch + i, pairs + i, count[k], level - 1, &children[k]) < 0) {
+            return -1;
+        }
+    }
+    return make_medge(c, level, children, out);
+}
+
+/* ------------------------------------------------------------------ */
 /* Call set-up and tear-down                                           */
 /* ------------------------------------------------------------------ */
 
@@ -2435,6 +2603,252 @@ py_multiply_mm(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     status = mm(&c, ae, be, level, &result);
     return finish(&c, status, result);
+}
+
+/* An int argument (anything with __index__) as a long; a value beyond a
+ * long saturates, so that a range check rejects it. */
+static int
+read_index(PyObject *obj, long *out)
+{
+    PyObject *index = PyNumber_Index(obj);
+    int overflow;
+    if (index == NULL) {
+        return -1;
+    }
+    *out = PyLong_AsLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (overflow) {
+        *out = overflow > 0 ? LONG_MAX : LONG_MIN;
+    }
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* A factor's four row-major entries, each a complex or a float. */
+static int
+read_factor(PyObject *obj, Py_complex *entry)
+{
+    PyObject *seq = PySequence_Fast(obj, "a factor must be four complex numbers"), *item;
+    int k, rc;
+    if (seq == NULL) {
+        return -1;
+    }
+    rc = PySequence_Fast_GET_SIZE(seq) == 4 ? 0 : -1;
+    for (k = 0; rc == 0 && k < 4; k++) {
+        item = PySequence_Fast_GET_ITEM(seq, k);
+        if (PyComplex_Check(item)) {
+            entry[k] = ((PyComplexObject *)item)->cval;
+        }
+        else if (PyFloat_Check(item)) {
+            entry[k].real = PyFloat_AS_DOUBLE(item);
+            entry[k].imag = 0.0;
+        }
+        else {
+            rc = -1;
+        }
+    }
+    Py_DECREF(seq);
+    if (rc < 0) {
+        PyErr_SetString(PyExc_TypeError, "a factor must be four complex numbers");
+    }
+    return rc;
+}
+
+/* The checked factor and control levels of DDBackend.controlled_medge
+ * (base._gate_levels), into `levels`, one per level of the register. */
+static int
+read_gate_levels(PyObject *factors, PyObject *controls, long num_qubits, long bottom_levels,
+                 GateLevel *levels, int *has_controls)
+{
+    PyObject *items, *item, *seq;
+    Py_ssize_t i;
+    long level;
+    int rc = 0;
+    if ((items = PyDict_Items(factors)) == NULL) {
+        return -1;
+    }
+    for (i = 0; rc == 0 && i < PyList_GET_SIZE(items); i++) {
+        item = PyList_GET_ITEM(items, i);
+        if ((rc = read_index(PyTuple_GET_ITEM(item, 0), &level)) < 0) {
+            break;
+        }
+        if (level < bottom_levels || level >= num_qubits) {
+            PyErr_Format(PyExc_ValueError, "factor level %ld is out of range", level);
+            rc = -1;
+        }
+        else if ((rc = read_factor(PyTuple_GET_ITEM(item, 1), levels[level].entry)) == 0) {
+            levels[level].kind = LEVEL_FACTOR;
+        }
+    }
+    Py_DECREF(items);
+    if (rc < 0 || (seq = PySequence_Fast(controls, "controls must be a sequence")) == NULL) {
+        return -1;
+    }
+    for (i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        if ((rc = read_index(PySequence_Fast_GET_ITEM(seq, i), &level)) < 0) {
+            break;
+        }
+        if (level < bottom_levels || level >= num_qubits) {
+            PyErr_Format(PyExc_ValueError, "control level %ld is out of range", level);
+            rc = -1;
+        }
+        else if (levels[level].kind == LEVEL_FACTOR) {
+            PyErr_Format(PyExc_ValueError, "level %ld cannot be both target and control", level);
+            rc = -1;
+        }
+        else {
+            levels[level].kind = LEVEL_CONTROL;
+            *has_controls = 1;
+        }
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* DDBackend.controlled_medge's bottom check: an edge of this arena
+ * rooted at level bottom_levels - 1 (-1 for the terminal). */
+static int
+check_bottom(PyObject *self, Edge bottom, long bottom_levels)
+{
+    State *st;
+    long root = -1;
+    int is_owned;
+    if (bottom.n != NULL) {
+        if ((st = backend_state(self)) == NULL) {
+            return -1;
+        }
+        is_owned = owned(st->m_nodes, bottom.n);
+        Py_DECREF(st);
+        if (is_owned <= 0) {
+            if (is_owned == 0) {
+                PyErr_SetString(PyExc_ValueError, "bottom is not a matrix edge of this backend");
+            }
+            return -1;
+        }
+        if (level_of(bottom.n, m_level_off, &root) < 0) {
+            return -1;
+        }
+    }
+    if (root != bottom_levels - 1) {
+        PyErr_Format(PyExc_ValueError, "bottom is not rooted at level %ld", bottom_levels - 1);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+py_controlled_medge(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    GateLevel *levels;
+    PyObject *edge = NULL;
+    Edge bottom, result = ZERO;
+    long num_qubits, bottom_levels;
+    int has_controls = 0, status;
+    (void)module;
+    if (check_args("controlled_medge", nargs, 6) < 0 || read_index(args[1], &num_qubits) < 0 ||
+        read_index(args[5], &bottom_levels) < 0) {
+        return NULL;
+    }
+    if (num_qubits < 1) {
+        PyErr_SetString(PyExc_ValueError, "a gate needs at least one qubit");
+        return NULL;
+    }
+    if (bottom_levels < 0 || bottom_levels > num_qubits) {
+        PyErr_Format(PyExc_ValueError, "bottom_levels %ld is out of range", bottom_levels);
+        return NULL;
+    }
+    if (!PyDict_Check(args[2])) {
+        PyErr_Format(PyExc_TypeError, "factors must be a dict, not %.100s",
+                     Py_TYPE(args[2])->tp_name);
+        return NULL;
+    }
+    if ((unsigned long)num_qubits > PY_SSIZE_T_MAX / sizeof(GateLevel) ||
+        (levels = PyMem_Calloc((size_t)num_qubits, sizeof(GateLevel))) == NULL) {
+        return PyErr_NoMemory();
+    }
+    status = read_gate_levels(args[2], args[3], num_qubits, bottom_levels, levels, &has_controls);
+    if (status == 0 && read_edge(args[4], mnode_type, &bottom) == 0 &&
+        check_bottom(args[0], bottom, bottom_levels) == 0) {
+        if (ctx_open(&c, args[0]) < 0) {
+            ctx_close(&c, 1);
+        }
+        else {
+            status = controlled(&c, levels, num_qubits, bottom_levels, has_controls, bottom,
+                                &result);
+            edge = finish(&c, status, result);
+        }
+    }
+    PyMem_Free(levels);
+    return edge;
+}
+
+/* Highest level of permutation_block (base.MAX_PERMUTATION_LEVEL). */
+#define MAX_PERMUTATION_LEVEL 61
+
+static PyObject *
+py_permutation_block(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx c;
+    PyObject *rows, *edge = NULL;
+    unsigned char *seen = NULL;
+    Pair *pairs = NULL;
+    Edge result = ZERO;
+    Py_ssize_t n, col;
+    long long row;
+    long level;
+    int overflow, status;
+    (void)module;
+    if (check_args("permutation_block", nargs, 3) < 0 || read_index(args[1], &level) < 0 ||
+        (rows = PySequence_Fast(args[2], "rows must be a sequence of ints")) == NULL) {
+        return NULL;
+    }
+    n = PySequence_Fast_GET_SIZE(rows);
+    for (col = 0; col < n; col++) {
+        if (!PyLong_Check(PySequence_Fast_GET_ITEM(rows, col))) {
+            PyErr_SetString(PyExc_TypeError, "rows must be ints");
+            goto done;
+        }
+    }
+    if (level < -1 || level > MAX_PERMUTATION_LEVEL) {
+        PyErr_Format(PyExc_ValueError, "permutation level %ld is out of range", level);
+        goto done;
+    }
+    if (n != (Py_ssize_t)((int64_t)1 << (level + 1))) {
+        goto not_permutation;
+    }
+    seen = PyMem_Calloc((size_t)n, 1);
+    pairs = PyMem_Malloc(2 * (size_t)n * sizeof(Pair));
+    if (seen == NULL || pairs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (col = 0; col < n; col++) {
+        row = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(rows, col), &overflow);
+        if (row == -1 && PyErr_Occurred()) {
+            goto done;
+        }
+        if (overflow || row < 0 || row >= n || seen[row]) {
+            goto not_permutation;
+        }
+        seen[row] = 1;
+        pairs[col].row = row;
+        pairs[col].col = col;
+    }
+    if (ctx_open(&c, args[0]) < 0) {
+        ctx_close(&c, 1);
+        goto done;
+    }
+    status = permutation(&c, pairs, pairs + n, n, level, &result);
+    edge = finish(&c, status, result);
+    goto done;
+not_permutation:
+    PyErr_Format(PyExc_ValueError, "rows must be a permutation of range(%zd)",
+                 (Py_ssize_t)((int64_t)1 << (level + 1)));
+done:
+    Py_DECREF(rows);
+    PyMem_Free(seen);
+    PyMem_Free(pairs);
+    return edge;
 }
 
 /* ------------------------------------------------------------------ */
@@ -3011,6 +3425,25 @@ rebuild(Ctx *c, Rebuild *r, Edge edge, int32_t id, long level, Edge *out)
     return 0;
 }
 
+/* base.check_root_level: ValueError unless `level` is the level of the
+ * root node of `edge`; a terminal edge has no level to check. */
+static int
+check_root_level(Edge edge, long level)
+{
+    long root;
+    if (edge.n == NULL) {
+        return 0;
+    }
+    if (level_of(edge.n, v_level_off, &root) < 0) {
+        return -1;
+    }
+    if (root != level) {
+        PyErr_Format(PyExc_ValueError, "level %ld is not the root's level %ld", level, root);
+        return -1;
+    }
+    return 0;
+}
+
 /* Mark the arena slots of `removed` (a set).  Returns 1, or 0 when it
  * holds something other than a VNode (the caller falls back to the
  * generic rebuild, which compares with Python semantics), -1 on error. */
@@ -3061,6 +3494,9 @@ py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (!PyAnySet_Check(args[3])) {
         PyErr_Format(PyExc_TypeError, "removed must be a set, not %.100s",
                      Py_TYPE(args[3])->tp_name);
+        return NULL;
+    }
+    if (check_root_level(edge, level) < 0) {
         return NULL;
     }
     /* The generic recursion returns these edges before reading a node. */
@@ -3238,7 +3674,7 @@ py_approximate_round(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     fidelity = PyFloat_AsDouble(args[3]);
-    if (fidelity == -1.0 && PyErr_Occurred()) {
+    if ((fidelity == -1.0 && PyErr_Occurred()) || check_root_level(edge, level) < 0) {
         return NULL;
     }
     if (!(0.0 < fidelity && fidelity <= 1.0)) {
@@ -3630,22 +4066,6 @@ seed_keep(const Table *t, unsigned char *first, Py_ssize_t n_first, unsigned cha
     }
 }
 
-static int
-level_of(PyObject *node, Py_ssize_t offset, long *level)
-{
-    PyObject *obj = SLOT(node, offset);
-    int overflow;
-    if (obj == NULL || !PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%.100s level must be an int", Py_TYPE(node)->tp_name);
-        return -1;
-    }
-    *level = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (overflow) {
-        *level = LONG_MAX; /* fits no key */
-    }
-    return *level == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
 /* Whether `node` (a node of `nodes`) is interned: the unique-table entry
  * of the key its current level and edges give holds it.  Returns the
  * entry's slot, NULL when it is not interned, or NULL with an error. */
@@ -3917,6 +4337,10 @@ static PyMethodDef core_methods[] = {
      "madd(backend, e1, e2, level) -> edge"},
     {"multiply_mm", (PyCFunction)(void (*)(void))py_multiply_mm, METH_FASTCALL,
      "multiply_mm(backend, ae, be, level) -> edge"},
+    {"controlled_medge", (PyCFunction)(void (*)(void))py_controlled_medge, METH_FASTCALL,
+     "controlled_medge(backend, num_qubits, factors, controls, bottom, bottom_levels) -> edge"},
+    {"permutation_block", (PyCFunction)(void (*)(void))py_permutation_block, METH_FASTCALL,
+     "permutation_block(backend, level, rows) -> edge"},
     {"node_count", (PyCFunction)(void (*)(void))py_node_count, METH_FASTCALL,
      "node_count(backend, edge) -> int, or None for a foreign diagram"},
     {"vnodes", (PyCFunction)(void (*)(void))py_vnodes, METH_FASTCALL,
@@ -3996,6 +4420,7 @@ init_globals(void)
         {&s_vcount_cache, "_vcount_cache"},
         {&s_vnodes_created, "vnodes_created"},
         {&s_mnodes_created, "mnodes_created"},
+        {&s_identity, "identity"},
         {&cache_names[T_VADD], "vadd"},
         {&cache_names[T_MADD], "madd"},
         {&cache_names[T_MV], "mv"},

@@ -32,8 +32,9 @@ round (``approximate_round``: contributions, selection and rebuild) and
 ``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
 ``norm_contributions``, the stored-state entries ``state_table`` and
 ``intern_state_table``, on the matrix side ``make_medge``, ``madd`` and
-the ``multiply_mm`` recursion, and the reclaim run in the core; the
-methods here are thin calls into it.  Every complex operation in the
+the ``multiply_mm`` recursion, gate lowering (``controlled_medge`` and
+``permutation_block``), and the reclaim run in the core; the methods
+here are thin calls into it.  Every complex operation in the
 core calls CPython's own complex arithmetic, so results are
 *bit-for-bit identical* to the reference backend and cache keys bucket
 identically, making hit/miss sequences coincide.  See docs/BACKENDS.md.
@@ -72,7 +73,7 @@ densely in their old order.
 from __future__ import annotations
 
 from array import array
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from .. import ctable
 from ..node import MEdge, MNode, VEdge, VNode
@@ -162,6 +163,11 @@ class ArenaBackend(DDBackend):
         """Create a normalized, hash-consed matrix edge above four children."""
         return _core.make_medge(self, level, edges)
 
+    def _owns_mnode(self, node: MNode) -> bool:
+        index = node.index
+        nodes = self._m_nodes
+        return 0 <= index < len(nodes) and nodes[index] is node
+
     # ------------------------------------------------------------------
     # Vector arithmetic
     # ------------------------------------------------------------------
@@ -196,6 +202,27 @@ class ArenaBackend(DDBackend):
     def multiply_mm(self, ae: MEdge, be: MEdge, level: int) -> MEdge:
         """Multiply two matrix edges: result applies ``be`` first, ``ae`` second."""
         return _core.multiply_mm(self, ae, be, level)
+
+    # ------------------------------------------------------------------
+    # Gate lowering (see the base for the call-order contract)
+    # ------------------------------------------------------------------
+
+    def controlled_medge(
+        self,
+        num_qubits: int,
+        factors: Mapping[int, Sequence[complex]],
+        controls: Sequence[int],
+        bottom: MEdge = (complex(1.0), None),
+        bottom_levels: int = 0,
+    ) -> MEdge:
+        """The base's ``A + (I - P)`` in the core: same checks, same calls."""
+        return _core.controlled_medge(
+            self, num_qubits, factors, controls, bottom, bottom_levels
+        )
+
+    def permutation_block(self, level: int, rows: Sequence[int]) -> MEdge:
+        """The base's permutation block in the core: same checks, same calls."""
+        return _core.permutation_block(self, level, rows)
 
     # ------------------------------------------------------------------
     # Reclaim (see the module docstring for the safe-point rule)

@@ -35,9 +35,10 @@ backends bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Hashable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 
 from .. import ctable
 from ..node import MEdge, MNode, VEdge, VNode, zero_medge, zero_vedge
@@ -55,6 +56,13 @@ CACHE_NAMES = ("vadd", "madd", "mv", "mm", "inner")
 #: exact-boundary removal (budget 0.2 against a contribution of 0.2) is
 #: not rejected by floating-point rounding.
 ROUND_SLACK = 1e-12
+
+#: Highest level of :meth:`DDBackend.permutation_block`: its ``2 ** 62``
+#: rows are more than any list holds.
+MAX_PERMUTATION_LEVEL = 61
+
+#: The factor at a control: the projector onto |1>, row-major.
+_PROJ_ONE = (complex(0.0), complex(0.0), complex(0.0), complex(1.0))
 
 
 class DDBackend(ABC):
@@ -232,6 +240,94 @@ class DDBackend(ABC):
             self._identity_cache[level + 1] = edge
         return edge
 
+    # ------------------------------------------------------------------
+    # Gate lowering: A + (I - P) and the permutation block
+    # ------------------------------------------------------------------
+
+    def controlled_medge(
+        self,
+        num_qubits: int,
+        factors: Mapping[int, Sequence[complex]],
+        controls: Sequence[int],
+        bottom: MEdge = (complex(1.0), None),
+        bottom_levels: int = 0,
+    ) -> MEdge:
+        """The full-register diagram ``A + (I - P)`` of one gate.
+
+        ``A`` is the chain of ``factors`` (level to four row-major
+        entries), a :math:`|1\\rangle\\langle 1|` at each control and
+        identity elsewhere, above ``bottom``, a diagram over the lowest
+        ``bottom_levels`` levels.  ``P`` is the same chain with identity
+        in place of ``factors`` and ``bottom``.  Without controls the
+        result is ``A``.  Levels run bottom up, each one
+        :meth:`make_medge` call, ``A`` first, then
+        ``identity(bottom_levels)``, ``P``, ``identity(num_qubits)``,
+        ``madd(A, -P)`` and ``madd(A - P, I)``.  A factor entry is
+        ``entry * weight`` of the edge below, or a zero edge when either
+        is zero.  Every backend must make the same calls in that order,
+        so node ids, ``mnodes_created`` and the madd counters agree.
+
+        Raises:
+            TypeError: When a level is not an int, ``factors`` is not a
+                dict, a factor is not four complex or float numbers, or
+                ``bottom`` is not a matrix edge.
+            ValueError: When ``num_qubits`` is below 1, ``bottom_levels``
+                is not in ``[0, num_qubits]``, a factor or control level
+                is not in ``[bottom_levels, num_qubits)``, a control is
+                also a factor level, or ``bottom`` is not an edge of this
+                backend rooted at level ``bottom_levels - 1``.
+        """
+        active, projector = _gate_levels(num_qubits, factors, controls, bottom_levels)
+        node = _matrix_edge(bottom)[1]
+        if node is not None and not self._owns_mnode(node):
+            raise ValueError("bottom is not a matrix edge of this backend")
+        if (-1 if node is None else node.level) != bottom_levels - 1:
+            raise ValueError(f"bottom is not rooted at level {bottom_levels - 1}")
+        chain = _kron_chain(self, num_qubits, active, bottom, bottom_levels)
+        if not projector:
+            return chain
+        identity_bottom = (
+            self.identity(bottom_levels) if bottom_levels > 0 else (complex(1.0), None)
+        )
+        minus = _kron_chain(self, num_qubits, projector, identity_bottom, bottom_levels)
+        identity_total = self.identity(num_qubits)
+        top = num_qubits - 1
+        result = self.madd(chain, (-minus[0], minus[1]), top)
+        return self.madd(result, identity_total, top)
+
+    def permutation_block(self, level: int, rows: Sequence[int]) -> MEdge:
+        """The permutation matrix with a one at ``(rows[col], col)`` for
+        every column, over levels ``level`` down to 0.
+
+        Splits the ``(row, col)`` ones by the row and column bits of each
+        level into the four quadrants, in pair order, and builds them
+        depth-first, quadrant 0 to 3, one :meth:`make_medge` per
+        non-empty block.  Every backend must make the same calls in that
+        order.
+
+        Raises:
+            TypeError: When ``level`` or a row is not an int, or ``rows``
+                is not iterable.
+            ValueError: When ``level`` is not in ``[-1,
+                MAX_PERMUTATION_LEVEL]`` or ``rows`` is not a permutation
+                of ``range(2 ** (level + 1))``.
+        """
+        level = operator.index(level)
+        rows = list(rows)
+        if not all(isinstance(row, int) for row in rows):
+            raise TypeError("rows must be ints")
+        if not -1 <= level <= MAX_PERMUTATION_LEVEL:
+            raise ValueError(f"permutation level {level} is out of range")
+        size = 1 << (level + 1)
+        if len(rows) != size or sorted(rows) != list(range(size)):
+            raise ValueError(f"rows must be a permutation of range({size})")
+        pairs = [(row, col) for col, row in enumerate(rows)]
+        return _permutation_block(self, level, pairs)
+
+    def _owns_mnode(self, node: MNode) -> bool:
+        """Whether ``node`` is a matrix node interned by this backend."""
+        raise NotImplementedError
+
     def conjugate_transpose(self, me: MEdge, level: int) -> MEdge:
         """Return the conjugate transpose (dagger) of a matrix edge."""
         w, n = me
@@ -341,7 +437,12 @@ class DDBackend(ABC):
         Each surviving node is rebuilt once, child 0 before child 1,
         through :meth:`make_vedge`; that order fixes the unique table's
         contents and ``vnodes_created``, so every backend must keep it.
+
+        Raises:
+            ValueError: When ``level`` is not the root's level (see
+                :func:`check_root_level`).
         """
+        check_root_level(edge, level)
         return self._rebuild_without(edge, level, removed, {})
 
     def _rebuild_without(
@@ -356,6 +457,8 @@ class DDBackend(ABC):
             return zero_vedge()
         if level < 0:
             return edge
+        if node is None:
+            raise TypeError("rebuild_without reached a terminal above level 0")
         if node in removed:
             return zero_vedge()
         cached = memo.get(node)  # type: ignore[arg-type]
@@ -383,8 +486,11 @@ class DDBackend(ABC):
         backend must remove the same nodes and return the same bits.
 
         Raises:
-            ValueError: When ``round_fidelity`` is not in ``(0, 1]``.
+            ValueError: When ``level`` is not the root's level (see
+                :func:`check_root_level`), or ``round_fidelity`` is not in
+                ``(0, 1]``.
         """
+        check_root_level(edge, level)
         removed, spent = greedy_removal(
             self.norm_contributions(edge), edge[1], round_fidelity
         )
@@ -608,6 +714,18 @@ class DDBackend(ABC):
         """
 
 
+def check_root_level(edge: VEdge, level: int) -> None:
+    """Raise ValueError unless ``level`` is the level of ``edge``'s root
+    node; a terminal edge has no level to check.
+
+    :meth:`DDBackend.rebuild_without` and
+    :meth:`DDBackend.approximate_round` run this check before any work.
+    """
+    node = edge[1]
+    if node is not None and node.level != level:
+        raise ValueError(f"level {level} is not the root's level {node.level}")
+
+
 def removal_order(
     contributions: dict[VNode, float], root: VNode | None
 ) -> list[tuple[float, int, VNode]]:
@@ -651,6 +769,97 @@ def greedy_removal(
         removed.add(node)
         spent += value
     return removed, spent
+
+
+def _gate_levels(
+    num_qubits: int,
+    factors: Mapping[int, Sequence[complex]],
+    controls: Sequence[int],
+    bottom_levels: int,
+) -> tuple[dict[int, tuple[complex, ...]], dict[int, tuple[complex, ...]]]:
+    """The checked factor levels of :meth:`DDBackend.controlled_medge`:
+    ``A``'s (factors and controls) and ``P``'s (controls only)."""
+    num_qubits = operator.index(num_qubits)
+    bottom_levels = operator.index(bottom_levels)
+    if num_qubits < 1:
+        raise ValueError("a gate needs at least one qubit")
+    if not 0 <= bottom_levels <= num_qubits:
+        raise ValueError(f"bottom_levels {bottom_levels} is out of range")
+    if not isinstance(factors, dict):
+        raise TypeError(f"factors must be a dict, not {type(factors).__name__}")
+    active: dict[int, tuple[complex, ...]] = {}
+    for level, factor in factors.items():
+        level = operator.index(level)
+        if not bottom_levels <= level < num_qubits:
+            raise ValueError(f"factor level {level} is out of range")
+        entries = tuple(factor)
+        if len(entries) != 4 or not all(
+            isinstance(entry, (complex, float)) for entry in entries
+        ):
+            raise TypeError("a factor must be four complex numbers")
+        active[level] = entries
+    projector: dict[int, tuple[complex, ...]] = {}
+    for level in controls:
+        level = operator.index(level)
+        if not bottom_levels <= level < num_qubits:
+            raise ValueError(f"control level {level} is out of range")
+        if level in active:
+            raise ValueError(f"level {level} cannot be both target and control")
+        projector[level] = _PROJ_ONE
+    active.update(projector)
+    return active, projector
+
+
+def _matrix_edge(edge: Any) -> MEdge:
+    """``edge``, checked to be a ``(weight, MNode or None)`` tuple."""
+    if not (
+        isinstance(edge, tuple)
+        and len(edge) == 2
+        and isinstance(edge[0], (complex, float))
+        and (edge[1] is None or type(edge[1]) is MNode)
+    ):
+        raise TypeError("a matrix edge must be a (weight, MNode or None) tuple")
+    return edge  # type: ignore[return-value]
+
+
+def _kron_chain(
+    backend: DDBackend,
+    num_qubits: int,
+    factors: dict[int, tuple[complex, ...]],
+    bottom: MEdge,
+    bottom_levels: int,
+) -> MEdge:
+    """``(⊗ factors) ⊗ bottom``, identity at the levels without a factor."""
+    edge = bottom
+    for level in range(bottom_levels, num_qubits):
+        factor = factors.get(level)
+        if factor is None:
+            edge = backend.make_medge(level, (edge, zero_medge(), zero_medge(), edge))
+            continue
+        weight, node = edge
+        # Row-major, as the quadrants of a matrix node.
+        children = tuple(
+            zero_medge() if entry == 0.0 or weight == 0.0 else (entry * weight, node)
+            for entry in factor
+        )
+        edge = backend.make_medge(level, children)  # type: ignore[arg-type]
+    return edge
+
+
+def _permutation_block(
+    backend: DDBackend, level: int, pairs: list[tuple[int, int]]
+) -> MEdge:
+    """Diagram of the ``(row, col)`` ones below ``level``."""
+    if not pairs:
+        return zero_medge()
+    if level < 0:
+        return (complex(1.0), None)
+    groups: tuple[list[tuple[int, int]], ...] = ([], [], [], [])
+    for row, col in pairs:
+        selector = ((row >> level) & 1) * 2 + ((col >> level) & 1)
+        groups[selector].append((row, col))
+    children = tuple(_permutation_block(backend, level - 1, group) for group in groups)
+    return backend.make_medge(level, children)  # type: ignore[arg-type]
 
 
 def _check_table_node(

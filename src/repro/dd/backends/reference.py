@@ -194,6 +194,9 @@ class ReferenceBackend(DDBackend):
             self.stats["mnodes_created"] += 1
         return (divisor, node)
 
+    def _owns_mnode(self, node: MNode) -> bool:
+        return self._mtable.get(_mnode_key(node)) is node
+
     # ------------------------------------------------------------------
     # Vector arithmetic
     # ------------------------------------------------------------------

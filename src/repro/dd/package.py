@@ -43,7 +43,7 @@ indirection on the simulation path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from .backends import (
     CACHE_NAMES,
@@ -104,6 +104,8 @@ class Package:
     rebuild_without: Callable[[VEdge, int, set[VNode]], VEdge]
     approximate_round: Callable[[VEdge, int, float], tuple[VEdge, float, int]]
     state_table: Callable[[VEdge], tuple[bytes, bytes]]
+    controlled_medge: Callable[..., MEdge]
+    permutation_block: Callable[[int, Sequence[int]], MEdge]
     intern_state_table: Callable[[int, bytes, bytes, int], VNode]
 
     def __init__(
@@ -144,6 +146,8 @@ class Package:
         self.approximate_round = impl.approximate_round
         self.state_table = impl.state_table
         self.intern_state_table = impl.intern_state_table
+        self.controlled_medge = impl.controlled_medge
+        self.permutation_block = impl.permutation_block
 
     @property
     def backend(self) -> DDBackend:

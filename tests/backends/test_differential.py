@@ -17,13 +17,16 @@ not a performance tradeoff.
 
 from __future__ import annotations
 
+import functools
 import gc
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.circuit import Operation
 from repro.circuits.gates import GATE_REGISTRY, gate_matrix
 from repro.circuits.lowering import operation_to_medge, single_qubit_medge
 from repro.circuits.randomcirc import random_circuit
@@ -31,6 +34,7 @@ from repro.core import DDSimulator, MemoryDrivenStrategy, NoApproximation, simul
 from repro.core.approximation import approximate_state, select_nodes_for_removal
 from repro.dd import ctable
 from repro.dd.backends.arena import ArenaBackend
+from repro.dd.backends.base import DDBackend
 from repro.dd.node import MEdge, VEdge
 from repro.dd.package import Package
 from repro.dd.vector import StateDD
@@ -616,7 +620,8 @@ class TestMatrixParity:
 
         engine._cache_flushed = recording_flush
         mid_recursion: set[str] = set()
-        for entry, name in (("madd", "madd"), ("multiply_mm", "mm")):
+        # The madd cache fills inside a gate's A + (I - P) assembly.
+        for entry, name in (("controlled_medge", "madd"), ("multiply_mm", "mm")):
 
             def watched(*args, call=getattr(packages[1], entry), name=name):
                 seen = len(flushes)
@@ -646,6 +651,123 @@ class TestMatrixParity:
         assert mid_recursion == {"madd", "mm"}
         assert audits, "the arena never reclaimed"
         assert all(found == [] for found in audits)
+
+
+def _oracle_package() -> Package:
+    """A fresh arena package whose lowering entries run the
+    :class:`DDBackend` bodies (the oracle) instead of the core's."""
+    package = Package(backend="arena")
+    package.enable_metrics()
+    package.controlled_medge = functools.partial(
+        DDBackend.controlled_medge, package.backend
+    )
+    package.permutation_block = functools.partial(
+        DDBackend.permutation_block, package.backend
+    )
+    return package
+
+
+def _arena_record(package: Package) -> tuple:
+    """Everything the lowering left in an arena: every matrix node in
+    creation order (level, weights and child ids), ``mnodes_created`` and
+    the madd (hits, misses)."""
+    nodes = tuple(
+        (
+            node.level,
+            tuple(weight for weight, _ in node.edges),
+            tuple(-1 if child is None else child.index for _, child in node.edges),
+        )
+        for node in package.backend._m_nodes
+    )
+    madd = package.cache_stats()["caches"]["madd"]
+    return nodes, package.stats["mnodes_created"], madd["hits"], madd["misses"]
+
+
+#: Moduli of the cmodmul cases, each with the multipliers coprime to it.
+_MODULI = {
+    modulus: [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
+    for modulus in (3, 5, 7, 9, 15, 21, 33)
+}
+
+
+@st.composite
+def _lowered_operations(draw):
+    """``(num_qubits, operation)``: a registered gate with controls on
+    either side of its target, a swap, or a controlled cmodmul whose work
+    register may be narrower than the register."""
+    kind = draw(st.sampled_from(["gate", "swap", "cmodmul"]))
+    if kind == "gate":
+        num_qubits, target, controls, name, params = draw(
+            _controlled_gates(draw(st.integers(min_value=1, max_value=10)))
+        )
+        return num_qubits, Operation(name, (target,), controls, params)
+    if kind == "swap":
+        num_qubits = draw(st.integers(min_value=2, max_value=10))
+        pair = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=num_qubits - 1),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+        return num_qubits, Operation("swap", tuple(pair))
+    modulus = draw(st.sampled_from(sorted(_MODULI)))
+    multiplier = draw(st.sampled_from(_MODULI[modulus]))
+    work_bits = modulus.bit_length() + draw(st.integers(min_value=0, max_value=1))
+    num_qubits = work_bits + draw(st.integers(min_value=0, max_value=3))
+    controls = draw(
+        st.lists(
+            st.sampled_from(range(work_bits, num_qubits)), unique=True, max_size=2
+        )
+        if num_qubits > work_bits
+        else st.just([])
+    )
+    return num_qubits, Operation(
+        "cmodmul", tuple(range(work_bits)), tuple(controls), (multiplier, modulus)
+    )
+
+
+class TestLoweringEntries:
+    """``controlled_medge`` and ``permutation_block``: the arena's core
+    entries make the calls of the :class:`DDBackend` bodies, in their
+    order, and the reference engine lowers to the same diagrams."""
+
+    @staticmethod
+    def _check(operations) -> None:
+        core, oracle, reference = (
+            Package(backend="arena"),
+            _oracle_package(),
+            Package(backend="reference"),
+        )
+        core.enable_metrics()
+        for num_qubits, operation in operations:
+            edges = [
+                operation_to_medge(operation, num_qubits, package)
+                for package in (core, oracle, reference)
+            ]
+            _assert_same_diagram(edges[0], edges[1])
+            _assert_same_diagram(edges[2], edges[0])
+            assert _arena_record(core) == _arena_record(oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(operations=st.lists(_lowered_operations(), min_size=1, max_size=3))
+    @example(operations=[(6, Operation("cmodmul", (0, 1, 2, 3), (5,), (7, 15)))])
+    @example(operations=[(10, Operation("swap", (9, 0)))])
+    def test_lowerings_match_the_oracle(self, operations):
+        self._check(operations)
+
+    @pytest.mark.parametrize("name", sorted(GATE_REGISTRY))
+    def test_every_registered_gate(self, name):
+        params = tuple(0.7 - 1.3 * k for k in range(GATE_REGISTRY[name].num_params))
+        self._check(
+            [
+                (5, Operation(name, (2,), (), params)),
+                (5, Operation(name, (2,), (0, 4), params)),
+                (5, Operation(name, (4,), (1,), params)),
+                (5, Operation(name, (0,), (3,), params)),
+            ]
+        )
 
 
 #: The arena's (hits, misses, flushes) of the mv, vadd, inner, madd and mm

@@ -319,7 +319,8 @@ class TestCrashSafety:
                 for removed in ([root], {root: 1}, None, "node"):
                     expect_type_error(package.rebuild_without, state.edge, 1, removed)
                 expect_type_error(package.rebuild_without, state.edge, "1", set())
-                expect_type_error(package.rebuild_without, state.edge, 5, set())
+                # A level that is not the root's is checked before any work.
+                assert outcome(package.rebuild_without, state.edge, 5, set()) is ValueError
                 # Anything but vector nodes in the set: the generic rebuild.
                 for removed in ({"node"}, frozenset(), {root, "node"}):
                     assert package.rebuild_without(
@@ -344,14 +345,86 @@ class TestCrashSafety:
                     expect_type_error(round_, state.edge, 1, fidelity)
                 expect_type_error(round_, state.edge, "1", 0.5)
                 expect_type_error(package.backend.approximate_round, state.edge, 1)
-                # A level above the root's: the rebuild meets a terminal
-                # above level 0.
+                # A level that is not the root's is checked before any work.
                 skewed = StateDD.from_amplitudes([0.8**0.5, 0, 0, 0.2**0.5], package)
-                expect_type_error(round_, skewed.edge, 5, 0.8)
+                assert outcome(round_, skewed.edge, 5, 0.8) is ValueError
                 assert round_(skewed.edge, 1, 0.8)[2] == 1
                 assert round_(state.edge, 1, 0.5) == (state.edge, 0.0, 0)
                 """,
                 id="approximate_round",
+            ),
+            pytest.param(
+                """
+                reference = Package(backend="reference")
+                h = (0.5**0.5 + 0j, 0.5**0.5 + 0j, 0.5**0.5 + 0j, -(0.5**0.5) + 0j)
+
+                def same_error(name, *args):
+                    # The exception type both engines raise, checked equal.
+                    found = [
+                        outcome(getattr(engine, name), *args)
+                        for engine in (package, reference)
+                    ]
+                    assert isinstance(found[0], type) and found[0] is found[1], (
+                        name, args, found
+                    )
+                    return found[0]
+
+                lower = "controlled_medge"
+                for factor in ((1j, 0j, 0j), (1j,) * 5, ("a", 0j, 0j, 1j), 5, None,
+                               (1, 0, 0, 1), (True, 0j, 0j, 1j), "abcd"):
+                    assert same_error(lower, 2, {0: factor}, ()) is TypeError
+                for factors in ([(0, h)], None, ((0, h),)):
+                    assert same_error(lower, 2, factors, ()) is TypeError
+                for num_qubits in (0, -1, -(2**70)):
+                    assert same_error(lower, num_qubits, {}, ()) is ValueError
+                for args in (
+                    (2, {2: h}, ()), (2, {-1: h}, ()), (2, {0: h}, (2,)),
+                    (2, {0: h}, (-1,)), (2, {1: h}, (2**70,)),
+                    (2, {0: h}, (0,)), (3, {1: h}, (0, 1)),
+                ):
+                    assert same_error(lower, *args) is ValueError
+                for bad in ("1", 1.0, None):
+                    assert same_error(lower, bad, {0: h}, ()) is TypeError
+                    assert same_error(lower, 2, {bad: h}, ()) is TypeError
+                    assert same_error(lower, 2, {0: h}, (bad,)) is TypeError
+                assert same_error(lower, 2, {0: h}, 1) is TypeError
+                # bottom_levels out of range, then bottoms of the wrong
+                # level, kind or package.
+                one = (1 + 0j, None)
+                for levels in (-1, 3, 2**70):
+                    assert same_error(lower, 2, {}, (), one, levels) is ValueError
+                assert same_error(lower, 2, {}, (), one, "1") is TypeError
+                for bad in malformed_m[:10]:
+                    assert same_error(lower, 2, {}, (1,), bad, 1) is TypeError
+                vector_bottom = (1 + 0j, VNode(0, ((1 + 0j, None),) * 2))
+                assert same_error(lower, 2, {}, (1,), vector_bottom, 1) is TypeError
+                for bottom, levels in (
+                    (lambda engine: engine.identity(2), 1),
+                    (lambda engine: engine.identity(1), 2),
+                    (lambda engine: (1 + 0j, None), 1),
+                    (lambda engine: engine.identity(1), 0),
+                    (lambda engine: Package(backend=engine.backend_name).identity(1), 1),
+                    (lambda engine: (1 + 0j, MNode(0, ((1 + 0j, None),) * 4)), 1),
+                ):
+                    found = [
+                        outcome(engine.controlled_medge, 2, {}, (1,), bottom(engine), levels)
+                        for engine in (package, reference)
+                    ]
+                    assert found == [ValueError, ValueError], (levels, found)
+
+                block = "permutation_block"
+                for rows in ([0, 0, 2, 3], [0, 1], [0, 1, 2, 4], [-1, 0, 1, 2],
+                             [0, 1, 2, 3, 4], [], [2**70, 0, 1, 2]):
+                    assert same_error(block, 1, rows) is ValueError
+                for level in (-2, 61, 62, 2**70, -(2**70)):
+                    assert same_error(block, level, [0]) is ValueError
+                for rows in (None, 5, [0, 1, "2", 3], [0.0, 1, 2, 3]):
+                    assert same_error(block, 1, rows) is TypeError
+                assert same_error(block, "1", [0, 1, 2, 3]) is TypeError
+                assert package.permutation_block(-1, [0]) == (1, None)
+                assert package.permutation_block(0, (True, False))[1].level == 0
+                """,
+                id="lowering",
             ),
             pytest.param(
                 """

@@ -136,3 +136,41 @@ class TestLazyArenaImport:
 
     def test_create_backend_arena(self):
         assert create_backend("arena").name == "arena"
+
+
+class TestRootLevelCheck:
+    """``approximate_round`` and ``rebuild_without`` reject a level that is
+    not the root's with the same ValueError on both engines, before any
+    work."""
+
+    @staticmethod
+    def _outcomes(backend: str, level: int) -> tuple:
+        from repro.dd.vector import StateDD
+
+        package = Package(backend=backend)
+        state = StateDD.from_amplitudes([0.8**0.5, 0, 0, 0.2**0.5], package)
+        before = dict(package.stats)
+        found = []
+        for call, args in (
+            (package.approximate_round, (state.edge, level, 0.8)),
+            (package.rebuild_without, (state.edge, level, {state.edge[1]})),
+        ):
+            with pytest.raises(ValueError) as info:
+                call(*args)
+            found.append(str(info.value))
+        assert package.stats == before
+        return tuple(found)
+
+    @pytest.mark.parametrize("level", [5, 2, 0, -1])
+    def test_both_engines_raise_the_same_value_error(self, level):
+        outcomes = [self._outcomes(backend, level) for backend in BACKEND_NAMES]
+        assert outcomes[0] == outcomes[1]
+        assert f"level {level} is not the root's level 1" in outcomes[0][0]
+
+    def test_a_terminal_above_level_0_is_a_type_error_on_both_engines(self):
+        found = []
+        for backend in BACKEND_NAMES:
+            with pytest.raises(TypeError) as info:
+                Package(backend=backend).rebuild_without((1 + 0j, None), 1, set())
+            found.append(str(info.value))
+        assert found[0] == found[1]
