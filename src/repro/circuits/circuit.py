@@ -66,8 +66,16 @@ class Operation:
                 )
         elif self.gate == "swap" and len(self.targets) != 2:
             raise ValueError("swap takes exactly two targets")
-        elif self.gate == "cmodmul" and len(self.params) != 2:
-            raise ValueError("cmodmul requires params (a, N)")
+        elif self.gate == "cmodmul":
+            if len(self.params) != 2:
+                raise ValueError("cmodmul requires params (a, N)")
+            # The lowering builds the permutation on the low len(targets)
+            # qubits, whatever the targets say.
+            if tuple(self.targets) != tuple(range(len(self.targets))):
+                raise ValueError(
+                    "cmodmul work register must be qubits 0..k-1 in order, "
+                    f"got {self.targets}"
+                )
 
     @property
     def num_qubits_touched(self) -> int:
@@ -326,11 +334,6 @@ class Circuit:
             controls: Optional control qubits.
         """
         work_tuple = tuple(work)
-        if work_tuple != tuple(range(len(work_tuple))):
-            raise ValueError(
-                "cmodmul work register must be qubits 0..k-1 in order, "
-                f"got {work_tuple}"
-            )
         if (1 << len(work_tuple)) < modulus:
             raise ValueError(
                 f"work register of {len(work_tuple)} qubits cannot hold "

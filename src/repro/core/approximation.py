@@ -1,4 +1,4 @@
-"""Fidelity-budgeted node removal (§IV-A of the paper).
+"""Node removal (§IV-A of the paper) and the other approximation policies.
 
 ``approximate_state`` removes low-contribution nodes from a state diagram
 until a per-round fidelity budget is exhausted, then rebuilds and
@@ -14,13 +14,19 @@ which guarantees the achieved fidelity is at least
 zeroed amplitude mass is *at most* the contribution sum, never more.  The
 exact achieved fidelity :math:`|\\langle\\psi|\\psi_I\\rangle|^2` is then
 measured with a DD inner product and reported alongside the bound.
+
+Every node-removal policy here (``approximate_state``,
+``approximate_to_size``, ``approximate_below_contribution``) runs the
+same backend round, :meth:`~repro.dd.package.Package.approximate_round`,
+and differs only in the mass budget and node count it passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..dd.backends.base import greedy_removal, removal_order
+from ..dd.backends.base import select_removal
 from ..dd.node import VEdge, VNode
 from ..dd.package import Package
 from ..dd.vector import StateDD
@@ -58,14 +64,6 @@ class ApproximationResult:
         return 1.0 - self.nodes_after / self.nodes_before
 
 
-def _removal_candidates(
-    state: StateDD,
-) -> list[tuple[float, int, VNode]]:
-    """Every node but the root as ``(contribution, index, node)``, ascending
-    (:func:`~repro.dd.backends.base.removal_order`)."""
-    return removal_order(node_contributions(state), state.edge[1])
-
-
 def _round_result(
     state: StateDD,
     approximated: StateDD,
@@ -101,6 +99,17 @@ def _round_result(
     )
 
 
+def _round_budget(round_fidelity: float) -> float:
+    """The removable mass ``1 - round_fidelity`` of a §IV-A round.
+
+    Raises:
+        ValueError: When ``round_fidelity`` is not in ``(0, 1]``.
+    """
+    if not 0.0 < round_fidelity <= 1.0:
+        raise ValueError("round_fidelity must be in (0, 1]")
+    return 1.0 - round_fidelity
+
+
 def select_nodes_for_removal(
     state: StateDD, round_fidelity: float
 ) -> tuple[set[VNode], float]:
@@ -110,8 +119,10 @@ def select_nodes_for_removal(
     a candidate.  Returns the removal set and its total contribution: the
     selection :meth:`~repro.dd.package.Package.approximate_round` makes.
     """
-    return greedy_removal(
-        node_contributions(state), state.edge[1], round_fidelity
+    budget = _round_budget(round_fidelity)
+    contributions = node_contributions(state)
+    return select_removal(
+        contributions, state.edge[1], budget, len(contributions)
     )
 
 
@@ -166,9 +177,10 @@ def approximate_state(
         An :class:`ApproximationResult`; when nothing can be removed the
         input state is returned unchanged with fidelity 1.
     """
+    budget = _round_budget(round_fidelity)
     nodes_before = state.node_count()
     rebuilt, spent, removed_nodes = state.package.approximate_round(
-        state.edge, state.num_qubits - 1, round_fidelity
+        state.edge, state.num_qubits - 1, budget, nodes_before
     )
     approximated = _renormalized(state, rebuilt) if removed_nodes else state
     return _round_result(
@@ -186,7 +198,8 @@ def approximate_below_contribution(
     predecessor work [27]: instead of bounding the total removed mass, cut
     everything individually negligible.  The resulting fidelity is only
     bounded by ``1 - epsilon * removed_count``; the exact value is always
-    measured and reported.
+    measured and reported.  A cut that would remove all the mass is
+    refused: the state comes back unchanged.
 
     Args:
         state: The state to approximate.
@@ -195,20 +208,24 @@ def approximate_below_contribution(
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
     nodes_before = state.node_count()
-    contributions = node_contributions(state)
     _weight, root = state.edge
-    removed: set[VNode] = set()
+    taken = 0
     spent = 0.0
-    # Summed in sweep order, so the total does not depend on set order.
-    for node, value in contributions.items():
+    # Summed in sweep order: the reported total.
+    for node, value in node_contributions(state).items():
         if node is not root and value <= epsilon:
-            removed.add(node)
+            taken += 1
             spent += value
-    if not removed or spent >= 1.0:
+    if not taken or spent >= 1.0:
         return _round_result(state, state, 1.0, 0.0, 0, nodes_before)
+    # The nodes at or below epsilon lead the removal order, so the round
+    # takes exactly them with no mass budget.
+    rebuilt, _ordered, removed = state.package.approximate_round(
+        state.edge, state.num_qubits - 1, math.inf, taken
+    )
     return _round_result(
-        state, rebuild_without(state, removed), max(0.0, 1.0 - spent),
-        spent, len(removed), nodes_before,
+        state, _renormalized(state, rebuilt), max(0.0, 1.0 - spent),
+        spent, removed, nodes_before,
     )
 
 
@@ -220,19 +237,21 @@ def approximate_to_size(
 ) -> ApproximationResult:
     """Shrink a diagram to at most ``max_nodes`` nodes if possible.
 
-    The size-targeted variant of §IV-B's use case: remove nodes in
-    ascending contribution order until the *rebuilt* diagram fits (removal
-    can orphan whole subgraphs, so the loop re-measures after each pass).
-    An optional ``fidelity_floor`` stops the destruction early — when the
-    floor and the size target conflict, the floor wins and the result may
-    stay larger than requested.
+    The size-targeted variant of §IV-B's use case: each pass is one
+    :meth:`~repro.dd.package.Package.approximate_round` that removes at
+    most ``count - max_nodes`` nodes in ascending contribution order
+    under a mass cap.  Removal can orphan whole subgraphs, so the loop
+    re-measures the *rebuilt* diagram after each pass.  An optional
+    ``fidelity_floor`` stops the destruction early — when the floor and
+    the size target conflict, the floor wins and the result may stay
+    larger than requested.
 
     Args:
         state: The state to shrink.
         max_nodes: Target maximum node count (>= the qubit count, since a
             product state needs one node per level).
         fidelity_floor: Never let the *cumulative* fidelity drop below
-            this value.
+            this value, in ``[0, 1]``.
         max_passes: Safety bound on shrink iterations.
     """
     if max_nodes < state.num_qubits:
@@ -240,7 +259,10 @@ def approximate_to_size(
             f"max_nodes {max_nodes} below the {state.num_qubits}-node "
             "minimum for a product state"
         )
+    if not 0.0 <= fidelity_floor <= 1.0:
+        raise ValueError("fidelity_floor must be in [0, 1]")
     nodes_before = state.node_count()
+    level = state.num_qubits - 1
     current = state
     cumulative_fidelity = 1.0
     total_removed = 0
@@ -249,38 +271,22 @@ def approximate_to_size(
         count = current.node_count()
         if count <= max_nodes:
             break
-        candidates = _removal_candidates(current)
         # Cap the removable mass: removing a full level's worth (sum 1)
-        # would erase the state outright.
+        # would erase the state outright, and 0.99 leaves at least 1 %.
         mass_cap = 0.99
         if fidelity_floor > 0.0:
             mass_cap = min(
                 mass_cap, 1.0 - fidelity_floor / cumulative_fidelity
             )
-        # The removal set is the prefix candidates[:taken].
-        taken = 0
-        spent = 0.0
-        for value, _index, _node in candidates[: count - max_nodes]:
-            if spent + value > mass_cap:
-                break
-            taken += 1
-            spent += value
-        shrunk = None
-        while taken:
-            try:
-                shrunk = rebuild_without(
-                    current, {node for _v, _i, node in candidates[:taken]}
-                )
-                break
-            except ValueError:
-                # Pathological overlap emptied the state; keep the
-                # smaller-contribution half of the prefix and retry.
-                taken //= 2
-        if shrunk is None:
+        rebuilt, spent, removed = current.package.approximate_round(
+            current.edge, level, mass_cap, count - max_nodes
+        )
+        if not removed:
             break
+        shrunk = _renormalized(current, rebuilt)
         cumulative_fidelity *= current.fidelity(shrunk)
-        total_removed += taken
-        total_spent += sum(value for value, _i, _n in candidates[:taken])
+        total_removed += removed
+        total_spent += spent
         current = shrunk
         if fidelity_floor > 0.0 and cumulative_fidelity <= fidelity_floor:
             break

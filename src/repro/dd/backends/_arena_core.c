@@ -1,14 +1,14 @@
 /* Native core of the arena DD engine (repro.dd.backends.arena).
  *
  * Implements make_vedge, vadd, the multiply_mv recursion, the inner
- * product, a whole approximation round (contributions, greedy selection
- * and rebuild) and the whole-diagram sweeps (node_count, vnodes,
- * norm_contributions), the packed node table
- * of a stored state and its verbatim load, on the matrix side
- * make_medge, madd and the multiply_mm recursion, gate lowering (a
- * gate's A + (I - P) and the permutation block of cmodmul, with the
- * base's make_medge/madd calls in its order), and the reclaim that
- * frees what a cache flush unpinned.
+ * product, the node-removal round every approximation policy runs
+ * (contributions, selection under a budget and a count, and rebuild),
+ * the whole-diagram sweeps (node_count, vnodes, norm_contributions),
+ * the packed node table of a stored state and its verbatim load, on
+ * the matrix side make_medge, madd and the multiply_mm recursion, gate
+ * lowering (a gate's A + (I - P) and the permutation block of cmodmul,
+ * with the base's make_medge/madd calls in its order), and the reclaim
+ * that frees what a cache flush unpinned.
  *
  * An arena's storage is one State object, the backend's `_state`: the
  * node lists `_v_nodes` and `_m_nodes`, the record `_v_record`, and the
@@ -3444,104 +3444,6 @@ check_root_level(Edge edge, long level)
     return 0;
 }
 
-/* Mark the arena slots of `removed` (a set).  Returns 1, or 0 when it
- * holds something other than a VNode (the caller falls back to the
- * generic rebuild, which compares with Python semantics), -1 on error. */
-static int
-mark_removed(const Walk *w, PyObject *removed, int32_t *slot)
-{
-    PyObject *iterator, *item;
-    int is_owned, rc = 1;
-    if ((iterator = PyObject_GetIter(removed)) == NULL) {
-        return -1;
-    }
-    while ((item = PyIter_Next(iterator)) != NULL) {
-        if (!Py_IS_TYPE(item, vnode_type)) {
-            rc = 0;
-        }
-        else if ((is_owned = owned(w->nodes, item)) < 0) {
-            rc = -1;
-        }
-        else if (is_owned) {
-            /* A live slot's index is an int below the arena size. */
-            slot[PyLong_AsSsize_t(SLOT(item, v_index_off))] = REMOVED;
-        }
-        Py_DECREF(item);
-        if (rc <= 0) {
-            break;
-        }
-    }
-    Py_DECREF(iterator);
-    return rc < 0 || PyErr_Occurred() ? -1 : rc;
-}
-
-static PyObject *
-py_rebuild_without(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Ctx c;
-    Walk w;
-    Rebuild r = {NULL, NULL, NULL, 0};
-    PyObject *rebuilt = NULL;
-    Edge edge, result = ZERO;
-    Py_ssize_t count;
-    long level;
-    int status;
-    (void)module;
-    if (check_args("rebuild_without", nargs, 4) < 0 || read_edge(args[1], vnode_type, &edge) < 0 ||
-        read_level(args[2], &level) < 0) {
-        return NULL;
-    }
-    if (!PyAnySet_Check(args[3])) {
-        PyErr_Format(PyExc_TypeError, "removed must be a set, not %.100s",
-                     Py_TYPE(args[3])->tp_name);
-        return NULL;
-    }
-    if (check_root_level(edge, level) < 0) {
-        return NULL;
-    }
-    /* The generic recursion returns these edges before reading a node. */
-    if (IS_ZERO(edge.w)) {
-        return pack(ZERO.w, SNAP_NONE, NULL);
-    }
-    if (level < 0) {
-        Py_INCREF(args[1]);
-        return args[1];
-    }
-    if (edge.n == NULL) {
-        PyErr_SetString(PyExc_TypeError, "rebuild_without reached a terminal above level 0");
-        return NULL;
-    }
-    /* Walk first, so a foreign diagram falls back before anything is
-     * interned. */
-    if ((status = walk_open(&w, args[0], edge.n)) > 0 &&
-        (status = collect(&w, NULL, &count)) > 0) {
-        r.slot = PyMem_Calloc((size_t)w.size, sizeof(int32_t));
-        r.memo = PyMem_Malloc((size_t)count * sizeof(Edge));
-        if (r.slot == NULL || r.memo == NULL) {
-            PyErr_NoMemory();
-            status = -1;
-        }
-        else {
-            status = mark_removed(&w, args[3], r.slot);
-        }
-    }
-    if (status > 0) {
-        if ((status = ctx_open(&c, args[0])) == 0) {
-            r.record = c.st->v_record;
-            status = rebuild(&c, &r, edge, w.root, level, &result);
-        }
-        rebuilt = finish(&c, status, result);
-    }
-    else if (status == 0) {
-        rebuilt = Py_None;
-        Py_INCREF(rebuilt);
-    }
-    walk_close(&w);
-    PyMem_Free(r.slot);
-    PyMem_Free(r.memo);
-    return rebuilt;
-}
-
 /* ------------------------------------------------------------------ */
 /* A whole approximation round                                         */
 /* ------------------------------------------------------------------ */
@@ -3603,15 +3505,15 @@ sort_candidates(Candidate **data, Py_ssize_t n)
     return 0;
 }
 
-/* The greedy prefix of DDBackend.approximate_round: mark REMOVED, in
- * `slot`, every node the budget admits, in ascending (value, index)
- * order, stopping at the first that would overspend it; `count` and
+/* base.select_removal: mark REMOVED, in `slot`, every node the budget
+ * admits, in ascending (value, index) order, stopping at the first that
+ * would overspend it or once `max_removed` are taken; `count` and
  * `spent` are summed in that order.  Returns 1, 0 when a value is NaN
  * or negative (the caller falls back to Python's order), or -1 on
  * error. */
 static int
-select_removed(const Contributions *s, double budget, int32_t *slot, Py_ssize_t *count,
-               double *spent)
+select_removed(const Contributions *s, double budget, Py_ssize_t max_removed, int32_t *slot,
+               Py_ssize_t *count, double *spent)
 {
     /* base.ROUND_SLACK */
     const double limit = budget + 1e-12;
@@ -3637,7 +3539,7 @@ select_removed(const Contributions *s, double budget, int32_t *slot, Py_ssize_t 
     }
     if (rc > 0 && (rc = sort_candidates(&candidates, n)) == 0) {
         rc = 1;
-        for (i = 0; i < n; i++) {
+        for (i = 0; i < n && *count < max_removed; i++) {
             memcpy(&value, &candidates[i].bits, sizeof(value));
             if (*spent + value > limit) {
                 break;
@@ -3651,10 +3553,11 @@ select_removed(const Contributions *s, double budget, int32_t *slot, Py_ssize_t 
     return rc;
 }
 
-/* DDBackend.approximate_round over the record: the contributions, the
- * greedy selection and the rebuild in one call, with no Python set.
- * Returns (rebuilt edge, spent, count), the input edge with (0.0, 0)
- * when nothing fits the budget, or None for a foreign diagram. */
+/* DDBackend.approximate_round over the record, the one node-removal
+ * round of every policy: the contributions, the selection and the
+ * rebuild in one call, with no Python set.  Returns (rebuilt edge,
+ * spent, count), the input edge with (0.0, 0) when nothing is taken, or
+ * None for a foreign diagram. */
 static PyObject *
 py_approximate_round(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3664,21 +3567,34 @@ py_approximate_round(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Rebuild r = {NULL, NULL, NULL, 0};
     PyObject *result = NULL, *rebuilt;
     Edge edge, out = ZERO;
-    Py_ssize_t count = 0;
-    double fidelity, spent = 0.0;
+    Py_ssize_t count = 0, max_removed;
+    double budget, spent = 0.0;
     long level;
     int status;
     (void)module;
-    if (check_args("approximate_round", nargs, 4) < 0 ||
+    if (check_args("approximate_round", nargs, 5) < 0 ||
         read_edge(args[1], vnode_type, &edge) < 0 || read_level(args[2], &level) < 0) {
         return NULL;
     }
-    fidelity = PyFloat_AsDouble(args[3]);
-    if ((fidelity == -1.0 && PyErr_Occurred()) || check_root_level(edge, level) < 0) {
+    /* The base body's order of checks. */
+    budget = PyFloat_AsDouble(args[3]);
+    if (budget == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
-    if (!(0.0 < fidelity && fidelity <= 1.0)) {
-        PyErr_SetString(PyExc_ValueError, "round_fidelity must be in (0, 1]");
+    if (!(budget >= 0.0)) {
+        PyErr_Format(PyExc_ValueError, "budget must be a non-negative number, not %R", args[3]);
+        return NULL;
+    }
+    /* A count above PY_SSIZE_T_MAX is clipped: no diagram has more nodes. */
+    max_removed = PyNumber_AsSsize_t(args[4], NULL);
+    if (max_removed == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (max_removed < 0) {
+        PyErr_Format(PyExc_ValueError, "max_removed must be non-negative, not %R", args[4]);
+        return NULL;
+    }
+    if (check_root_level(edge, level) < 0) {
         return NULL;
     }
     if (edge.n == NULL) {
@@ -3695,7 +3611,7 @@ py_approximate_round(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             status = -1;
         }
         else {
-            status = select_removed(&s, 1.0 - fidelity, r.slot, &count, &spent);
+            status = select_removed(&s, budget, max_removed, r.slot, &count, &spent);
         }
     }
     if (status > 0 && count == 0) {
@@ -4347,10 +4263,8 @@ static PyMethodDef core_methods[] = {
      "vnodes(backend, edge) -> list, or None for a foreign diagram"},
     {"norm_contributions", (PyCFunction)(void (*)(void))py_norm_contributions, METH_FASTCALL,
      "norm_contributions(backend, edge) -> dict, or None for a foreign diagram"},
-    {"rebuild_without", (PyCFunction)(void (*)(void))py_rebuild_without, METH_FASTCALL,
-     "rebuild_without(backend, edge, level, removed) -> edge, or None for a foreign diagram"},
     {"approximate_round", (PyCFunction)(void (*)(void))py_approximate_round, METH_FASTCALL,
-     "approximate_round(backend, edge, level, round_fidelity) -> (edge, spent, count), "
+     "approximate_round(backend, edge, level, budget, max_removed) -> (edge, spent, count), "
      "or None for a foreign diagram"},
     {"inner_nodes", (PyCFunction)(void (*)(void))py_inner_nodes, METH_FASTCALL,
      "inner_nodes(backend, n1, n2, level) -> complex"},

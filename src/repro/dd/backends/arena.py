@@ -27,15 +27,16 @@ read them unchanged.  Key equality is the tuples' equality, so hit/miss
 sequences, node counts and results are those of the dict engine.
 
 **The arithmetic is native.**  ``make_vedge``, ``vadd``, the
-``multiply_mv`` recursion, the inner product, the whole approximation
-round (``approximate_round``: contributions, selection and rebuild) and
-``rebuild_without``, the sweeps ``node_count``, ``vnodes`` and
+``multiply_mv`` recursion, the inner product, the node-removal round
+every approximation policy runs (``approximate_round``: contributions,
+selection and rebuild), the sweeps ``node_count``, ``vnodes`` and
 ``norm_contributions``, the stored-state entries ``state_table`` and
 ``intern_state_table``, on the matrix side ``make_medge``, ``madd`` and
 the ``multiply_mm`` recursion, gate lowering (``controlled_medge`` and
 ``permutation_block``), and the reclaim run in the core; the methods
-here are thin calls into it.  Every complex operation in the
-core calls CPython's own complex arithmetic, so results are
+here are thin calls into it.  ``rebuild_without`` of a given removal
+set is the base body.  Every complex operation in the core calls
+CPython's own complex arithmetic, so results are
 *bit-for-bit identical* to the reference backend and cache keys bucket
 identically, making hit/miss sequences coincide.  See docs/BACKENDS.md.
 
@@ -284,23 +285,14 @@ class ArenaBackend(DDBackend):
             return super().norm_contributions(edge)
         return contributions
 
-    def rebuild_without(
-        self, edge: VEdge, level: int, removed: set[VNode]
-    ) -> VEdge:
-        """The base rebuild in the C core: same ``make_vedge`` call order."""
-        rebuilt = _core.rebuild_without(self, edge, level, removed)
-        if rebuilt is None:
-            return super().rebuild_without(edge, level, removed)
-        return rebuilt
-
     def approximate_round(
-        self, edge: VEdge, level: int, round_fidelity: float
+        self, edge: VEdge, level: int, budget: float, max_removed: int
     ) -> tuple[VEdge, float, int]:
         """The base round in the C core: contributions, selection and
         rebuild over the record, with the same removals and bits."""
-        result = _core.approximate_round(self, edge, level, round_fidelity)
+        result = _core.approximate_round(self, edge, level, budget, max_removed)
         if result is None:
-            return super().approximate_round(edge, level, round_fidelity)
+            return super().approximate_round(edge, level, budget, max_removed)
         return result
 
     # ------------------------------------------------------------------

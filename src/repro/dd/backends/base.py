@@ -474,25 +474,35 @@ class DDBackend(ABC):
         return (cached[0] * weight, cached[1])
 
     def approximate_round(
-        self, edge: VEdge, level: int, round_fidelity: float
+        self, edge: VEdge, level: int, budget: float, max_removed: int
     ) -> tuple[VEdge, float, int]:
-        """One fidelity-budgeted removal round of §IV-A, unnormalized.
+        """One node-removal round of §IV-A, unnormalized.
 
         Takes the :meth:`norm_contributions` of ``edge``, selects the
-        nodes to remove with :func:`greedy_removal` and runs
-        :meth:`rebuild_without`.  Returns the rebuilt edge, the removed
-        contribution summed in removal order and the number of removed
-        nodes; the input edge with ``(0.0, 0)`` when nothing fits.  Every
-        backend must remove the same nodes and return the same bits.
+        nodes to remove with :func:`select_removal` (at most
+        ``max_removed`` of them, within ``budget`` of contribution) and
+        runs :meth:`rebuild_without`.  Returns the rebuilt edge, the
+        removed contribution summed in removal order and the number of
+        removed nodes; the input edge with ``(0.0, 0)`` when nothing is
+        taken.  Every backend must remove the same nodes and return the
+        same bits.
 
         Raises:
             ValueError: When ``level`` is not the root's level (see
-                :func:`check_root_level`), or ``round_fidelity`` is not in
-                ``(0, 1]``.
+                :func:`check_root_level`), ``budget`` is negative or NaN,
+                or ``max_removed`` is negative.
+            TypeError: When ``budget`` is not a real number or
+                ``max_removed`` not an integer.
         """
+        # In the core's order, so every mix of bad arguments raises the
+        # same exception type on every backend.
+        if not budget >= 0.0:
+            raise ValueError(f"budget must be a non-negative number, not {budget}")
+        if operator.index(max_removed) < 0:
+            raise ValueError(f"max_removed must be non-negative, not {max_removed}")
         check_root_level(edge, level)
-        removed, spent = greedy_removal(
-            self.norm_contributions(edge), edge[1], round_fidelity
+        removed, spent = select_removal(
+            self.norm_contributions(edge), edge[1], budget, max_removed
         )
         if not removed:
             return edge, 0.0, 0
@@ -726,45 +736,32 @@ def check_root_level(edge: VEdge, level: int) -> None:
         raise ValueError(f"level {level} is not the root's level {node.level}")
 
 
-def removal_order(
-    contributions: dict[VNode, float], root: VNode | None
-) -> list[tuple[float, int, VNode]]:
-    """Every node of ``contributions`` but ``root`` as ``(contribution,
-    index, node)``, ascending.
+def select_removal(
+    contributions: dict[VNode, float],
+    root: VNode | None,
+    budget: float,
+    max_removed: int,
+) -> tuple[set[VNode], float]:
+    """The node selection of one removal round.
 
-    ``index`` is the node's position in the dict's insertion order.
-    Indices are unique, so the tuples never compare their nodes and the
-    order is the contribution order with ties broken by sweep position.
+    Takes every node of ``contributions`` but ``root`` in ascending
+    contribution order, ties broken by position in the dict's insertion
+    order (the sweep).  Stops at the first node that would take the
+    running sum past ``budget`` (plus :data:`ROUND_SLACK`), or once
+    ``max_removed`` nodes are taken.  Returns the removal set and its
+    contribution, summed in removal order.
     """
-    return sorted(
+    order = sorted(
         (value, index, node)
         for index, (node, value) in enumerate(contributions.items())
         if node is not root
     )
-
-
-def greedy_removal(
-    contributions: dict[VNode, float],
-    root: VNode | None,
-    round_fidelity: float,
-) -> tuple[set[VNode], float]:
-    """The greedy selection of one §IV-A round.
-
-    Takes nodes in :func:`removal_order` while the running sum of their
-    contributions stays within ``1 - round_fidelity`` (plus
-    :data:`ROUND_SLACK`) and stops at the first that would overspend it.
-    Returns the removal set and its contribution, summed in that order.
-
-    Raises:
-        ValueError: When ``round_fidelity`` is not in ``(0, 1]``.
-    """
-    if not 0.0 < round_fidelity <= 1.0:
-        raise ValueError("round_fidelity must be in (0, 1]")
-    budget = 1.0 - round_fidelity
+    limit = budget + ROUND_SLACK
     removed: set[VNode] = set()
     spent = 0.0
-    for value, _index, node in removal_order(contributions, root):
-        if spent + value > budget + ROUND_SLACK:
+    # Indices are unique, so the sort never compares two nodes.
+    for value, _index, node in order[:max_removed]:
+        if spent + value > limit:
             break
         removed.add(node)
         spent += value

@@ -102,7 +102,7 @@ class Package:
     vnodes: Callable[[VEdge], list[VNode]]
     norm_contributions: Callable[[VEdge], dict[VNode, float]]
     rebuild_without: Callable[[VEdge, int, set[VNode]], VEdge]
-    approximate_round: Callable[[VEdge, int, float], tuple[VEdge, float, int]]
+    approximate_round: Callable[[VEdge, int, float, int], tuple[VEdge, float, int]]
     state_table: Callable[[VEdge], tuple[bytes, bytes]]
     controlled_medge: Callable[..., MEdge]
     permutation_block: Callable[[int, Sequence[int]], MEdge]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -153,11 +154,11 @@ class TestForeignNodeFallback:
         foreign = VNode(0, ((complex(0.6), None), (complex(0.8), None)))
         _one, leaf = package.make_vedge(0, (0j, None), (1 + 0j, None))
         edge = package.make_vedge(1, (complex(0.6), foreign), (complex(0.8), leaf))
-        rebuilt, spent, count = package.approximate_round(edge, 1, 0.6)
+        rebuilt, spent, count = package.approximate_round(edge, 1, 0.4, 2)
         assert count == 1
         assert rebuilt[1].edges[0] == (0j, None)
         assert (rebuilt, spent, count) == DDBackend.approximate_round(
-            backend, edge, 1, 0.6
+            backend, edge, 1, 0.4, 2
         )
 
     def test_approximate_round_with_sparse_levels(self):
@@ -168,10 +169,12 @@ class TestForeignNodeFallback:
         edge = package.make_vedge(10**6, below, (0j, None))
         # Nothing fits the budgets: a rebuild would meet the terminal
         # far above level 0.
-        for fidelity in (0.7, 1.0):
+        for budget, max_removed in ((0.3, 4), (0.0, 4), (math.inf, 0)):
             assert package.approximate_round(
-                edge, 10**6, fidelity
-            ) == DDBackend.approximate_round(package.backend, edge, 10**6, fidelity)
+                edge, 10**6, budget, max_removed
+            ) == DDBackend.approximate_round(
+                package.backend, edge, 10**6, budget, max_removed
+            )
 
     def test_state_table_on_foreign_diagram(self):
         package = Package(backend="arena")

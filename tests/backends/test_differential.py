@@ -200,14 +200,16 @@ class TestApproximationParity:
             assert rounds[backend] == rounds["reference"]
 
 
-def _round_outcomes(build, round_fidelity: float) -> dict[str, tuple]:
+def _round_outcomes(
+    build, budget: float, max_removed: int | None = None
+) -> dict[str, tuple]:
     """``build(package)`` -> StateDD on each engine, then one
     ``approximate_round`` on it, as ``(state table, spent, count)``.
 
-    On each engine the round equals the library path,
-    ``select_nodes_for_removal`` then ``rebuild_without``, run in a
-    fresh package on a fresh copy of the state, down to the number of
-    nodes the rebuild creates.  That count is not compared across
+    ``max_removed`` defaults to the state's node count, which no round
+    reaches.  On each engine the round equals the ``DDBackend`` body run
+    in a fresh package on a fresh copy of the state, down to the number
+    of nodes the rebuild creates.  That count is not compared across
     engines: the arena still holds nodes a build dropped, which the
     reference's weak unique table recreates.
     """
@@ -216,33 +218,31 @@ def _round_outcomes(build, round_fidelity: float) -> dict[str, tuple]:
         package = Package(backend=backend)
         state = build(package)
         level = state.num_qubits - 1
+        count_cap = state.node_count() if max_removed is None else max_removed
         rebuilt, spent, count = package.approximate_round(
-            state.edge, level, round_fidelity
+            state.edge, level, budget, count_cap
         )
         outcome = (package.state_table(rebuilt), spent, count)
         if count == 0:
             assert rebuilt is state.edge
 
-        library = Package(backend=backend)
-        state = build(library)
-        removed, library_spent = select_nodes_for_removal(state, round_fidelity)
-        library_rebuilt = (
-            library.rebuild_without(state.edge, level, removed)
-            if removed
-            else state.edge
+        oracle = Package(backend=backend)
+        state = build(oracle)
+        oracle_rebuilt, oracle_spent, oracle_count = DDBackend.approximate_round(
+            oracle.backend, state.edge, level, budget, count_cap
         )
         assert outcome == (
-            library.state_table(library_rebuilt),
-            library_spent,
-            len(removed),
+            oracle.state_table(oracle_rebuilt), oracle_spent, oracle_count
         )
-        assert package.stats["vnodes_created"] == library.stats["vnodes_created"]
+        assert package.stats["vnodes_created"] == oracle.stats["vnodes_created"]
         outcomes[backend] = outcome
     return outcomes
 
 
-def _assert_round_parity(build, round_fidelity: float) -> tuple:
-    outcomes = _round_outcomes(build, round_fidelity)
+def _assert_round_parity(
+    build, budget: float, max_removed: int | None = None
+) -> tuple:
+    outcomes = _round_outcomes(build, budget, max_removed)
     for backend in BACKENDS[1:]:
         assert outcomes[backend] == outcomes["reference"]
     return outcomes["reference"]
@@ -253,6 +253,16 @@ def _amplitudes(*pairs: tuple[int, float], num_qubits: int):
     vector = np.zeros(2**num_qubits, dtype=complex)
     for index, value in pairs:
         vector[index] = value
+    return lambda package: StateDD.from_amplitudes(
+        vector, package, normalize=True
+    )
+
+
+def _random_dense(num_qubits: int, seed: int):
+    """A ``build`` for a random state with every amplitude nonzero: one
+    node per subvector, with many small contributions."""
+    rng = np.random.default_rng(seed)
+    vector = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return lambda package: StateDD.from_amplitudes(
         vector, package, normalize=True
     )
@@ -280,7 +290,7 @@ def _fading_chain(num_qubits: int, small: float):
 
 class TestApproximateRoundParity:
     """``approximate_round``: the same removals and bits on both engines,
-    and the same as the library's selection plus rebuild."""
+    and the same as the ``DDBackend`` body."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -288,22 +298,55 @@ class TestApproximateRoundParity:
         num_operations=st.integers(min_value=1, max_value=25),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         round_fidelity=st.floats(min_value=0.3, max_value=1.0),
+        max_removed=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
     )
-    @example(num_qubits=4, num_operations=18, seed=661, round_fidelity=0.5)
+    @example(
+        num_qubits=4, num_operations=18, seed=661, round_fidelity=0.5,
+        max_removed=None,
+    )
     def test_random_circuits(
-        self, num_qubits, num_operations, seed, round_fidelity
+        self, num_qubits, num_operations, seed, round_fidelity, max_removed
     ):
         circuit = random_circuit(num_qubits, num_operations, seed=seed)
         _assert_round_parity(
-            lambda package: _apply_circuit(circuit, package), round_fidelity
+            lambda package: _apply_circuit(circuit, package),
+            1.0 - round_fidelity,
+            max_removed,
         )
+
+    def test_count_stops_the_round(self):
+        build = _random_dense(6, seed=7)
+        _table, full_spent, full = _assert_round_parity(build, 0.5)
+        assert full > 2
+        for max_removed in (0, 1, full // 2, full - 1, full, full + 1, 10**30):
+            _table, spent, count = _assert_round_parity(build, 0.5, max_removed)
+            assert count == min(full, max_removed)
+            assert spent <= full_spent
+
+    def test_unbounded_budget_takes_the_count(self):
+        build = _random_dense(6, seed=7)
+        reference = Package(backend="reference")
+        candidates = build(reference).node_count() - 1
+        assert candidates > 4
+        for max_removed in (0, 1, candidates // 2, candidates - 1):
+            _table, _spent, count = _assert_round_parity(
+                build, math.inf, max_removed
+            )
+            assert count == max_removed
+        # Every node but the root: nothing of the state is left.
+        for max_removed in (candidates, candidates + 1):
+            table, _spent, count = _assert_round_parity(
+                build, math.inf, max_removed
+            )
+            assert count == candidates
+            assert table == reference.state_table((0j, None))
 
     def test_equal_contributions_break_by_index(self):
         # GHZ: two nodes of contribution 0.5 on every level below the
         # root.  A budget of one of them removes exactly the first one
         # in insertion order.
         ghz = _amplitudes((0, 1.0), (15, 1.0), num_qubits=4)
-        _table, spent, count = _assert_round_parity(ghz, 0.5)
+        _table, spent, count = _assert_round_parity(ghz, 1.0 - 0.5)
         assert count == 1
         assert spent == pytest.approx(0.5)
         # Four equal branches: ties on two levels at once.
@@ -311,7 +354,10 @@ class TestApproximateRoundParity:
             (1, 1.0), (6, 1.0), (10, 1.0), (13, 1.0), num_qubits=4
         )
         for round_fidelity in (0.5, 0.74, 0.75, 0.9):
-            _assert_round_parity(uniform, round_fidelity)
+            _assert_round_parity(uniform, 1.0 - round_fidelity)
+        # Under a count stop the tie still goes to the first in order.
+        for max_removed in (1, 2, 3):
+            _assert_round_parity(uniform, math.inf, max_removed)
 
     def test_budget_equal_to_one_contribution_is_spent(self):
         # 1 - 0.8 rounds below the 0.2 contribution: only the slack
@@ -320,26 +366,24 @@ class TestApproximateRoundParity:
         package = Package(backend="reference")
         contributions = package.norm_contributions(state(package).edge)
         assert sorted(contributions.values())[0] > 1.0 - 0.8
-        _table, spent, count = _assert_round_parity(state, 0.8)
+        _table, spent, count = _assert_round_parity(state, 1.0 - 0.8)
         assert count == 1
         assert spent == sorted(contributions.values())[0]
 
     def test_full_fidelity_removes_nothing(self):
         ghz = _amplitudes((0, 1.0), (7, 1.0), num_qubits=3)
-        _table, spent, count = _assert_round_parity(ghz, 1.0)
+        _table, spent, count = _assert_round_parity(ghz, 0.0)
         assert (spent, count) == (0.0, 0)
 
     def test_root_only_diagram(self):
         single = _amplitudes((0, 0.6), (1, 0.8), num_qubits=1)
-        for round_fidelity in (0.1, 1.0):
-            _table, spent, count = _assert_round_parity(
-                single, round_fidelity
-            )
+        for budget in (0.9, 0.0, math.inf):
+            _table, spent, count = _assert_round_parity(single, budget)
             assert (spent, count) == (0.0, 0)
         for backend in BACKENDS:
             terminal = (0j, None)
             assert Package(backend=backend).approximate_round(
-                terminal, 0, 0.5
+                terminal, 0, 0.5, 1
             ) == (terminal, 0.0, 0)
 
     def test_contributions_that_underflow_to_zero(self):
@@ -349,17 +393,48 @@ class TestApproximateRoundParity:
         assert 0.0 in contributions.values()
         for round_fidelity in (1.0, 0.999999, 0.9):
             _table, _spent, count = _assert_round_parity(
-                build, round_fidelity
+                build, 1.0 - round_fidelity
             )
             assert count > 0
 
     def test_bad_round_fidelity_raises(self):
         for backend in BACKENDS:
-            package = Package(backend=backend)
-            edge = StateDD.plus_state(2, package).edge
+            state = StateDD.plus_state(2, Package(backend=backend))
             for round_fidelity in (0.0, -0.5, 1.5, float("nan")):
                 with pytest.raises(ValueError, match="round_fidelity"):
-                    package.approximate_round(edge, 1, round_fidelity)
+                    approximate_state(state, round_fidelity)
+
+    def test_bad_budget_or_count_raises(self):
+        # (exception, level, budget, max_removed); the root is at level 1.
+        bad = [
+            (ValueError, 1, -0.5, 1),
+            (ValueError, 1, -math.inf, 1),
+            (ValueError, 1, math.nan, 1),
+            (ValueError, 1, 0.5, -1),
+            (TypeError, 1, "0.5", 1),
+            (TypeError, 1, None, 1),
+            (TypeError, 1, 0.5j, 1),
+            (TypeError, 1, 0.5, 1.0),
+            (TypeError, 1, 0.5, "1"),
+            (TypeError, 1, 0.5, None),
+            # Several bad arguments: the first in the checks' order wins.
+            (ValueError, 1, -0.5, 1.5),
+            (TypeError, 5, "0.5", 1),
+            (TypeError, 5, 0.5, None),
+            (ValueError, 5, -0.5, 1),
+            (ValueError, 5, 0.5, -1),
+        ]
+        for backend in BACKENDS:
+            package = Package(backend=backend)
+            edge = StateDD.plus_state(2, package).edge
+            for error, level, budget, max_removed in bad:
+                for call in (
+                    package.approximate_round,
+                    functools.partial(DDBackend.approximate_round, package.backend),
+                ):
+                    # Never the level check: it comes last.
+                    with pytest.raises(error, match="^(?!level )"):
+                        call(edge, level, budget, max_removed)
 
 
 SMOKE_WORKLOADS = [

@@ -307,25 +307,13 @@ class TestCrashSafety:
                 """
                 from repro.dd.backends.base import DDBackend
 
-                for bad in malformed[:10]:
-                    expect_type_error(package.rebuild_without, bad, 1, set())
-                for bad in malformed[10:]:
-                    for level in (0, 1):
-                        expect_type_error_or_generic(
-                            package.rebuild_without, DDBackend.rebuild_without,
-                            bad, level, set(),
-                        )
-                root = state.edge[1]
-                for removed in ([root], {root: 1}, None, "node"):
-                    expect_type_error(package.rebuild_without, state.edge, 1, removed)
-                expect_type_error(package.rebuild_without, state.edge, "1", set())
+                # The DDBackend body on both engines.
+                assert package.rebuild_without.__func__ is DDBackend.rebuild_without
                 # A level that is not the root's is checked before any work.
                 assert outcome(package.rebuild_without, state.edge, 5, set()) is ValueError
-                # Anything but vector nodes in the set: the generic rebuild.
-                for removed in ({"node"}, frozenset(), {root, "node"}):
-                    assert package.rebuild_without(
-                        state.edge, 1, removed
-                    ) == DDBackend.rebuild_without(package.backend, state.edge, 1, removed)
+                expect_type_error(package.rebuild_without, (1 + 0j, None), 1, set())
+                root = state.edge[1]
+                assert package.rebuild_without(state.edge, 1, {root}) == (0j, None)
                 """,
                 id="rebuild_without",
             ),
@@ -335,21 +323,33 @@ class TestCrashSafety:
 
                 round_ = package.approximate_round
                 for bad in malformed[:10]:
-                    expect_type_error(round_, bad, 1, 0.5)
+                    expect_type_error(round_, bad, 1, 0.5, 4)
                 for bad in malformed[10:]:
                     for level in (0, 1):
                         expect_type_error_or_generic(
-                            round_, DDBackend.approximate_round, bad, level, 0.5
+                            round_, DDBackend.approximate_round, bad, level, 0.5, 4
                         )
-                for fidelity in ("0.5", None, 0.5j, [0.5]):
-                    expect_type_error(round_, state.edge, 1, fidelity)
-                expect_type_error(round_, state.edge, "1", 0.5)
-                expect_type_error(package.backend.approximate_round, state.edge, 1)
+                reference = Package(backend="reference")
+                plus = StateDD.plus_state(2, reference)
+                # Each bad budget or count: the same exception on both engines.
+                for budget, max_removed in (
+                    ("0.5", 4), (None, 4), (0.5j, 4), ([0.5], 4),
+                    (-0.5, 4), (float("nan"), 4), (-float("inf"), 4),
+                    (0.5, 1.5), (0.5, "4"), (0.5, None), (0.5, -1),
+                ):
+                    found = outcome(round_, state.edge, 1, budget, max_removed)
+                    assert found in (TypeError, ValueError), found
+                    assert found is outcome(
+                        reference.approximate_round, plus.edge, 1, budget, max_removed
+                    ), (budget, max_removed)
+                expect_type_error(round_, state.edge, "1", 0.5, 4)
+                expect_type_error(package.backend.approximate_round, state.edge, 1, 0.5)
                 # A level that is not the root's is checked before any work.
                 skewed = StateDD.from_amplitudes([0.8**0.5, 0, 0, 0.2**0.5], package)
-                assert outcome(round_, skewed.edge, 5, 0.8) is ValueError
-                assert round_(skewed.edge, 1, 0.8)[2] == 1
-                assert round_(state.edge, 1, 0.5) == (state.edge, 0.0, 0)
+                assert outcome(round_, skewed.edge, 5, 0.2, 4) is ValueError
+                assert round_(skewed.edge, 1, 0.2, 4)[2] == 1
+                assert round_(skewed.edge, 1, 0.2, 0) == (skewed.edge, 0.0, 0)
+                assert round_(state.edge, 1, 0.5, 4) == (state.edge, 0.0, 0)
                 """,
                 id="approximate_round",
             ),
@@ -555,13 +555,11 @@ def test_sweeps_over_a_foreign_child_match_the_base_traversal(graft, how):
         contributions = package.norm_contributions(edge)
         generic = DDBackend.norm_contributions(backend, edge)
         assert list(contributions.items()) == list(generic.items())
-        for removed in (set(), {{stranger}}):
-            rebuilt = package.rebuild_without(edge, 2, removed)
-            assert rebuilt == DDBackend.rebuild_without(backend, edge, 2, removed)
-        for fidelity in (0.4, 0.5, 1.0):
-            assert package.approximate_round(edge, 2, fidelity) == (
-                DDBackend.approximate_round(backend, edge, 2, fidelity)
-            )
+        for budget in (0.6, 0.5, 0.0):
+            for max_removed in (0, 1, 10):
+                assert package.approximate_round(edge, 2, budget, max_removed) == (
+                    DDBackend.approximate_round(backend, edge, 2, budget, max_removed)
+                )
         assert package.state_table(edge) == DDBackend.state_table(backend, edge)
         print("ok")
         """

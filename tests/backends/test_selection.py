@@ -152,7 +152,7 @@ class TestRootLevelCheck:
         before = dict(package.stats)
         found = []
         for call, args in (
-            (package.approximate_round, (state.edge, level, 0.8)),
+            (package.approximate_round, (state.edge, level, 0.2, 4)),
             (package.rebuild_without, (state.edge, level, {state.edge[1]})),
         ):
             with pytest.raises(ValueError) as info:

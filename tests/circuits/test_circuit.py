@@ -42,6 +42,14 @@ class TestOperationValidation:
         with pytest.raises(ValueError):
             Operation("cmodmul", (0, 1), params=(7,))
 
+    def test_cmodmul_work_register_is_the_low_qubits(self):
+        # The lowering acts on qubits 0..k-1 whatever the targets say, so
+        # any other register is refused however the operation is built.
+        for targets in ((2, 3), (1, 0), (0, 2)):
+            with pytest.raises(ValueError, match="0..k-1"):
+                Operation("cmodmul", targets, (), (2, 3))
+        assert Operation("cmodmul", (0, 1), (), (2, 3)).targets == (0, 1)
+
     def test_qubits_touched(self):
         op = Operation("x", (2,), (0, 1))
         assert op.num_qubits_touched == 3

@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.circuits.circuit import Circuit
+from repro.circuits.shor import shor_circuit
 from repro.core import (
     approximate_below_contribution,
+    approximate_state,
     approximate_to_size,
     node_contributions,
     round_edge_weights,
+    simulate,
 )
 from repro.dd.package import Package
 from repro.dd.vector import StateDD
@@ -116,6 +120,13 @@ class TestToSize:
         with pytest.raises(ValueError):
             approximate_to_size(state, 3)
 
+    @pytest.mark.parametrize("floor", [-0.1, 1.5, math.nan])
+    def test_rejects_floor_outside_unit_interval(self, floor):
+        # A floor above 1 would ask the round for a negative mass.
+        state = StateDD.plus_state(3)
+        with pytest.raises(ValueError, match="fidelity_floor"):
+            approximate_to_size(state, 3, fidelity_floor=floor)
+
     def test_survives_hostile_uniform_contributions(self):
         """Supremacy-like states (uniform contributions) must not crash."""
         from repro.circuits.supremacy import supremacy_circuit
@@ -125,6 +136,74 @@ class TestToSize:
         result = approximate_to_size(state, 64)
         assert result.nodes_after < result.nodes_before
         assert result.state.norm() == pytest.approx(1.0)
+
+
+def _ablation_state(backend: str) -> StateDD:
+    """shor_33_5 after 60 % of its inverse QFT: the 16,105-node state of
+    benchmarks/bench_ablation_policies.py."""
+    full = shor_circuit(33, 5)
+    iqft = next(b for b in full.blocks if b.name == "inverse_qft")
+    prefix = Circuit(full.num_qubits)
+    for operation in list(full)[: iqft.start + int(0.6 * (iqft.end - iqft.start))]:
+        prefix.append(operation)
+    return simulate(prefix, package=Package(backend=backend)).state
+
+
+#: Records of the removal policies on the ablation state, as ``(requested,
+#: achieved, removed_contribution, nodes_before, nodes_after,
+#: removed_nodes)``; every engine must keep these bits.
+ABLATION_RECORDS = {
+    "budget 0.9": (
+        0.9, 0.9781134167664656, 0.09999026847876673, 16105, 2743, 12766,
+    ),
+    "budget 0.5": (
+        0.5, 0.891855119838486, 0.4997655259091021, 16105, 911, 15056,
+    ),
+    "to-size 1000": (
+        0.0, 0.8856048165411643, 0.5414352642921814, 16105, 836, 15105,
+    ),
+    "to-size 1000 floor 0.5": (
+        0.5, 0.891855119838486, 0.4997655259091021, 16105, 911, 15056,
+    ),
+    "threshold 1e-4": (
+        0.8282335629958051, 0.9640864124253595, 0.17176643700419492,
+        16105, 1867, 13882,
+    ),
+    "threshold 1e-3": (
+        0.4196698519475607, 0.8846789729354374, 0.5803301480524393,
+        16105, 822, 15148,
+    ),
+    # Refused: the nodes at or below 1e-2 hold more than all the mass.
+    "threshold 1e-2": (1.0, 1.0, 0.0, 16105, 16105, 0),
+}
+
+ABLATION_POLICIES = {
+    "budget 0.9": lambda s: approximate_state(s, 0.9),
+    "budget 0.5": lambda s: approximate_state(s, 0.5),
+    "to-size 1000": lambda s: approximate_to_size(s, 1000),
+    "to-size 1000 floor 0.5": (
+        lambda s: approximate_to_size(s, 1000, fidelity_floor=0.5)
+    ),
+    "threshold 1e-4": lambda s: approximate_below_contribution(s, 1e-4),
+    "threshold 1e-3": lambda s: approximate_below_contribution(s, 1e-3),
+    "threshold 1e-2": lambda s: approximate_below_contribution(s, 1e-2),
+}
+
+
+@pytest.mark.parametrize("backend", ["reference", "arena"])
+def test_removal_policies_keep_their_records(backend):
+    state = _ablation_state(backend)
+    for name, apply in ABLATION_POLICIES.items():
+        result = apply(state)
+        record = (
+            result.requested_fidelity,
+            result.achieved_fidelity,
+            result.removed_contribution,
+            result.nodes_before,
+            result.nodes_after,
+            result.removed_nodes,
+        )
+        assert record == ABLATION_RECORDS[name], name
 
 
 class TestRoundEdgeWeights:
