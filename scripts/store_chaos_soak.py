@@ -537,7 +537,15 @@ def main() -> int:
             f"forced takeover bumped the lease epoch "
             f"({old_lease.epoch} -> {new_lease.epoch})",
         )
-        probe = Checkpoint(fence_hash, 0, {}, [], 0, 0.0)
+        probe = Checkpoint(
+            job_hash=fence_hash,
+            next_op_index=0,
+            state={},
+            rounds=[],
+            max_nodes=0,
+            elapsed_seconds=0.0,
+            schedule={},
+        )
         try:
             store.save_checkpoint(fence_hash, probe, fence=old_lease.fence)
         except StaleLeaseError as error:

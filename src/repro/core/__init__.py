@@ -38,6 +38,7 @@ from .simulator import (
     CancellationToken,
     DDSimulator,
     MemoryWatchdog,
+    ResumePoint,
     RoundRecord,
     SimulationOutcome,
     SimulationStats,
@@ -69,6 +70,7 @@ __all__ = [
     "MemoryDrivenStrategy",
     "MemoryWatchdog",
     "NoApproximation",
+    "ResumePoint",
     "RoundRecord",
     "SemiclassicalRun",
     "SimulationOutcome",

@@ -17,8 +17,8 @@ from __future__ import annotations
 import gc
 import os
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
@@ -125,9 +125,9 @@ class CancellationToken:
     deadlines and drain requests into a running simulation through this
     token: :meth:`DDSimulator.run` polls :meth:`reason` before each
     operation and again after each operation's approximation round, and
-    raises :class:`SimulationTimeout` — carrying the live state, the
-    resume index and the trigger as ``reason`` — as soon as either
-    trigger fires.  Polling (rather than signals) keeps cancellation
+    raises :class:`SimulationTimeout` — carrying the
+    :class:`ResumePoint` and the trigger as ``reason`` — as soon as
+    either trigger fires.  Polling (rather than signals) keeps cancellation
     deterministic: it can only land at Lemma-1-consistent boundaries,
     never mid-multiplication.
 
@@ -173,37 +173,37 @@ class SimulationTimeout(RuntimeError):
     The one stop exception of the simulator.  Mirrors the 3-hour
     experiment timeouts of §VI ("the runtime *Timeout* indicates the
     experiment was terminated"); the partially computed statistics and
-    the live state are attached so the caller can report, checkpoint
-    (:class:`repro.service.checkpoint.CheckpointWriter`) or resume in
-    the same package without a serialization round trip.
+    the :class:`ResumePoint` are attached so the caller can report,
+    checkpoint (:class:`repro.service.checkpoint.CheckpointWriter`) or
+    resume in the same package without a serialization round trip.
 
     Attributes:
         stats: Statistics accumulated up to the stop.
-        state: The live state reached so far, or None when the run has
-            no resumable state vector (the matrix–matrix paradigm).
-        op_index: Index of the first operation that was *not* applied;
-            resuming from ``state`` must continue at this index.
+        op_index: Index of the first operation that was *not* applied.
         reason: ``"timeout"`` (``max_seconds`` elapsed), ``"deadline"``
             (the :class:`CancellationToken`'s soft deadline elapsed) or
             ``"drain"`` (the token's event fired).
+        resume_point: What :meth:`DDSimulator.run` continues from (its
+            ``state`` is the live state reached so far), or None when
+            the run has no resumable state vector (the matrix–matrix
+            paradigm).
     """
 
     def __init__(
         self,
         stats: "SimulationStats",
-        state: StateDD | None = None,
-        op_index: int | None = None,
+        op_index: int,
         reason: str = "timeout",
+        resume_point: "ResumePoint | None" = None,
     ):
-        where = "" if op_index is None else f" at operation {op_index}"
         super().__init__(
             f"simulation of {stats.circuit_name!r} stopped ({reason}) "
-            f"after {stats.runtime_seconds:.2f}s{where}"
+            f"after {stats.runtime_seconds:.2f}s at operation {op_index}"
         )
         self.stats = stats
-        self.state = state
         self.op_index = op_index
         self.reason = reason
+        self.resume_point = resume_point
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,11 @@ class SimulationStats:
         num_qubits: Circuit width.
         num_operations: Number of applied operations.
         max_nodes: Maximum diagram size observed (the paper's
-            "Max. DD Size").
+            "Max. DD Size"), over every attempt of a resumed run.
         final_nodes: Diagram size of the final state.
         rounds: The approximation rounds that actually ran.
-        runtime_seconds: Wall-clock simulation time.
+        runtime_seconds: Wall-clock simulation time, summed over the
+            attempts of a resumed run.
         trajectory: Optional per-operation diagram sizes.
         dd_backend: Name of the DD backend the run executed on
             (observability metadata; results are backend-independent).
@@ -352,6 +353,37 @@ class SimulationStats:
 
 
 @dataclass(frozen=True)
+class ResumePoint:
+    """Everything a stopped run hands the run that continues it.
+
+    A stop (:class:`SimulationTimeout`) and every periodic checkpoint
+    (``checkpoint_callback``) produce one; :meth:`DDSimulator.run`
+    continues from one passed as ``initial_state``, and
+    :class:`repro.service.checkpoint.Checkpoint` stores one.  Lemma 1
+    makes the resume sound only if the resumed run places the rounds
+    the uninterrupted run would, so the point carries the gate loop's
+    whole schedule, not just the round ledger (an attempt that removes
+    nothing leaves no record but still moves a schedule).
+
+    Attributes:
+        state: The state after operations ``[0, op_index)``.
+        op_index: First operation not yet applied.
+        stats: Statistics so far, cumulative across attempts.  A resumed
+            run continues its ``rounds`` (the Lemma-1 product),
+            ``max_nodes`` and ``runtime_seconds``; it reads nothing else.
+        schedule: What the gate loop carries from one operation to the
+            next: the strategy's
+            :meth:`~repro.core.strategies.ApproximationStrategy.schedule`
+            plus the watchdog's ``rescues`` and ``rescue_floor``.
+    """
+
+    state: StateDD
+    op_index: int
+    stats: SimulationStats
+    schedule: dict
+
+
+@dataclass(frozen=True)
 class SimulationOutcome:
     """Final state plus the statistics of the run."""
 
@@ -396,25 +428,6 @@ def _record_round(
         obs.count("approx.fidelity_spent", 1.0 - result.achieved_fidelity)
 
 
-def _stop(
-    stats: SimulationStats,
-    state: StateDD,
-    op_index: int,
-    started: float,
-    reason: str,
-) -> SimulationTimeout:
-    """Stamp a stopping run's statistics and build its exception.
-
-    ``op_index`` is the first operation not applied, ``started`` the
-    run's ``time.perf_counter()`` start, and ``reason`` why it stopped
-    (see :class:`SimulationTimeout`).  The exception carries the live
-    state to resume or checkpoint from.
-    """
-    stats.runtime_seconds = time.perf_counter() - started
-    stats.final_nodes = state.node_count()
-    return SimulationTimeout(stats, state, op_index, reason)
-
-
 class DDSimulator:
     """Decision-diagram circuit simulator with pluggable approximation.
 
@@ -429,21 +442,18 @@ class DDSimulator:
         self,
         circuit: Circuit,
         strategy: ApproximationStrategy | None = None,
-        initial_state: "int | StateDD" = 0,
+        initial_state: "int | StateDD | ResumePoint" = 0,
         record_trajectory: bool = False,
         max_seconds: float | None = None,
-        start_op_index: int = 0,
-        prior_rounds: Sequence[RoundRecord] | None = None,
         checkpoint_interval: int | None = None,
-        checkpoint_callback: 
-            Callable[[StateDD, int, "SimulationStats"], None]
-         | None = None,
+        checkpoint_callback: Callable[[ResumePoint], None] | None = None,
         recorder: Recorder | None = None,
         ddsan: bool | None = None,
         watchdog: MemoryWatchdog | None = None,
         cancel: CancellationToken | None = None,
     ) -> SimulationOutcome:
-        """Simulate ``circuit`` from a basis state or a prepared state.
+        """Simulate ``circuit`` from a basis state, a prepared state or a
+        resume point.
 
         CPython's cyclic garbage collector is paused while the gates run
         (decision diagrams are acyclic, so reference counting frees dead
@@ -452,33 +462,26 @@ class DDSimulator:
         Args:
             circuit: The circuit to apply.
             strategy: Approximation policy (exact simulation if omitted).
-            initial_state: Starting basis-state index, or a prepared
+            initial_state: Starting basis-state index, a prepared
                 :class:`repro.dd.vector.StateDD` (same package and width)
                 — enabling staged pipelines that switch strategies
-                between algorithm phases.
-            record_trajectory: Keep the per-operation diagram sizes
-                (the simulator counts the diagram after every gate
+                between algorithm phases — or a :class:`ResumePoint` of
+                an earlier, stopped run of this circuit and strategy.
+                A resume point continues at its ``op_index`` with its
+                statistics and, after :meth:`ApproximationStrategy.plan
+                <repro.core.strategies.ApproximationStrategy.plan>`,
+                its schedule restored, so the run places the rounds the
+                uninterrupted run would.
+            record_trajectory: Keep this attempt's per-operation diagram
+                sizes (the simulator counts the diagram after every gate
                 anyway, to maintain ``max_nodes``).
-            max_seconds: Cooperative timeout — checked between operations;
-                raises :class:`SimulationTimeout` when exceeded.
-            start_op_index: Resume support — skip operations before this
-                index.  ``initial_state`` must then be the state *after*
-                operations ``[0, start_op_index)`` (typically rehydrated
-                from a checkpoint), and the strategy is notified through
-                :meth:`~repro.core.strategies.ApproximationStrategy.resume`
-                so pre-planned rounds before the resume point are not
-                replayed.
-            prior_rounds: Approximation rounds completed before
-                ``start_op_index`` (from the interrupted run).  They seed
-                ``stats.rounds`` so the Lemma 1 fidelity product composes
-                across the interruption — truncations already applied are
-                part of the state being resumed.
+            max_seconds: Cooperative timeout on this attempt — checked
+                between operations; raises :class:`SimulationTimeout`
+                when exceeded.
             checkpoint_interval: Invoke ``checkpoint_callback`` every this
                 many applied operations (and never otherwise).
-            checkpoint_callback: Called as ``callback(state, next_op_index,
-                stats)`` where ``next_op_index`` is the index of the first
-                operation not yet applied — the ``start_op_index`` a
-                resuming run must pass.
+            checkpoint_callback: Called with the :class:`ResumePoint`
+                before the next operation not yet applied.
             recorder: An :class:`repro.obs.Recorder` to instrument the
                 run with (per-gate wall-time timers under ``gate.<name>``,
                 ``op``/``round`` trace events, approximation counters).
@@ -513,29 +516,36 @@ class DDSimulator:
 
         Returns:
             A :class:`SimulationOutcome` with the final state (unit norm)
-            and the per-run statistics.
+            and the per-run statistics, cumulative across the attempts
+            a resume point continues.
 
         Raises:
             SimulationTimeout: When ``max_seconds`` elapses
                 (``reason="timeout"``) or ``cancel`` fires mid-run.  The
-                exception carries the live state and the index of the
-                first unapplied operation for checkpointing or resuming.
+                exception carries the :class:`ResumePoint` for
+                checkpointing or resuming.
             MemoryBudgetExceeded: When an emergency approximation round
                 would push the fidelity estimate below the watchdog's
                 floor.
             MemoryError: When pressure persists after a rescue (or the
                 watchdog is disabled / its rescue budget is spent).
             ValueError: When a prepared initial state mismatches the
-                circuit width or the simulator's package, or
-                ``start_op_index`` is out of range.
+                circuit width or the simulator's package, or a resume
+                point's ``op_index`` is out of range.
         """
-        if not 0 <= start_op_index <= len(circuit):
-            raise ValueError(
-                f"start_op_index {start_op_index} out of range for "
-                f"{len(circuit)} operations"
-            )
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
+        point: ResumePoint | None = None
+        start_op_index = 0
+        if isinstance(initial_state, ResumePoint):
+            point = initial_state
+            if not 0 <= point.op_index <= len(circuit):
+                raise ValueError(
+                    f"resume point op_index {point.op_index} out of range "
+                    f"for {len(circuit)} operations"
+                )
+            start_op_index = point.op_index
+            initial_state = point.state
         policy = strategy if strategy is not None else NoApproximation()
         policy.plan(circuit)
         stats = SimulationStats(
@@ -546,10 +556,16 @@ class DDSimulator:
             trajectory=[] if record_trajectory else None,
             dd_backend=getattr(self.package, "backend_name", ""),
         )
-        if prior_rounds:
-            stats.rounds.extend(prior_rounds)
-        if start_op_index:
-            policy.resume(start_op_index, tuple(stats.rounds))
+        rescues = 0
+        rescue_floor = 0  # node count after the last rescue (anti-thrash)
+        prior_seconds = 0.0
+        if point is not None:
+            policy.restore(point.schedule)
+            rescues = point.schedule["rescues"]
+            rescue_floor = point.schedule["rescue_floor"]
+            stats.rounds.extend(point.stats.rounds)
+            stats.max_nodes = point.stats.max_nodes
+            prior_seconds = point.stats.runtime_seconds
 
         if isinstance(initial_state, StateDD):
             if initial_state.num_qubits != circuit.num_qubits:
@@ -566,12 +582,10 @@ class DDSimulator:
                 circuit.num_qubits, initial_state, self.package
             )
         node_count = state.node_count()
-        stats.max_nodes = node_count
+        stats.max_nodes = max(stats.max_nodes, node_count)
         applied = 0
         sanitizer = _resolve_sanitizer(ddsan, self.package)
         guard = watchdog if watchdog is not None else MemoryWatchdog()
-        rescues = 0
-        rescue_floor = 0  # node count after the last rescue (anti-thrash)
         # Resolved once; the per-gate cost of a disarmed fault framework
         # is this local's ``is None`` check.
         injector = get_injector()
@@ -592,19 +606,40 @@ class DDSimulator:
             obs.count(f"dd.backend.{stats.dd_backend or 'unknown'}")
         with _PausedGC():
             started = time.perf_counter()
+
+            def resume_point(next_op_index: int) -> ResumePoint:
+                """Stamp the runtime and snapshot the loop before
+                ``next_op_index``: a copy of the statistics (the run keeps
+                appending to its own) without this attempt's trajectory,
+                and the strategy's and the watchdog's schedule."""
+                stats.runtime_seconds = prior_seconds + (
+                    time.perf_counter() - started
+                )
+                return ResumePoint(
+                    state,
+                    next_op_index,
+                    replace(stats, rounds=list(stats.rounds), trajectory=None),
+                    {
+                        **policy.schedule(),
+                        "rescues": rescues,
+                        "rescue_floor": rescue_floor,
+                    },
+                )
+
             for op_index in range(start_op_index, len(circuit)):
                 operation = circuit[op_index]
                 if (
                     max_seconds is not None
                     and time.perf_counter() - started > max_seconds
                 ):
-                    raise _stop(stats, state, op_index, started, "timeout")
-                if cancel is not None:
-                    cancel_reason = cancel.reason()
-                    if cancel_reason is not None:
-                        raise _stop(
-                            stats, state, op_index, started, cancel_reason
-                        )
+                    stop_reason: str | None = "timeout"
+                else:
+                    stop_reason = None if cancel is None else cancel.reason()
+                if stop_reason is not None:
+                    stats.final_nodes = state.node_count()
+                    raise SimulationTimeout(
+                        stats, op_index, stop_reason, resume_point(op_index)
+                    )
                 op_started = time.perf_counter() if obs is not None else 0.0
                 try:
                     if injector is not None:
@@ -712,19 +747,24 @@ class DDSimulator:
                     and applied % checkpoint_interval == 0
                     and op_index + 1 < len(circuit)
                 ):
-                    stats.runtime_seconds = time.perf_counter() - started
-                    checkpoint_callback(state, op_index + 1, stats)
+                    checkpoint_callback(resume_point(op_index + 1))
                 if cancel is not None and op_index + 1 < len(circuit):
                     # Second poll per operation, *after* any approximation
                     # round spent its fidelity, so a cancellation landing
                     # mid-round still checkpoints a Lemma-1-consistent
-                    # (state, rounds) pair with the round included.
-                    cancel_reason = cancel.reason()
-                    if cancel_reason is not None:
-                        raise _stop(
-                            stats, state, op_index + 1, started, cancel_reason
+                    # resume point with the round included.
+                    stop_reason = cancel.reason()
+                    if stop_reason is not None:
+                        stats.final_nodes = state.node_count()
+                        raise SimulationTimeout(
+                            stats,
+                            op_index + 1,
+                            stop_reason,
+                            resume_point(op_index + 1),
                         )
-            stats.runtime_seconds = time.perf_counter() - started
+            stats.runtime_seconds = prior_seconds + (
+                time.perf_counter() - started
+            )
             stats.final_nodes = state.node_count()
             if obs is not None:
                 obs.event(
@@ -838,7 +878,7 @@ class DDSimulator:
                     if elapsed > max_seconds:
                         stats.runtime_seconds = elapsed
                         stats.final_nodes = accumulated.node_count()
-                        raise SimulationTimeout(stats, op_index=op_index)
+                        raise SimulationTimeout(stats, op_index)
                 medge = operation_to_medge(
                     operation, circuit.num_qubits, self.package
                 )

@@ -18,7 +18,9 @@ the state) or ``None``.
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+import copy
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from ..circuits.circuit import Circuit
 from ..dd.vector import StateDD
@@ -58,23 +60,23 @@ class ApproximationStrategy(abc.ABC):
         """Short human-readable strategy summary for reports."""
         return type(self).__name__
 
-    def resume(
-        self, start_op_index: int, completed_rounds: Sequence = ()
-    ) -> None:
-        """Restore scheduling state when resuming mid-circuit.
+    #: The fields :meth:`after_operation` carries from one operation to
+    #: the next.  :meth:`schedule` and :meth:`restore` move them across a
+    #: stop, so a resumed run places the rounds the uninterrupted run
+    #: would (Lemma 1 composes its factors with the stopped run's).
+    schedule_fields: tuple[str, ...] = ()
 
-        Called by the simulator (after :meth:`plan`) when a run continues
-        from a checkpoint: ``start_op_index`` is the first operation that
-        will be applied and ``completed_rounds`` are the
-        :class:`~repro.core.simulator.RoundRecord`-like entries of rounds
-        the interrupted run already performed.  Lemma 1 composes those
-        rounds' fidelities multiplicatively with whatever this run adds,
-        so a strategy must (a) not replay rounds planned before the
-        resume point and (b) account for the budget the completed rounds
-        consumed.  The default is a no-op (correct for stateless
-        policies such as :class:`NoApproximation`).
-        """
-        return None
+    def schedule(self) -> dict:
+        """A copy of the :attr:`schedule_fields`, keyed by name."""
+        return {
+            name: copy.copy(getattr(self, name))
+            for name in self.schedule_fields
+        }
+
+    def restore(self, schedule: Mapping[str, Any]) -> None:
+        """Continue from a :meth:`schedule` copy; called after :meth:`plan`."""
+        for name in self.schedule_fields:
+            setattr(self, name, copy.copy(schedule[name]))
 
     def note_external_round(
         self, op_index: int, achieved_fidelity: float
@@ -125,6 +127,9 @@ class MemoryDrivenStrategy(ApproximationStrategy):
         growth: Threshold multiplier applied after each round (default 2.0).
     """
 
+    # Every attempt doubles the threshold, one that removes nothing too.
+    schedule_fields = ("threshold",)
+
     def __init__(
         self,
         threshold: int,
@@ -145,14 +150,6 @@ class MemoryDrivenStrategy(ApproximationStrategy):
     def plan(self, circuit: Circuit) -> None:
         """Reset the threshold for a new run."""
         self.threshold = float(self.initial_threshold)
-
-    def resume(
-        self, start_op_index: int, completed_rounds: Sequence = ()
-    ) -> None:
-        """Re-grow the threshold past the rounds already performed."""
-        self.threshold = float(self.initial_threshold) * (
-            self.growth ** len(completed_rounds)
-        )
 
     def note_external_round(
         self, op_index: int, achieved_fidelity: float
@@ -213,6 +210,8 @@ class FidelityDrivenStrategy(ApproximationStrategy):
             when ``positions`` is not given.
     """
 
+    schedule_fields = ("_pending",)
+
     def __init__(
         self,
         final_fidelity: float,
@@ -266,25 +265,6 @@ class FidelityDrivenStrategy(ApproximationStrategy):
                 positions = self._spread(0, len(circuit), rounds)
         self.planned_positions = list(positions)
         self._pending = list(positions)
-
-    def resume(
-        self, start_op_index: int, completed_rounds: Sequence = ()
-    ) -> None:
-        """Drop planned rounds the interrupted run already passed.
-
-        Positions strictly before the resume point are discarded — either
-        the earlier run performed them (they arrive in
-        ``completed_rounds``) or it skipped past them, and replaying them
-        on the resumed state would spend fidelity the plan never budgeted.
-        """
-        self._pending = [
-            position
-            for position in self._pending
-            if position >= start_op_index
-        ]
-        # Never exceed the round budget across the whole (split) run.
-        allowance = max(0, self.budgeted_rounds - len(completed_rounds))
-        self._pending = self._pending[:allowance]
 
     def note_external_round(
         self, op_index: int, achieved_fidelity: float
@@ -348,6 +328,8 @@ class AdaptiveStrategy(ApproximationStrategy):
         growth_trigger: Size multiple that triggers a round (> 1).
     """
 
+    schedule_fields = ("rounds_used", "_baseline")
+
     def __init__(
         self,
         final_fidelity: float,
@@ -366,13 +348,6 @@ class AdaptiveStrategy(ApproximationStrategy):
     def plan(self, circuit: Circuit) -> None:
         """Reset the budget and the growth baseline."""
         self.rounds_used = 0
-        self._baseline = None
-
-    def resume(
-        self, start_op_index: int, completed_rounds: Sequence = ()
-    ) -> None:
-        """Charge the rounds the interrupted run performed to the budget."""
-        self.rounds_used = min(self.budgeted_rounds, len(completed_rounds))
         self._baseline = None
 
     def note_external_round(
@@ -436,6 +411,8 @@ class SizeCapStrategy(ApproximationStrategy):
         final_fidelity: Global fidelity floor in ``(0, 1]``.
     """
 
+    schedule_fields = ("remaining_fidelity",)
+
     def __init__(self, max_nodes: int, final_fidelity: float = 0.5):
         if max_nodes < 2:
             raise ValueError("max_nodes must be at least 2")
@@ -448,14 +425,6 @@ class SizeCapStrategy(ApproximationStrategy):
     def plan(self, circuit: Circuit) -> None:
         """Reset the cumulative fidelity budget for a new run."""
         self.remaining_fidelity = 1.0
-
-    def resume(
-        self, start_op_index: int, completed_rounds: Sequence = ()
-    ) -> None:
-        """Restore the cumulative fidelity spent by the interrupted run."""
-        self.remaining_fidelity = 1.0
-        for record in completed_rounds:
-            self.remaining_fidelity *= record.achieved_fidelity
 
     def note_external_round(
         self, op_index: int, achieved_fidelity: float

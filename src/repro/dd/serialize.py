@@ -31,11 +31,9 @@ verbatim (:meth:`~repro.dd.backends.DDBackend.intern_state_table`): no
 node is renormalised, so the decoded diagram equals the stored one
 weight for weight, in any package and on either backend.
 
-Version 1 documents (a ``nodes`` list of ``{"level", "edges"}`` entries
-with JSON weights) are still read, because stored results are a
-persistent cache; they load through the normalizing
-:meth:`~repro.dd.package.Package.make_vedge`, as they always did.
-Only version 2 is written.
+Only version 2 is read and written.  A version 1 document (a ``nodes``
+list with JSON weights) raises :class:`ValueError` like any other
+damage; the artifact store quarantines it, and the job is recomputed.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import binascii
 import json
 import math
 
-from .node import VEdge, zero_vedge
 from .package import Package, default_package
 from .vector import StateDD
 
@@ -87,15 +84,13 @@ def state_from_dict(
     if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
     version = data.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported version {version!r}")
     pkg = package or default_package()
     try:
         num_qubits = int(data["num_qubits"])
         root_weight = _weight_from_json(data["root"]["weight"])
         root_index = int(data["root"]["node"])
-        if version == 1:
-            return _state_from_v1(data, num_qubits, root_weight, root_index, pkg)
         ints = base64.b64decode(data["children"], validate=True)
         doubles = base64.b64decode(data["weights"], validate=True)
     except (KeyError, TypeError, IndexError, binascii.Error) as error:
@@ -104,45 +99,6 @@ def state_from_dict(
         raise ValueError("root weight is not finite")
     node = pkg.intern_state_table(num_qubits, ints, doubles, root_index)
     return StateDD((root_weight, node), num_qubits, pkg)
-
-
-def _state_from_v1(
-    data: dict,
-    num_qubits: int,
-    root_weight: complex,
-    root_index: int,
-    pkg: Package,
-) -> StateDD:
-    """Rebuild a version 1 document through the normalizing constructor."""
-    rebuilt: list[VEdge] = []
-    for position, entry in enumerate(data["nodes"]):
-        level = int(entry["level"])
-        edges: list[VEdge] = []
-        for weight_json, child_index in entry["edges"]:
-            weight = _weight_from_json(weight_json)
-            if child_index == -1:
-                child_edge: VEdge = (weight, None)
-            else:
-                if not 0 <= child_index < position:
-                    raise ValueError(
-                        f"node {position} references forward/unknown "
-                        f"child {child_index}"
-                    )
-                child_weight, child_node = rebuilt[child_index]
-                child_edge = (weight * child_weight, child_node)
-            if child_edge[0] == 0.0:
-                child_edge = zero_vedge()
-            edges.append(child_edge)
-        rebuilt.append(pkg.make_vedge(level, edges[0], edges[1]))
-
-    if root_index == -1:
-        raise ValueError("state root cannot be the terminal")
-    if not 0 <= root_index < len(rebuilt):
-        raise ValueError(f"root references unknown node {root_index}")
-    inner_weight, node = rebuilt[root_index]
-    return StateDD(
-        (root_weight * inner_weight, node), num_qubits, pkg
-    )
 
 
 def save_state(state: StateDD, path: str) -> None:

@@ -5,16 +5,16 @@ Execution path for one :class:`~repro.service.jobs.JobSpec`:
 1. **Cache check** — if the artifact store already holds a result for the
    spec's content hash, return it without simulating (rehydrating the
    stored state diagram for fresh sampling when ``shots`` is requested).
-2. **Resume check** — if a checkpoint exists, rehydrate its state diagram
-   and continue from its operation index, seeding the statistics and the
-   strategy with the rounds already performed (sound by Lemma 1 — the
-   fidelity product composes multiplicatively across the interruption).
+2. **Resume check** — if a checkpoint exists, rehydrate its resume point
+   (state diagram, operation index, cumulative statistics and schedule)
+   and continue from it (sound by Lemma 1 — the fidelity product
+   composes multiplicatively across the interruption).
 3. **Simulate** — run :class:`repro.core.simulator.DDSimulator` with the
    spec's time budget; periodically persist checkpoints.
 4. **Persist** — on success write ``result.json`` + ``state.json`` +
    ``journal.jsonl`` and delete the checkpoint; on a stop (timeout,
    deadline or drain) the same :class:`CheckpointWriter` persists the
-   live state the stop carries, so the next attempt resumes instead of
+   resume point the stop carries, so the next attempt resumes instead of
    restarting.
 
 :class:`JobEngine` deduplicates identical specs within a batch and fans
@@ -39,6 +39,7 @@ import numpy as np
 from ..core.simulator import (
     CancellationToken,
     DDSimulator,
+    ResumePoint,
     SimulationTimeout,
 )
 from ..dd.package import Package
@@ -144,18 +145,18 @@ class JobResult:
         )
 
 
-def _stats_doc(stats, total_runtime: float, prior_max_nodes: int = 0) -> dict:
+def _stats_doc(stats) -> dict:
     """Convert :class:`SimulationStats` into the persisted stats shape."""
     return {
         "circuit_name": stats.circuit_name,
         "strategy": stats.strategy,
         "num_qubits": stats.num_qubits,
         "num_operations": stats.num_operations,
-        "max_nodes": max(prior_max_nodes, stats.max_nodes),
+        "max_nodes": stats.max_nodes,
         "final_nodes": stats.final_nodes,
         "num_rounds": stats.num_rounds,
         "rounds": rounds_to_dicts(stats.rounds),
-        "runtime_seconds": total_runtime,
+        "runtime_seconds": stats.runtime_seconds,
         "fidelity_estimate": stats.fidelity_estimate,
         # Observability only: excluded from the JobSpec content hash, so
         # cached artifacts stay shared across backends.
@@ -320,11 +321,11 @@ def execute_job(
                 )
 
     package = Package()
-    initial_state: "int | object" = 0
+    initial_state: "int | ResumePoint" = 0
     try:
         checkpoint = store.load_checkpoint(job_hash)
         if checkpoint is not None:
-            initial_state = checkpoint.resume_state(package)
+            initial_state = checkpoint.resume_point(package)
     except CheckpointIntegrityError as error:
         checkpoint, initial_state, package = None, 0, Package()
         store.quarantine_checkpoint(job_hash, str(error))
@@ -334,23 +335,11 @@ def execute_job(
                 "job", phase="checkpoint_quarantined", job=job_hash[:12],
                 error=str(error),
             )
+    start_op_index = 0 if checkpoint is None else checkpoint.next_op_index
     try:
         circuit = spec.build_circuit()
         strategy = spec.build_strategy()
-
-        start_op_index = 0
-        prior_rounds = None
-        prior_elapsed = 0.0
-        prior_max_nodes = 0
-        if checkpoint is not None:
-            start_op_index = checkpoint.next_op_index
-            prior_rounds = checkpoint.round_records()
-            prior_elapsed = checkpoint.elapsed_seconds
-            prior_max_nodes = checkpoint.max_nodes
-
-        writer = CheckpointWriter(
-            store, job_hash, prior_elapsed, prior_max_nodes, fence=fence
-        )
+        writer = CheckpointWriter(store, job_hash, fence=fence)
 
         if obs.enabled:
             phase = "resumed" if checkpoint is not None else "started"
@@ -367,20 +356,14 @@ def execute_job(
                 initial_state=initial_state,
                 record_trajectory=True,
                 max_seconds=spec.max_seconds,
-                start_op_index=start_op_index,
-                prior_rounds=prior_rounds,
                 checkpoint_interval=spec.checkpoint_interval or None,
                 checkpoint_callback=writer,
                 cancel=cancel,
             )
         except SimulationTimeout as stopped:
             status = "drained" if stopped.reason == "drain" else stopped.reason
-            writer(stopped.state, stopped.op_index, stopped.stats)
-            partial = _stats_doc(
-                stopped.stats,
-                prior_elapsed + stopped.stats.runtime_seconds,
-                prior_max_nodes,
-            )
+            writer(stopped.resume_point)
+            partial = _stats_doc(stopped.stats)
             partial["next_op_index"] = stopped.op_index
             if obs.enabled:
                 obs.count(f"jobs.{status}")
@@ -399,8 +382,7 @@ def execute_job(
         return _error_result(spec, job_hash, error, obs)
 
     stats = outcome.stats
-    total_runtime = prior_elapsed + stats.runtime_seconds
-    stats_document = _stats_doc(stats, total_runtime, prior_max_nodes)
+    stats_document = _stats_doc(stats)
     result_document = {
         "format": RESULT_FORMAT,
         "version": RESULT_VERSION,
@@ -437,7 +419,7 @@ def execute_job(
         obs.event(
             "job", phase="completed", job=job_hash[:12],
             name=spec.display_name,
-            runtime_seconds=total_runtime,
+            runtime_seconds=stats.runtime_seconds,
             max_nodes=stats_document["max_nodes"],
         )
 

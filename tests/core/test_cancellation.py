@@ -6,7 +6,7 @@ at two deterministic, Lemma-1-consistent cut points per operation:
 round has spent its fidelity.  With a counting clock the poll sequence
 is fully deterministic — pre-op polls are the odd calls, post-round
 polls the even ones — so every test below pins the exact boundary the
-cancellation lands on and proves that the live state the stop carries
+cancellation lands on and proves that the resume point the stop carries
 resumes, in the same package, to the uninterrupted result bit for bit.
 """
 
@@ -20,9 +20,16 @@ from repro.circuits.shor import shor_circuit
 from repro.core.simulator import (
     CancellationToken,
     DDSimulator,
+    MemoryWatchdog,
     SimulationTimeout,
 )
-from repro.core.strategies import FidelityDrivenStrategy, MemoryDrivenStrategy
+from repro.core.strategies import (
+    AdaptiveStrategy,
+    FidelityDrivenStrategy,
+    MemoryDrivenStrategy,
+    NoApproximation,
+    SizeCapStrategy,
+)
 from repro.dd.package import Package
 from repro.service.jobs import build_builtin_circuit
 from tests.helpers import CountingClock
@@ -74,8 +81,8 @@ class TestCancellationBoundaries:
         assert cancelled.op_index == 0
         assert cancelled.stats.rounds == []
         # The carried state is the untouched initial state.
-        assert cancelled.state.package is package
-        assert cancelled.state.to_amplitudes()[0] == 1.0
+        assert cancelled.resume_point.state.package is package
+        assert cancelled.resume_point.state.to_amplitudes()[0] == 1.0
 
     @pytest.mark.parametrize("op_k", [1, 3])
     def test_pre_op_cancellation_lands_on_the_gate_boundary(self, op_k):
@@ -89,9 +96,7 @@ class TestCancellationBoundaries:
         cancelled = excinfo.value
         assert cancelled.op_index == op_k
         resumed = DDSimulator(package).run(
-            circuit,
-            initial_state=cancelled.state,
-            start_op_index=cancelled.op_index,
+            circuit, initial_state=cancelled.resume_point
         )
         reference = DDSimulator(Package()).run(qft_circuit(4))
         assert np.array_equal(
@@ -131,8 +136,8 @@ class TestMidRoundCancellation:
     def test_post_round_checkpoint_is_lemma1_consistent(self):
         """Cancel on the *post-round* poll of the op that ran an
         approximation round: the checkpoint must include that round, and
-        seeding the resume with it reproduces the uninterrupted
-        fidelity product exactly (Lemma 1)."""
+        resuming from it reproduces the uninterrupted fidelity product
+        exactly (Lemma 1)."""
         package = Package()
         circuit = shor_circuit(21, 2)
 
@@ -154,7 +159,7 @@ class TestMidRoundCancellation:
             )
         cancelled = excinfo.value
         # The cut lands after the round's op, with the round recorded:
-        # the (state, rounds) pair is a consistent Lemma-1 snapshot.
+        # the resume point is a consistent Lemma-1 snapshot.
         assert cancelled.op_index == round_op + 1
         assert len(cancelled.stats.rounds) == 1
         assert cancelled.stats.rounds[0].op_index == round_op
@@ -162,42 +167,66 @@ class TestMidRoundCancellation:
         assert cancelled.stats.fidelity_estimate == spent
 
         resumed = DDSimulator(package).run(
-            circuit,
-            strategy(),
-            initial_state=cancelled.state,
-            start_op_index=cancelled.op_index,
-            prior_rounds=list(cancelled.stats.rounds),
+            circuit, strategy(), initial_state=cancelled.resume_point
         )
         _assert_same_run(resumed, full)
 
 
+def _row(workload, label, strategy, cut, watchdog=None):
+    return pytest.param(
+        workload, strategy, watchdog, cut, id=f"{workload}-{label}-{cut}"
+    )
+
+
+#: One cut per strategy (and one for the watchdog's rescues).  While
+#: the resume state was the round ledger alone, four rows resumed with
+#: a different schedule: the memory rows at cuts 34 and 40 with a lower
+#: threshold (an attempt that removes nothing leaves no record but
+#: still doubles it), the adaptive row with a reset growth baseline,
+#: the watchdog row with its rescue floor back at 0.
+EXACT_RESUME_ROWS = [
+    _row("qsup_3x4_10_0", "memory", lambda: MemoryDrivenStrategy(128, 0.975), 40),
+    _row("shor_35_2", "memory", lambda: MemoryDrivenStrategy(32000, 0.8), 32),
+    _row("qsup_3x3_8_0", "memory", lambda: MemoryDrivenStrategy(8, 0.99), 34),
+    _row("qsup_3x3_10_1", "memory", lambda: MemoryDrivenStrategy(16, 0.99), 40),
+    _row("shor_21_2", "adaptive", lambda: AdaptiveStrategy(0.5, 0.9), 40),
+    _row("shor_33_5", "size_cap", lambda: SizeCapStrategy(2000, 0.3), 50),
+    _row("shor_21_2", "fidelity", lambda: FidelityDrivenStrategy(0.5, 0.9), 60),
+    _row(
+        "qsup_3x3_10_1",
+        "watchdog",
+        NoApproximation,
+        39,
+        MemoryWatchdog(node_ceiling=150),
+    ),
+]
+
+
 class TestExactInProcessResume:
-    """Cut a run with a counting-clock deadline and resume from the live
-    state in the same package: the result equals an uninterrupted run
-    in its own package, bit for bit.  These cuts are where a resume
-    through ``state_from_dict(state_to_dict(state))`` drifts (by 2e-3
-    in fidelity on the supremacy row, in the round records on both)."""
+    """Cut a run with a counting-clock deadline and resume from the
+    :class:`ResumePoint` the stop carries, in the same package: the
+    result equals an uninterrupted run in its own package, bit for bit.
+    The first two cuts are where a resume through
+    ``state_from_dict(state_to_dict(state))`` drifts (by 2e-3 in
+    fidelity on the supremacy row, in the round records on both)."""
 
     @pytest.mark.parametrize(
-        ("workload", "threshold", "round_fidelity", "cut"),
-        [
-            ("qsup_3x4_10_0", 128, 0.975, 40),
-            ("shor_35_2", 32000, 0.8, 32),
-        ],
+        ("workload", "strategy", "watchdog", "cut"), EXACT_RESUME_ROWS
     )
     def test_resume_from_the_stop_state_is_exact(
-        self, workload, threshold, round_fidelity, cut
+        self, workload, strategy, watchdog, cut
     ):
         circuit = build_builtin_circuit(workload)
-
-        def strategy() -> MemoryDrivenStrategy:
-            return MemoryDrivenStrategy(threshold, round_fidelity)
-
-        full = DDSimulator(Package()).run(circuit, strategy())
+        full = DDSimulator(Package()).run(
+            circuit, strategy(), watchdog=watchdog
+        )
         package = Package()
         with pytest.raises(SimulationTimeout) as excinfo:
             DDSimulator(package).run(
-                circuit, strategy(), cancel=_token(2.0 * cut + 1.0)
+                circuit,
+                strategy(),
+                watchdog=watchdog,
+                cancel=_token(2.0 * cut + 1.0),
             )
         stopped = excinfo.value
         assert (stopped.reason, stopped.op_index) == ("deadline", cut)
@@ -205,11 +234,11 @@ class TestExactInProcessResume:
         resumed = DDSimulator(package).run(
             circuit,
             strategy(),
-            initial_state=stopped.state,
-            start_op_index=stopped.op_index,
-            prior_rounds=list(stopped.stats.rounds),
+            initial_state=stopped.resume_point,
+            watchdog=watchdog,
         )
         _assert_same_run(resumed, full)
+        assert resumed.stats.max_nodes == full.stats.max_nodes
 
 
 def _assert_same_run(resumed, full) -> None:
@@ -256,6 +285,37 @@ class TestServiceResume:
         assert resumed.stats["num_operations"] == (
             reference.stats["num_operations"]
         )
+
+    def test_stored_checkpoint_resumes_to_the_reference_result(
+        self, tmp_path
+    ):
+        """The memory strategy's threshold survives the store: a stop
+        before operation 34 leaves a checkpoint whose resume places the
+        reference run's two rounds, not three."""
+        from repro.service.engine import execute_job
+        from repro.service.jobs import JobSpec
+        from repro.service.store import ArtifactStore
+
+        spec = JobSpec(
+            "builtin:qsup_3x3_8_0",
+            "memory",
+            (("threshold", 8), ("round_fidelity", 0.99)),
+        )
+        store = ArtifactStore(str(tmp_path / "store"))
+        cancel = CancellationToken(soft_deadline=69.0, clock=CountingClock())
+        interrupted = execute_job(spec, store, cancel=cancel)
+        assert interrupted.status == "deadline"
+        assert interrupted.stats["next_op_index"] == 34
+
+        resumed = execute_job(spec, store)
+        assert resumed.status == "completed"
+        assert resumed.resumed_at == 34
+        reference = execute_job(
+            spec, ArtifactStore(str(tmp_path / "reference"))
+        )
+        assert reference.stats["num_rounds"] == 2
+        for key in ("fidelity_estimate", "rounds", "max_nodes"):
+            assert resumed.stats[key] == reference.stats[key]
 
     def test_drain_event_yields_drained_status(self, tmp_path):
         from repro.service.engine import execute_job

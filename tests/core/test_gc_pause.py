@@ -94,7 +94,7 @@ class TestEntryStateRestored:
 
     def test_after_an_argument_error(self, entry_state):
         with pytest.raises(ValueError):
-            DDSimulator().run(ghz_circuit(4), start_op_index=5)
+            DDSimulator().run(ghz_circuit(4), checkpoint_interval=0)
         assert gc.isenabled() is entry_state
 
     def test_after_a_hook_error(self, entry_state):

@@ -88,7 +88,7 @@ class TestStatistics:
             )
         stopped = excinfo.value
         assert (stopped.reason, stopped.op_index) == ("timeout", 5)
-        assert stopped.state is None
+        assert stopped.resume_point is None
         if record_trajectory:
             assert len(stopped.stats.trajectory) == 5
 

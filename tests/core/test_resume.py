@@ -2,17 +2,20 @@
 
 The resumed trajectory must be indistinguishable from the uninterrupted
 one: same final state, same round placement, and — by Lemma 1 — the same
-end-to-end fidelity product when prior rounds are seeded.
+end-to-end fidelity product, continued from the resume point's rounds.
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.circuits.qft import qft_circuit
 from repro.circuits.shor import shor_circuit
-from repro.core.simulator import DDSimulator, SimulationTimeout
+from repro.core.simulator import DDSimulator, ResumePoint, SimulationTimeout
 from repro.core.strategies import (
     AdaptiveStrategy,
     FidelityDrivenStrategy,
@@ -21,6 +24,7 @@ from repro.core.strategies import (
     SizeCapStrategy,
 )
 from repro.dd.package import Package
+from repro.service.jobs import build_builtin_circuit
 
 
 class TestStartOpIndex:
@@ -31,11 +35,8 @@ class TestStartOpIndex:
         full = simulator.run(circuit)
 
         half = len(circuit) // 2
-        prefix_state = _run_prefix(simulator, circuit, half)
         resumed = simulator.run(
-            circuit,
-            initial_state=prefix_state,
-            start_op_index=half,
+            circuit, initial_state=_run_prefix(simulator, circuit, half)
         )
         assert full.state.fidelity(resumed.state) == pytest.approx(1.0)
         assert (
@@ -45,32 +46,36 @@ class TestStartOpIndex:
     def test_validates_range(self):
         simulator = DDSimulator(Package())
         circuit = qft_circuit(3)
-        with pytest.raises(ValueError):
-            simulator.run(circuit, start_op_index=len(circuit) + 1)
-        with pytest.raises(ValueError):
-            simulator.run(circuit, start_op_index=-1)
+        point = _run_prefix(simulator, circuit, 1)
+        for op_index in (len(circuit) + 1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                simulator.run(
+                    circuit, initial_state=replace(point, op_index=op_index)
+                )
 
     def test_start_at_end_applies_nothing(self):
         package = Package()
         simulator = DDSimulator(package)
         circuit = qft_circuit(3)
         full = simulator.run(circuit)
-        noop = simulator.run(
-            circuit,
-            initial_state=full.state,
-            start_op_index=len(circuit),
+        point = replace(
+            _run_prefix(simulator, circuit, 1),
+            state=full.state,
+            op_index=len(circuit),
         )
+        noop = simulator.run(circuit, initial_state=point)
         assert noop.state.fidelity(full.state) == pytest.approx(1.0)
 
 
-def _run_prefix(simulator, circuit, stop):
-    """Return the state after the first ``stop`` operations."""
+def _run_prefix(simulator, circuit, stop, strategy=None) -> ResumePoint:
+    """Return the resume point after the first ``stop`` operations."""
     collected = {}
     simulator.run(
         circuit,
+        strategy,
         checkpoint_interval=stop,
-        checkpoint_callback=lambda state, i, _st: collected.setdefault(
-            i, state
+        checkpoint_callback=lambda point: collected.setdefault(
+            point.op_index, point
         ),
     )
     return collected[stop]
@@ -85,11 +90,9 @@ class TestTimeoutPartialState:
             simulator.run(circuit, max_seconds=0.0)
         timeout = excinfo.value
         assert (timeout.reason, timeout.op_index) == ("timeout", 0)
-        assert timeout.state.package is package
+        assert timeout.resume_point.state.package is package
         resumed = simulator.run(
-            circuit,
-            initial_state=timeout.state,
-            start_op_index=timeout.op_index,
+            circuit, initial_state=timeout.resume_point
         )
         reference = DDSimulator(Package()).run(circuit)
         assert np.array_equal(
@@ -110,7 +113,7 @@ class TestCheckpointCallback:
         simulator.run(
             circuit,
             checkpoint_interval=3,
-            checkpoint_callback=lambda _s, i, _st: indices.append(i),
+            checkpoint_callback=lambda point: indices.append(point.op_index),
         )
         assert indices == sorted(indices)
         assert all(0 < i < len(circuit) for i in indices)
@@ -129,109 +132,159 @@ class TestPriorRounds:
         package = Package()
         simulator = DDSimulator(package)
         circuit = shor_circuit(21, 2)
-        strategy = FidelityDrivenStrategy(
-            0.5, 0.9, placement="block:inverse_qft"
-        )
-        full = simulator.run(circuit, strategy)
+
+        def strategy() -> FidelityDrivenStrategy:
+            return FidelityDrivenStrategy(
+                0.5, 0.9, placement="block:inverse_qft"
+            )
+
+        full = simulator.run(circuit, strategy())
         assert full.stats.num_rounds >= 1
 
         # Split the run after the first round's position.
         split = full.stats.rounds[0].op_index + 1
-        prefix = _run_with_stop(package, circuit, strategy, split)
-        resumed = simulator.run(
-            circuit,
-            FidelityDrivenStrategy(
-                0.5, 0.9, placement="block:inverse_qft"
-            ),
-            initial_state=prefix["state"],
-            start_op_index=split,
-            prior_rounds=prefix["rounds"],
-        )
-        assert resumed.stats.num_rounds == full.stats.num_rounds
-        assert resumed.stats.fidelity_estimate == pytest.approx(
-            full.stats.fidelity_estimate, abs=1e-12
+        point = _run_prefix(simulator, circuit, split, strategy())
+        assert point.stats.rounds == full.stats.rounds[:1]
+        resumed = simulator.run(circuit, strategy(), initial_state=point)
+        assert resumed.stats.rounds == full.stats.rounds
+        assert resumed.stats.fidelity_estimate == (
+            full.stats.fidelity_estimate
         )
 
 
-def _run_with_stop(package, circuit, strategy, stop):
-    """Run the first ``stop`` ops under ``strategy`` via checkpointing."""
-    grabbed = {}
-
-    def grab(state, next_op_index, stats):
-        if next_op_index == stop and "state" not in grabbed:
-            grabbed["state"] = state
-            grabbed["rounds"] = list(stats.rounds)
-
-    fresh = FidelityDrivenStrategy(
-        strategy.final_fidelity,
-        strategy.round_fidelity,
-        placement=strategy.placement,
-    )
-    DDSimulator(package).run(
-        circuit,
-        fresh,
-        checkpoint_interval=1,
-        checkpoint_callback=grab,
-    )
-    return grabbed
+def _restored(make, workload, cut):
+    """The resume point ``cut`` operations into ``workload`` under
+    ``make()``, and a fresh ``make()`` planned and restored from it."""
+    circuit = build_builtin_circuit(workload)
+    point = _run_prefix(DDSimulator(Package()), circuit, cut, make())
+    strategy = make()
+    strategy.plan(circuit)
+    strategy.restore(point.schedule)
+    return point, strategy
 
 
 class TestStrategyResumeHooks:
-    def _rounds(self, count):
-        from repro.core.simulator import RoundRecord
-
-        return [
-            RoundRecord(
-                op_index=i,
-                nodes_before=10,
-                nodes_after=5,
-                requested_fidelity=0.9,
-                achieved_fidelity=0.9,
-                removed_contribution=0.1,
-                removed_nodes=5,
-            )
-            for i in range(count)
-        ]
+    """``schedule()``/``restore()``, the strategy's part of a resume
+    point: a restored strategy continues where the stopped one was, even
+    where the round ledger says otherwise."""
 
     def test_base_default_is_noop(self):
         strategy = NoApproximation()
-        strategy.resume(5, self._rounds(2))  # must not raise
+        assert strategy.schedule() == {}
+        strategy.restore({"rescues": 0, "rescue_floor": 0})
 
     def test_memory_regrows_threshold(self):
-        strategy = MemoryDrivenStrategy(
-            threshold=100, round_fidelity=0.9, growth=2.0
+        """Three attempts that removed nothing doubled the threshold;
+        the ledger has no round to re-derive it from."""
+        point, strategy = _restored(
+            lambda: MemoryDrivenStrategy(8, 0.99), "qsup_3x3_8_0", 34
         )
-        strategy.plan(qft_circuit(3))
-        strategy.resume(10, self._rounds(3))
-        assert strategy.threshold == 800.0
+        assert point.stats.rounds == []
+        assert strategy.threshold == 64.0
 
     def test_fidelity_drops_passed_positions(self):
-        circuit = shor_circuit(15, 2)
-        strategy = FidelityDrivenStrategy(
-            0.5, 0.9, positions=[5, 10, 20, 30]
+        point, strategy = _restored(
+            lambda: FidelityDrivenStrategy(
+                0.5, 0.9, positions=[5, 10, 20, 30]
+            ),
+            "shor_15_2",
+            11,
         )
-        strategy.plan(circuit)
-        strategy.resume(11, self._rounds(2))
         assert strategy._pending == [20, 30]
 
     def test_fidelity_respects_budget_across_split(self):
-        circuit = shor_circuit(15, 2)
-        strategy = FidelityDrivenStrategy(
-            0.5, 0.9, positions=[5, 10, 20, 30]
-        )
-        assert strategy.budgeted_rounds == 6
-        strategy.plan(circuit)
-        strategy.resume(0, self._rounds(5))
-        assert len(strategy._pending) <= 1
+        """An emergency round's charge (one planned position fewer)
+        survives the resume."""
+        strategy = FidelityDrivenStrategy(0.5, 0.9, positions=[5, 10, 20, 30])
+        strategy.plan(shor_circuit(15, 2))
+        strategy.note_external_round(3, 0.9)
+        restored = FidelityDrivenStrategy(0.5, 0.9, positions=[5, 10, 20, 30])
+        restored.plan(shor_circuit(15, 2))
+        restored.restore(strategy.schedule())
+        assert restored._pending == [5, 10, 20]
 
     def test_adaptive_charges_budget(self):
-        strategy = AdaptiveStrategy(0.5, 0.9)
-        strategy.plan(qft_circuit(3))
-        strategy.resume(4, self._rounds(2))
-        assert strategy.rounds_used == 2
+        """The budget spent and the growth baseline both carry over (the
+        baseline used to restart from the resumed state)."""
+        point, strategy = _restored(
+            lambda: AdaptiveStrategy(0.5, 0.9), "shor_21_2", 40
+        )
+        assert strategy.rounds_used == len(point.stats.rounds) == 2
+        assert strategy._baseline == 258
 
     def test_size_cap_restores_spent_fidelity(self):
-        strategy = SizeCapStrategy(max_nodes=64, final_fidelity=0.5)
-        strategy.plan(qft_circuit(3))
-        strategy.resume(4, self._rounds(2))
-        assert strategy.remaining_fidelity == pytest.approx(0.81)
+        point, strategy = _restored(
+            lambda: SizeCapStrategy(2000, 0.3), "shor_33_5", 50
+        )
+        assert len(point.stats.rounds) == 1
+        assert strategy.remaining_fidelity == (
+            point.stats.rounds[0].achieved_fidelity
+        )
+
+    STRATEGIES = {
+        "exact": (NoApproximation, ()),
+        "memory": (lambda: MemoryDrivenStrategy(8, 0.99), ("threshold",)),
+        "fidelity": (
+            lambda: FidelityDrivenStrategy(0.5, 0.9),
+            ("_pending",),
+        ),
+        "adaptive": (
+            lambda: AdaptiveStrategy(0.5, 0.9),
+            ("rounds_used", "_baseline"),
+        ),
+        "size_cap": (lambda: SizeCapStrategy(64, 0.5), ("remaining_fidelity",)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_schedule_holds_the_strategy_and_watchdog_fields(self, name):
+        make, fields = self.STRATEGIES[name]
+        point, _strategy = _restored(make, "shor_15_2", 20)
+        assert set(point.schedule) == {*fields, "rescues", "rescue_floor"}
+        # The stored form is JSON: the schedule survives a round trip.
+        assert json.loads(json.dumps(point.schedule)) == point.schedule
+
+    def test_restore_copies_the_schedule(self):
+        strategy = FidelityDrivenStrategy(0.5, 0.9, positions=[5, 10, 20])
+        strategy.plan(shor_circuit(15, 2))
+        schedule = strategy.schedule()
+        strategy.restore(schedule)
+        strategy._pending.pop()
+        assert schedule["_pending"] == [5, 10, 20]
+        assert strategy.schedule()["_pending"] == [5, 10]
+
+
+class TestResumePoint:
+    def test_one_point_resumes_twice_alike(self):
+        """Resuming does not consume the point: its stats and schedule
+        are copies the resumed runs never write to."""
+        package = Package()
+        circuit = build_builtin_circuit("qsup_3x3_8_0")
+
+        def strategy() -> MemoryDrivenStrategy:
+            return MemoryDrivenStrategy(8, 0.99)
+
+        point = _run_prefix(DDSimulator(package), circuit, 34, strategy())
+        rounds = list(point.stats.rounds)
+        first, second = (
+            DDSimulator(package).run(circuit, strategy(), initial_state=point)
+            for _ in range(2)
+        )
+        assert point.stats.rounds == rounds
+        assert first.stats.rounds == second.stats.rounds
+        assert first.stats.fidelity_estimate == second.stats.fidelity_estimate
+
+    def test_stats_are_cumulative(self):
+        """The resumed run continues the point's rounds, peak size and
+        runtime; ``max_seconds`` still limits each attempt alone."""
+        package = Package()
+        circuit = qft_circuit(4)
+        point = _run_prefix(DDSimulator(package), circuit, 5)
+        point = replace(
+            point,
+            stats=replace(point.stats, runtime_seconds=1000.0, max_nodes=999),
+        )
+        resumed = DDSimulator(package).run(
+            circuit, initial_state=point, max_seconds=60.0
+        )
+        assert resumed.stats.runtime_seconds >= 1000.0
+        assert resumed.stats.max_nodes == 999

@@ -187,32 +187,12 @@ class TestFormatStructure:
 
 
 class TestVersion1:
-    """Version 1 is read, never written: stored results are a cache."""
-
-    def test_v1_document_loads(self, rng):
-        vector = random_state_vector(4, rng)
-        state = StateDD.from_amplitudes(vector, Package())
-        loaded = state_from_dict(v1_state_document(state), Package())
-        np.testing.assert_allclose(loaded.to_amplitudes(), vector, atol=1e-9)
-        assert loaded.node_count() == state.node_count()
-
-    def test_v1_forward_reference_rejected(self):
+    def test_v1_document_is_rejected(self):
+        """Only version 2 is read: a version 1 document is damage to the
+        store, which quarantines it and recomputes."""
         data = v1_state_document(StateDD.plus_state(2, Package()))
-        data["nodes"][0]["edges"][0][1] = 5
-        with pytest.raises(ValueError, match="forward"):
-            state_from_dict(data)
-
-    def test_v1_terminal_root_rejected(self):
-        data = v1_state_document(StateDD.plus_state(2, Package()))
-        data["root"]["node"] = -1
-        with pytest.raises(ValueError, match="terminal"):
-            state_from_dict(data)
-
-    def test_v1_missing_nodes_rejected(self):
-        data = v1_state_document(StateDD.plus_state(2, Package()))
-        del data["nodes"]
-        with pytest.raises(ValueError, match="malformed"):
-            state_from_dict(data)
+        for backend in BACKENDS:
+            _reject(data, backend, "unsupported version 1")
 
 
 def _reject(data: dict, backend: str, match: str) -> None:
@@ -349,8 +329,8 @@ class TestVerbatimLoad:
         writes back to the same document."""
         points: list[tuple[StateDD, dict]] = []
 
-        def checkpoint(state, _next_op_index, _stats) -> None:
-            points.append((state, state_to_dict(state)))
+        def checkpoint(point) -> None:
+            points.append((point.state, state_to_dict(point.state)))
 
         DDSimulator(Package()).run(
             build_builtin_circuit(workload),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import os
 
@@ -17,10 +18,15 @@ from repro.faults.errors import (
 )
 from repro.faults.injector import arm
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.service.checkpoint import Checkpoint, encode_checkpoint
+from repro.service.checkpoint import Checkpoint
 from repro.service.engine import execute_job
 from repro.service.jobs import JobSpec
-from repro.service.store import JOURNAL_FILE, RESULT_FILE, STATE_FILE
+from repro.service.store import (
+    JOURNAL_FILE,
+    RESULT_FILE,
+    STATE_FILE,
+    ArtifactStore,
+)
 from tests.helpers import make_checkpoint, v1_state_document
 
 HASH_A = "a" * 64
@@ -203,18 +209,32 @@ class TestResultVerification:
             store.load_state(HASH_A)
 
     def test_object_of_the_earlier_writer_still_verifies(self, store):
-        os.makedirs(store.result_dir(HASH_A))
+        """Its ``result.json`` and journal verify; its version 1 state no
+        longer decodes, so the engine quarantines the object and
+        recomputes it."""
+        spec = _spec(shots=10)
+        job_hash = spec.content_hash()
+        os.makedirs(store.result_dir(job_hash))
         for name, text in PINNED_OBJECT.items():
-            path = os.path.join(store.result_dir(HASH_A), name)
+            path = os.path.join(store.result_dir(job_hash), name)
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        document = store.load_result(HASH_A)
+        document = store.load_result(job_hash)
         assert document["stats"] == {"fidelity_estimate": 0.9, "max_nodes": 3}
-        assert store.load_state(HASH_A).num_qubits == 2
-        assert store.read_journal(HASH_A) == [
+        assert store.read_journal(job_hash) == [
             {"achieved_fidelity": 0.9, "event": "round"},
             {"event": "completed"},
         ]
+        with pytest.raises(ArtifactIntegrityError, match="version 1"):
+            store.load_state(job_hash)
+
+        result = execute_job(spec, store)
+        assert result.status == "completed", result.error
+        assert not result.cached
+        assert len(list(store.iter_quarantined())) == 1
+        assert store.load_state(job_hash).num_qubits == (
+            spec.build_circuit().num_qubits
+        )
 
     def test_corrupted_state_fails_its_sha(self, store):
         spec = _spec()
@@ -341,6 +361,7 @@ class TestCheckpointIntegrity:
             rounds=[],
             max_nodes=12,
             elapsed_seconds=0.5,
+            schedule={"rescues": 0, "rescue_floor": 0},
         )
 
     @staticmethod
@@ -378,27 +399,47 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointIntegrityError, match="no checksum"):
             store.load_checkpoint(HASH_A)
 
-    def test_v1_document_of_the_earlier_writer_still_loads(self, store):
+    def test_v1_document_of_the_earlier_writer_is_quarantined(
+        self, store, chaos_root
+    ):
+        """A version 1 checkpoint stores no schedule, so it cannot resume
+        as the uninterrupted run would: it fails the version check, is
+        quarantined, and the job restarts equal to an uninterrupted run
+        (a fresh run spends its own Lemma-1 budget from 1.0)."""
         # Verbatim output of the earlier writer, which dumped the
         # document twice: sorted and compact for the checksum, then in
         # insertion order with default separators for the file.
         os.makedirs(store.checkpoint_dir(HASH_A))
         with open(self._path(store), "w", encoding="utf-8") as handle:
             handle.write(V1_DOCUMENT)
-        checkpoint = store.load_checkpoint(HASH_A)
-        assert checkpoint is not None
-        assert checkpoint.next_op_index == 56
-        assert checkpoint.max_nodes == 9
-        assert checkpoint.elapsed_seconds == 0.25
-        assert checkpoint.state["num_qubits"] == 2
-        assert [row["achieved_fidelity"] for row in checkpoint.rounds] == [
-            0.9375
-        ]
-        assert checkpoint.resume_state(Package()).num_qubits == 2
-        # Re-encoding yields the canonical form of the same document.
-        assert json.loads(encode_checkpoint(checkpoint)) == json.loads(
-            V1_DOCUMENT
+        with pytest.raises(CheckpointIntegrityError, match="version 1"):
+            store.load_checkpoint(HASH_A)
+
+        # The same document, checksummed for a real job.
+        spec = _spec(
+            circuit="builtin:shor_21_2",
+            strategy="fidelity",
+            strategy_args=(("final_fidelity", 0.5), ("round_fidelity", 0.9)),
         )
+        job_hash = spec.content_hash()
+        document = json.loads(V1_DOCUMENT)
+        del document["checksum"]
+        document["job_hash"] = job_hash
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        document["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        os.makedirs(store.checkpoint_dir(job_hash))
+        path = os.path.join(store.checkpoint_dir(job_hash), "latest.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+        result = execute_job(spec, store)
+        assert result.status == "completed", result.error
+        assert result.resumed_at is None
+        assert store.load_checkpoint(job_hash) is None
+        assert len(list(store.iter_quarantined())) == 1
+        reference = execute_job(spec, ArtifactStore(str(chaos_root / "ref")))
+        for key in ("fidelity_estimate", "rounds", "max_nodes", "final_nodes"):
+            assert result.stats[key] == reference.stats[key]
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_a_checkpoint_whose_state_does_not_decode_is_quarantined(
@@ -419,6 +460,7 @@ class TestCheckpointIntegrity:
                 rounds=[],
                 max_nodes=3,
                 elapsed_seconds=0.0,
+                schedule={"rescues": 0, "rescue_floor": 0},
             ),
         )
         result = execute_job(spec, store)

@@ -75,7 +75,7 @@ def make_checkpoint(job_hash: str, next_op_index: int) -> Checkpoint:
     """A small valid checkpoint (empty state, no rounds) for store tests."""
     return Checkpoint(
         job_hash, next_op_index, state={}, rounds=[], max_nodes=0,
-        elapsed_seconds=0.0,
+        elapsed_seconds=0.0, schedule={},
     )
 
 

@@ -14,7 +14,8 @@ from repro.core.simulator import (
     RoundRecord,
 )
 from repro.dd.package import Package
-from repro.dd.serialize import state_from_dict
+from repro.dd.serialize import state_to_dict
+from repro.dd.vector import StateDD
 from repro.faults.errors import CheckpointIntegrityError
 from repro.service.checkpoint import (
     Checkpoint,
@@ -62,21 +63,29 @@ def _plant(store: ArtifactStore, job_hash: str, text: str) -> None:
 class TestCheckpointDocument:
     def test_round_trip(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
+        schedule = {"threshold": 16.0, "rescues": 1, "rescue_floor": 40}
         checkpoint = Checkpoint(
             job_hash=JOB_HASH,
             next_op_index=7,
-            state={"format": "repro-dd-state"},
+            state=state_to_dict(StateDD.plus_state(2, Package())),
             rounds=rounds_to_dicts([_round()]),
             max_nodes=123,
             elapsed_seconds=1.5,
+            schedule=schedule,
         )
         store.save_checkpoint(JOB_HASH, checkpoint)
         clone = store.load_checkpoint(JOB_HASH)
         assert clone == checkpoint
-        assert clone.round_records() == [_round()]
+        point = clone.resume_point(Package())
+        assert (point.op_index, point.schedule) == (7, schedule)
+        assert point.stats.rounds == [_round()]
+        assert (point.stats.max_nodes, point.stats.runtime_seconds) == (123, 1.5)
+        assert point.state.num_qubits == 2
 
     def test_encoding_is_one_sorted_compact_dump(self):
-        checkpoint = Checkpoint(JOB_HASH, 7, {"b": 1, "a": [0.5]}, [], 3, 1.5)
+        checkpoint = Checkpoint(
+            JOB_HASH, 7, {"b": 1, "a": [0.5]}, [], 3, 1.5, {"rescues": 0}
+        )
         text = encode_checkpoint(checkpoint)
         document = json.loads(text)
         assert text == json.dumps(
@@ -102,7 +111,9 @@ class TestCheckpointDocument:
 
     def test_rejects_a_mistyped_field_under_a_valid_checksum(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        mistyped = Checkpoint(JOB_HASH, "7", {}, [], 0, 0.0)  # type: ignore[arg-type]
+        mistyped = Checkpoint(
+            JOB_HASH, "7", {}, [], 0, 0.0, {}  # type: ignore[arg-type]
+        )
         store.save_checkpoint(JOB_HASH, mistyped)
         with pytest.raises(CheckpointIntegrityError, match="next_op_index"):
             store.load_checkpoint(JOB_HASH)
@@ -148,7 +159,12 @@ class TestStopCheckpoint:
 
         checkpoint = store.load_checkpoint(job_hash)  # verifies
         assert checkpoint.next_op_index == cut
-        assert checkpoint.round_records() == reference.stats.rounds[:1]
+        assert rounds_from_dicts(checkpoint.rounds) == (
+            reference.stats.rounds[:1]
+        )
+        assert set(checkpoint.schedule) == {
+            "threshold", "rescues", "rescue_floor"
+        }
         assert checkpoint.max_nodes == stopped.stats["max_nodes"]
         assert checkpoint.elapsed_seconds == stopped.stats["runtime_seconds"]
 
@@ -171,7 +187,7 @@ class TestStopCheckpoint:
 class TestCheckpointWriter:
     def test_writes_during_simulation(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        writer = CheckpointWriter(store, JOB_HASH, prior_elapsed=1.0)
+        writer = CheckpointWriter(store, JOB_HASH)
         package = Package()
         circuit = qft_circuit(4)
         outcome = DDSimulator(package).run(
@@ -182,11 +198,9 @@ class TestCheckpointWriter:
         assert writer.writes == (len(circuit) - 1) // 2
         checkpoint = store.load_checkpoint(JOB_HASH)
         assert 0 < checkpoint.next_op_index < len(circuit)
-        assert checkpoint.elapsed_seconds >= 1.0
+        assert checkpoint.elapsed_seconds > 0.0
         # Replaying the remaining operations reproduces the final state.
         resumed = DDSimulator(package).run(
-            circuit,
-            initial_state=state_from_dict(checkpoint.state, package),
-            start_op_index=checkpoint.next_op_index,
+            circuit, initial_state=checkpoint.resume_point(package)
         )
         assert outcome.state.fidelity(resumed.state) == pytest.approx(1.0)

@@ -202,6 +202,7 @@ class TestStaleCheckpoint:
             rounds=[],
             max_nodes=5,
             elapsed_seconds=1.0,
+            schedule={},
         )
         store.save_checkpoint(job_hash, stale)
 
