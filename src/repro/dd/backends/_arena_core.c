@@ -20,13 +20,16 @@
  * and the tests read.  A top-level call fetches the State once.  Built
  * on first use by repro.dd.backends.native.
  *
- * The record: `_v_record` is a bytearray holding one Rec (level and two
- * child ids, 12 bytes) per `_v_nodes` slot, appended here whenever a
- * node is interned and renumbered by the reclaim.  Nodes are immutable
- * once interned, so it never needs a sync step; the sweeps walk it
- * instead of chasing node, edge and index objects.  A child that is not
- * a slot of the arena is recorded as REC_FOREIGN, and a sweep that meets
- * one returns None so the caller can run the generic traversal.
+ * The record: `_v_record` is a bytearray holding one Rec (level, two
+ * child ids, a pad and the two edge weights, 48 bytes) per `_v_nodes`
+ * slot, appended here whenever a node is interned and renumbered by the
+ * reclaim.  A vector node is its record: each slot holds an ArenaVNode
+ * that keeps only its slot, the record and its two children, and reads
+ * level, index and edges from its entry (read-only; edges is built on
+ * access).  The recursions, sweeps and the reclaim read the record; a
+ * hand-built VNode keeps the object path.  A child that is not a slot of
+ * the arena is recorded as REC_FOREIGN, and a sweep that meets one
+ * returns None so the caller can run the generic traversal.
  *
  * Float contract: every complex operation calls CPython's own _Py_c_*
  * helper with the operands in the order the Python expression has them,
@@ -36,7 +39,9 @@
  * branch.  The file must be built with -ffp-contract=off and without
  * fast-math (the loader's flags).
  *
- * Lifetime rule: within one top-level call every arena node is held by
+ * Lifetime rule: a node holds its children and its record, never the
+ * tables, so ownership is acyclic and reference counting alone frees a
+ * dropped arena.  Within one top-level call every arena node is held by
  * `_v_nodes` or `_m_nodes` (reclaim only runs at the Python safe point
  * before multiply_mv), so the recursion passes nodes as borrowed pointers.
  * Nodes that come out of a cache or the unique table without being
@@ -61,11 +66,30 @@ typedef struct {
     PyObject *n;
 } Edge;
 
-/* One `_v_record` entry: the node's level and its children's ids. */
+/* One `_v_record` entry: the node's level, its children's ids and its
+ * two edge weights, bit for bit as interned (48 bytes). */
 typedef struct {
     int32_t level;
     int32_t child[2];
+    int32_t pad; /* always 0 */
+    Py_complex w[2];
 } Rec;
+
+_Static_assert(sizeof(Rec) == 48, "record entry layout");
+
+/* An arena vector node (ArenaVNode): its slot, the record it reads and
+ * its two children (NULL is the terminal).  Holding the children keeps
+ * ownership acyclic, so reference counting alone frees a dropped arena;
+ * holding the record keeps a node readable after its arena is gone. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *record;
+    PyObject *child[2];
+    Py_ssize_t slot;
+} Node;
+
+static PyTypeObject Node_Type;
+#define IS_ARENA_VNODE(obj) Py_IS_TYPE(obj, &Node_Type)
 
 /* Child ids that are not slots: the terminal, and a node of no arena
  * slot (hand-built, or another package's). */
@@ -536,7 +560,7 @@ typedef struct {
 
 static PyTypeObject *vnode_type;
 static PyTypeObject *mnode_type;
-static Py_ssize_t v_level_off, v_edges_off, v_index_off;
+static Py_ssize_t v_level_off, v_edges_off;
 static Py_ssize_t m_level_off, m_edges_off, m_index_off;
 static PyObject *ctable, *ctable_dict;
 static PyObject *zero_edge;
@@ -686,7 +710,7 @@ read_edge(PyObject *obj, PyTypeObject *type, Edge *edge)
     if (node == Py_None) {
         edge->n = NULL;
     }
-    else if (Py_IS_TYPE(node, type)) {
+    else if (Py_IS_TYPE(node, type) || (type == vnode_type && IS_ARENA_VNODE(node))) {
         edge->n = node;
     }
     else {
@@ -748,43 +772,103 @@ node_index(PyObject *node, Py_ssize_t offset)
     return index;
 }
 
-/* 1 when `node` is the live slot of `nodes` that its `index` (the slot
- * at `offset`) names, stored in `*slot`; 0 when it is not; -1 on error. */
-static int
-live_slot(PyObject *nodes, PyObject *node, Py_ssize_t offset, Py_ssize_t *slot)
+/* The record entry an arena node reads, or NULL (RuntimeError) when its
+ * record no longer holds its slot. */
+static const Rec *
+node_rec(const Node *n)
 {
-    PyObject *obj = node_index(node, offset);
-    if (obj == NULL) {
+    if (n->slot < 0 ||
+        (size_t)(n->slot + 1) * sizeof(Rec) > (size_t)PyByteArray_GET_SIZE(n->record)) {
+        PyErr_Format(PyExc_RuntimeError, "arena node %zd has no record entry", n->slot);
+        return NULL;
+    }
+    return (const Rec *)PyByteArray_AS_STRING(n->record) + n->slot;
+}
+
+/* The two edges of a vector node: an arena node's from its record entry
+ * and children, a hand-built VNode's from its `edges` slot. */
+static int
+vnode_edges(PyObject *node, Edge *out)
+{
+    const Rec *rec;
+    int k;
+    if (!IS_ARENA_VNODE(node)) {
+        return read_node_edges(node, v_edges_off, 2, vnode_type, out);
+    }
+    if ((rec = node_rec((Node *)node)) == NULL) {
         return -1;
     }
-    *slot = PyLong_AsSsize_t(obj);
-    if (*slot == -1 && PyErr_Occurred()) {
-        if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+    for (k = 0; k < 2; k++) {
+        out[k].w = rec->w[k];
+        out[k].n = ((Node *)node)->child[k];
+    }
+    return 0;
+}
+
+/* A vector node's level, from its record entry or its `level` slot. */
+static int
+vnode_level(PyObject *node, long *level)
+{
+    const Rec *rec;
+    if (!IS_ARENA_VNODE(node)) {
+        return level_of(node, v_level_off, level);
+    }
+    if ((rec = node_rec((Node *)node)) == NULL) {
+        return -1;
+    }
+    *level = rec->level;
+    return 0;
+}
+
+/* 1 when `node` is a live slot of the arena `st`, stored in `*slot`: an
+ * arena vector node of its record whose slot holds it (a hand-built
+ * VNode never is), or an MNode whose `index` names the slot holding it;
+ * 0 when it is not; -1 on error. */
+static int
+live_slot(const State *st, PyObject *node, Py_ssize_t *slot)
+{
+    PyObject *nodes, *obj;
+    if (IS_ARENA_VNODE(node)) {
+        if (((Node *)node)->record != st->v_record) {
+            return 0;
+        }
+        *slot = ((Node *)node)->slot;
+        nodes = st->v_nodes;
+    }
+    else if (Py_IS_TYPE(node, mnode_type)) {
+        if ((obj = node_index(node, m_index_off)) == NULL) {
             return -1;
         }
-        PyErr_Clear();
+        *slot = PyLong_AsSsize_t(obj);
+        if (*slot == -1 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                return -1;
+            }
+            PyErr_Clear();
+            return 0;
+        }
+        nodes = st->m_nodes;
+    }
+    else {
         return 0;
     }
     return 0 <= *slot && *slot < PyList_GET_SIZE(nodes) && PyList_GET_ITEM(nodes, *slot) == node;
 }
 
-/* True when `node` is the live slot `index` of `nodes` (a VNode in
- * `_v_nodes`, an MNode in `_m_nodes`); -1 on error. */
 static int
-owned(PyObject *nodes, PyObject *node)
+owned(const State *st, PyObject *node)
 {
     Py_ssize_t slot;
-    return live_slot(nodes, node, Py_IS_TYPE(node, mnode_type) ? m_index_off : v_index_off, &slot);
+    return live_slot(st, node, &slot);
 }
 
-/* The node's `index` as a table id; returns as live_slot.  A node that
- * is not its slot's live node may share its id with one, and a slot
- * past INT32_MAX fits no id: neither hits nor fills a cache entry. */
+/* The node's slot as a table id; returns as live_slot.  A slot past
+ * INT32_MAX fits no id: it neither hits nor fills a cache entry. */
 static int
-node_id(PyObject *nodes, PyObject *node, Py_ssize_t offset, int32_t *id)
+node_id(const State *st, PyObject *node, int32_t *id)
 {
     Py_ssize_t slot;
-    int rc = live_slot(nodes, node, offset, &slot);
+    int rc = live_slot(st, node, &slot);
     if (rc > 0 && slot > INT32_MAX) {
         return 0;
     }
@@ -794,16 +878,14 @@ node_id(PyObject *nodes, PyObject *node, Py_ssize_t offset, int32_t *id)
     return rc;
 }
 
-/* The mv/mm/inner cache key of node `a` of arena list `as` and node `b`
- * of `bs`: 1 when both are arena nodes, 0 when the pair is uncacheable,
- * -1 on error. */
+/* The mv/mm/inner cache key of nodes `a` and `b`: 1 when both are arena
+ * nodes, 0 when the pair is uncacheable, -1 on error. */
 static int
-pair_key(PairKey *key, PyObject *as, PyObject *a, Py_ssize_t a_off, PyObject *bs, PyObject *b,
-         Py_ssize_t b_off)
+pair_key(PairKey *key, const State *st, PyObject *a, PyObject *b)
 {
-    int rc = node_id(as, a, a_off, &key->id[0]);
+    int rc = node_id(st, a, &key->id[0]);
     if (rc > 0) {
-        rc = node_id(bs, b, b_off, &key->id[1]);
+        rc = node_id(st, b, &key->id[1]);
     }
     if (rc > 0) {
         key->pad = 0;
@@ -812,17 +894,16 @@ pair_key(PairKey *key, PyObject *as, PyObject *a, Py_ssize_t a_off, PyObject *bs
     return rc;
 }
 
-/* The vadd/madd cache key of two nodes of arena list `nodes` and the
- * ratio of their weights; returns as pair_key.  The ratio is bucketed
- * for every pair, so a non-finite one raises alike. */
+/* The vadd/madd cache key of two nodes and the ratio of their weights;
+ * returns as pair_key.  The ratio is bucketed for every pair, so a
+ * non-finite one raises alike. */
 static int
-add_key(AddKey *key, PyObject *nodes, PyObject *a, PyObject *b, Py_ssize_t off,
-        Py_complex ratio, double inv)
+add_key(AddKey *key, const State *st, PyObject *a, PyObject *b, Py_complex ratio, double inv)
 {
     double parts[2] = {ratio.real, ratio.imag};
-    int rc = node_id(nodes, a, off, &key->ids.id[0]);
+    int rc = node_id(st, a, &key->ids.id[0]);
     if (rc > 0) {
-        rc = node_id(nodes, b, off, &key->ids.id[1]);
+        rc = node_id(st, b, &key->ids.id[1]);
     }
     if (rc < 0 || buckets(parts, 2, inv, key->ratio) < 0) {
         return -1;
@@ -843,7 +924,7 @@ pin(Ctx *c, PyObject *node)
     if (node == NULL) {
         return 0;
     }
-    is_owned = owned(Py_IS_TYPE(node, mnode_type) ? c->st->m_nodes : c->st->v_nodes, node);
+    is_owned = owned(c->st, node);
     if (is_owned != 0) {
         return is_owned < 0 ? -1 : 0;
     }
@@ -977,6 +1058,109 @@ node_put(Table *t, const void *key, PyObject *node)
 }
 
 /* ------------------------------------------------------------------ */
+/* The arena vector node type                                          */
+/* ------------------------------------------------------------------ */
+
+/* Deallocating a node releases its children, which may free them in
+ * turn.  Past DEALLOC_DEPTH nested frees a node is put off on `deferred`
+ * (linked through its cleared `record`) and freed when the outermost
+ * free unwinds, so a long chain cannot exhaust the C stack. */
+#define DEALLOC_DEPTH 64
+static Node *deferred;
+static int dealloc_depth;
+
+static PyObject *tuple_steal(Py_ssize_t n, PyObject **items);
+
+static void
+node_release(Node *n)
+{
+    dealloc_depth++;
+    Py_CLEAR(n->child[0]);
+    Py_CLEAR(n->child[1]);
+    PyObject_Free(n);
+    dealloc_depth--;
+}
+
+static void
+node_dealloc(PyObject *self)
+{
+    Node *n = (Node *)self;
+    Py_CLEAR(n->record);
+    if (dealloc_depth >= DEALLOC_DEPTH) {
+        n->record = (PyObject *)deferred;
+        deferred = n;
+        return;
+    }
+    node_release(n);
+    while (dealloc_depth == 0 && deferred != NULL) {
+        n = deferred;
+        deferred = (Node *)n->record;
+        n->record = NULL;
+        node_release(n);
+    }
+}
+
+static PyObject *
+node_get_level(PyObject *self, void *unused)
+{
+    long level;
+    (void)unused;
+    return vnode_level(self, &level) < 0 ? NULL : PyLong_FromLong(level);
+}
+
+static PyObject *
+node_get_index(PyObject *self, void *unused)
+{
+    (void)unused;
+    return PyLong_FromSsize_t(((Node *)self)->slot);
+}
+
+/* ((w0, child0), (w1, child1)), built from the record on each access. */
+static PyObject *
+node_get_edges(PyObject *self, void *unused)
+{
+    Edge edges[2];
+    PyObject *pair[2];
+    (void)unused;
+    if (vnode_edges(self, edges) < 0) {
+        return NULL;
+    }
+    pair[0] = pack(edges[0].w, SNAP_NONE, edges[0].n);
+    pair[1] = pack(edges[1].w, SNAP_NONE, edges[1].n);
+    return tuple_steal(2, pair);
+}
+
+static PyObject *
+node_repr(PyObject *self)
+{
+    long level;
+    if (vnode_level(self, &level) < 0) {
+        return NULL;
+    }
+    return PyUnicode_FromFormat("<ArenaVNode q%ld slot %zd>", level, ((Node *)self)->slot);
+}
+
+static PyGetSetDef node_getset[] = {
+    {"level", node_get_level, NULL, "the qubit this node decides", NULL},
+    {"edges", node_get_edges, NULL,
+     "(edge0, edge1), each (weight, child): built from the record on each access", NULL},
+    {"index", node_get_index, NULL, "the node's arena slot id", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject Node_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_arena_core.ArenaVNode",
+    .tp_basicsize = sizeof(Node),
+    .tp_dealloc = node_dealloc,
+    .tp_repr = node_repr,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A vector node of an arena: read-only level, edges and index over its "
+              "record entry.  Created by the core only.",
+    .tp_getset = node_getset,
+};
+
+/* ------------------------------------------------------------------ */
 /* The Table type: len(), clear() and items() for Python               */
 /* ------------------------------------------------------------------ */
 
@@ -1091,6 +1275,16 @@ table_clear_method(PyObject *self, PyObject *unused)
     Py_RETURN_NONE;
 }
 
+/* The bytes the table's arrays hold, for sys.getsizeof. */
+static PyObject *
+table_sizeof(PyObject *self, PyObject *unused)
+{
+    Table *t = (Table *)self;
+    (void)unused;
+    return PyLong_FromSize_t(sizeof(Table) + (size_t)t->allocated * kinds[t->kind].size +
+                             (t->mask + 1) * sizeof(uint64_t));
+}
+
 static PyObject *
 table_items(PyObject *self, PyObject *unused)
 {
@@ -1166,6 +1360,7 @@ static PyMethodDef table_methods[] = {
     {"clear", table_clear_method, METH_NOARGS, "clear() -> None: drop every entry"},
     {"items", table_items, METH_NOARGS,
      "items() -> list of (key, value), the keys rebuilt as tuples"},
+    {"__sizeof__", table_sizeof, METH_NOARGS, "__sizeof__() -> int: bytes held, arrays included"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1301,24 +1496,24 @@ record_synced(PyObject *nodes, PyObject *record)
 }
 
 static int
-child_id(PyObject *nodes, PyObject *child, int32_t *id)
+child_id(const State *st, PyObject *child, int32_t *id)
 {
+    Py_ssize_t slot;
     int is_owned;
     if (child == NULL) {
         *id = REC_TERMINAL;
         return 0;
     }
-    if ((is_owned = owned(nodes, child)) < 0) {
+    if ((is_owned = live_slot(st, child, &slot)) < 0) {
         return -1;
     }
-    *id = is_owned ? (int32_t)PyLong_AsSsize_t(SLOT(child, v_index_off)) : REC_FOREIGN;
+    *id = is_owned ? (int32_t)slot : REC_FOREIGN;
     return 0;
 }
 
-
 /* Append the record entry of the node about to take the next slot. */
 static int
-record_append(Ctx *c, long level, PyObject *n0, PyObject *n1)
+record_append(Ctx *c, long level, Edge e0, Edge e1)
 {
     PyObject *nodes = c->st->v_nodes, *record = c->st->v_record;
     Py_ssize_t size = PyByteArray_GET_SIZE(record);
@@ -1330,8 +1525,11 @@ record_append(Ctx *c, long level, PyObject *n0, PyObject *n1)
         PyErr_SetString(PyExc_OverflowError, "node does not fit the arena record");
         return -1;
     }
+    memset(&rec, 0, sizeof(rec));
     rec.level = (int32_t)level;
-    if (child_id(nodes, n0, &rec.child[0]) < 0 || child_id(nodes, n1, &rec.child[1]) < 0 ||
+    rec.w[0] = e0.w;
+    rec.w[1] = e1.w;
+    if (child_id(c->st, e0.n, &rec.child[0]) < 0 || child_id(c->st, e1.n, &rec.child[1]) < 0 ||
         PyByteArray_Resize(record, size + (Py_ssize_t)sizeof(Rec)) < 0) {
         return -1;
     }
@@ -1363,37 +1561,29 @@ vkey_fill(VKey *key, long level, Edge e0, Edge e1, double inv)
     return 1;
 }
 
+/* A new arena node for the next slot, above e0 and e1. */
 static PyObject *
-new_vnode(Ctx *c, long level, Edge e0, int t0, Edge e1, int t1)
+new_vnode(Ctx *c, Edge e0, Edge e1)
 {
-    PyObject *node, *level_obj, *index, *edges, *first, *second;
-    first = pack(e0.w, t0, e0.n);
-    second = pack(e1.w, t1, e1.n);
-    level_obj = PyLong_FromLong(level);
-    index = PyLong_FromSsize_t(PyList_GET_SIZE(c->st->v_nodes));
-    edges = first && second ? PyTuple_Pack(2, first, second) : NULL;
-    Py_XDECREF(first);
-    Py_XDECREF(second);
-    /* The slots VNode.__init__ plus interning fill; no __init__ call. */
-    node = level_obj && index && edges ? vnode_type->tp_alloc(vnode_type, 0) : NULL;
+    Node *node = PyObject_New(Node, &Node_Type);
     if (node == NULL) {
-        Py_XDECREF(level_obj);
-        Py_XDECREF(index);
-        Py_XDECREF(edges);
         return NULL;
     }
-    SLOT(node, v_level_off) = level_obj;
-    SLOT(node, v_edges_off) = edges;
-    SLOT(node, v_index_off) = index;
-    return node;
+    node->record = c->st->v_record;
+    Py_INCREF(node->record);
+    node->child[0] = e0.n;
+    node->child[1] = e1.n;
+    Py_XINCREF(e0.n);
+    Py_XINCREF(e1.n);
+    node->slot = PyList_GET_SIZE(c->st->v_nodes);
+    return (PyObject *)node;
 }
 
-/* The node at `level` above the normalized edges n0 and n1 (t0 and t1 their
- * snap targets, whose shared weight objects the node takes): the one the
+/* The node at `level` above the normalized edges n0 and n1: the one the
  * unique table holds under their key, else a new node appended to the
  * arena and interned.  *node is borrowed (an arena slot, or pinned). */
 static int
-intern_vnode(Ctx *c, long level, Edge n0, int t0, Edge n1, int t1, PyObject **node)
+intern_vnode(Ctx *c, long level, Edge n0, Edge n1, PyObject **node)
 {
     VKey key;
     Table *t = c->st->tables[T_VTABLE];
@@ -1412,10 +1602,10 @@ intern_vnode(Ctx *c, long level, Edge n0, int t0, Edge n1, int t1, PyObject **no
         *node = ((VEntry *)slot)->node;
         return pin(c, *node);
     }
-    if ((*node = new_vnode(c, level, n0, t0, n1, t1)) == NULL) {
+    if ((*node = new_vnode(c, n0, n1)) == NULL) {
         return -1;
     }
-    if (record_append(c, level, n0.n, n1.n) < 0) {
+    if (record_append(c, level, n0, n1) < 0) {
         Py_DECREF(*node);
         return -1;
     }
@@ -1493,7 +1683,7 @@ make_vedge(Ctx *c, long level, Edge e0, Edge e1, Edge *out)
         n1.w = target_values[t1];
     }
     out->w = top;
-    return intern_vnode(c, level, n0, t0, n1, t1, &out->n);
+    return intern_vnode(c, level, n0, n1, &out->n);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1509,8 +1699,7 @@ vadd_miss(Ctx *c, Edge e1, Edge e2, Py_complex ratio, long level, const AddKey *
     Edge a[2], b[2], child[2], result;
     Py_complex rb;
     int k;
-    if (read_node_edges(e1.n, v_edges_off, 2, vnode_type, a) < 0 ||
-        read_node_edges(e2.n, v_edges_off, 2, vnode_type, b) < 0) {
+    if (vnode_edges(e1.n, a) < 0 || vnode_edges(e2.n, b) < 0) {
         return -1;
     }
     for (k = 0; k < 2; k++) {
@@ -1570,7 +1759,7 @@ vadd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         return -1;
     }
     if (c_quot(e2.w, e1.w, &ratio) < 0 ||
-        (cached = add_key(&key, c->st->v_nodes, e1.n, e2.n, v_index_off, ratio, c->inv)) < 0) {
+        (cached = add_key(&key, c->st, e1.n, e2.n, ratio, c->inv)) < 0) {
         return -1;
     }
     slot = cached ? lookup(c->st->tables[T_VADD], &key, sizeof(AddEntry), sizeof(AddKey)) : NULL;
@@ -1630,7 +1819,7 @@ mv_miss(Ctx *c, Edge me, Edge ve, long level, const PairKey *key, Edge *out)
 {
     Edge m[4], v[2], child[2], result;
     if (read_node_edges(me.n, m_edges_off, 4, mnode_type, m) < 0 ||
-        read_node_edges(ve.n, v_edges_off, 2, vnode_type, v) < 0 ||
+        vnode_edges(ve.n, v) < 0 ||
         mv_row(c, m, v, level - 1, &child[0]) < 0 ||
         mv_row(c, m + 2, v, level - 1, &child[1]) < 0 ||
         make_vedge(c, level, child[0], child[1], &result) < 0 ||
@@ -1662,8 +1851,7 @@ mv(Ctx *c, Edge me, Edge ve, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mv reached a terminal above level 0");
         return -1;
     }
-    if ((cached = pair_key(&key, c->st->m_nodes, me.n, m_index_off, c->st->v_nodes, ve.n,
-                           v_index_off)) < 0) {
+    if ((cached = pair_key(&key, c->st, me.n, ve.n)) < 0) {
         return -1;
     }
     slot = cached ? lookup(c->st->tables[T_MV], &key, sizeof(PairEntry), sizeof(PairKey)) : NULL;
@@ -1699,8 +1887,7 @@ inner_miss(Ctx *c, PyObject *n1, PyObject *n2, long level, const PairKey *key,
     Edge a[2], b[2];
     Py_complex total = {0.0, 0.0}, conjugate, sub;
     int k;
-    if (read_node_edges(n1, v_edges_off, 2, vnode_type, a) < 0 ||
-        read_node_edges(n2, v_edges_off, 2, vnode_type, b) < 0) {
+    if (vnode_edges(n1, a) < 0 || vnode_edges(n2, b) < 0) {
         return -1;
     }
     for (k = 0; k < 2; k++) {
@@ -1738,8 +1925,7 @@ inner(Ctx *c, PyObject *n1, PyObject *n2, long level, Py_complex *out)
         PyErr_SetString(PyExc_TypeError, "inner product reached a terminal above level 0");
         return -1;
     }
-    if ((cached = pair_key(&key, c->st->v_nodes, n1, v_index_off, c->st->v_nodes, n2,
-                           v_index_off)) < 0) {
+    if ((cached = pair_key(&key, c->st, n1, n2)) < 0) {
         return -1;
     }
     slot = cached ? lookup(c->st->tables[T_INNER], &key, sizeof(InnerEntry), sizeof(PairKey))
@@ -1988,7 +2174,7 @@ madd(Ctx *c, Edge e1, Edge e2, long level, Edge *out)
         return -1;
     }
     if (c_quot(e2.w, e1.w, &ratio) < 0 ||
-        (cached = add_key(&key, c->st->m_nodes, e1.n, e2.n, m_index_off, ratio, c->inv)) < 0) {
+        (cached = add_key(&key, c->st, e1.n, e2.n, ratio, c->inv)) < 0) {
         return -1;
     }
     slot = cached ? lookup(c->st->tables[T_MADD], &key, sizeof(AddEntry), sizeof(AddKey)) : NULL;
@@ -2088,8 +2274,7 @@ mm(Ctx *c, Edge a, Edge b, long level, Edge *out)
         PyErr_SetString(PyExc_TypeError, "multiply_mm reached a terminal above level 0");
         return -1;
     }
-    if ((cached = pair_key(&key, c->st->m_nodes, a.n, m_index_off, c->st->m_nodes, b.n,
-                           m_index_off)) < 0) {
+    if ((cached = pair_key(&key, c->st, a.n, b.n)) < 0) {
         return -1;
     }
     slot = cached ? lookup(c->st->tables[T_MM], &key, sizeof(PairEntry), sizeof(PairKey)) : NULL;
@@ -2716,7 +2901,7 @@ check_bottom(PyObject *self, Edge bottom, long bottom_levels)
         if ((st = backend_state(self)) == NULL) {
             return -1;
         }
-        is_owned = owned(st->m_nodes, bottom.n);
+        is_owned = owned(st, bottom.n);
         Py_DECREF(st);
         if (is_owned <= 0) {
             if (is_owned == 0) {
@@ -2895,8 +3080,8 @@ static int
 walk_open(Walk *w, PyObject *self, PyObject *root)
 {
     State *st;
-    Edge edges[2];
     const Rec *rec;
+    Py_ssize_t slot;
     int is_owned, k;
     memset(w, 0, sizeof(*w));
     if ((st = backend_state(self)) == NULL) {
@@ -2906,23 +3091,20 @@ walk_open(Walk *w, PyObject *self, PyObject *root)
     w->nodes = st->v_nodes;
     Py_INCREF(st->v_record);
     w->record = st->v_record;
+    is_owned = record_synced(w->nodes, w->record) < 0 ? -1 : live_slot(st, root, &slot);
     Py_DECREF(st);
-    if (record_synced(w->nodes, w->record) < 0 || (is_owned = owned(w->nodes, root)) < 0 ||
-        (is_owned && read_node_edges(root, v_edges_off, 2, vnode_type, edges) < 0)) {
-        return -1;
-    }
-    if (!is_owned) {
-        return 0;
+    if (is_owned <= 0) {
+        return is_owned;
     }
     w->size = PyList_GET_SIZE(w->nodes);
-    w->root = (int32_t)PyLong_AsSsize_t(SLOT(root, v_index_off));
+    w->root = (int32_t)slot;
     rec = records(w->record) + w->root;
     for (k = 0; k < 2; k++) {
         int32_t id = rec->child[k];
         if (id < REC_TERMINAL || id >= w->root) {
             return 0;
         }
-        if (edges[k].n != (id == REC_TERMINAL ? NULL : PyList_GET_ITEM(w->nodes, id))) {
+        if (((Node *)root)->child[k] != (id == REC_TERMINAL ? NULL : PyList_GET_ITEM(w->nodes, id))) {
             return 0;
         }
     }
@@ -3095,7 +3277,7 @@ static PyObject *
 py_node_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Walk w;
-    PyObject *memo = NULL, *root_index, *result = NULL;
+    PyObject *memo = NULL, *root_index = NULL, *result = NULL;
     Py_ssize_t count;
     Edge root;
     int status;
@@ -3110,7 +3292,9 @@ py_node_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         (memo = typed_attr(args[0], s_vcount_cache, &PyDict_Type)) == NULL) {
         goto done;
     }
-    root_index = SLOT(root.n, v_index_off);
+    if ((root_index = PyLong_FromLong(w.root)) == NULL) {
+        goto done;
+    }
     if ((result = PyDict_GetItemWithError(memo, root_index)) != NULL) {
         Py_INCREF(result);
         goto done;
@@ -3129,6 +3313,7 @@ done:
     }
     walk_close(&w);
     Py_XDECREF(memo);
+    Py_XDECREF(root_index);
     return result;
 }
 
@@ -3168,56 +3353,6 @@ done:
     return result;
 }
 
-/* The edges slot of the node at position `i` of `order`, if any. */
-static PyObject *
-edges_at(PyObject *nodes, const Ids *order, Py_ssize_t i)
-{
-    PyObject *node;
-    if (i >= order->len) {
-        return NULL;
-    }
-    node = PyList_GET_ITEM(nodes, order->data[i]);
-    return Py_IS_TYPE(node, vnode_type) ? SLOT(node, v_edges_off) : NULL;
-}
-
-static int
-is_pair(PyObject *obj)
-{
-    return obj != NULL && PyTuple_CheckExact(obj) && PyTuple_GET_SIZE(obj) == 2;
-}
-
-/* A sweep that reads the edges of the nodes in `order` follows a chain
- * of dependent loads per node (node, edges tuple, edge tuples, weights
- * and children), each a likely cache miss.  Before position `i` is read,
- * request those links for later positions in stages, each stage reading
- * only objects an earlier one requested, so the misses of several nodes
- * overlap.  These are hints: every object is type-checked before it is
- * read, and read_node_edges still checks all the sweep uses. */
-static void
-prefetch_edges(PyObject *nodes, const Ids *order, Py_ssize_t i)
-{
-    PyObject *edges, *edge;
-    int k;
-    if (i + 12 < order->len) {
-        __builtin_prefetch(PyList_GET_ITEM(nodes, order->data[i + 12]));
-    }
-    if ((edges = edges_at(nodes, order, i + 8)) != NULL) {
-        __builtin_prefetch(edges);
-    }
-    if (is_pair(edges = edges_at(nodes, order, i + 4))) {
-        __builtin_prefetch(PyTuple_GET_ITEM(edges, 0));
-        __builtin_prefetch(PyTuple_GET_ITEM(edges, 1));
-    }
-    if (is_pair(edges = edges_at(nodes, order, i + 2))) {
-        for (k = 0; k < 2; k++) {
-            if (is_pair(edge = PyTuple_GET_ITEM(edges, k))) {
-                __builtin_prefetch(PyTuple_GET_ITEM(edge, 0));
-                __builtin_prefetch(PyTuple_GET_ITEM(edge, 1));
-            }
-        }
-    }
-}
-
 /* The norm contributions of a walk's diagram, computed as
  * DDBackend.norm_contributions computes them: the same float operations
  * in the same order.  `order` holds the reached ids in DDBackend.vnodes
@@ -3239,7 +3374,6 @@ contributions_open(Contributions *s, const Walk *w, Py_complex weight)
     int32_t *position = NULL, id, at;
     const Rec *recs;
     Py_ssize_t i;
-    Edge edges[2];
     int status, k;
     memset(s, 0, sizeof(*s));
     if ((status = sorted_nodes(w, &s->order)) <= 0) {
@@ -3263,22 +3397,17 @@ contributions_open(Contributions *s, const Walk *w, Py_complex weight)
     present[at] = 1;
     recs = records(w->record);
     for (i = 0; i < s->order.len; i++) {
-        prefetch_edges(w->nodes, &s->order, i);
         incoming = present[i] ? s->value[i] : 0.0;
         if (incoming == 0.0) {
             continue;
         }
         id = s->order.data[i];
-        if (read_node_edges(PyList_GET_ITEM(w->nodes, id), v_edges_off, 2, vnode_type, edges) <
-            0) {
-            goto done;
-        }
         for (k = 0; k < 2; k++) {
-            if (recs[id].child[k] == REC_TERMINAL || IS_ZERO(edges[k].w)) {
+            if (recs[id].child[k] == REC_TERMINAL || IS_ZERO(recs[id].w[k])) {
                 continue;
             }
             /* contributions.get(child, 0.0) + incoming * abs(weight) ** 2 */
-            if (abs_squared(edges[k].w, &term) < 0) {
+            if (abs_squared(recs[id].w[k], &term) < 0) {
                 goto done;
             }
             term = incoming * term;
@@ -3404,8 +3533,7 @@ rebuild(Ctx *c, Rebuild *r, Edge edge, int32_t id, long level, Edge *out)
         /* make_vedge may grow the record: copy the entry out first. */
         ids[0] = records(r->record)[id].child[0];
         ids[1] = records(r->record)[id].child[1];
-        if (read_node_edges(edge.n, v_edges_off, 2, vnode_type, children) < 0 ||
-            Py_EnterRecursiveCall(" in rebuild_without")) {
+        if (vnode_edges(edge.n, children) < 0 || Py_EnterRecursiveCall(" in rebuild_without")) {
             return -1;
         }
         for (k = 0; k < 2; k++) {
@@ -3434,7 +3562,7 @@ check_root_level(Edge edge, long level)
     if (edge.n == NULL) {
         return 0;
     }
-    if (level_of(edge.n, v_level_off, &root) < 0) {
+    if (vnode_level(edge.n, &root) < 0) {
         return -1;
     }
     if (root != level) {
@@ -3680,8 +3808,8 @@ table_weight(const char *doubles, Py_ssize_t node, int k)
 
 /* DDBackend.state_table over the record: the nodes of the walk in
  * ascending level order, each level in DDBackend.vnodes order, which is
- * the vnodes order with its level groups taken from the last.  The
- * weights are read from the nodes' edges.  None for a foreign diagram. */
+ * the vnodes order with its level groups taken from the last.  None for
+ * a foreign diagram. */
 static PyObject *
 py_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3691,7 +3819,7 @@ py_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int32_t *position = NULL, value;
     Py_ssize_t n, i, start, end, at = 0;
     const Rec *recs;
-    Edge root, edges[2];
+    Edge root;
     char *ip, *dp;
     int status, k;
     (void)module;
@@ -3732,15 +3860,12 @@ py_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (i = 0; i < n; i++) {
         int32_t id = order.data[i];
         Py_ssize_t p = position[id];
-        if (read_node_edges(PyList_GET_ITEM(w.nodes, id), v_edges_off, 2, vnode_type, edges) < 0) {
-            goto done;
-        }
         le_copy(ip + 4 * TABLE_INTS * p, &recs[id].level, 4);
         for (k = 0; k < 2; k++) {
             value = recs[id].child[k] == REC_TERMINAL ? -1 : position[recs[id].child[k]];
             le_copy(ip + 4 * (TABLE_INTS * p + 1 + k), &value, 4);
-            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k), &edges[k].w.real, 8);
-            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k + 1), &edges[k].w.imag, 8);
+            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k), &recs[id].w[k].real, 8);
+            le_copy(dp + 8 * (TABLE_DOUBLES * p + 2 * k + 1), &recs[id].w[k].imag, 8);
         }
     }
     result = PyTuple_Pack(2, ints, doubles);
@@ -3891,8 +4016,7 @@ py_intern_state_table(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             e[k].w = table_weight(doubles, p, k);
             e[k].n = child < 0 ? NULL : nodes[child];
         }
-        if (intern_vnode(&c, table_int(ints, p, 0), e[0], SNAP_NONE, e[1], SNAP_NONE, &nodes[p]) <
-            0) {
+        if (intern_vnode(&c, table_int(ints, p, 0), e[0], e[1], &nodes[p]) < 0) {
             break;
         }
     }
@@ -3918,7 +4042,7 @@ read_node_arg(PyObject *obj, PyObject **node)
     if (obj == Py_None) {
         *node = NULL;
     }
-    else if (Py_IS_TYPE(obj, vnode_type)) {
+    else if (Py_IS_TYPE(obj, vnode_type) || IS_ARENA_VNODE(obj)) {
         *node = obj;
     }
     else {
@@ -3996,9 +4120,9 @@ interned_slot(Table *t, PyObject *node, int matrix, double inv)
     long level;
     int found;
     char *slot;
-    if (read_node_edges(node, matrix ? m_edges_off : v_edges_off, matrix ? 4 : 2,
-                        matrix ? mnode_type : vnode_type, edges) < 0 ||
-        level_of(node, matrix ? m_level_off : v_level_off, &level) < 0) {
+    if (matrix ? read_node_edges(node, m_edges_off, 4, mnode_type, edges) < 0 ||
+                     level_of(node, m_level_off, &level) < 0
+               : vnode_edges(node, edges) < 0 || vnode_level(node, &level) < 0) {
         return NULL;
     }
     found = matrix ? mkey_fill(&key.m, level, edges, inv)
@@ -4017,31 +4141,32 @@ interned_slot(Table *t, PyObject *node, int matrix, double inv)
 /* Free every node of one kind that nothing outside the arena holds.
  *
  * Inside the arena a node is referenced by its list slot, its unique-
- * table entry, and the edge tuples and table keys of its parents;
- * everything else (caller states, compute-cache values, gate_cache, the
- * identity cache) is outside.  Ids run children-before-parents, so a
- * sweep from the highest id down decides every parent before its
- * children: a node is kept when `keep` already names it (a kept parent
- * or a cache key does), or when its reference count shows a holder
- * outside the arena.  Anything else loses its table entry and then its
- * slot (left None for compact), and is freed on the spot -- releasing
- * its children for the rest of the sweep, the same cascade the
- * reference's weak tables see.  On return `keep` is the survivor mask. */
+ * table entry, and its parents (their child pointers or edge tuples,
+ * and their table keys); everything else (caller states, compute-cache
+ * values, gate_cache, the identity cache) is outside.  Ids run
+ * children-before-parents, so a sweep from the highest id down decides
+ * every parent before its children: a node is kept when `keep` already
+ * names it (a kept parent or a cache key does), or when its reference
+ * count shows a holder outside the arena.  Anything else loses its table
+ * entry and then its slot (left None for compact), and is freed on the
+ * spot -- releasing its children for the rest of the sweep, the same
+ * cascade the reference's weak tables see.  A kept vector node keeps the
+ * children its record entry names, a kept matrix node those of its
+ * edges.  On return `keep` is the survivor mask. */
 static int
 sweep(State *st, int matrix, unsigned char *keep, double inv)
 {
     PyObject *nodes = matrix ? st->m_nodes : st->v_nodes, *node, *child;
-    PyTypeObject *type = matrix ? mnode_type : vnode_type;
     Table *t = st->tables[matrix ? T_MTABLE : T_VTABLE];
     Py_ssize_t i, n = PyList_GET_SIZE(nodes), index;
-    Py_ssize_t index_off = matrix ? m_index_off : v_index_off;
-    int arity = matrix ? 4 : 2, k;
+    int k;
     Edge edges[4];
     char *slot;
     for (i = n - 1; i >= 0; i--) {
         node = PyList_GET_ITEM(nodes, i);
-        if (!Py_IS_TYPE(node, type)) {
-            PyErr_Format(PyExc_TypeError, "arena slot %zd holds a %.100s", i,
+        if (matrix ? !Py_IS_TYPE(node, mnode_type)
+                   : !IS_ARENA_VNODE(node) || ((Node *)node)->record != st->v_record) {
+            PyErr_Format(PyExc_TypeError, "arena slot %zd holds a %.100s of no slot here", i,
                          Py_TYPE(node)->tp_name);
             return -1;
         }
@@ -4062,17 +4187,26 @@ sweep(State *st, int matrix, unsigned char *keep, double inv)
             }
         }
         keep[i] = 1;
-        if (read_node_edges(node, matrix ? m_edges_off : v_edges_off, arity, type, edges) < 0) {
+        if (!matrix) {
+            for (k = 0; k < 2; k++) {
+                index = records(st->v_record)[i].child[k];
+                if (index >= 0 && index < n) {
+                    keep[index] = 1;
+                }
+            }
+            continue;
+        }
+        if (read_node_edges(node, m_edges_off, 4, mnode_type, edges) < 0) {
             return -1;
         }
-        for (k = 0; k < arity; k++) {
+        for (k = 0; k < 4; k++) {
             if ((child = edges[k].n) == NULL) {
                 continue;
             }
-            if (node_index(child, index_off) == NULL) {
+            if (node_index(child, m_index_off) == NULL) {
                 return -1;
             }
-            index = PyLong_AsSsize_t(SLOT(child, index_off));
+            index = PyLong_AsSsize_t(SLOT(child, m_index_off));
             if (index == -1 && PyErr_Occurred()) {
                 PyErr_Clear(); /* out of range: no slot */
                 continue;
@@ -4086,10 +4220,11 @@ sweep(State *st, int matrix, unsigned char *keep, double inv)
 }
 
 /* Close the gaps the sweep left in `nodes` (of `n` entries), survivors
- * keeping their order, renumber the survivors' `index` slots, and fill
- * `map`: old id -> new id, -1 for a freed node. */
+ * keeping their order, renumber the survivors' slots (an arena vector
+ * node's field, an MNode's `index`), and fill `map`: old id -> new id,
+ * -1 for a freed node. */
 static int
-compact(PyObject *nodes, Py_ssize_t n, Py_ssize_t index_off, int32_t *map)
+compact(PyObject *nodes, Py_ssize_t n, int matrix, int32_t *map)
 {
     PyObject **items, *node, *index;
     Py_ssize_t old, new = 0;
@@ -4109,11 +4244,14 @@ compact(PyObject *nodes, Py_ssize_t n, Py_ssize_t index_off, int32_t *map)
         }
         map[old] = (int32_t)new;
         if (new != old) {
-            if ((index = PyLong_FromSsize_t(new)) == NULL) {
+            if (!matrix) {
+                ((Node *)node)->slot = new;
+            }
+            else if ((index = PyLong_FromSsize_t(new)) == NULL) {
                 rc = -1;
             }
             else {
-                Py_XSETREF(SLOT(node, index_off), index);
+                Py_XSETREF(SLOT(node, m_index_off), index);
             }
             items[old] = items[new];
             items[new] = node;
@@ -4218,9 +4356,9 @@ state_reclaim(PyObject *self, PyObject *unused)
     seed_keep(tables[T_INNER], v_keep, nv, v_keep, nv);
     seed_keep(tables[T_MM], m_keep, nm, m_keep, nm);
     seed_keep(tables[T_MV], m_keep, nm, v_keep, nv);
-    if (sweep(st, 0, v_keep, inv) < 0 || compact(st->v_nodes, nv, v_index_off, v_map) < 0 ||
+    if (sweep(st, 0, v_keep, inv) < 0 || compact(st->v_nodes, nv, 0, v_map) < 0 ||
         compact_record(st->v_record, v_map, nv) < 0 || sweep(st, 1, m_keep, inv) < 0 ||
-        compact(st->m_nodes, nm, m_index_off, m_map) < 0 || table_compact(tables[T_VTABLE]) < 0 ||
+        compact(st->m_nodes, nm, 1, m_map) < 0 || table_compact(tables[T_VTABLE]) < 0 ||
         table_compact(tables[T_MTABLE]) < 0 || rekey(tables[T_VADD], v_map, nv, v_map, nv) < 0 ||
         rekey(tables[T_MADD], m_map, nm, m_map, nm) < 0 ||
         rekey(tables[T_MV], m_map, nm, v_map, nv) < 0 ||
@@ -4361,7 +4499,6 @@ init_globals(void)
                  node_class(node_module, "MNode", &mnode_type) < 0 ||
                  slot_offset(vnode_type, "level", &v_level_off) < 0 ||
                  slot_offset(vnode_type, "edges", &v_edges_off) < 0 ||
-                 slot_offset(vnode_type, "index", &v_index_off) < 0 ||
                  slot_offset(mnode_type, "level", &m_level_off) < 0 ||
                  slot_offset(mnode_type, "edges", &m_edges_off) < 0 ||
                  slot_offset(mnode_type, "index", &m_index_off) < 0
@@ -4376,10 +4513,12 @@ PyInit__arena_core(void)
 {
     PyObject *module;
     if (init_globals() < 0 || PyType_Ready(&Table_Type) < 0 || PyType_Ready(&State_Type) < 0 ||
+        PyType_Ready(&Node_Type) < 0 ||
         (module = PyModule_Create(&core_module)) == NULL) {
         return NULL;
     }
-    if (PyModule_AddObjectRef(module, "State", (PyObject *)&State_Type) < 0) {
+    if (PyModule_AddObjectRef(module, "State", (PyObject *)&State_Type) < 0 ||
+        PyModule_AddObjectRef(module, "ArenaVNode", (PyObject *)&Node_Type) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -40,19 +40,29 @@ CPython's own complex arithmetic, so results are
 *bit-for-bit identical* to the reference backend and cache keys bucket
 identically, making hit/miss sequences coincide.  See docs/BACKENDS.md.
 
-**The record.**  ``_v_record`` is a bytearray with one 12-byte entry per
+**The record.**  ``_v_record`` is a bytearray with one 48-byte entry per
 ``_v_nodes`` slot: the node's level and its two children's ids as
 native int32 (``-1`` for the terminal, ``-2`` for a child that is not a
-slot of this arena).  The core appends an entry whenever it interns a
-node and renumbers it with the node list at a reclaim.  Interned nodes
-never change, so the sweeps walk these integers instead of chasing node,
-edge and index objects.  A sweep that meets a foreign child gets
-``None`` from the core and runs the generic traversal.
+slot of this arena), a zero pad, and the two edge weights as native
+complex doubles, bit for bit as interned.  The core appends an entry
+whenever it interns a node and renumbers it with the node list at a
+reclaim.  The sweeps and the recursions read these entries instead of
+node objects.  A sweep that meets a foreign child gets ``None`` from the
+core and runs the generic traversal.
 
-Edge *handles* are real :class:`~repro.dd.node.VNode` /
-:class:`~repro.dd.node.MNode` objects, so every consumer that traverses
-``.edges`` / ``.level`` (simulator, strategies, serialization, DDSan)
-works unchanged.
+**A vector node is its record.**  Each ``_v_nodes`` slot holds one
+``ArenaVNode`` (a C type of the core): its slot, the record and its two
+children, nothing else.  ``level``, ``index`` and ``edges`` are
+read-only; ``edges`` builds the ``(weight, child)`` tuples from the
+record on each access, with the children's own node objects, so
+identity stays the equality rule.  A node holds its children and its
+record but never the arena's tables, so ownership stays acyclic and a
+dropped package is freed by reference counting alone; a node kept past
+its package still reads its level and edges.  Hand-built
+:class:`~repro.dd.node.VNode` objects (and the reference engine's) keep
+the object path.  Matrix nodes are :class:`~repro.dd.node.MNode`
+objects, so every consumer that traverses ``.edges`` / ``.level``
+(simulator, strategies, serialization, DDSan) works unchanged.
 
 **Reclaim at cache flushes.**  ``_v_nodes`` / ``_m_nodes`` hold strong
 references, so between reclaims the arena keeps nodes the reference
@@ -73,7 +83,7 @@ densely in their old order.
 
 from __future__ import annotations
 
-from array import array
+import struct
 from typing import Any, Mapping, Sequence
 
 from .. import ctable
@@ -83,6 +93,10 @@ from .base import DEFAULT_CACHE_LIMIT, DDBackend
 
 #: The C core (None when it could not be built; construction then raises).
 _core: Any = native.load()[0]
+
+#: One ``_v_record`` entry: level, child ids, pad, then re and im of
+#: both edge weights, in native byte order.
+_RECORD = struct.Struct("4i4d")
 
 
 class ArenaBackend(DDBackend):
@@ -356,21 +370,31 @@ class ArenaBackend(DDBackend):
         return index if 0 <= index < len(nodes) and nodes[index] is child else -2
 
     def _record_problems(self) -> list[str]:
-        record = array("i", bytes(self._v_record))
+        record = bytes(self._v_record)
         nodes = self._v_nodes
-        if len(record) != 3 * len(nodes):
+        if len(record) != _RECORD.size * len(nodes):
             return [
-                f"vector arena record holds {len(record) // 3} entries "
+                f"vector arena record holds {len(record) / _RECORD.size:g} entries "
                 f"for {len(nodes)} nodes"
             ]
+        inv = ctable._inv_tolerance
+        keys = {id(node): key for key, node in self._vtable.items()}
         problems = []
-        for index, node in enumerate(nodes):
-            stored = tuple(record[3 * index : 3 * index + 3])
+        for index, entry in enumerate(_RECORD.iter_unpack(record)):
+            node = nodes[index]
+            stored = entry[:3]
             expected = self._record_entry(node)
             if stored != expected:
                 problems.append(
                     f"vector arena record slot {index} reads {stored}, "
                     f"its node is {expected} (level, child ids)"
+                )
+            key = keys.get(id(node))
+            buckets = tuple(round(part * inv) for part in entry[4:])
+            if key is not None and buckets != key[1:3] + key[4:6]:
+                problems.append(
+                    f"vector arena record slot {index} holds weights "
+                    "outside its unique-table key buckets"
                 )
         return problems
 

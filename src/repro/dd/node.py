@@ -52,8 +52,8 @@ class VNode:
     def __init__(self, level: int, edges: tuple[VEdge, VEdge]):
         self.level = level
         self.edges = edges
-        # Arena slot id; -1 outside an arena backend.  Only
-        # :mod:`repro.dd.backends.arena` assigns it.
+        # Arena slot id; always -1 here: the arena backend's vector
+        # nodes are its own read-only ``ArenaVNode`` type.
         self.index = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -107,7 +107,8 @@ class TestPackageAudit:
         assert audit_package(package) == []
 
     def test_stale_unique_table_entry(self):
-        package = Package()
+        # Arena nodes are read-only; the reference engine's can be mutated.
+        package = Package(backend="reference")
         state = StateDD.plus_state(2, package)
         node = state.nodes()[0]
         (w0, c0), (w1, c1) = node.edges
@@ -187,7 +188,8 @@ class TestMidSimulationCatch:
 
     def test_seeded_corruption_is_caught(self):
         circuit = bell_circuit()
-        package = Package()
+        # Arena nodes are read-only; the reference engine's can be mutated.
+        package = Package(backend="reference")
         top_level = circuit.num_qubits - 1
         original = package.multiply_mv
         calls = {"top": 0}
@@ -219,7 +221,8 @@ class TestMidSimulationCatch:
         """Without DDSan the corrupted run completes silently —
         the sanitizer is what surfaces the damage."""
         circuit = bell_circuit()
-        package = Package()
+        # Arena nodes are read-only; the reference engine's can be mutated.
+        package = Package(backend="reference")
         top_level = circuit.num_qubits - 1
         original = package.multiply_mv
         calls = {"top": 0}

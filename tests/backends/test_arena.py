@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import struct
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 
 from repro.analysis import Sanitizer
+from repro.circuits.lowering import operation_to_medge
 from repro.core import MemoryDrivenStrategy, simulate
 from repro.dd.backends.arena import ArenaBackend
 from repro.dd.backends.base import DDBackend
@@ -44,7 +51,7 @@ class TestArenaAudits:
         backend = package.backend
         record = backend._v_record
         node = backend._v_nodes[-1]
-        slot = 12 * node.index
+        slot = 48 * node.index
         level, child0, child1 = struct.unpack_from("3i", record, slot)
         assert (level, child0) == (node.level, node.edges[0][1].index)
         # -2 marks a foreign child: wrong for an arena-built node.
@@ -193,3 +200,125 @@ class TestForeignNodeFallback:
         assert package.state_table(edge) == DDBackend.state_table(
             package.backend, edge
         )
+
+
+class TestThinNodes:
+    """An arena vector node holds only its slot, record and children."""
+
+    def test_nodes_are_read_only(self):
+        package = Package(backend="arena")
+        node = StateDD.plus_state(2, package).edge[1]
+        for name, value in (("edges", ()), ("level", 0), ("index", 0)):
+            with pytest.raises(AttributeError):
+                setattr(node, name, value)
+        assert node.level == 1 and node.index == len(package.backend._v_nodes) - 1
+
+    def test_edges_are_built_on_access_from_the_slots_nodes(self):
+        package = Package(backend="arena")
+        node = StateDD.plus_state(2, package).edge[1]
+        first, second = node.edges, node.edges
+        assert first == second and first is not second
+        child = first[0][1]
+        assert child is package.backend._v_nodes[child.index]
+
+    def test_python_heap_per_new_node(self):
+        """Per-node tuples and complexes must not come back: the Python heap
+        beyond the arena's own arrays grows by at most ~120 B a node."""
+        package = Package(backend="arena")
+        backend = package.backend
+        runs = []
+        for seed in range(5):
+            circuit = build_builtin_circuit(f"qsup_3x3_10_{seed}")
+            n = circuit.num_qubits
+            gates = [operation_to_medge(op, n, package) for op in circuit.operations]
+            runs.append((n, gates, StateDD.basis_state(n, 0, package).edge))
+
+        def arena_bytes() -> int:
+            state = backend._state
+            tables = ("vtable", "mtable", "vadd", "madd", "mv", "mm", "inner")
+            return (
+                sum(sys.getsizeof(getattr(state, name)) for name in tables)
+                + sys.getsizeof(backend._v_record)
+                + sys.getsizeof(backend._v_nodes)
+                + sys.getsizeof(backend._m_nodes)
+            )
+
+        created = backend.stats["vnodes_created"]
+        gc.collect()
+        storage = arena_bytes()
+        tracemalloc.start()
+        try:
+            for n, gates, edge in runs:
+                for gate in gates:
+                    edge = package.multiply_mv(gate, edge, n - 1)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        created = backend.stats["vnodes_created"] - created
+        assert created >= 10_000
+        per_node = (traced - (arena_bytes() - storage)) / created
+        assert per_node <= 120, per_node
+
+
+class TestLifetime:
+    def test_a_dropped_package_is_freed(self):
+        package = Package(backend="arena")
+        simulate(
+            build_builtin_circuit("qsup_2x2_8_0"),
+            MemoryDrivenStrategy(threshold=16, round_fidelity=0.95),
+            package=package,
+        )
+        backend = weakref.ref(package.backend)
+        del package
+        gc.collect()
+        assert backend() is None
+
+    def test_a_node_outlives_its_package(self):
+        package = Package(backend="arena")
+        weight, root = StateDD.plus_state(3, package).edge
+        amplitudes = StateDD((weight, root), 3, package).to_amplitudes()
+        backend = weakref.ref(package.backend)
+        del package
+        gc.collect()
+        # The node holds its record and children, not the arena's tables.
+        assert backend() is None
+        assert root.level == 2
+        (w0, child), (w1, _same) = root.edges
+        assert child is _same and child.edges[0][1].level == 0
+        assert np.allclose(
+            StateDD((weight, root), 3, Package(backend="arena")).to_amplitudes(),
+            amplitudes,
+        )
+
+    def test_a_long_chain_frees_without_recursing(self):
+        package = Package(backend="arena")
+        edge = package.make_vedge(0, (1 + 0j, None), (0j, None))
+        for _ in range(200_000):
+            edge = package.make_vedge(1, edge, (0j, None))
+        del package, edge  # freeing the chain must not exhaust the C stack
+
+    @pytest.mark.skipif(
+        "asan" in os.environ.get("LD_PRELOAD", ""),
+        reason="AddressSanitizer's quarantine holds freed memory in RSS",
+    )
+    def test_many_jobs_leave_rss_flat(self, tmp_path):
+        from repro.service.engine import execute_job
+        from repro.service.jobs import JobSpec
+        from repro.service.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        spec = JobSpec(circuit="builtin:qsup_2x2_4_0")
+
+        def rss_kib() -> int:
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1])
+            return 0
+
+        for _ in range(50):
+            execute_job(spec, store, use_cache=False)
+        start = rss_kib()
+        for _ in range(200):
+            execute_job(spec, store, use_cache=False)
+        assert rss_kib() - start < 2048

@@ -328,3 +328,32 @@ class TestServiceResume:
             spec, store, cancel=CancellationToken(event=SetEvent())
         )
         assert result.status == "drained"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1b: the vadd cache keys and the unique table "
+    "remember history, so a fresh package moves later bits",
+)
+def test_resume_into_a_fresh_package_is_exact():
+    """Resume ``qsup_3x4_10_0`` (memory 128/0.975) from its op-50 stop
+    through ``state_from_dict(state_to_dict(...))`` into a fresh package:
+    the result should equal the uninterrupted run bit for bit."""
+    from dataclasses import replace
+
+    from repro.dd.serialize import state_from_dict, state_to_dict
+
+    circuit = build_builtin_circuit("qsup_3x4_10_0")
+
+    def strategy():
+        return MemoryDrivenStrategy(threshold=128, round_fidelity=0.975)
+
+    full = DDSimulator(Package()).run(circuit, strategy())
+    with pytest.raises(SimulationTimeout) as excinfo:
+        DDSimulator(Package()).run(circuit, strategy(), cancel=_token(101.0))
+    point = excinfo.value.resume_point
+    assert point.op_index == 50
+    fresh = Package()
+    moved = replace(point, state=state_from_dict(state_to_dict(point.state), fresh))
+    resumed = DDSimulator(fresh).run(circuit, strategy(), initial_state=moved)
+    _assert_same_run(resumed, full)
